@@ -1,9 +1,10 @@
 //! Hot-path performance benchmark, serial-vs-parallel bit-exactness
 //! smoke test and perf-regression gate.
 //!
-//! Times the four optimized kernels (direct conv, fast conv, fast
-//! deconv, Swin attention) against in-binary replicas of the pre-PR-2
-//! scalar implementations, measures end-to-end encode/decode at
+//! Times the optimized kernels (direct conv, fast conv, fast deconv,
+//! Swin attention, deformable warp, activation quantization) — the
+//! first two against in-binary replicas of the pre-PR-2 scalar
+//! implementations — measures end-to-end encode/decode at
 //! `threads = 1`, `2` and `max`, checks both codec families for
 //! bit-exact parallel execution, and writes `BENCH_PR3.json` at the
 //! repository root.
@@ -37,7 +38,7 @@ use nvc_core::ExecCtx;
 use nvc_fastalg::{FastConv2d, FastDeConv2d, Sparsity};
 use nvc_model::{CtvcCodec, CtvcConfig, RatePoint, SwinAttention};
 use nvc_tensor::mat::Mat;
-use nvc_tensor::ops::{Conv2d, DeConv2d};
+use nvc_tensor::ops::{Conv2d, DeConv2d, DeformConv2d};
 use nvc_tensor::{Shape, Tensor};
 use nvc_video::synthetic::{SceneConfig, Synthesizer};
 use std::time::Instant;
@@ -449,6 +450,45 @@ fn main() {
         eprintln!("FAIL: attention serial vs parallel diverged");
         divergence = true;
     }
+
+    // Deformable compensation as the codec builds it: centre-tap identity
+    // kernels (1 live tap of 9), two offset groups, sub-pixel motion.
+    let mut warp = vec![0.0_f32; n_ch * n_ch * 9];
+    for c in 0..n_ch {
+        warp[(c * n_ch + c) * 9 + 4] = 1.0;
+    }
+    let dfconv = DeformConv2d::new(warp, vec![0.0; n_ch], n_ch, n_ch, 3, 1, 2).unwrap();
+    let offsets = smooth_tensor(dfconv.offset_channels(), h, w).scale(5.0);
+    let t_df = bench(reps, || {
+        dfconv.forward_ctx(&x, &offsets, &ctx1).unwrap();
+    });
+    rows.push(KernelRow {
+        name: "dfconv_warp",
+        ms: t_df * 1e3,
+        mpix_s: pix / t_df,
+        speedup_vs_naive: None,
+    });
+    if dfconv.forward_ctx(&x, &offsets, &ctx1).unwrap().as_slice()
+        != dfconv
+            .forward_ctx(&x, &offsets, &ctx_max)
+            .unwrap()
+            .as_slice()
+    {
+        eprintln!("FAIL: deformable conv serial vs parallel diverged");
+        divergence = true;
+    }
+
+    // FXP12 activation quantization, as it runs after every operator.
+    let mut act = x.clone();
+    let t_q = bench(reps * 4, || {
+        nvc_quant::fake_quantize_dynamic_inplace(&mut act, 12).unwrap();
+    });
+    rows.push(KernelRow {
+        name: "actq_fxp12",
+        ms: t_q * 1e3,
+        mpix_s: pix / t_q,
+        speedup_vs_naive: None,
+    });
 
     for r in &rows {
         let speedup = r

@@ -18,13 +18,22 @@
 //!   scoped workers costs tens of microseconds, which dwarfs the compute
 //!   of a small decode-side plane. Gating never changes results (serial
 //!   and parallel execution are bit-identical by construction).
+//! * [`ExecCtx::par_stripes_mut`] is the fan-out for layers that produce
+//!   many output planes from one shared staging step (the tiled
+//!   Winograd/FTA executor): one call per layer splits the *rows* of
+//!   every plane into the same contiguous stripes, one per worker, and
+//!   hands each worker its stripe of every plane. A worker then runs the
+//!   whole layer — staging and every output channel — on its own rows:
+//!   one spawn per layer and no barrier between phases. Work-size gated
+//!   like the chunked variant.
 //! * [`ExecCtx::join`] runs two independent computations on two workers —
 //!   the coarse grain the codec uses to overlap whole module invocations
 //!   (motion-compensation branch ∥ residual-synthesis branch) instead of
 //!   relying on row/tile fan-out alone.
 //! * [`ScratchPool`] lends reusable `Vec<f32>` buffers (transform-domain
 //!   tile stores, per-layer staging) so steady-state forward passes stay
-//!   allocation-free across calls.
+//!   allocation-free across calls; [`ScratchPool::take_stale`] skips the
+//!   zero-fill for callers that overwrite the whole buffer anyway.
 //!
 //! The crate is `std`-only (the build environment is offline); the pool is
 //! scoped rather than persistent, which keeps borrowed inputs/outputs safe
@@ -49,6 +58,7 @@
 #![forbid(unsafe_code)]
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -88,16 +98,29 @@ impl ScratchPool {
 
     /// Borrows a zeroed buffer of exactly `len` elements.
     pub fn take(&self, len: usize) -> Vec<f32> {
-        let recycled = self
-            .bufs
-            .lock()
-            .ok()
-            .and_then(|mut bufs| bufs.pop())
-            .unwrap_or_default();
-        let mut buf = recycled;
+        let mut buf = self.pop();
         buf.clear();
         buf.resize(len, 0.0);
         buf
+    }
+
+    /// Borrows a buffer of exactly `len` elements whose contents are
+    /// unspecified: whatever a recycled allocation last held (zeros
+    /// where it had to grow). For staging buffers the caller overwrites
+    /// in full before reading, where [`ScratchPool::take`]'s memset is
+    /// pure memory traffic.
+    pub fn take_stale(&self, len: usize) -> Vec<f32> {
+        let mut buf = self.pop();
+        buf.resize(len, 0.0);
+        buf
+    }
+
+    fn pop(&self) -> Vec<f32> {
+        self.bufs
+            .lock()
+            .ok()
+            .and_then(|mut bufs| bufs.pop())
+            .unwrap_or_default()
     }
 
     /// Returns a buffer to the pool for reuse. Buffers that would push
@@ -261,6 +284,93 @@ impl ExecCtx {
             return;
         }
         self.par_chunks_mut(data, chunk_len, f);
+    }
+
+    /// Splits every `plane_len`-element plane of `data` into the same
+    /// contiguous *stripes* of whole rows — `row_len` elements each, the
+    /// final row of a plane may be shorter — one stripe per worker, and
+    /// calls `f(rows, stripe)` once per stripe: `rows` is the stripe's
+    /// row-index range and `stripe[p]` is plane `p`'s sub-slice holding
+    /// exactly those rows.
+    ///
+    /// This is the fan-out for a layer whose workers each need *all*
+    /// output planes of *their* rows (stage once, then reduce into every
+    /// channel while the staging is cache-hot). Every element is handed
+    /// to exactly one call, and the row indices an element is reached
+    /// under do not depend on the worker count — so a computation that
+    /// treats rows independently produces the same output for any number
+    /// of workers. Below [`PAR_MIN_WORK`] (see
+    /// [`ExecCtx::par_chunks_mut_gated`]) the whole call is one stripe on
+    /// the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plane_len` or `row_len` is zero or `data` is not a
+    /// whole number of planes, and resumes a worker's panic on the
+    /// calling thread.
+    pub fn par_stripes_mut<T, F>(
+        &self,
+        data: &mut [T],
+        plane_len: usize,
+        row_len: usize,
+        work: u64,
+        f: F,
+    ) where
+        T: Send,
+        F: Fn(Range<usize>, &mut [&mut [T]]) + Sync,
+    {
+        assert!(
+            plane_len > 0 && row_len > 0,
+            "plane_len and row_len must be non-zero"
+        );
+        assert!(
+            data.len().is_multiple_of(plane_len),
+            "data must be a whole number of planes"
+        );
+        let n_rows = plane_len.div_ceil(row_len);
+        let workers = if work < PAR_MIN_WORK {
+            1
+        } else {
+            self.threads.min(n_rows)
+        };
+        if workers <= 1 {
+            let mut planes: Vec<&mut [T]> = data.chunks_mut(plane_len).collect();
+            f(0..n_rows, &mut planes);
+            return;
+        }
+        // Contiguous block partition of the rows, as in `par_chunks_mut`.
+        let first_row = |t: usize| t * (n_rows / workers) + t.min(n_rows % workers);
+        let n_planes = data.len() / plane_len;
+        let mut stripes: Vec<Vec<&mut [T]>> =
+            (0..workers).map(|_| Vec::with_capacity(n_planes)).collect();
+        for plane in data.chunks_mut(plane_len) {
+            let mut rest = plane;
+            for (t, stripe) in stripes.iter_mut().enumerate() {
+                let end = (first_row(t + 1) * row_len).min(plane_len);
+                let (head, tail) = rest.split_at_mut(end - first_row(t) * row_len);
+                stripe.push(head);
+                rest = tail;
+            }
+        }
+        std::thread::scope(|scope| {
+            let f = &f;
+            let mut stripes = stripes.into_iter().enumerate();
+            // The calling thread works too, on the first stripe.
+            let own = stripes.next();
+            let handles: Vec<_> = stripes
+                .map(|(t, mut stripe)| {
+                    scope.spawn(move || f(first_row(t)..first_row(t + 1), &mut stripe))
+                })
+                .collect();
+            if let Some((_, mut stripe)) = own {
+                f(0..first_row(1), &mut stripe);
+            }
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        });
     }
 
     /// Runs two independent computations, on two workers when the context
@@ -620,6 +730,19 @@ mod tests {
     }
 
     #[test]
+    fn stale_take_keeps_contents_and_zeroes_only_growth() {
+        let pool = ScratchPool::new();
+        pool.put(vec![7.0; 6]);
+        // Shrinks without a memset, grows with zeros, always `len` long.
+        let a = pool.take_stale(4);
+        assert_eq!(a, vec![7.0; 4]);
+        pool.put(a);
+        let b = pool.take_stale(6);
+        assert_eq!(b, vec![7.0, 7.0, 7.0, 7.0, 0.0, 0.0]);
+        assert_eq!(pool.take_stale(3), vec![0.0; 3], "empty pool allocates");
+    }
+
+    #[test]
     fn scratch_respects_byte_budget() {
         let pool = ScratchPool::new();
         // An over-budget buffer is dropped, not cached.
@@ -663,6 +786,90 @@ mod tests {
                 "gated call must not fan out"
             );
         });
+    }
+
+    /// Runs `par_stripes_mut` over `planes` planes of `plane_len`
+    /// elements, stamping every element with `(plane, row, offset in
+    /// row)` and counting visits.
+    fn run_stripes(ctx: &ExecCtx, planes: usize, plane_len: usize, row_len: usize) -> Vec<u32> {
+        let mut data = vec![0u32; planes * plane_len];
+        ctx.par_stripes_mut(&mut data, plane_len, row_len, u64::MAX, |rows, stripe| {
+            assert_eq!(stripe.len(), planes, "one slice per plane");
+            for (p, slice) in stripe.iter_mut().enumerate() {
+                let expect = (rows.end * row_len).min(plane_len) - rows.start * row_len;
+                assert_eq!(slice.len(), expect, "stripe holds exactly its rows");
+                for (i, v) in slice.iter_mut().enumerate() {
+                    let row = rows.start + i / row_len;
+                    *v += 1 + ((p * 1000 + row) * 100 + i % row_len) as u32;
+                }
+            }
+        });
+        data
+    }
+
+    #[test]
+    fn stripes_visit_every_element_once_under_worker_independent_rows() {
+        // 23 elements per plane in rows of 5: a short final row, and row
+        // counts that do not divide evenly among 2, 3 or 4 workers.
+        let reference = run_stripes(&ExecCtx::serial(), 3, 23, 5);
+        for (i, &v) in reference.iter().enumerate() {
+            let (p, off) = (i / 23, i % 23);
+            let stamp = ((p * 1000 + off / 5) * 100 + off % 5) as u32;
+            assert_eq!(v, 1 + stamp, "element {i} visited once, as its own row");
+        }
+        for threads in [2, 3, 4, 7, 64] {
+            let got = run_stripes(&ExecCtx::with_threads(threads), 3, 23, 5);
+            assert_eq!(got, reference, "threads={threads}");
+        }
+        // A single row and a single plane degrade to one stripe.
+        assert_eq!(
+            run_stripes(&ExecCtx::with_threads(4), 1, 4, 9),
+            run_stripes(&ExecCtx::serial(), 1, 4, 9)
+        );
+    }
+
+    #[test]
+    fn stripes_fan_out_one_worker_per_stripe_and_gate_small_work() {
+        let caller = std::thread::current().id();
+        let calls = AtomicUsize::new(0);
+        let off_thread = AtomicUsize::new(0);
+        let mut data = vec![0u8; 2 * 40];
+        let ctx = ExecCtx::with_threads(4);
+        ctx.par_stripes_mut(&mut data, 40, 4, PAR_MIN_WORK, |rows, _| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            if std::thread::current().id() != caller {
+                off_thread.fetch_add(1, Ordering::SeqCst);
+            }
+            assert!(rows.len() == 2 || rows.len() == 3, "10 rows over 4 workers");
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 4, "one stripe per worker");
+        assert_eq!(
+            off_thread.load(Ordering::SeqCst),
+            3,
+            "caller takes a stripe"
+        );
+        ctx.par_stripes_mut(&mut data, 40, 4, PAR_MIN_WORK - 1, |rows, stripe| {
+            assert_eq!(std::thread::current().id(), caller, "gated call stays put");
+            assert_eq!((rows, stripe.len()), (0..10, 2));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "stripe boom")]
+    fn stripes_propagate_worker_panics() {
+        let mut data = vec![0.0_f32; 64];
+        ExecCtx::with_threads(4).par_stripes_mut(&mut data, 32, 4, u64::MAX, |rows, _| {
+            if rows.start > 0 {
+                panic!("stripe boom");
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of planes")]
+    fn stripes_reject_ragged_planes() {
+        let mut data = vec![0.0_f32; 10];
+        ExecCtx::serial().par_stripes_mut(&mut data, 4, 2, 0, |_, _| {});
     }
 
     #[test]

@@ -35,9 +35,8 @@ pub struct FastConv2d {
     /// Compressed transform-domain kernels, indexed `[co * c_in + ci]`.
     kernels: Vec<SparseKernel>,
     /// Packed per-output-channel reduction streams, built once at
-    /// construction when any kernel is pruned (the grouped compressed
-    /// executor consumes these; `None` selects the dense path).
-    streams: Option<Vec<CoStream>>,
+    /// construction — what the tiled executor consumes.
+    streams: Vec<CoStream>,
     bias: Vec<f32>,
     c_out: usize,
     c_in: usize,
@@ -85,10 +84,7 @@ impl FastConv2d {
                 kernels.push(SparseKernel::from_dense(&masked)?);
             }
         }
-        let streams = kernels
-            .iter()
-            .any(|k| !k.is_dense())
-            .then(|| pack_co_streams(&kernels, conv.c_in()));
+        let streams = pack_co_streams(&kernels, conv.c_in());
         Ok(FastConv2d {
             transform,
             kernels,
@@ -160,11 +156,12 @@ impl FastConv2d {
         self.forward_ctx(input, &ExecCtx::serial())
     }
 
-    /// Runs the fast convolution through the two-phase tiled executor
-    /// (see [`crate::tile_exec`]'s module docs in the source): input
-    /// transforms fan out over tiles, channel reduction + inverse
-    /// transforms fan out over output planes, and the hot loops are
-    /// allocation-free. Pruned kernels execute in compressed
+    /// Runs the fast convolution through the tiled executor (see
+    /// [`crate::tile_exec`]'s module docs in the source): one fan-out
+    /// splits the tile rows into a stripe per worker, and each worker
+    /// stages cache-sized bands of lane-grouped input transforms and
+    /// reduces them into every output channel while they are hot, with
+    /// allocation-free hot loops. Kernels execute in compressed
     /// `(value, index)` form — the reduction iterates only the kept
     /// transform-domain coefficients, lane-grouped across tiles so it
     /// still vectorizes — so sparsity ρ cuts the reduction work by ρ.
@@ -185,11 +182,9 @@ impl FastConv2d {
             &TileProblem {
                 family: KernelFamily::Winograd,
                 transform: &self.transform,
-                kernels: &self.kernels,
-                streams: self.streams.as_deref(),
+                streams: &self.streams,
                 bias: &self.bias,
                 c_in: self.c_in,
-                c_out: self.c_out,
                 out_h: h,
                 out_w: w,
             },

@@ -34,9 +34,9 @@ pub struct FastDeConv2d {
     transform: TransformPair,
     /// Compressed transform-domain kernels, indexed `[co * c_in + ci]`.
     kernels: Vec<SparseKernel>,
-    /// Packed per-output-channel reduction streams (`Some` iff any
-    /// kernel is pruned; selects the grouped compressed executor).
-    streams: Option<Vec<CoStream>>,
+    /// Packed per-output-channel reduction streams, built once at
+    /// construction — what the tiled executor consumes.
+    streams: Vec<CoStream>,
     bias: Vec<f32>,
     c_out: usize,
     c_in: usize,
@@ -83,10 +83,7 @@ impl FastDeConv2d {
                 kernels.push(SparseKernel::from_dense(&masked)?);
             }
         }
-        let streams = kernels
-            .iter()
-            .any(|k| !k.is_dense())
-            .then(|| pack_co_streams(&kernels, deconv.c_in()));
+        let streams = pack_co_streams(&kernels, deconv.c_in());
         Ok(FastDeConv2d {
             transform,
             kernels,
@@ -157,9 +154,10 @@ impl FastDeConv2d {
         self.forward_ctx(input, &ExecCtx::serial())
     }
 
-    /// Runs the fast deconvolution through the two-phase tiled executor
-    /// (tiles, then output planes; allocation-free hot loops; pruned
-    /// kernels consumed in compressed `(value, index)` form — see
+    /// Runs the fast deconvolution through the tiled executor (a stripe
+    /// of tile rows per worker, cache-sized staging bands,
+    /// allocation-free hot loops, kernels consumed in compressed
+    /// `(value, index)` form — see
     /// [`FastConv2d::forward_ctx`](crate::FastConv2d::forward_ctx)).
     /// Results are bit-identical for every worker count.
     ///
@@ -178,11 +176,9 @@ impl FastDeConv2d {
             &TileProblem {
                 family: KernelFamily::Fta,
                 transform: &self.transform,
-                kernels: &self.kernels,
-                streams: self.streams.as_deref(),
+                streams: &self.streams,
                 bias: &self.bias,
                 c_in: self.c_in,
-                c_out: self.c_out,
                 out_h: 2 * h,
                 out_w: 2 * w,
             },

@@ -4,56 +4,57 @@
 //! Both fast operators are the same computation with different transform
 //! geometry: per tile, transform every input channel's patch
 //! (`Y = Bᵀ X B`), accumulate `Σ_ci E ⊙ Y` in the transform domain, and
-//! inverse-transform once per output channel (`V = Aᵀ U A`).
+//! inverse-transform once per output channel (`V = Aᵀ U A`). Dense and
+//! pruned kernels run the same code: every output channel reduces by
+//! walking its packed CSR stream (`CoStream`), so work per tile is
+//! `nnz`, not `µ²`, and pruning at ρ = 50 % halves the reduction.
 //!
-//! The executor has two code paths selected by the kernels themselves:
+//! # Dataflow
 //!
-//! * **Dense** — every kernel keeps all `µ²` transform-domain weights.
-//!   Tiles stage contiguously (`[tile][c_in][µ²]`) and the channel
-//!   reduction is a contiguous `µ²`-wide multiply–accumulate per
-//!   `(co, ci)` pair, exactly as fast as a padded buffer can be.
-//! * **Grouped compressed** — at least one kernel is pruned. Tiles stage
-//!   in groups of [`LANES`] with coefficient-major lane layout
-//!   (`[group][coeff][c_in][lane]`), and each output channel reduces by
-//!   walking its packed CSR stream (`CoStream`): per coefficient, the
-//!   kept `(c_in, value)` pairs each perform one `LANES`-wide
-//!   multiply–accumulate onto a register-resident accumulator. Work per
-//!   tile is `nnz`, not `µ²`, and the fixed lane width keeps the loop
-//!   vectorized — pruning at ρ = 50 % really halves the reduction
-//!   compute instead of detouring through a zero-padded dense buffer.
+//! The paper's accelerator keeps the sparse Hadamard core fed by cheap
+//! transform units and keeps inter-stage data on chip. The software
+//! analogue is a **stripe-parallel, cache-resident** schedule:
 //!
-//! Both paths run two phases per *band* of tiles, mirroring the SCU
-//! array's dataflow:
+//! * **One fan-out per layer call.** [`ExecCtx::par_stripes_mut`] splits
+//!   the tile rows into one contiguous stripe per worker and hands each
+//!   worker its rows of *every* output plane. There is no barrier
+//!   between the phases below and no per-band thread spawn; a layer too
+//!   small to pay for a spawn (decode-side latents) runs as one stripe
+//!   on the calling thread.
+//! * **Cache-sized bands.** Inside its stripe a worker walks bands of
+//!   [`BAND_FLOATS`] staged floats on a private staging buffer: phase 1
+//!   stages the band, phase 2 consumes it for all `c_out` channels while
+//!   it is still cache-hot. Staged data never round-trips through
+//!   memory, and peak memory is one band per worker whatever the frame
+//!   area.
+//! * **Lanes.** Tiles are processed [`LANES`] at a time in raster order.
+//!   Phase 1 gathers the group's patches lane-major once per input
+//!   channel and applies `Bᵀ·X·B` as `LANES`-wide adds over the
+//!   transform's non-zero coefficients, writing each coefficient row
+//!   straight into the `[coeff][c_in][lane]` staging layout. Phase 2
+//!   holds coefficient `j`'s accumulator lanes in registers across the
+//!   channel reduction — each kept weight is one `LANES`-wide
+//!   multiply–accumulate — then applies `Aᵀ·U·A` across the lanes and
+//!   scatters the tiles (plus bias) into the output plane.
 //!
-//! 1. **Input transform** — parallel over the band's tiles (or tile
-//!    groups). Transformed tiles land in a flat staging buffer borrowed
-//!    from the [`ExecCtx`]'s scratch pool.
-//! 2. **Channel reduction + inverse transform** — parallel over output
-//!    channels. Each worker owns one output plane, walks the band,
-//!    accumulates the Hadamard products over `c_in` in ascending order
-//!    into a stack accumulator, and writes the inverse-transformed tile
-//!    (plus bias) into its plane.
+//! # Determinism
 //!
-//! Banding bounds the staging buffer (≈ [`BAND_FLOATS`] elements) so
-//! peak memory stays constant in the frame area. Both fan-outs are
-//! work-size gated ([`ExecCtx::par_chunks_mut_gated`]): a small plane
-//! (decode-side latents especially) runs serially because worker
-//! spawn/join overhead would dominate.
-//!
-//! Accumulation order is fixed per output element regardless of the
-//! worker count, band height or lane grouping: contributions arrive in
-//! ascending `c_in` order, each position exactly once, so serial,
-//! parallel, dense-applied and compressed-applied execution are all
-//! **bit-identical** (a skipped pruned position would have contributed
-//! exactly `+0.0`, which cannot change an IEEE-754 accumulator seeded
-//! with `+0.0`). The hot loops allocate nothing: patches, accumulators
-//! and inverse tiles are stack arrays; the staging buffer is recycled
-//! across calls.
+//! Every tile is computed by exactly one worker, from its own patches,
+//! with contributions accumulated in ascending `c_in` order. Lane
+//! grouping, band size and stripe boundaries decide only *where and
+//! when* a tile is computed, never enter its arithmetic, so every worker
+//! count and band size is **bit-identical**, and equal to applying the
+//! scalar [`TransformPair`] transforms tile by tile with the kernels
+//! reconstructed dense (a skipped zero term would have contributed
+//! exactly `±0.0`, which cannot change an IEEE-754 accumulator seeded
+//! with `+0.0`). The hot loops allocate nothing: lane scratch is stack
+//! arrays and the staging band is recycled across calls.
 
-use crate::sparse::{CoStream, SparseKernel};
+use crate::sparse::CoStream;
 use crate::transforms::{TransformPair, MAX_MU, MAX_PATCH, MAX_TILE};
-use nvc_core::ExecCtx;
+use nvc_core::{ExecCtx, ScratchPool};
 use nvc_tensor::{Shape, Tensor, TensorError};
+use std::ops::Range;
 
 /// Which fast transform a [`TileProblem`] runs — the label its timings
 /// are reported under.
@@ -67,8 +68,8 @@ pub(crate) enum KernelFamily {
 
 /// The per-kernel-family forward-call histogram (microseconds), global
 /// so every operator instance of a family aggregates into one metric.
-/// Dense and grouped-compressed runs report separately: their cost
-/// models differ (`µ²` vs `nnz`), so mixing them would bury exactly the
+/// Dense and pruned operators report separately: their cost differs
+/// (`µ²` vs `nnz` per tile), so mixing them would bury exactly the
 /// comparison the sparsity work needs.
 fn family_histogram(family: KernelFamily, sparse: bool) -> &'static nvc_telemetry::Histogram {
     static HISTS: std::sync::OnceLock<[nvc_telemetry::Histogram; 4]> = std::sync::OnceLock::new();
@@ -89,314 +90,444 @@ pub(crate) struct TileProblem<'a> {
     pub family: KernelFamily,
     /// The transform pair (fixes patch/tile/µ geometry).
     pub transform: &'a TransformPair,
-    /// Transform-domain kernels, indexed `[co * c_in + ci]`.
-    pub kernels: &'a [SparseKernel],
-    /// Packed per-output-channel reduction streams; `Some` iff any
-    /// kernel is pruned, selecting the grouped compressed path.
-    pub streams: Option<&'a [CoStream]>,
+    /// Packed reduction stream of every output channel.
+    pub streams: &'a [CoStream],
     /// One bias per output channel.
     pub bias: &'a [f32],
     /// Input channel count.
     pub c_in: usize,
-    /// Output channel count.
-    pub c_out: usize,
     /// Output height (equals input height for conv, doubles for deconv).
     pub out_h: usize,
     /// Output width.
     pub out_w: usize,
 }
 
-/// Target staging-buffer size in `f32` elements (≈ 8 MB). The band size
-/// in tiles is chosen so the staged transform-domain data stays near
-/// this budget.
-const BAND_FLOATS: usize = 1 << 21;
+/// Staged `f32`s per band (256 KiB): with the group's lane scratch and
+/// one output channel's weights, a band a worker has just staged is
+/// still in its L2 when the last of the `c_out` reductions reads it.
+/// Larger bands spill (every output channel then re-reads the band from
+/// memory); smaller ones only add loop overhead. A band is at least one
+/// lane group, whatever the channel count.
+const BAND_FLOATS: usize = 1 << 16;
 
-/// Tiles processed together by the grouped compressed path: every stored
-/// `(value, index)` pair turns into one `LANES`-wide multiply–accumulate
-/// across the group, so the sparse reduction vectorizes as well as the
-/// dense contiguous loop while doing only `nnz / µ²` of its work. Wider
-/// groups amortize the per-weight index/bounds overhead over more tiles;
-/// 32 keeps the per-coefficient accumulator within the SIMD register
-/// file and the per-group staging within L2.
+/// Tiles processed together: every stored `(value, index)` pair turns
+/// into one `LANES`-wide multiply–accumulate across the group, so the
+/// sparse reduction vectorizes as well as a dense contiguous loop while
+/// doing only `nnz / µ²` of its work. Wider groups amortize the
+/// per-weight index/bounds overhead over more tiles; 32 keeps the
+/// per-coefficient accumulator within the SIMD register file.
 const LANES: usize = 32;
 
-/// Copies the (clipped, zero-padded) `p × p` input patch of one channel
-/// at tile origin `(iy0, ix0)` into `patch`. Interior rows gather with
-/// one slice copy each; out-of-bounds rows/columns stay zero.
-#[allow(clippy::too_many_arguments)]
+/// A run of consecutive tiles of one tile row inside a lane group: lanes
+/// `lane0..lane0 + len` hold tiles `tx0..tx0 + len` of stripe-local tile
+/// row `row`. Neighbouring lanes of a run read input samples `in_step`
+/// apart and write adjacent output tiles, so both the patch gather and
+/// the output scatter move a run at a time.
+#[derive(Clone, Copy, Default)]
+struct Run {
+    lane0: usize,
+    len: usize,
+    row: usize,
+    tx0: usize,
+}
+
+/// The runs of the `lanes` raster-ordered tiles starting at stripe-local
+/// tile `tile0`, `tx_n` tiles to a row.
+fn runs(tile0: usize, lanes: usize, tx_n: usize) -> impl Iterator<Item = Run> {
+    let (mut row, mut tx0, mut lane0) = (tile0 / tx_n, tile0 % tx_n, 0);
+    std::iter::from_fn(move || {
+        let len = (lanes - lane0).min(tx_n - tx0);
+        let run = Run {
+            lane0,
+            len,
+            row,
+            tx0,
+        };
+        (lane0, row, tx0) = (lane0 + len, row + 1, 0);
+        (len > 0).then_some(run)
+    })
+}
+
+/// For one patch column of a run: the tiles `lo..hi` whose sample lies
+/// inside the frame (the others read zero padding) and the input column
+/// tile `lo` reads.
+#[derive(Clone, Copy, Default)]
+struct ColumnClip {
+    lo: usize,
+    hi: usize,
+    src: usize,
+}
+
+/// `dst[i] = src[i · step]`: one patch element of every tile of a run.
+/// The two strides the transforms use get constant-stride bodies — worth
+/// 12–18 % of a Winograd layer over the runtime-stride loop.
 #[inline]
-fn gather_patch(
-    plane: &[f32],
-    in_h: usize,
-    in_w: usize,
-    iy0: isize,
-    ix0: isize,
-    p: usize,
-    patch: &mut [f32],
-) {
-    let py0 = (-iy0).clamp(0, p as isize) as usize;
-    let py1 = ((in_h as isize - iy0).clamp(0, p as isize)) as usize;
-    let px0 = (-ix0).clamp(0, p as isize) as usize;
-    let px1 = ((in_w as isize - ix0).clamp(0, p as isize)) as usize;
-    patch[..p * p].fill(0.0);
-    if px0 < px1 {
-        for py in py0..py1 {
-            let iy = (iy0 + py as isize) as usize;
-            let ix = (ix0 + px0 as isize) as usize;
-            patch[py * p + px0..py * p + px1]
-                .copy_from_slice(&plane[iy * in_w + ix..][..px1 - px0]);
+fn gather_strided(step: usize, dst: &mut [f32], src: &[f32]) {
+    #[inline]
+    fn fixed<const STEP: usize>(dst: &mut [f32], src: &[f32]) {
+        for (d, s) in dst.iter_mut().zip(src.chunks(STEP)) {
+            *d = s[0];
+        }
+    }
+    match step {
+        2 => fixed::<2>(dst, src),
+        3 => fixed::<3>(dst, src),
+        _ => {
+            for (d, s) in dst.iter_mut().zip(src.iter().step_by(step)) {
+                *d = *s;
+            }
         }
     }
 }
 
-/// Runs the banded two-phase tiled forward pass (see module docs),
-/// dispatching to the grouped compressed path when any kernel is pruned.
+/// The lane-major working set of one stripe, all on the worker's stack.
+struct LaneScratch {
+    /// `LANES` input patches, `[p²][lane]`.
+    x: [f32; MAX_PATCH * MAX_PATCH * LANES],
+    /// Half-transformed intermediate of either transform.
+    tmp: [f32; MAX_TILE * MAX_MU * LANES],
+    /// Reduced transform-domain tiles, `[µ²][lane]`.
+    u: [f32; MAX_MU * MAX_MU * LANES],
+    /// Output tiles, `[m²][lane]`.
+    v: [f32; MAX_TILE * MAX_TILE * LANES],
+}
+
+/// Everything about a call that is the same for every stripe.
+struct Layout<'a> {
+    prob: &'a TileProblem<'a>,
+    /// All input planes of the current batch item.
+    input: &'a [f32],
+    in_h: usize,
+    in_w: usize,
+    /// Tiles per tile row.
+    tx_n: usize,
+    /// Lane groups per band.
+    band_groups: usize,
+}
+
+/// Runs the tiled forward pass (see module docs).
 pub(crate) fn forward_tiled(
     prob: &TileProblem<'_>,
     input: &Tensor,
     ctx: &ExecCtx,
 ) -> Result<Tensor, TensorError> {
-    let _span = family_histogram(prob.family, prob.streams.is_some()).time();
-    match prob.streams {
-        Some(streams) => forward_grouped(prob, streams, input, ctx),
-        None => forward_dense(prob, input, ctx),
-    }
+    forward_banded(prob, input, ctx, BAND_FLOATS)
 }
 
-/// Per-tile-channel input-transform cost in multiplies (`Bᵀ X B`), used
-/// for work-size gating.
-fn transform_work(t: &TransformPair) -> u64 {
-    let (p, mu) = (t.patch() as u64, t.mu() as u64);
-    mu * p * (p + mu)
-}
-
-/// Per-tile inverse-transform cost in multiplies (`Aᵀ U A`).
-fn inverse_work(t: &TransformPair) -> u64 {
-    let (m, mu) = (t.tile() as u64, t.mu() as u64);
-    m * mu * (mu + m)
-}
-
-/// Dense path: contiguous per-tile staging, contiguous `µ²` reduction.
-fn forward_dense(
+/// [`forward_tiled`] with an explicit band size in staged floats — the
+/// only way to reach it, so tests can show it never changes the output.
+pub(crate) fn forward_banded(
     prob: &TileProblem<'_>,
     input: &Tensor,
     ctx: &ExecCtx,
+    band_floats: usize,
 ) -> Result<Tensor, TensorError> {
-    let (n, _, in_h, in_w) = input.shape().dims();
-    let in_data = input.as_slice();
     let t = prob.transform;
     let (p, m, mu) = (t.patch(), t.tile(), t.mu());
-    debug_assert!(p <= MAX_PATCH && m <= MAX_TILE && mu <= MAX_MU);
-    let mu2 = mu * mu;
-    let step = t.in_step();
-    let offset = t.in_offset() as isize;
+    assert!(p <= MAX_PATCH && m <= MAX_TILE && mu <= MAX_MU);
+    let c_out = prob.streams.len();
+    let nnz: usize = prob.streams.iter().map(|s| s.values.len()).sum();
+    let _span = family_histogram(prob.family, nnz < c_out * prob.c_in * mu * mu).time();
+    let (n, _, in_h, in_w) = input.shape().dims();
     let (oh, ow) = (prob.out_h, prob.out_w);
-    let (ty_n, tx_n) = (oh.div_ceil(m), ow.div_ceil(m));
-    let out_shape = Shape::new(n, prob.c_out, oh, ow);
-    let mut out = Tensor::zeros(out_shape);
-    let plane = oh * ow;
-
-    let tile_floats = prob.c_in * mu2;
-    let band_rows = (BAND_FLOATS / (tx_n * tile_floats).max(1)).clamp(1, ty_n);
-    let mut y_band = ctx.scratch().take(band_rows * tx_n * tile_floats);
-    for nn in 0..n {
-        let mut ty_band = 0;
-        while ty_band < ty_n {
-            let band_end = (ty_band + band_rows).min(ty_n);
-            let band_tiles = (band_end - ty_band) * tx_n;
-            // Phase 1: input transforms, one chunk per tile in the band.
-            let p1_work = (band_tiles * prob.c_in) as u64 * transform_work(t);
-            ctx.par_chunks_mut_gated(
-                &mut y_band[..band_tiles * tile_floats],
-                tile_floats,
-                p1_work,
-                |band_idx, chunk| {
-                    let ty = ty_band + band_idx / tx_n;
-                    let tx = band_idx % tx_n;
-                    let iy0 = (ty * step) as isize - offset;
-                    let ix0 = (tx * step) as isize - offset;
-                    let mut patch = [0.0_f32; MAX_PATCH * MAX_PATCH];
-                    for (ci, y_tile) in chunk.chunks_mut(mu2).enumerate() {
-                        let plane = &in_data[(nn * prob.c_in + ci) * in_h * in_w..][..in_h * in_w];
-                        gather_patch(plane, in_h, in_w, iy0, ix0, p, &mut patch);
-                        t.transform_input_slice(&patch[..p * p], y_tile);
-                    }
-                },
-            );
-            // Phase 2: channel reduction + inverse transform, one chunk
-            // per output plane (each worker writes only the band's rows).
-            let y_ref: &[f32] = &y_band;
-            let batch = &mut out.as_mut_slice()[nn * prob.c_out * plane..][..prob.c_out * plane];
-            let p2_work = (band_tiles * prob.c_out) as u64
-                * (prob.c_in as u64 * mu2 as u64 + inverse_work(t));
-            ctx.par_chunks_mut_gated(batch, plane, p2_work, |co, out_plane| {
-                let bias = prob.bias[co];
-                let kernels = &prob.kernels[co * prob.c_in..][..prob.c_in];
-                let mut u_acc = [0.0_f32; MAX_MU * MAX_MU];
-                let mut v = [0.0_f32; MAX_TILE * MAX_TILE];
-                for ty in ty_band..band_end {
-                    let vy_max = m.min(oh - ty * m);
-                    for tx in 0..tx_n {
-                        let band_idx = (ty - ty_band) * tx_n + tx;
-                        u_acc[..mu2].fill(0.0);
-                        let y_tiles = &y_ref[band_idx * tile_floats..][..tile_floats];
-                        for (ci, kernel) in kernels.iter().enumerate() {
-                            kernel.hadamard_accumulate(&y_tiles[ci * mu2..][..mu2], &mut u_acc);
-                        }
-                        t.inverse_slice(&u_acc[..mu2], &mut v[..m * m]);
-                        let vx_max = m.min(ow - tx * m);
-                        for vy in 0..vy_max {
-                            let out_row = &mut out_plane[(ty * m + vy) * ow + tx * m..][..vx_max];
-                            for (o, &vv) in out_row.iter_mut().zip(&v[vy * m..][..vx_max]) {
-                                *o = vv + bias;
-                            }
-                        }
-                    }
-                }
-            });
-            ty_band = band_end;
-        }
+    let mut out = Tensor::zeros(Shape::new(n, c_out, oh, ow));
+    if out.as_slice().is_empty() {
+        return Ok(out);
     }
-    ctx.scratch().put(y_band);
+    let (ty_n, tx_n) = (oh.div_ceil(m), ow.div_ceil(m));
+    let band_groups = (band_floats / (LANES * prob.c_in * mu * mu)).max(1);
+
+    // Multiplies per tile: input transforms, kept Hadamard products,
+    // inverse transforms — the gate for fanning out at all.
+    let tile_work = prob.c_in * mu * p * (p + mu) + nnz + c_out * m * mu * (mu + m);
+    let work = (ty_n * tx_n * tile_work) as u64;
+
+    let in_floats = prob.c_in * in_h * in_w;
+    for (nn, out_item) in out.as_mut_slice().chunks_mut(c_out * oh * ow).enumerate() {
+        let layout = Layout {
+            prob,
+            input: &input.as_slice()[nn * in_floats..][..in_floats],
+            in_h,
+            in_w,
+            tx_n,
+            band_groups,
+        };
+        // One stripe row = one tile row of one plane.
+        ctx.par_stripes_mut(out_item, oh * ow, m * ow, work, |tile_rows, planes| {
+            run_stripe(&layout, tile_rows, planes, ctx.scratch());
+        });
+    }
     Ok(out)
 }
 
-/// Grouped compressed path: lane-major staging in groups of [`LANES`]
-/// tiles, reduction as one flat sweep over each output channel's packed
-/// `(value, coefficient, source)` stream.
-fn forward_grouped(
-    prob: &TileProblem<'_>,
-    streams: &[CoStream],
-    input: &Tensor,
-    ctx: &ExecCtx,
-) -> Result<Tensor, TensorError> {
-    let (n, _, in_h, in_w) = input.shape().dims();
-    let in_data = input.as_slice();
-    let t = prob.transform;
-    let (p, m, mu) = (t.patch(), t.tile(), t.mu());
-    debug_assert!(p <= MAX_PATCH && m <= MAX_TILE && mu <= MAX_MU);
-    let mu2 = mu * mu;
-    let step = t.in_step();
-    let offset = t.in_offset() as isize;
-    let (oh, ow) = (prob.out_h, prob.out_w);
-    let (ty_n, tx_n) = (oh.div_ceil(m), ow.div_ceil(m));
-    let tiles_total = ty_n * tx_n;
-    let groups_total = tiles_total.div_ceil(LANES);
-    let out_shape = Shape::new(n, prob.c_out, oh, ow);
-    let mut out = Tensor::zeros(out_shape);
-    let plane = oh * ow;
-    let nnz_total: u64 = prob.kernels.iter().map(|k| k.nnz() as u64).sum();
-
-    // Compressed kernels shrink the reduction, not the staged input
-    // transforms, so the band budget still divides by the full `µ²` —
-    // but groups are padded to LANES tiles, so size in whole groups.
-    let group_floats = LANES * prob.c_in * mu2;
-    let band_groups = (BAND_FLOATS / group_floats.max(1)).clamp(1, groups_total);
-    let mut y_band = ctx.scratch().take(band_groups * group_floats);
-    for nn in 0..n {
-        let mut g0 = 0;
-        while g0 < groups_total {
-            let g_end = (g0 + band_groups).min(groups_total);
-            let bg = g_end - g0;
-            // Phase 1: input transforms, one chunk per tile group;
-            // coefficient-major lane layout [coeff][c_in][lane] inside
-            // the chunk, matching the CSR walk of phase 2.
-            let p1_work = (bg * LANES * prob.c_in) as u64 * transform_work(t);
-            ctx.par_chunks_mut_gated(
-                &mut y_band[..bg * group_floats],
-                group_floats,
-                p1_work,
-                |bi, chunk| {
-                    let tile0 = (g0 + bi) * LANES;
-                    let lanes = LANES.min(tiles_total - tile0);
-                    if lanes < LANES {
-                        // Zero the unused lanes (and stale recycled
-                        // data) of a partial trailing group; full groups
-                        // overwrite every slot below.
-                        chunk.fill(0.0);
-                    }
-                    let mut patch = [0.0_f32; MAX_PATCH * MAX_PATCH];
-                    // All of one channel's lane transforms, [lane][µ²] —
-                    // an L1-resident transpose source, so the lane-major
-                    // scatter below writes LANES-contiguous runs instead
-                    // of striding a cache line per coefficient.
-                    let mut y_ci = [0.0_f32; MAX_MU * MAX_MU * LANES];
-                    for ci in 0..prob.c_in {
-                        let plane = &in_data[(nn * prob.c_in + ci) * in_h * in_w..][..in_h * in_w];
-                        for lane in 0..lanes {
-                            let tile = tile0 + lane;
-                            let (ty, tx) = (tile / tx_n, tile % tx_n);
-                            let iy0 = (ty * step) as isize - offset;
-                            let ix0 = (tx * step) as isize - offset;
-                            gather_patch(plane, in_h, in_w, iy0, ix0, p, &mut patch);
-                            t.transform_input_slice(
-                                &patch[..p * p],
-                                &mut y_ci[lane * mu2..][..mu2],
-                            );
-                        }
-                        for j in 0..mu2 {
-                            let run = &mut chunk[(j * prob.c_in + ci) * LANES..][..lanes];
-                            for (lane, slot) in run.iter_mut().enumerate() {
-                                *slot = y_ci[lane * mu2 + j];
-                            }
-                        }
-                    }
-                },
-            );
-            // Phase 2: grouped compressed reduction + inverse transform,
-            // one chunk per output plane.
-            let y_ref: &[f32] = &y_band;
-            let batch = &mut out.as_mut_slice()[nn * prob.c_out * plane..][..prob.c_out * plane];
-            let p2_work = (bg * LANES) as u64 * nnz_total
-                + (bg * LANES * prob.c_out) as u64 * inverse_work(t);
-            ctx.par_chunks_mut_gated(batch, plane, p2_work, |co, out_plane| {
-                let bias = prob.bias[co];
-                let stream = &streams[co];
-                let mut u_lanes = [0.0_f32; MAX_MU * MAX_MU * LANES];
-                let mut u_tile = [0.0_f32; MAX_MU * MAX_MU];
-                let mut v = [0.0_f32; MAX_TILE * MAX_TILE];
-                for bi in 0..bg {
-                    let tile0 = (g0 + bi) * LANES;
-                    let lanes = LANES.min(tiles_total - tile0);
-                    let y_group = &y_ref[bi * group_floats..][..group_floats];
-                    // CSR walk: coefficient `j`'s accumulator lanes live
-                    // in registers across its whole channel reduction;
-                    // each kept weight is one LANES-wide broadcast
-                    // multiply–accumulate from the staged row.
-                    for j in 0..mu2 {
-                        let row = &y_group[j * prob.c_in * LANES..][..prob.c_in * LANES];
-                        let s0 = stream.starts[j] as usize;
-                        let s1 = stream.starts[j + 1] as usize;
-                        let mut acc = [0.0_f32; LANES];
-                        for (&w, &ci) in stream.values[s0..s1].iter().zip(&stream.ci[s0..s1]) {
-                            let src = &row[ci as usize * LANES..][..LANES];
-                            for (a, &yv) in acc.iter_mut().zip(src) {
-                                *a += w * yv;
-                            }
-                        }
-                        u_lanes[j * LANES..][..LANES].copy_from_slice(&acc);
-                    }
-                    for lane in 0..lanes {
-                        let tile = tile0 + lane;
-                        let (ty, tx) = (tile / tx_n, tile % tx_n);
-                        for (j, u) in u_tile[..mu2].iter_mut().enumerate() {
-                            *u = u_lanes[j * LANES + lane];
-                        }
-                        t.inverse_slice(&u_tile[..mu2], &mut v[..m * m]);
-                        let vy_max = m.min(oh - ty * m);
-                        let vx_max = m.min(ow - tx * m);
-                        for vy in 0..vy_max {
-                            let out_row = &mut out_plane[(ty * m + vy) * ow + tx * m..][..vx_max];
-                            for (o, &vv) in out_row.iter_mut().zip(&v[vy * m..][..vx_max]) {
-                                *o = vv + bias;
-                            }
-                        }
-                    }
-                }
-            });
-            g0 = g_end;
+/// One worker's share of a layer: the tile rows `tile_rows` of every
+/// output plane (`planes[co]` holds exactly those rows), walked in lane
+/// groups of raster-ordered tiles, one cache-sized band at a time.
+fn run_stripe(
+    l: &Layout<'_>,
+    tile_rows: Range<usize>,
+    planes: &mut [&mut [f32]],
+    pool: &ScratchPool,
+) {
+    let t = l.prob.transform;
+    let mu2 = t.mu() * t.mu();
+    let group_floats = LANES * l.prob.c_in * mu2;
+    let tiles = tile_rows.len() * l.tx_n;
+    let groups = tiles.div_ceil(LANES);
+    let band_groups = l.band_groups.min(groups);
+    // Phase 1 overwrites every staged float it hands to phase 2, so the
+    // band needs no memset.
+    let mut y_band = pool.take_stale(band_groups * group_floats);
+    let mut s = LaneScratch {
+        x: [0.0; MAX_PATCH * MAX_PATCH * LANES],
+        tmp: [0.0; MAX_TILE * MAX_MU * LANES],
+        u: [0.0; MAX_MU * MAX_MU * LANES],
+        v: [0.0; MAX_TILE * MAX_TILE * LANES],
+    };
+    for g0 in (0..groups).step_by(band_groups) {
+        let band = g0..(g0 + band_groups).min(groups);
+        // Lanes in use per group of this band: all but a stripe's last
+        // group are full.
+        let lanes = |g: usize| LANES.min(tiles - g * LANES);
+        // Phase 1: stage the band's input transforms.
+        for (g, y_group) in band.clone().zip(y_band.chunks_mut(group_floats)) {
+            stage_group(l, tile_rows.start, g * LANES, lanes(g), &mut s, y_group);
+        }
+        // Phase 2: every output channel consumes the staged band.
+        for ((stream, &bias), plane) in l.prob.streams.iter().zip(l.prob.bias).zip(&mut *planes) {
+            for (g, y_group) in band.clone().zip(y_band.chunks(group_floats)) {
+                reduce_group(l, stream, bias, y_group, g * LANES, lanes(g), &mut s, plane);
+            }
         }
     }
-    ctx.scratch().put(y_band);
-    Ok(out)
+    pool.put(y_band);
+}
+
+/// Phase 1 for one lane group — the `lanes` tiles from stripe-local tile
+/// `tile0`: per input channel, gather the group's patches lane-major and
+/// transform them into `y_group` (`[coeff][c_in][lane]`). Unused lanes
+/// of a partial group carry zero patches, so every staged float is
+/// written.
+fn stage_group(
+    l: &Layout<'_>,
+    first_tile_row: usize,
+    tile0: usize,
+    lanes: usize,
+    s: &mut LaneScratch,
+    y_group: &mut [f32],
+) {
+    let t = l.prob.transform;
+    let (p, step, offset) = (t.patch(), t.in_step(), t.in_offset());
+    let c_in = l.prob.c_in;
+    // Which tiles of each run read inside the frame, per patch column —
+    // the same clipping as a zero-padded read, worked out once for all
+    // channels. Only the outermost tiles of a row can fall outside.
+    let mut clipped = [(Run::default(), [ColumnClip::default(); MAX_PATCH]); LANES];
+    let mut n_runs = 0;
+    for run in runs(tile0, lanes, l.tx_n) {
+        let column = |tile: usize, px: usize| (run.tx0 + tile) * step + px;
+        for (px, clip) in clipped[n_runs].1[..p].iter_mut().enumerate() {
+            let (mut lo, mut hi) = (0, run.len);
+            while lo < hi && column(lo, px) < offset {
+                lo += 1;
+            }
+            while lo < hi && column(hi - 1, px) >= l.in_w + offset {
+                hi -= 1;
+            }
+            let src = if lo < hi { column(lo, px) - offset } else { 0 };
+            *clip = ColumnClip { lo, hi, src };
+        }
+        clipped[n_runs].0 = run;
+        n_runs += 1;
+    }
+    if lanes < LANES {
+        s.x.fill(0.0);
+    }
+    for (ci, plane) in l.input.chunks(l.in_h * l.in_w).enumerate() {
+        for (run, clips) in &clipped[..n_runs] {
+            for py in 0..p {
+                let iy = (first_tile_row + run.row) * step + py;
+                let in_row = (offset..l.in_h + offset)
+                    .contains(&iy)
+                    .then(|| &plane[(iy - offset) * l.in_w..][..l.in_w]);
+                for (px, clip) in clips[..p].iter().enumerate() {
+                    let dst = &mut s.x[(py * p + px) * LANES + run.lane0..][..run.len];
+                    match in_row {
+                        Some(in_row) => {
+                            dst[..clip.lo].fill(0.0);
+                            dst[clip.hi..].fill(0.0);
+                            gather_strided(step, &mut dst[clip.lo..clip.hi], &in_row[clip.src..]);
+                        }
+                        None => dst.fill(0.0),
+                    }
+                }
+            }
+        }
+        t.transform_input_lanes::<LANES>(
+            &s.x,
+            &mut s.tmp,
+            &mut y_group[ci * LANES..],
+            c_in * LANES,
+        );
+    }
+}
+
+/// Phase 2 for one lane group and one output channel: CSR reduction over
+/// the staged rows, lane-parallel inverse transform, then the tiles (plus
+/// bias) scattered into the channel's stripe.
+///
+/// Kept out of line: inlined into the band loop, the reduction's
+/// accumulator lanes spill to the stack and the whole executor runs at
+/// less than half speed.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn reduce_group(
+    l: &Layout<'_>,
+    stream: &CoStream,
+    bias: f32,
+    y_group: &[f32],
+    tile0: usize,
+    lanes: usize,
+    s: &mut LaneScratch,
+    plane: &mut [f32],
+) {
+    let t = l.prob.transform;
+    let (m, ow) = (t.tile(), l.prob.out_w);
+    let row_len = l.prob.c_in * LANES;
+    // Coefficient `j`'s accumulator lanes live in registers across its
+    // whole channel reduction; each kept weight is one LANES-wide
+    // broadcast multiply–accumulate from the staged row.
+    for ((row, span), u) in y_group
+        .chunks(row_len)
+        .zip(stream.starts.windows(2))
+        .zip(s.u.chunks_mut(LANES))
+    {
+        let kept = span[0] as usize..span[1] as usize;
+        // Four-wide sub-arrays map one-to-one onto SIMD registers; a flat
+        // `[f32; LANES]` accumulator vectorizes off by one lane, with
+        // scalar head and tail operations.
+        let mut acc = [[0.0_f32; 4]; LANES / 4];
+        for (&w, &ci) in stream.values[kept.clone()].iter().zip(&stream.ci[kept]) {
+            let src = &row[ci as usize * LANES..][..LANES];
+            for (a, y) in acc.iter_mut().zip(src.chunks_exact(4)) {
+                for (a, &yv) in a.iter_mut().zip(y) {
+                    *a += w * yv;
+                }
+            }
+        }
+        for (u, a) in u.chunks_exact_mut(4).zip(&acc) {
+            u.copy_from_slice(a);
+        }
+    }
+    t.inverse_lanes::<LANES>(&s.u, &mut s.tmp, &mut s.v);
+    // A run's tiles are adjacent in the output: each of its pixel rows
+    // is one contiguous span, cut at the frame edge (partial last tile
+    // or tile row).
+    for run in runs(tile0, lanes, l.tx_n) {
+        let rows = plane[run.row * m * ow..].chunks_mut(ow).take(m);
+        for (vy, out_row) in rows.enumerate() {
+            // Column `vx` of every tile of the run is one lane vector,
+            // written `m` apart; a partial last tile ends the span early.
+            for (vx, v_row) in s.v[vy * m * LANES..].chunks(LANES).take(m).enumerate() {
+                let span = out_row.iter_mut().skip(run.tx0 * m + vx).step_by(m);
+                for (o, &v) in span.zip(&v_row[run.lane0..][..run.len]) {
+                    *o = v + bias;
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sparse::{pack_co_streams, prune, SparseKernel, Sparsity};
+    use crate::{fta_t3_6x6_4x4, winograd_f2x2_3x3};
+    use nvc_tensor::init::{randn_vec, SplitMix64};
+    use nvc_tensor::mat::Mat;
+
+    /// Random kernels pruned to `rho`, packed as the executor wants them.
+    fn streams(t: &TransformPair, c_out: usize, c_in: usize, rho: f64, seed: u64) -> Vec<CoStream> {
+        let k = t.kernel();
+        let rho = Sparsity::new(rho).unwrap();
+        let kernels: Vec<SparseKernel> = (0..c_out * c_in)
+            .map(|i| {
+                let w = Mat::from_vec(k, k, randn_vec(k * k, 1.0, seed + i as u64)).unwrap();
+                let e = t.transform_kernel(&w).unwrap();
+                SparseKernel::from_dense(&prune(t, &e, rho).unwrap().masked).unwrap()
+            })
+            .collect();
+        pack_co_streams(&kernels, c_in)
+    }
+
+    /// Band size is a schedule, not arithmetic: one lane group per band,
+    /// the default and the whole stripe in one band give the same bits,
+    /// at every worker count (which moves the stripe boundaries the
+    /// bands are cut from), for both families, dense and pruned.
+    #[test]
+    fn band_size_and_worker_count_never_change_the_output() {
+        let mut rng = SplitMix64::new(0x7E57_BA2D);
+        let (c_in, c_out) = (6, 5);
+        let bias: Vec<f32> = (0..c_out).map(|co| co as f32 * 0.125 - 0.25).collect();
+        for (family, t, (h, w), scale) in [
+            // 32×39 tiles = 39 lane groups: two default bands when serial.
+            (KernelFamily::Winograd, winograd_f2x2_3x3(), (63, 77), 1),
+            // 15×19 tiles = 9 lane groups of 12 288 floats: two bands.
+            (KernelFamily::Fta, fta_t3_6x6_4x4(), (44, 56), 2),
+        ] {
+            let data = (0..c_in * h * w)
+                .map(|_| rng.next_f32() * 4.0 - 2.0)
+                .collect();
+            let x = Tensor::from_vec(Shape::new(1, c_in, h, w), data).unwrap();
+            for rho in [0.0, 0.5, 0.9] {
+                let streams = streams(&t, c_out, c_in, rho, rng.next_u64() % 500);
+                let prob = TileProblem {
+                    family,
+                    transform: &t,
+                    streams: &streams,
+                    bias: &bias,
+                    c_in,
+                    out_h: h * scale,
+                    out_w: w * scale,
+                };
+                let want = forward_banded(&prob, &x, &ExecCtx::serial(), usize::MAX).unwrap();
+                for band_floats in [1, BAND_FLOATS, usize::MAX] {
+                    for workers in [1, 2, 3, 4, 7, 64] {
+                        let ctx = ExecCtx::with_threads(workers);
+                        let got = forward_banded(&prob, &x, &ctx, band_floats).unwrap();
+                        assert_eq!(
+                            got.as_slice(),
+                            want.as_slice(),
+                            "{family:?} rho={rho} band={band_floats} workers={workers}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A recycled staging buffer full of garbage must not leak into the
+    /// output: the band is taken without a memset.
+    #[test]
+    fn stale_staging_contents_are_never_read() {
+        let t = winograd_f2x2_3x3();
+        let streams = streams(&t, 3, 2, 0.5, 7);
+        let prob = TileProblem {
+            family: KernelFamily::Winograd,
+            transform: &t,
+            streams: &streams,
+            bias: &[0.0; 3],
+            c_in: 2,
+            out_h: 9,
+            out_w: 7,
+        };
+        let x = Tensor::from_fn(Shape::new(1, 2, 9, 7), |_, c, y, xx| {
+            (c * 63 + y * 7 + xx) as f32 * 0.01
+        });
+        let clean = forward_tiled(&prob, &x, &ExecCtx::serial()).unwrap();
+        let dirty = ExecCtx::serial();
+        dirty.scratch().put(vec![f32::NAN; 1 << 16]);
+        let got = forward_tiled(&prob, &x, &dirty).unwrap();
+        assert_eq!(got.as_slice(), clean.as_slice());
+    }
 }

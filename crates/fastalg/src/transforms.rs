@@ -30,12 +30,90 @@ pub struct TransformPair {
     bt: Mat,
     g: Mat,
     at: Mat,
+    /// Non-zero terms of each `Bᵀ` row, for the lane-parallel bodies.
+    bt_terms: RowTerms,
+    /// Non-zero terms of each `Aᵀ` row.
+    at_terms: RowTerms,
     p: usize,
     m: usize,
     k: usize,
     mu: usize,
     in_step: usize,
     in_offset: usize,
+}
+
+/// The non-zero `(column, coefficient)` terms of every row of a
+/// transform matrix, columns ascending. `Bᵀ` and `Aᵀ` are mostly zeros
+/// (two or three `±1` per row), so the lane-parallel transforms walk
+/// these lists instead of multiplying through the zeros.
+type RowTerms = Vec<Vec<(usize, f32)>>;
+
+fn row_terms(m: &Mat) -> RowTerms {
+    (0..m.rows())
+        .map(|i| {
+            (0..m.cols())
+                .map(|k| (k, m.at(i, k)))
+                .filter(|&(_, a)| a != 0.0)
+                .collect()
+        })
+        .collect()
+}
+
+/// `dst[lane] = Σ terms a · src(k)[lane]`, accumulated from `+0.0` in
+/// term order — one element of a matrix product, for `L` tiles at once.
+#[inline]
+fn combine_lanes<'a, const L: usize>(
+    terms: &[(usize, f32)],
+    src: impl Fn(usize) -> &'a [f32],
+    dst: &mut [f32],
+) {
+    let mut acc = [0.0_f32; L];
+    for &(k, a) in terms {
+        let s = &src(k)[..L];
+        if a == 1.0 {
+            for (t, &v) in acc.iter_mut().zip(s) {
+                *t += v;
+            }
+        } else if a == -1.0 {
+            for (t, &v) in acc.iter_mut().zip(s) {
+                *t -= v;
+            }
+        } else {
+            for (t, &v) in acc.iter_mut().zip(s) {
+                *t += a * v;
+            }
+        }
+    }
+    dst[..L].copy_from_slice(&acc);
+}
+
+/// `out = T · X · Tᵀ` for `L` lane-major `c × c` matrices `X` at once,
+/// `T` (`r × c`) given by its row terms: `tmp` (`r·c·L` floats) receives
+/// `T · X`, and element `(i, j)` of the result lands as one `L`-wide row
+/// at `out[(i·r + j) · out_stride..]`. Both fast transforms are this
+/// product — `Bᵀ X B` with `T = Bᵀ`, `Aᵀ U A` with `T = Aᵀ`.
+fn sandwich_lanes<const L: usize>(
+    t: &RowTerms,
+    c: usize,
+    x: &[f32],
+    tmp: &mut [f32],
+    out: &mut [f32],
+    out_stride: usize,
+) {
+    let r = t.len();
+    for (i, terms) in t.iter().enumerate() {
+        for j in 0..c {
+            let dst = &mut tmp[(i * c + j) * L..];
+            combine_lanes::<L>(terms, |k| &x[(k * c + j) * L..], dst);
+        }
+    }
+    // (T·X)·Tᵀ: element (i, j) = Σ_k tmp[i][k] · T[j][k].
+    for i in 0..r {
+        for (j, terms) in t.iter().enumerate() {
+            let dst = &mut out[(i * r + j) * out_stride..];
+            combine_lanes::<L>(terms, |k| &tmp[(i * c + k) * L..], dst);
+        }
+    }
 }
 
 impl TransformPair {
@@ -317,6 +395,37 @@ impl TransformPair {
         }
     }
 
+    /// Lane-parallel [`TransformPair::transform_input_slice`]: transforms
+    /// `L` patches at once. `x` holds them lane-major
+    /// (`x[(k·p + j)·L + lane]`), `tmp` is `µ·p·L` floats of scratch, and
+    /// coefficient `c = i·µ + j` of every lane lands as one `L`-wide row
+    /// at `out[c · row_stride..]` — the tiled executor's
+    /// `[coeff][c_in][lane]` staging, written in place.
+    ///
+    /// Each lane's result is bit-identical to the scalar body: the first
+    /// product accumulates the same non-zero `Bᵀ` terms in the same
+    /// (ascending `k`) order, and the second skips exactly the terms the
+    /// scalar loop multiplies by a zero coefficient, which for finite
+    /// data add `±0.0` to an accumulator seeded with `+0.0` — no change.
+    pub(crate) fn transform_input_lanes<const L: usize>(
+        &self,
+        x: &[f32],
+        tmp: &mut [f32],
+        out: &mut [f32],
+        row_stride: usize,
+    ) {
+        sandwich_lanes::<L>(&self.bt_terms, self.p, x, tmp, out, row_stride);
+    }
+
+    /// Lane-parallel [`TransformPair::inverse_slice`]: `u` holds `L`
+    /// transform-domain tiles lane-major (`u[(k·µ + j)·L + lane]`), `tmp`
+    /// is `m·µ·L` floats of scratch, and `v[(i·m + j)·L + lane]` receives
+    /// the `m × m` outputs. Bit-identical per lane to the scalar body,
+    /// by the argument of [`TransformPair::transform_input_lanes`].
+    pub(crate) fn inverse_lanes<const L: usize>(&self, u: &[f32], tmp: &mut [f32], v: &mut [f32]) {
+        sandwich_lanes::<L>(&self.at_terms, self.mu, u, tmp, v, L);
+    }
+
     /// Whole-tile reference evaluation of Eq. (1):
     /// `V = Aᵀ [(G W Gᵀ) ⊙ (Bᵀ X B)] A`.
     ///
@@ -384,6 +493,8 @@ pub fn winograd_f2x2_3x3() -> TransformPair {
         Mat::from_rows(&[&[1.0, 1.0, 1.0, 0.0], &[0.0, 1.0, -1.0, -1.0]]).expect("static matrix");
     TransformPair {
         name: "F(2x2,3x3)",
+        bt_terms: row_terms(&bt),
+        at_terms: row_terms(&at),
         bt,
         g,
         at,
@@ -439,6 +550,8 @@ pub fn fta_t3_6x6_4x4() -> TransformPair {
     .expect("static matrix");
     TransformPair {
         name: "T3(6x6,4x4)",
+        bt_terms: row_terms(&bt),
+        at_terms: row_terms(&at),
         bt,
         g,
         at,
@@ -606,6 +719,60 @@ mod tests {
             for j in 0..4 {
                 let expect = alpha[i] * alpha[j] * beta[i] * beta[j];
                 assert!((q.at(i, j) - expect).abs() < 1e-5);
+            }
+        }
+    }
+
+    /// The lane-parallel transforms are the scalar ones, lane by lane,
+    /// bit for bit — including patches with zeros, negative zeros and
+    /// cancelling values, where a skipped `±0.0` term could show.
+    #[test]
+    fn lane_transforms_match_scalar_bit_for_bit() {
+        const L: usize = 8;
+        for t in [winograd_f2x2_3x3(), fta_t3_6x6_4x4()] {
+            let (p, m, mu) = (t.patch(), t.tile(), t.mu());
+            let special = [0.0_f32, -0.0, 1.0, -1.0, 0.5, -0.5];
+            let mut g = Gaussian::new(77);
+            // Lane 0 is all special values, the rest mix them in.
+            let mut patches = vec![0.0_f32; L * p * p];
+            g.fill(&mut patches, 1.0);
+            for (i, v) in patches.iter_mut().enumerate() {
+                if i < p * p || i % 5 == 0 {
+                    *v = special[i % special.len()];
+                }
+            }
+            let mut x = vec![0.0_f32; p * p * L];
+            for lane in 0..L {
+                for e in 0..p * p {
+                    x[e * L + lane] = patches[lane * p * p + e];
+                }
+            }
+            // Staged with a row stride wider than the lanes, as the
+            // executor's [coeff][c_in][lane] layout is.
+            let stride = 3 * L;
+            let mut tmp = vec![0.0_f32; MAX_TILE * MAX_MU * L];
+            let mut staged = vec![f32::NAN; mu * mu * stride];
+            t.transform_input_lanes::<L>(&x, &mut tmp, &mut staged[L..], stride);
+            let mut u = vec![0.0_f32; mu * mu * L];
+            for lane in 0..L {
+                let mut want = vec![0.0_f32; mu * mu];
+                t.transform_input_slice(&patches[lane * p * p..][..p * p], &mut want);
+                for (c, want) in want.iter().enumerate() {
+                    let got = staged[c * stride + L + lane];
+                    assert_eq!(got.to_bits(), want.to_bits(), "{} Y[{c}]", t.name());
+                    u[c * L + lane] = got;
+                }
+            }
+            let mut v = vec![0.0_f32; m * m * L];
+            t.inverse_lanes::<L>(&u, &mut tmp, &mut v);
+            for lane in 0..L {
+                let tile: Vec<f32> = (0..mu * mu).map(|c| u[c * L + lane]).collect();
+                let mut want = vec![0.0_f32; m * m];
+                t.inverse_slice(&tile, &mut want);
+                for (e, want) in want.iter().enumerate() {
+                    let got = v[e * L + lane];
+                    assert_eq!(got.to_bits(), want.to_bits(), "{} V[{e}]", t.name());
+                }
             }
         }
     }

@@ -4,7 +4,9 @@
 //! Case generation uses the in-tree SplitMix64 PRNG from `nvc-tensor`.
 
 use nvc_core::ExecCtx;
-use nvc_fastalg::{fta_t3_6x6_4x4, prune, winograd_f2x2_3x3, FastConv2d, FastDeConv2d, Sparsity};
+use nvc_fastalg::{
+    fta_t3_6x6_4x4, prune, winograd_f2x2_3x3, FastConv2d, FastDeConv2d, Sparsity, TransformPair,
+};
 use nvc_tensor::init::SplitMix64;
 use nvc_tensor::mat::Mat;
 use nvc_tensor::ops::{Conv2d, DeConv2d};
@@ -140,14 +142,14 @@ fn parallel_operators_are_bit_exact() {
     }
 }
 
-/// A layer large enough to split into multiple staging bands (the tiled
-/// executor bounds its transform-domain buffer to ~8 MB) still matches
-/// the direct operator and stays bit-exact across thread counts.
+/// A layer large enough to split into many staging bands per stripe (the
+/// tiled executor stages a cache-sized band at a time) still matches the
+/// direct operator and stays bit-exact across thread counts.
 #[test]
 fn multi_band_execution_matches_direct() {
     let mut rng = SplitMix64::new(0xFA57_0008);
     // 64 in-channels at 96x96 -> 192x192 output: 32x32 FTA tiles at
-    // 64·64 floats each = two bands at the executor's budget.
+    // 64·64 floats each = one lane group per band, 32 bands.
     let x = rand_tensor(&mut rng, 64, 96, 96);
     let deconv = DeConv2d::randn(3, 64, 4, 2, 1, 901).unwrap();
     let fast = FastDeConv2d::from_deconv(&deconv).unwrap();
@@ -184,21 +186,43 @@ fn scratch_reuse_does_not_change_results() {
 /// an IEEE-754 accumulator seeded with `+0.0` is unaffected by adding
 /// the `±0.0` of a pruned position.
 fn dense_apply_conv(fast: &FastConv2d, input: &Tensor) -> Tensor {
-    let t = fast.transform();
+    let (_, _, h, w) = input.shape().dims();
+    let kernel = |co, ci| fast.kernel(co, ci).to_dense();
+    dense_apply(
+        fast.transform(),
+        &kernel,
+        fast.c_in(),
+        fast.c_out(),
+        (h, w),
+        input,
+    )
+}
+
+/// [`dense_apply_conv`] for either family: `kernel(co, ci)` is the
+/// reconstructed dense transform-domain kernel, `(oh, ow)` the output
+/// size (the input's for conv, twice that for deconv).
+fn dense_apply(
+    t: &TransformPair,
+    kernel: &dyn Fn(usize, usize) -> Mat,
+    c_in: usize,
+    c_out: usize,
+    (oh, ow): (usize, usize),
+    input: &Tensor,
+) -> Tensor {
     let (p, m, mu) = (t.patch(), t.tile(), t.mu());
     let mu2 = mu * mu;
-    let (n, _, h, w) = input.shape().dims();
-    let (ty_n, tx_n) = fast.tile_count(h, w);
+    let n = input.shape().n();
+    let (ty_n, tx_n) = (oh.div_ceil(m), ow.div_ceil(m));
     let step = t.in_step();
     let offset = t.in_offset() as isize;
-    let mut out = Tensor::zeros(Shape::new(n, fast.c_out(), h, w));
+    let mut out = Tensor::zeros(Shape::new(n, c_out, oh, ow));
     // Padded dense buffers reconstructed from the compressed kernels.
-    let dense: Vec<Vec<f32>> = (0..fast.c_out())
-        .flat_map(|co| (0..fast.c_in()).map(move |ci| (co, ci)))
-        .map(|(co, ci)| fast.kernel(co, ci).to_dense().as_slice().to_vec())
+    let dense: Vec<Vec<f32>> = (0..c_out)
+        .flat_map(|co| (0..c_in).map(move |ci| (co, ci)))
+        .map(|(co, ci)| kernel(co, ci).as_slice().to_vec())
         .collect();
     let mut patch = vec![0.0_f32; p * p];
-    let mut y_tiles = vec![0.0_f32; fast.c_in() * mu2];
+    let mut y_tiles = vec![0.0_f32; c_in * mu2];
     let mut u_acc = vec![0.0_f32; mu2];
     let mut v = vec![0.0_f32; m * m];
     for nn in 0..n {
@@ -206,7 +230,7 @@ fn dense_apply_conv(fast: &FastConv2d, input: &Tensor) -> Tensor {
             for tx in 0..tx_n {
                 let iy0 = (ty * step) as isize - offset;
                 let ix0 = (tx * step) as isize - offset;
-                for ci in 0..fast.c_in() {
+                for ci in 0..c_in {
                     for py in 0..p {
                         for px in 0..p {
                             patch[py * p + px] =
@@ -215,18 +239,18 @@ fn dense_apply_conv(fast: &FastConv2d, input: &Tensor) -> Tensor {
                     }
                     t.transform_input_slice(&patch, &mut y_tiles[ci * mu2..ci * mu2 + mu2]);
                 }
-                for co in 0..fast.c_out() {
+                for co in 0..c_out {
                     u_acc.iter_mut().for_each(|a| *a = 0.0);
-                    for ci in 0..fast.c_in() {
-                        let e = &dense[co * fast.c_in() + ci];
+                    for ci in 0..c_in {
+                        let e = &dense[co * c_in + ci];
                         let y = &y_tiles[ci * mu2..][..mu2];
                         for ((a, &ev), &yv) in u_acc.iter_mut().zip(e).zip(y) {
                             *a += ev * yv;
                         }
                     }
                     t.inverse_slice(&u_acc, &mut v);
-                    for vy in 0..m.min(h - ty * m) {
-                        for vx in 0..m.min(w - tx * m) {
+                    for vy in 0..m.min(oh - ty * m) {
+                        for vx in 0..m.min(ow - tx * m) {
                             *out.at_mut(nn, co, ty * m + vy, tx * m + vx) = v[vy * m + vx];
                         }
                     }
@@ -235,6 +259,58 @@ fn dense_apply_conv(fast: &FastConv2d, input: &Tensor) -> Tensor {
         }
     }
     out
+}
+
+/// The stripe-parallel executor against dense application, bit for bit,
+/// across everything that decides *where* a tile is computed but must
+/// never enter *what* is computed: worker counts from serial to more
+/// workers than tile rows (stripe boundaries, and with them the lane
+/// grouping, move with every count), both transform families, every
+/// pruning level including none, frames that are not tile multiples and
+/// a frame that is a single tile.
+#[test]
+fn stripe_execution_matches_dense_application_for_every_worker_count() {
+    const WORKERS: [usize; 6] = [1, 2, 3, 4, 7, 64];
+    let mut rng = SplitMix64::new(0xFA57_000B);
+    for rho in [0.0, 0.25, 0.5, 0.75, 0.9] {
+        let rho = Sparsity::new(rho).unwrap();
+        let seed = rng.next_u64() % 500;
+        // The first frame of each family carries enough work to clear
+        // the executor's fan-out gate at every pruning level (19 and 8
+        // tile rows, so 64 workers outnumber both); the others are a
+        // thin frame and a single tile.
+        let conv = Conv2d::randn(5, 6, 3, 1, 1, seed).unwrap();
+        let fast = FastConv2d::from_conv_pruned(&conv, rho).unwrap();
+        for (h, w) in [(37, 41), (5, 33), (2, 2)] {
+            let x = rand_tensor(&mut rng, 6, h, w);
+            let want = dense_apply_conv(&fast, &x);
+            for workers in WORKERS {
+                let got = fast.forward_ctx(&x, &ExecCtx::with_threads(workers));
+                assert_eq!(
+                    got.unwrap().as_slice(),
+                    want.as_slice(),
+                    "conv {h}x{w} rho={} workers={workers}",
+                    rho.ratio()
+                );
+            }
+        }
+        let deconv = DeConv2d::randn(4, 3, 4, 2, 1, seed ^ 0x5A).unwrap();
+        let fast = FastDeConv2d::from_deconv_pruned(&deconv, rho).unwrap();
+        let kernel = |co, ci| fast.kernel(co, ci).to_dense();
+        for (h, w) in [(23, 25), (4, 17), (3, 3)] {
+            let x = rand_tensor(&mut rng, 3, h, w);
+            let want = dense_apply(fast.transform(), &kernel, 3, 4, (2 * h, 2 * w), &x);
+            for workers in WORKERS {
+                let got = fast.forward_ctx(&x, &ExecCtx::with_threads(workers));
+                assert_eq!(
+                    got.unwrap().as_slice(),
+                    want.as_slice(),
+                    "deconv {h}x{w} rho={} workers={workers}",
+                    rho.ratio()
+                );
+            }
+        }
+    }
 }
 
 /// Satellite coverage for compressed-kernel execution: at every pruning

@@ -217,9 +217,9 @@ impl CtvcCodec {
 
     /// Reconstructed motion tensor → dense motion field usable by the
     /// compensation (rounding to full-pel when deformable warping is off).
-    fn motion_for_compensation(&self, o_hat: &Tensor) -> Tensor {
+    fn motion_for_compensation(&self, o_hat: Tensor) -> Tensor {
         if self.cfg.deformable {
-            o_hat.clone()
+            o_hat
         } else {
             o_hat.map(|v| (v * MOTION_SCALE).round() / MOTION_SCALE)
         }
@@ -258,7 +258,7 @@ impl CtvcCodec {
                     rate.latent_step(),
                 )?;
                 let o_hat = self.motion_ae.synthesis.forward_ctx(&zm, &self.exec)?;
-                let o_mc = self.motion_for_compensation(&o_hat);
+                let o_mc = self.motion_for_compensation(o_hat);
                 Ok(self.comp.forward_ctx(f_ref, &o_mc, &self.exec)?)
             },
             || -> Result<Tensor, CtvcError> {
@@ -471,7 +471,7 @@ impl CtvcEncoderSession<'_> {
             .motion_ae
             .synthesis
             .forward_ctx(&zm_hat, &codec.exec)?;
-        let o_mc = codec.motion_for_compensation(&o_hat);
+        let o_mc = codec.motion_for_compensation(o_hat);
         let f_bar = codec.comp.forward_ctx(&f_ref, &o_mc, &codec.exec)?;
         let r_t = f_cur.sub(&f_bar)?;
         let zr = codec.residual_ae.analysis.forward_ctx(&r_t, &codec.exec)?;

@@ -4,7 +4,7 @@
 use crate::config::Precision;
 use nvc_core::ExecCtx;
 use nvc_fastalg::{FastConv2d, FastDeConv2d, Sparsity};
-use nvc_quant::{fake_quantize_dynamic, QFormat};
+use nvc_quant::{fake_quantize_dynamic_inplace, QFormat};
 use nvc_tensor::mat::{softmax_rows_inplace, Mat};
 use nvc_tensor::ops::{relu, Conv2d, DeConv2d, Linear};
 use nvc_tensor::{Shape, Tensor, TensorError};
@@ -27,12 +27,13 @@ impl NumericCtx {
         }
     }
 
-    /// Quantizes activations if the context is fixed-point.
-    pub fn actq(&self, t: Tensor) -> Tensor {
-        match self.act_bits {
-            None => t,
-            Some(bits) => fake_quantize_dynamic(&t, bits).map(|(q, _)| q).unwrap_or(t),
+    /// Quantizes activations, in place, if the context is fixed-point.
+    pub fn actq(&self, mut t: Tensor) -> Tensor {
+        if let Some(bits) = self.act_bits {
+            // An invalid width leaves `t` as it was; 12 is valid.
+            let _ = fake_quantize_dynamic_inplace(&mut t, bits);
         }
+        t
     }
 }
 
@@ -64,7 +65,7 @@ pub enum ConvOp {
     /// Direct execution.
     Direct(Conv2d),
     /// Winograd transform-domain execution (dense or pruned).
-    Fast(FastConv2d),
+    Fast(Box<FastConv2d>),
 }
 
 impl ConvOp {
@@ -82,9 +83,10 @@ impl ConvOp {
     ) -> Result<Self, TensorError> {
         quantize_conv_weights(&mut conv, precision);
         match sparsity {
-            Some(rho) if conv.kernel() == 3 && conv.stride() == 1 && conv.padding() == 1 => Ok(
-                ConvOp::Fast(FastConv2d::from_conv_pruned(&conv, Sparsity::new(rho)?)?),
-            ),
+            Some(rho) if conv.kernel() == 3 && conv.stride() == 1 && conv.padding() == 1 => {
+                let fast = FastConv2d::from_conv_pruned(&conv, Sparsity::new(rho)?)?;
+                Ok(ConvOp::Fast(Box::new(fast)))
+            }
             _ => Ok(ConvOp::Direct(conv)),
         }
     }
@@ -119,7 +121,7 @@ pub enum DeconvOp {
     /// Direct execution.
     Direct(DeConv2d),
     /// FTA transform-domain execution (dense or pruned).
-    Fast(FastDeConv2d),
+    Fast(Box<FastDeConv2d>),
 }
 
 impl DeconvOp {
@@ -136,10 +138,8 @@ impl DeconvOp {
         quantize_deconv_weights(&mut deconv, precision);
         match sparsity {
             Some(rho) if deconv.kernel() == 4 && deconv.stride() == 2 && deconv.padding() == 1 => {
-                Ok(DeconvOp::Fast(FastDeConv2d::from_deconv_pruned(
-                    &deconv,
-                    Sparsity::new(rho)?,
-                )?))
+                let fast = FastDeConv2d::from_deconv_pruned(&deconv, Sparsity::new(rho)?)?;
+                Ok(DeconvOp::Fast(Box::new(fast)))
             }
             _ => Ok(DeconvOp::Direct(deconv)),
         }

@@ -6,6 +6,7 @@ use crate::weights;
 use nvc_core::ExecCtx;
 use nvc_tensor::ops::{relu, Conv2d, DeformConv2d, MaxPool2d};
 use nvc_tensor::{Tensor, TensorError};
+use std::borrow::Cow;
 
 /// Runs a stride-2 deconvolution with edge-replicated input padding so the
 /// upsampled output has no zero-padding falloff at the borders (standard
@@ -416,12 +417,12 @@ impl Synthesis {
     ///
     /// Propagates shape errors.
     pub fn forward_ctx(&self, z: &Tensor, exec: &ExecCtx) -> Result<Tensor, TensorError> {
-        let mut t = z.clone();
+        let mut t = Cow::Borrowed(z);
         for (rb, up) in &self.stages {
-            t = self.ctx.actq(rb.forward_ctx(&t, exec)?);
-            t = self.ctx.actq(padded_deconv(up, &t, exec)?);
+            let a = self.ctx.actq(rb.forward_ctx(&t, exec)?);
+            t = Cow::Owned(self.ctx.actq(padded_deconv(up, &a, exec)?));
         }
-        Ok(t)
+        Ok(t.into_owned())
     }
 }
 

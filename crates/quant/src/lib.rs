@@ -186,6 +186,38 @@ impl QFormat {
     pub fn roundtrip(&self, v: f32) -> f32 {
         self.dequantize(self.quantize(v))
     }
+
+    /// [`QFormat::roundtrip`] over a whole buffer, in place and bit for
+    /// bit the same, in float arithmetic that vectorizes: the format
+    /// constants are hoisted out of the element loop, dividing by the
+    /// power-of-two step becomes an exact multiply, and
+    /// round-half-away-from-zero is the add-and-subtract-`1.5·2²³`
+    /// rounding (nearest, ties to even — exact below `2²²`) with the ties
+    /// pushed outward by comparing the exactly representable remainder,
+    /// instead of `f64` `floor`/`ceil` calls and an integer clamp.
+    fn roundtrip_slice(&self, data: &mut [f32]) {
+        /// Adding then subtracting this rounds `|x| ≤ 2²²` to an integer.
+        const ROUND: f32 = 12_582_912.0;
+        if self.total_bits > 23 {
+            // Codes beyond 2²² are outside the trick's exact range.
+            data.iter_mut().for_each(|v| *v = self.roundtrip(*v));
+            return;
+        }
+        let bound = (1_u32 << (self.total_bits - 1)) as f32;
+        let scale = (1_u32 << self.frac_bits) as f32;
+        let step = self.step();
+        for v in data {
+            // Everything at or beyond ±bound saturates anyway; NaN
+            // quantizes to code 0, as in `quantize`.
+            let scaled = (*v * scale).clamp(-bound, bound);
+            let scaled = if scaled.is_nan() { 0.0 } else { scaled };
+            let even = (scaled + ROUND) - ROUND;
+            let rest = scaled - even;
+            let up = f32::from(u8::from(rest == 0.5 && scaled > 0.0));
+            let down = f32::from(u8::from(rest == -0.5 && scaled < 0.0));
+            *v = (even + up - down).clamp(-bound, bound - 1.0) * step;
+        }
+    }
 }
 
 impl fmt::Display for QFormat {
@@ -250,7 +282,9 @@ impl QuantTensor {
 /// Projects every element of `t` onto the grid of `format`
 /// (quantize-then-dequantize), returning a new `f32` tensor.
 pub fn fake_quantize(t: &Tensor, format: QFormat) -> Tensor {
-    t.map(|v| format.roundtrip(v))
+    let mut q = t.clone();
+    format.roundtrip_slice(q.as_mut_slice());
+    q
 }
 
 /// Projects a tensor onto the best `total_bits`-wide format for its own
@@ -260,8 +294,26 @@ pub fn fake_quantize(t: &Tensor, format: QFormat) -> Tensor {
 ///
 /// Returns [`QuantError::InvalidFormat`] if `total_bits` is invalid.
 pub fn fake_quantize_dynamic(t: &Tensor, total_bits: u32) -> Result<(Tensor, QFormat), QuantError> {
+    let mut q = t.clone();
+    let fmt = fake_quantize_dynamic_inplace(&mut q, total_bits)?;
+    Ok((q, fmt))
+}
+
+/// [`fake_quantize_dynamic`] on a tensor the caller owns: one pass for
+/// the range, one in-place pass for the projection, no allocation. This
+/// is what runs after every operator of a fixed-point network.
+///
+/// # Errors
+///
+/// Returns [`QuantError::InvalidFormat`] if `total_bits` is invalid; `t`
+/// is then left untouched.
+pub fn fake_quantize_dynamic_inplace(
+    t: &mut Tensor,
+    total_bits: u32,
+) -> Result<QFormat, QuantError> {
     let fmt = QFormat::for_range(total_bits, t.max_abs())?;
-    Ok((fake_quantize(t, fmt), fmt))
+    fmt.roundtrip_slice(t.as_mut_slice());
+    Ok(fmt)
 }
 
 #[cfg(test)]
@@ -367,6 +419,128 @@ mod tests {
         let (q, fmt) = fake_quantize_dynamic(&t, 12).unwrap();
         assert!(fmt.max_value() >= 3.7);
         assert!((q.at(0, 0, 0, 0) - 3.7).abs() <= fmt.step());
+    }
+
+    /// Asserts the buffer path projects every value in `values` onto
+    /// exactly the bit pattern the scalar [`QFormat::roundtrip`] does.
+    fn assert_slice_matches_scalar(fmt: QFormat, values: Vec<f32>) {
+        let t = Tensor::from_vec(Shape::new(1, 1, 1, values.len()), values).unwrap();
+        let q = fake_quantize(&t, fmt);
+        for (&v, &got) in t.as_slice().iter().zip(q.as_slice()) {
+            let want = fmt.roundtrip(v);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{fmt}: {v:e} ({:#010x}) -> {got:e}, scalar says {want:e}",
+                v.to_bits()
+            );
+        }
+    }
+
+    /// `v` and the two adjacent bit patterns (its neighbouring floats,
+    /// except across zero, where wrapping gives a NaN — also worth
+    /// checking).
+    fn with_neighbours(v: f32) -> [f32; 3] {
+        let bits = v.to_bits();
+        [bits.wrapping_sub(1), bits, bits.wrapping_add(1)].map(f32::from_bits)
+    }
+
+    /// Narrow and wide formats on both sides of the buffer path's
+    /// float-rounding limit (23 bits), plus the paper's two.
+    fn formats_under_test() -> Vec<QFormat> {
+        [
+            (12, 8),
+            (16, 14),
+            (8, 0),
+            (8, 7),
+            (2, 0),
+            (1, 0),
+            (23, 3),
+            (24, 3),
+            (31, 30),
+            (31, 0),
+        ]
+        .into_iter()
+        .map(|(total, frac)| QFormat::new(total, frac).unwrap())
+        .collect()
+    }
+
+    #[test]
+    fn buffer_rounding_matches_scalar_on_every_tie() {
+        for fmt in formats_under_test() {
+            let half_range = 1_i64 << (fmt.total_bits() - 1);
+            // Every half-way point between adjacent codes (strided for
+            // the wide formats), one ulp to either side, both signs, and
+            // one code beyond each saturation edge.
+            let stride = (half_range / 4096).max(1) as usize;
+            let mut values = Vec::new();
+            for code in (-half_range - 2..=half_range + 1).step_by(stride) {
+                let tie = (code as f64 + 0.5) * fmt.step() as f64;
+                values.extend(with_neighbours(tie as f32));
+                values.extend(with_neighbours(fmt.dequantize(code as i32)));
+            }
+            assert_slice_matches_scalar(fmt, values);
+        }
+    }
+
+    #[test]
+    fn buffer_rounding_matches_scalar_on_edges_and_specials() {
+        for fmt in formats_under_test() {
+            let mut values = vec![
+                0.0,
+                -0.0,
+                f32::NAN,
+                -f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::MAX,
+                f32::MIN,
+                f32::MIN_POSITIVE,
+                -f32::MIN_POSITIVE,
+                f32::from_bits(1),
+                -f32::from_bits(1),
+            ];
+            for edge in [fmt.min_value(), fmt.max_value()] {
+                for scale in [1.0, 1.0 + f32::EPSILON, 2.0, 1e9] {
+                    values.extend(with_neighbours(edge * scale));
+                    values.extend(with_neighbours(edge * scale + fmt.step() / 2.0));
+                    values.extend(with_neighbours(edge * scale - fmt.step() / 2.0));
+                }
+            }
+            assert_slice_matches_scalar(fmt, values);
+        }
+    }
+
+    #[test]
+    fn buffer_rounding_matches_scalar_across_all_exponents() {
+        // Every f32 exponent (subnormals, normals, inf/NaN space), a
+        // strided walk of the mantissa, both signs.
+        let mut values = Vec::new();
+        for exponent in 0..=255_u32 {
+            for mantissa in (0..1_u32 << 23).step_by(104_729) {
+                let bits = exponent << 23 | mantissa;
+                values.push(f32::from_bits(bits));
+                values.push(f32::from_bits(bits | 1 << 31));
+            }
+        }
+        for fmt in formats_under_test() {
+            assert_slice_matches_scalar(fmt, values.clone());
+        }
+    }
+
+    #[test]
+    fn inplace_dynamic_quantization_matches_the_copying_one() {
+        let t = Tensor::from_fn(Shape::new(1, 3, 5, 7), |_, c, h, w| {
+            ((c * 35 + h * 7 + w) as f32 * 0.61).sin() * 5.3
+        });
+        let (copied, fmt) = fake_quantize_dynamic(&t, 12).unwrap();
+        let mut owned = t.clone();
+        assert_eq!(fake_quantize_dynamic_inplace(&mut owned, 12).unwrap(), fmt);
+        assert_eq!(owned, copied);
+        assert_eq!(fmt, QFormat::for_range(12, t.max_abs()).unwrap());
+        // An invalid width fails before touching the tensor.
+        assert!(fake_quantize_dynamic_inplace(&mut owned, 0).is_err());
+        assert_eq!(owned, copied);
     }
 
     #[test]

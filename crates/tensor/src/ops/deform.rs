@@ -26,6 +26,52 @@ pub struct DeformConv2d {
     k: usize,
     padding: usize,
     groups: usize,
+    /// Non-zero `(ci · k² + tap, weight)` terms of each output channel,
+    /// index ascending — the dense dot product minus its exact-zero
+    /// terms, in the same order.
+    nz: Vec<Vec<(u32, f32)>>,
+    /// The `(group, tap)` pairs some output channel has a non-zero
+    /// weight for. Only these are ever sampled: a warp kernel that is a
+    /// centre-tap Dirac reads 1 tap of 9.
+    live: Vec<(usize, usize)>,
+}
+
+/// One bilinear sampling position, resolved once and applied to every
+/// channel of a deformable group: the four neighbours' plane offsets
+/// (`None` = zero padding outside the frame) and the interpolation
+/// fractions. [`BilinearTap::sample`] evaluates exactly the expression
+/// of [`Tensor::sample_bilinear`], so results are bit-identical to it.
+struct BilinearTap {
+    corners: [Option<usize>; 4],
+    dy: f32,
+    dx: f32,
+}
+
+impl BilinearTap {
+    fn at(y: f32, x: f32, h: usize, w: usize) -> Self {
+        let (y0, x0) = (y.floor(), x.floor());
+        let (dy, dx) = (y - y0, x - x0);
+        let (y0, x0) = (y0 as isize, x0 as isize);
+        let inside = |v: isize, n: usize| (v >= 0 && (v as usize) < n).then_some(v as usize);
+        let rows = [inside(y0, h), inside(y0.saturating_add(1), h)];
+        let cols = [inside(x0, w), inside(x0.saturating_add(1), w)];
+        let corner = |r: usize, c: usize| Some(rows[r]? * w + cols[c]?);
+        BilinearTap {
+            corners: [corner(0, 0), corner(0, 1), corner(1, 0), corner(1, 1)],
+            dy,
+            dx,
+        }
+    }
+
+    #[inline]
+    fn sample(&self, plane: &[f32]) -> f32 {
+        let [v00, v01, v10, v11] = self.corners.map(|c| c.map_or(0.0, |i| plane[i]));
+        let (dy, dx) = (self.dy, self.dx);
+        v00 * (1.0 - dy) * (1.0 - dx)
+            + v01 * (1.0 - dy) * dx
+            + v10 * dy * (1.0 - dx)
+            + v11 * dy * dx
+    }
 }
 
 impl DeformConv2d {
@@ -64,6 +110,22 @@ impl DeformConv2d {
                 actual: bias.len(),
             });
         }
+        let kk = k * k;
+        let nz: Vec<Vec<(u32, f32)>> = (0..c_out)
+            .map(|co| {
+                let taps = weight[co * c_in * kk..][..c_in * kk].iter().enumerate();
+                let nonzero = taps.filter(|(_, &v)| v != 0.0);
+                nonzero.map(|(i, &v)| (i as u32, v)).collect()
+            })
+            .collect();
+        let ch_per_group = c_in / groups;
+        let mut live: Vec<(usize, usize)> = nz
+            .iter()
+            .flatten()
+            .map(|&(i, _)| (i as usize / kk / ch_per_group, i as usize % kk))
+            .collect();
+        live.sort_unstable();
+        live.dedup();
         Ok(DeformConv2d {
             weight,
             bias,
@@ -72,6 +134,8 @@ impl DeformConv2d {
             k,
             padding,
             groups,
+            nz,
+            live,
         })
     }
 
@@ -133,13 +197,15 @@ impl DeformConv2d {
         self.forward_ctx(input, offsets, &ExecCtx::serial())
     }
 
-    /// Runs the deformable convolution, fanning output rows across
-    /// `exec`'s worker pool. Each row stages `[co][ox]` results in its own
-    /// chunk (bilinear samples computed once per pixel, shared across
-    /// output channels); the reduction skips the structurally zero taps
-    /// of the warping kernels, which for the codec's Dirac-style
-    /// compensation kernels removes almost the entire dot product.
-    /// Results are bit-identical for every worker count.
+    /// Runs the deformable convolution, fanning stripes of output rows
+    /// across `exec`'s worker pool. Per pixel, each live `(group, tap)`
+    /// position is resolved once (floor, fractions, clipped neighbours)
+    /// and sampled for the group's channels; taps no output channel
+    /// weights are never sampled, and the reduction skips the
+    /// structurally zero weights — which for the codec's Dirac-style
+    /// compensation kernels removes almost the entire operator. Results
+    /// are bit-identical for every worker count, and to sampling every
+    /// tap with [`Tensor::sample_bilinear`].
     ///
     /// # Errors
     ///
@@ -167,71 +233,59 @@ impl DeformConv2d {
                 self.offset_channels()
             )));
         }
-        let out_shape = Shape::new(n, self.c_out, out_h, out_w);
-        let mut out = Tensor::zeros(out_shape);
+        let mut out = Tensor::zeros(Shape::new(n, self.c_out, out_h, out_w));
+        let out_plane = out_h * out_w;
+        if out_plane == 0 || self.c_out == 0 {
+            return Ok(out);
+        }
         let ch_per_group = self.c_in / self.groups;
         let kk = self.k * self.k;
         let pad = self.padding as f32;
+        // Sampling (4-tap bilinear per position) dominates the dot
+        // product here, so gate on it rather than the MAC count.
+        let work = (out_plane * self.live.len() * ch_per_group) as u64 * 4;
 
-        // Non-zero taps per output channel, in ascending index order (so
-        // the pruned dot product accumulates in the same order as the
-        // dense one, minus exact-zero terms).
-        let nz: Vec<Vec<(u32, f32)>> = (0..self.c_out)
-            .map(|co| {
-                let wbase = co * self.c_in * kk;
-                self.weight[wbase..wbase + self.c_in * kk]
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &v)| v != 0.0)
-                    .map(|(i, &v)| (i as u32, v))
-                    .collect()
-            })
-            .collect();
-
-        for nn in 0..n {
-            // Staging layout: [oy][co][ox], one chunk per output row.
-            let mut rows = exec.scratch().take(out_h * self.c_out * out_w);
-            // Sampling (4-tap bilinear per position) dominates the dot
-            // product here, so gate on it rather than the MAC count.
-            let work = (out_h * out_w * self.c_in * kk) as u64 * 4;
-            exec.par_chunks_mut_gated(&mut rows, self.c_out * out_w, work, |oy, row| {
+        for (nn, out_item) in out
+            .as_mut_slice()
+            .chunks_mut(self.c_out * out_plane)
+            .enumerate()
+        {
+            let in_item = &input.as_slice()[nn * self.c_in * h * w..][..self.c_in * h * w];
+            let off_item = &offsets.as_slice()[nn * oc * out_plane..][..oc * out_plane];
+            exec.par_stripes_mut(out_item, out_plane, out_w, work, |rows, planes| {
+                // The deformed patch of one pixel, `[ci][tap]`; dead
+                // taps are never written and never read.
                 let mut sampled = vec![0.0_f32; self.c_in * kk];
-                for ox in 0..out_w {
-                    // Pre-sample the deformed patch once per (oy, ox):
-                    // sampled[ci][tap].
-                    for g in 0..self.groups {
-                        for tap in 0..kk {
+                for (local, oy) in rows.enumerate() {
+                    for ox in 0..out_w {
+                        let pixel = oy * out_w + ox;
+                        for &(g, tap) in &self.live {
                             let kh = (tap / self.k) as f32;
                             let kw = (tap % self.k) as f32;
-                            let dy = offsets.at(nn, (g * kk + tap) * 2, oy, ox);
-                            let dx = offsets.at(nn, (g * kk + tap) * 2 + 1, oy, ox);
-                            let sy = oy as f32 - pad + kh + dy;
-                            let sx = ox as f32 - pad + kw + dx;
-                            for cg in 0..ch_per_group {
-                                let ci = g * ch_per_group + cg;
-                                sampled[ci * kk + tap] = input.sample_bilinear(nn, ci, sy, sx);
+                            let dy = off_item[(g * kk + tap) * 2 * out_plane + pixel];
+                            let dx = off_item[((g * kk + tap) * 2 + 1) * out_plane + pixel];
+                            let at = BilinearTap::at(
+                                oy as f32 - pad + kh + dy,
+                                ox as f32 - pad + kw + dx,
+                                h,
+                                w,
+                            );
+                            for ci in g * ch_per_group..(g + 1) * ch_per_group {
+                                sampled[ci * kk + tap] = at.sample(&in_item[ci * h * w..][..h * w]);
                             }
                         }
-                    }
-                    for (co, taps) in nz.iter().enumerate() {
-                        let mut acc = self.bias[co];
-                        for &(i, wv) in taps {
-                            acc += sampled[i as usize] * wv;
+                        for ((taps, &bias), plane) in
+                            self.nz.iter().zip(&self.bias).zip(&mut *planes)
+                        {
+                            let mut acc = bias;
+                            for &(i, wv) in taps {
+                                acc += sampled[i as usize] * wv;
+                            }
+                            plane[local * out_w + ox] = acc;
                         }
-                        row[co * out_w + ox] = acc;
                     }
                 }
             });
-            // Scatter staged rows into NCHW.
-            let out_data = out.as_mut_slice();
-            for oy in 0..out_h {
-                let row = &rows[oy * self.c_out * out_w..][..self.c_out * out_w];
-                for co in 0..self.c_out {
-                    let dst = ((nn * self.c_out + co) * out_h + oy) * out_w;
-                    out_data[dst..dst + out_w].copy_from_slice(&row[co * out_w..][..out_w]);
-                }
-            }
-            exec.scratch().put(rows);
         }
         Ok(out)
     }
@@ -330,6 +384,97 @@ mod tests {
         assert!((y.at(0, 0, 0, 0) - 1.0).abs() < 1e-6);
         // Pixel 1: group0 samples x0[2] = 2, group1 samples x1[1] = 100.
         assert!((y.at(0, 0, 0, 1) - 102.0).abs() < 1e-6);
+    }
+
+    /// The operator as its definition reads: every tap of every channel
+    /// sampled with [`Tensor::sample_bilinear`], then the dot product in
+    /// ascending weight order (exact-zero weights contribute nothing).
+    fn reference_forward(d: &DeformConv2d, x: &Tensor, off: &Tensor) -> Tensor {
+        let (_, _, h, w) = x.shape().dims();
+        let kk = d.k * d.k;
+        let pad = d.padding as f32;
+        Tensor::from_fn(Shape::new(1, d.c_out, h, w), |_, co, oy, ox| {
+            let mut acc = d.bias[co];
+            for ci in 0..d.c_in {
+                let g = ci / (d.c_in / d.groups);
+                for tap in 0..kk {
+                    let wv = d.weight[(co * d.c_in + ci) * kk + tap];
+                    if wv == 0.0 {
+                        continue;
+                    }
+                    let dy = off.at(0, (g * kk + tap) * 2, oy, ox);
+                    let dx = off.at(0, (g * kk + tap) * 2 + 1, oy, ox);
+                    let sy = oy as f32 - pad + (tap / d.k) as f32 + dy;
+                    let sx = ox as f32 - pad + (tap % d.k) as f32 + dx;
+                    acc += x.sample_bilinear(0, ci, sy, sx) * wv;
+                }
+            }
+            acc
+        })
+    }
+
+    /// Live-tap sampling must equal the definition bit for bit — for
+    /// dense kernels (every tap live), the codec's centre-tap Dirac
+    /// kernels (1 live tap of 9), and mixtures — including offsets that
+    /// throw samples far outside the frame, at every worker count.
+    #[test]
+    fn live_tap_sampling_matches_sampling_every_tap() {
+        let (c_out, c_in, k, groups) = (5, 8, 3, 2);
+        let kk = k * k;
+        let dense = DeformConv2d::randn(c_out, c_in, k, 1, groups, 41).unwrap();
+        let mut dirac = vec![0.0_f32; c_out * c_in * kk];
+        for co in 0..c_out {
+            dirac[(co * c_in + co % c_in) * kk + 4] = 1.0;
+        }
+        // Group 0 keeps taps {0, 4}, group 1 keeps tap 7 only, and one
+        // output channel has no weights at all.
+        let mut mixed = dense.weight.clone();
+        for (i, wv) in mixed.iter_mut().enumerate() {
+            let (co, ci, tap) = (i / (c_in * kk), i / kk % c_in, i % kk);
+            let keep = if ci < 4 {
+                tap == 0 || tap == 4
+            } else {
+                tap == 7
+            };
+            if !keep || co == 3 {
+                *wv = 0.0;
+            }
+        }
+        let bias = vec![0.25, -0.5, 0.0, 1.5, -0.0];
+        let build = |weight: Vec<f32>| {
+            DeformConv2d::new(weight, bias.clone(), c_out, c_in, k, 1, groups).unwrap()
+        };
+        let (dirac, mixed) = (build(dirac), build(mixed));
+        assert_eq!(dense.live.len(), groups * kk);
+        assert_eq!(dirac.live, vec![(0, 4), (1, 4)]);
+        assert_eq!(mixed.live, vec![(0, 0), (0, 4), (1, 7)]);
+
+        let (h, w) = (96, 112);
+        let x = Tensor::from_fn(Shape::new(1, c_in, h, w), |_, c, y, xx| {
+            ((c * 63 + y * 9 + xx) as f32 * 0.77).sin()
+        });
+        // Offsets from sub-pixel up to several frame sizes, both signs:
+        // partially and wholly outside the frame.
+        let off = Tensor::from_fn(
+            Shape::new(1, dense.offset_channels(), h, w),
+            |_, c, y, xx| {
+                let t = ((c * 131 + y * 17 + xx * 5) as f32 * 0.37).sin();
+                t * [0.4, 2.5, 12.0, 40.0][(c + y + xx) % 4]
+            },
+        );
+        for (name, d) in [("dense", &dense), ("dirac", &dirac), ("mixed", &mixed)] {
+            let want = reference_forward(d, &x, &off);
+            // The frame is sized so even one live tap per group clears
+            // the work gate and the stripes really fan out.
+            let work = h * w * d.live.len() * (c_in / groups) * 4;
+            assert!(work as u64 >= nvc_core::PAR_MIN_WORK, "{name}");
+            for threads in [1, 2, 4] {
+                let got = d
+                    .forward_ctx(&x, &off, &ExecCtx::with_threads(threads))
+                    .unwrap();
+                assert_eq!(got.as_slice(), want.as_slice(), "{name}, {threads} threads");
+            }
+        }
     }
 
     #[test]

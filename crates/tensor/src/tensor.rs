@@ -223,9 +223,23 @@ impl Tensor {
         }
     }
 
-    /// Maximum absolute value (0.0 for an empty tensor).
+    /// Maximum absolute value (0.0 for an empty tensor; NaNs are
+    /// ignored).
     pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0_f32, |m, &v| m.max(v.abs()))
+        // Eight independent running maxima, so the scan vectorizes
+        // instead of serialising on one accumulator; a maximum does not
+        // depend on the order it is taken in.
+        let mut lanes = [0.0_f32; 8];
+        let mut chunks = self.data.chunks_exact(lanes.len());
+        for chunk in &mut chunks {
+            for (m, &v) in lanes.iter_mut().zip(chunk) {
+                if v.abs() > *m {
+                    *m = v.abs();
+                }
+            }
+        }
+        let tail = chunks.remainder().iter().chain(&lanes);
+        tail.fold(0.0_f32, |m, &v| m.max(v.abs()))
     }
 
     /// Mean squared error between two tensors.
