@@ -1,10 +1,11 @@
 //! Hot-path performance benchmark, serial-vs-parallel bit-exactness
 //! smoke test and perf-regression gate.
 //!
-//! Times the optimized kernels (direct conv, fast conv, fast deconv,
-//! Swin attention, deformable warp, activation quantization) — the
-//! first two against in-binary replicas of the pre-PR-2 scalar
-//! implementations — measures end-to-end encode/decode at
+//! Times the optimized kernels (direct conv, fast conv, fast and direct
+//! deconv, stride-2 direct conv, Swin attention, deformable warp,
+//! activation quantization) — the first two against in-binary replicas
+//! of the pre-PR-2 scalar implementations — measures end-to-end
+//! encode/decode at
 //! `threads = 1`, `2` and `max`, checks both codec families for
 //! bit-exact parallel execution, and writes `BENCH_PR3.json` at the
 //! repository root.
@@ -423,12 +424,41 @@ fn main() {
         mpix_s: pix / t_de,
         speedup_vs_naive: None,
     });
+    // Direct (polyphase) deconv on the same shape: what a config without
+    // sparsity runs, e.g. the default server.
+    let t_dd = bench(reps, || {
+        deconv.forward_ctx(&xd, &ctx1).unwrap();
+    });
+    rows.push(KernelRow {
+        name: "deconv_direct",
+        ms: t_dd * 1e3,
+        mpix_s: pix / t_dd,
+        speedup_vs_naive: None,
+    });
     if fast_de.forward_ctx(&xd, &ctx1).unwrap().as_slice()
         != fast_de.forward_ctx(&xd, &ctx_max).unwrap().as_slice()
         || deconv.forward_ctx(&xd, &ctx1).unwrap().as_slice()
             != deconv.forward_ctx(&xd, &ctx_max).unwrap().as_slice()
     {
         eprintln!("FAIL: deconv serial vs parallel diverged");
+        divergence = true;
+    }
+
+    // Direct stride-2 conv: the analysis transform's down-sampling layers.
+    let conv_down = Conv2d::randn(n_ch, n_ch, 3, 2, 1, 13).unwrap();
+    let t_s2 = bench(reps, || {
+        conv_down.forward_ctx(&x, &ctx1).unwrap();
+    });
+    rows.push(KernelRow {
+        name: "conv3x3_s2_direct",
+        ms: t_s2 * 1e3,
+        mpix_s: pix / t_s2,
+        speedup_vs_naive: None,
+    });
+    if conv_down.forward_ctx(&x, &ctx1).unwrap().as_slice()
+        != conv_down.forward_ctx(&x, &ctx_max).unwrap().as_slice()
+    {
+        eprintln!("FAIL: strided conv serial vs parallel diverged");
         divergence = true;
     }
 

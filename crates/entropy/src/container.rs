@@ -212,15 +212,57 @@ fn truncated(what: &str, e: std::io::Error) -> CodingError {
     }
 }
 
+/// Reflected CRC-32 polynomial (IEEE 802.3).
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 tables: `CRC32_TABLES[0]` is the classic byte table,
+/// `CRC32_TABLES[t][b]` is the CRC state after byte `b` followed by `t`
+/// zero bytes, so eight input bytes fold into the state with eight
+/// independent lookups.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut t = 1;
+    while t < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[t - 1][b];
+            tables[t][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        t += 1;
+    }
+    tables
+};
+
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(w[4])]
+            ^ t[2][usize::from(w[5])]
+            ^ t[1][usize::from(w[6])]
+            ^ t[0][usize::from(w[7])];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -478,6 +520,43 @@ mod tests {
         // Standard IEEE check values.
         assert_eq!(crc32(b""), 0x0000_0000);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
+    }
+
+    /// The bit-at-a-time definition the table-driven [`crc32`] replaced.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_tables_match_bitwise_at_every_length_and_alignment() {
+        // Lengths cover zero to eight whole words plus every remainder;
+        // start offsets cover every alignment of the 8-byte fold.
+        let buf: Vec<u8> = (0..80u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B1) >> 24) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=67 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "start={start} len={len}");
+            }
+        }
+        let big: Vec<u8> = (0..73_728u32).map(|i| (i ^ (i >> 7)) as u8).collect();
+        assert_eq!(crc32(&big), crc32_bitwise(&big));
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! * [`ExecCtx::par_chunks_mut_gated`] adds per-shape work-size gating on
 //!   top: callers pass an estimate of the call's arithmetic work, and
 //!   below [`PAR_MIN_WORK`] the fan-out is skipped entirely — spawning
-//!   scoped workers costs tens of microseconds, which dwarfs the compute
-//!   of a small decode-side plane. Gating never changes results (serial
-//!   and parallel execution are bit-identical by construction).
+//!   and joining scoped workers dwarfs the compute of a small
+//!   decode-side plane (see the constant for what was measured). Gating
+//!   never changes results (serial and parallel execution are
+//!   bit-identical by construction).
 //! * [`ExecCtx::par_stripes_mut`] is the fan-out for layers that produce
 //!   many output planes from one shared staging step (the tiled
 //!   Winograd/FTA executor): one call per layer splits the *rows* of
@@ -64,9 +65,15 @@ use std::time::{Duration, Instant};
 
 /// Minimum arithmetic work (multiply–accumulates, or comparable scalar
 /// ops) a [`ExecCtx::par_chunks_mut_gated`] call must carry before the
-/// worker fan-out pays for itself. Spawning + joining scoped threads
-/// costs tens of microseconds; below this threshold a small layer (the
-/// decode-side latent planes especially) finishes faster serially.
+/// worker fan-out is attempted; below it a small layer (the decode-side
+/// latent planes especially) runs serially.
+///
+/// The gate only screens out work smaller than the spawn + join
+/// *syscalls*. It does not promise a speed-up above it: on the 2-core
+/// reference VM a freshly spawned scoped thread shares its parent's
+/// core for the first ~3–4 ms (two 4 ms spins joined take 8 ms, two
+/// 10 ms spins 12 ms), so a fan-out shorter than that runs no faster
+/// than serial, and `1 << 18` multiply–accumulates is ~40 µs of work.
 pub const PAR_MIN_WORK: u64 = 1 << 18;
 
 /// Upper bound on cached scratch buffers, to keep the pool from hoarding

@@ -227,8 +227,9 @@ impl CtvcCodec {
 
     /// Decodes one P frame given the reference *features* `F̂_{t−1}` and
     /// the two latent payloads; returns the reconstructed features `F̂_t`
-    /// and the pixel frame. Shared by encoder (closed loop) and decoder so
-    /// both stay bit-identical.
+    /// and the pixel frame. The encoder's closed loop computes the same
+    /// two branches on the way to the payloads and joins this path at
+    /// [`Self::reconstruct_from`], so both stay bit-identical.
     ///
     /// Following FVC [5] ("all components operate within the feature
     /// space"), the decoder's reference is the feature tensor itself —
@@ -271,7 +272,19 @@ impl CtvcCodec {
                 Ok(self.residual_ae.synthesis.forward_ctx(&zr, &self.exec)?)
             },
         );
-        let f_hat = f_bar?.add(&r_hat?)?;
+        self.reconstruct_from(&f_bar?, &r_hat?)
+    }
+
+    /// The tail of P-frame reconstruction, `F̂_t = F̄_t + R̂_t` → frame
+    /// reconstruction → clamp; returns features and pixels. The decoder
+    /// reaches it through [`Self::reconstruct_p`], the encoder directly
+    /// with the prediction and residual its closed loop already holds.
+    fn reconstruct_from(
+        &self,
+        f_bar: &Tensor,
+        r_hat: &Tensor,
+    ) -> Result<(Tensor, Tensor), CtvcError> {
+        let f_hat = f_bar.add(r_hat)?;
         let px = self
             .fr
             .forward_ctx(&f_hat, &self.exec)?
@@ -475,10 +488,16 @@ impl CtvcEncoderSession<'_> {
         let f_bar = codec.comp.forward_ctx(&f_ref, &o_mc, &codec.exec)?;
         let r_t = f_cur.sub(&f_bar)?;
         let zr = codec.residual_ae.analysis.forward_ctx(&r_t, &codec.exec)?;
-        let (residual_payload, _zr_hat) =
+        let (residual_payload, zr_hat) =
             codec.code_latent(&zr, &codec.residual_ae, rate.latent_step())?;
-        // Reconstruct exactly like the decoder will.
-        let (f_hat, rec) = codec.reconstruct_p(&f_ref, &motion_payload, &residual_payload, rate)?;
+        // Reconstruct exactly like the decoder will: `ẑ_m`, `ẑ_r` are the
+        // latents it dequantizes from the payloads and `F̄_t` is the
+        // prediction it compensates, so only the residual branch is left.
+        let r_hat = codec
+            .residual_ae
+            .synthesis
+            .forward_ctx(&zr_hat, &codec.exec)?;
+        let (f_hat, rec) = codec.reconstruct_from(&f_bar, &r_hat)?;
         self.reference_f = Some(f_hat);
         self.last_recon = Some(Frame::from_tensor(rec)?);
         Ok((motion_payload, residual_payload))

@@ -23,6 +23,32 @@ pub use pool::MaxPool2d;
 
 use crate::Tensor;
 
+/// Helpers shared by the kernels' bit-exactness tests.
+#[cfg(test)]
+mod test_util {
+    use crate::init::SplitMix64;
+    use crate::Tensor;
+
+    pub fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Signed values in `(-1, 1)` with a share of exact zeros of either
+    /// sign.
+    pub fn sparse_values(rng: &mut SplitMix64, len: usize, zero_share: f32) -> Vec<f32> {
+        (0..len)
+            .map(|_| {
+                let v = rng.next_f32() * 2.0 - 1.0;
+                if rng.next_f32() < zero_share {
+                    0.0_f32.copysign(v)
+                } else {
+                    v
+                }
+            })
+            .collect()
+    }
+}
+
 /// Rectified linear unit, `max(0, x)`, applied elementwise.
 pub fn relu(t: &Tensor) -> Tensor {
     t.map(|v| v.max(0.0))
