@@ -1,43 +1,25 @@
 //! The hybrid codec's encode/decode loop, organized as streaming
-//! sessions ([`HybridEncoderSession`] / [`HybridDecoderSession`]) behind
-//! the workspace-wide [`VideoCodec`](nvc_video::VideoCodec) trait; the
-//! whole-sequence `encode`/`decode` methods are wrappers over them.
+//! sessions ([`HybridEncoderSession`] / [`HybridDecoderSession`], the
+//! workspace-wide [`nvc_video::session`] state machine). This file
+//! supplies what is the hybrid codec's own — the header layout and
+//! coding one frame against the previous reconstruction — through the
+//! [`VideoCodec`] hooks; the whole-sequence `encode`/`decode` methods
+//! are wrappers over the sessions.
 
 use crate::dct::{self, BS};
 use crate::plane::Plane;
 use crate::Profile;
 use nvc_core::ExecCtx;
-use nvc_entropy::container::{read_sections, FrameKind, Packet, Section, SectionWriter};
+use nvc_entropy::container::{FrameKind, Section};
 use nvc_entropy::{BitReader, BitWriter, CodingError, Histogram, RangeDecoder, RangeEncoder};
 use nvc_tensor::{Shape, Tensor};
-use nvc_video::codec::{
-    DecoderSession as DecoderSessionTrait, EncoderSession as EncoderSessionTrait, StreamStats,
-    VideoCodec,
-};
-use nvc_video::rate::{RateMode, RateOutcome, SessionRateControl};
+use nvc_video::codec::{CodedFrame, SectionList, VideoCodec};
+use nvc_video::rate::RateMode;
+use nvc_video::session::{SessionMetrics, StreamDecoder, StreamEncoder};
 use nvc_video::{Frame, Sequence, VideoError};
 use std::error::Error;
 use std::fmt;
 use std::sync::OnceLock;
-
-/// Per-frame instrumentation shared by every hybrid session in the
-/// process: encode/decode wall time and coded bits per frame. Purely
-/// observational — bitstreams are byte-identical with telemetry in any
-/// mode.
-struct CodecMetrics {
-    encode_frame_us: nvc_telemetry::Histogram,
-    decode_frame_us: nvc_telemetry::Histogram,
-    frame_bits: nvc_telemetry::Histogram,
-}
-
-fn codec_metrics() -> &'static CodecMetrics {
-    static METRICS: OnceLock<CodecMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| CodecMetrics {
-        encode_frame_us: nvc_telemetry::histogram("nvc_hybrid_encode_frame_us"),
-        decode_frame_us: nvc_telemetry::histogram("nvc_hybrid_decode_frame_us"),
-        frame_bits: nvc_telemetry::histogram("nvc_hybrid_frame_bits"),
-    })
-}
 
 /// Error type for codec operations.
 #[derive(Debug)]
@@ -195,33 +177,13 @@ impl HybridCodec {
     /// `Into`, or pass a [`RateMode`] for the closed-loop /
     /// external-controller modes.
     pub fn start_encode(&self, mode: impl Into<RateMode<u8>>) -> HybridEncoderSession<'_> {
-        HybridEncoderSession {
-            codec: self,
-            control: SessionRateControl::new(mode.into()),
-            wire_qp: None,
-            join_headers: false,
-            dims: None,
-            reference: None,
-            next_index: 0,
-            bytes_per_frame: Vec::new(),
-            bits_per_frame: Vec::new(),
-            frame_types: Vec::new(),
-            rate_per_frame: Vec::new(),
-            total_bytes: 0,
-            last_recon: None,
-        }
+        StreamEncoder::new(self, mode.into())
     }
 
     /// Opens a streaming decoder session; geometry and QP come from the
     /// first packet's embedded header.
     pub fn start_decode(&self) -> HybridDecoderSession<'_> {
-        HybridDecoderSession {
-            codec: self,
-            stream: None,
-            reference: None,
-            next_index: 0,
-            decoded: 0,
-        }
+        StreamDecoder::new(self)
     }
 
     /// Encodes a sequence at quality `qp` — a thin wrapper pushing every
@@ -484,304 +446,19 @@ impl HybridCodec {
     }
 }
 
-/// Streaming encoder session for [`HybridCodec`]: carries the previous
-/// reconstruction (the prediction reference) and the rate-control state
-/// across frames.
-#[derive(Debug)]
-pub struct HybridEncoderSession<'a> {
-    codec: &'a HybridCodec,
-    control: SessionRateControl<u8>,
-    /// The QP the decoder currently assumes (stream header, then any
-    /// in-band rate sections). `None` before the first frame.
-    wire_qp: Option<u8>,
-    /// Joinable-stream mode: every intra packet carries the stream
-    /// header, so decoders can join at any intra boundary. See
-    /// [`EncoderSession::set_join_headers`](nvc_video::EncoderSession::set_join_headers).
-    join_headers: bool,
-    dims: Option<(usize, usize)>,
-    reference: Option<[Plane; 3]>,
-    next_index: u32,
-    bytes_per_frame: Vec<usize>,
-    bits_per_frame: Vec<u64>,
-    frame_types: Vec<FrameKind>,
-    rate_per_frame: Vec<u8>,
-    total_bytes: usize,
-    last_recon: Option<Frame>,
-}
-
-impl HybridEncoderSession<'_> {
-    /// The QP the stream is currently coded at (the most recent frame's
-    /// choice); `None` before the first frame.
-    pub fn current_qp(&self) -> Option<u8> {
-        self.wire_qp
-    }
-}
-
-impl EncoderSessionTrait for HybridEncoderSession<'_> {
-    type Error = CodecError;
-    type Rate = u8;
-
-    fn push_frame(&mut self, frame: &Frame) -> Result<Packet, CodecError> {
-        let _span = codec_metrics().encode_frame_us.time();
-        let (w, h) = (frame.width(), frame.height());
-        match self.dims {
-            None => self.dims = Some((w, h)),
-            Some(dims) if dims != (w, h) => {
-                return Err(CodecError::BadInput(format!(
-                    "frame {w}x{h} does not match stream {}x{}",
-                    dims.0, dims.1
-                )));
-            }
-            Some(_) => {}
-        }
-        let is_intra = self.reference.is_none();
-        let qp = self
-            .control
-            .pick(u64::from(self.next_index), is_intra, w * h);
-        let step = dct::qp_to_step(qp);
-        let mut sections = SectionWriter::new();
-        if self.next_index == 0 || (self.join_headers && is_intra) {
-            // Stream header rides in the first packet — and, in
-            // joinable-stream mode, in every intra packet, so a decoder
-            // can open the stream at any intra boundary. It carries the
-            // frame's own QP, so no separate rate section is needed.
-            let mut header = BitWriter::new();
-            header.write_bits(w as u32, 16);
-            header.write_bits(h as u32, 16);
-            header.write_bits(u32::from(qp), 8);
-            sections.push(Section::SideInfo, header.finish());
-        } else if self.wire_qp != Some(qp) {
-            // In-band QP switch, signaled only on change so fixed-rate
-            // streams keep the legacy byte layout. Mid-GOP is fine: the
-            // reference is the previous reconstruction either way.
-            sections.push(Section::Rate, vec![qp]);
-        }
-        self.wire_qp = Some(qp);
-        let planes = HybridCodec::frame_to_planes(frame);
-        let mut models = Models::new(self.codec.profile.search_range);
-        let mut rc = RangeEncoder::new();
-        let mut recon = [Plane::zeros(w, h), Plane::zeros(w, h), Plane::zeros(w, h)];
-        if is_intra {
-            self.codec
-                .encode_intra(&planes, step, &mut models, &mut rc, &mut recon);
-        } else {
-            let reference = self.reference.as_ref().expect("P frame has a reference");
-            self.codec
-                .encode_inter(&planes, reference, step, &mut models, &mut rc, &mut recon);
-        }
-        if self.codec.profile.deblock {
-            for p in &mut recon {
-                deblock(p, step);
-            }
-        }
-        let payload = rc.finish();
-        self.bytes_per_frame.push(payload.len());
-        let (kind, section) = if is_intra {
-            (FrameKind::Intra, Section::Intra)
-        } else {
-            (FrameKind::Predicted, Section::Motion)
-        };
-        sections.push(section, payload);
-        self.last_recon = Some(HybridCodec::planes_to_frame(&recon));
-        self.reference = Some(recon);
-        let packet = Packet::new(self.next_index, kind, sections.finish());
-        self.total_bytes += packet.encoded_len();
-        let bits = packet.encoded_len() as u64 * 8;
-        codec_metrics().frame_bits.record(bits);
-        self.bits_per_frame.push(bits);
-        self.frame_types.push(kind);
-        self.rate_per_frame.push(qp);
-        self.control.observe(RateOutcome {
-            frame_index: u64::from(self.next_index),
-            intra: is_intra,
-            pixels: w * h,
-            bits,
-            wire_rate: qp,
-        });
-        self.next_index += 1;
-        Ok(packet)
-    }
-
-    fn last_reconstruction(&self) -> Option<&Frame> {
-        self.last_recon.as_ref()
-    }
-
-    fn frames_pushed(&self) -> usize {
-        self.next_index as usize
-    }
-
-    fn restart_gop(&mut self) -> bool {
-        self.reference = None;
-        true
-    }
-
-    fn set_join_headers(&mut self, enabled: bool) -> bool {
-        self.join_headers = enabled;
-        true
-    }
-
-    fn last_rate(&self) -> Option<u8> {
-        self.wire_qp
-    }
-
-    fn set_rate_mode(&mut self, mode: RateMode<u8>) {
-        self.control.retarget(mode);
-    }
-
-    fn finish(self) -> Result<StreamStats, CodecError> {
-        Ok(StreamStats {
-            frames: self.next_index as usize,
-            bytes_per_frame: self.bytes_per_frame,
-            bits_per_frame: self.bits_per_frame,
-            frame_types: self.frame_types,
-            rate_per_frame: self.rate_per_frame,
-            total_bytes: self.total_bytes,
-        })
-    }
-}
+/// Streaming encoder session for [`HybridCodec`]: the shared
+/// [`StreamEncoder`] carrying the previous reconstruction (the
+/// prediction reference).
+pub type HybridEncoderSession<'a> = StreamEncoder<'a, HybridCodec>;
 
 /// Streaming decoder session for [`HybridCodec`].
-#[derive(Debug)]
-pub struct HybridDecoderSession<'a> {
-    codec: &'a HybridCodec,
-    /// `(w, h, qp)` — geometry from the stream header, QP seeded by the
-    /// header and then following any in-band rate sections.
-    stream: Option<(usize, usize, u8)>,
-    reference: Option<[Plane; 3]>,
-    next_index: u32,
-    decoded: usize,
-}
-
-impl HybridDecoderSession<'_> {
-    /// Parses a `SideInfo` stream-header section.
-    fn parse_header(payload: &[u8]) -> Result<(usize, usize, u8), CodecError> {
-        let mut hr = BitReader::new(payload);
-        let w = hr.read_bits(16)? as usize;
-        let h = hr.read_bits(16)? as usize;
-        let qp = hr.read_bits(8)? as u8;
-        if w == 0 || h == 0 {
-            return Err(CodecError::BadInput(format!("bad stream geometry {w}x{h}")));
-        }
-        Ok((w, h, qp))
-    }
-}
-
-impl DecoderSessionTrait for HybridDecoderSession<'_> {
-    type Error = CodecError;
-
-    fn push_packet(&mut self, bytes: &[u8]) -> Result<Frame, CodecError> {
-        let _span = codec_metrics().decode_frame_us.time();
-        let (packet, consumed) = Packet::from_bytes(bytes)?;
-        if consumed != bytes.len() {
-            return Err(CodecError::BadInput(format!(
-                "{} trailing bytes after packet",
-                bytes.len() - consumed
-            )));
-        }
-        if self.stream.is_some() && packet.frame_index != self.next_index {
-            return Err(CodecError::BadInput(format!(
-                "expected frame {}, got packet for frame {}",
-                self.next_index, packet.frame_index
-            )));
-        }
-        let sections = read_sections(&packet.payload)?;
-        let mut rest: &[(Section, Vec<u8>)] = &sections;
-        if self.stream.is_none() {
-            // Stream join: the first pushed packet — frame 0 of a plain
-            // stream or, for joinable streams, any header-carrying
-            // intra — must lead with the stream header, which also
-            // seeds the frame-index sequence.
-            let (first, tail) = rest
-                .split_first()
-                .ok_or_else(|| CodecError::BadInput("first packet has no sections".into()))?;
-            if first.0 != Section::SideInfo {
-                return Err(CodecError::BadInput("missing stream header".into()));
-            }
-            self.stream = Some(Self::parse_header(&first.1)?);
-            self.next_index = packet.frame_index;
-            rest = tail;
-        } else if packet.kind == FrameKind::Intra
-            && matches!(rest.first(), Some((Section::SideInfo, _)))
-        {
-            // Joinable streams re-send the header on every intra; it
-            // must agree with the open stream and carries the frame's
-            // QP (no separate rate section).
-            let (first, tail) = rest.split_first().expect("checked non-empty");
-            let (w, h, qp) = Self::parse_header(&first.1)?;
-            let open = self.stream.expect("stream open");
-            if (w, h) != (open.0, open.1) {
-                return Err(CodecError::BadInput(format!(
-                    "mid-stream header {w}x{h} does not match open stream {}x{}",
-                    open.0, open.1
-                )));
-            }
-            self.stream = Some((w, h, qp));
-            rest = tail;
-        } else {
-            // An in-band QP switch may lead the packet's sections.
-            let (switch, tail) =
-                nvc_video::codec::take_rate_section(rest).map_err(CodecError::BadInput)?;
-            if let Some(qp) = switch {
-                let stream = self.stream.as_mut().expect("stream open");
-                stream.2 =
-                    <u8 as nvc_video::RateParam>::from_wire(qp).map_err(CodecError::BadInput)?;
-                rest = tail;
-            }
-        }
-        let (w, h, qp) = self.stream.expect("stream open");
-        let step = dct::qp_to_step(qp);
-        let payload = match (packet.kind, rest) {
-            (FrameKind::Intra, [(Section::Intra, payload)]) => payload,
-            (FrameKind::Predicted, [(Section::Motion, payload)]) => payload,
-            _ => {
-                return Err(CodecError::BadInput(
-                    "packet sections do not match its frame kind".into(),
-                ))
-            }
-        };
-        let mut models = Models::new(self.codec.profile.search_range);
-        let mut rc = RangeDecoder::new(payload);
-        let mut recon = [Plane::zeros(w, h), Plane::zeros(w, h), Plane::zeros(w, h)];
-        match packet.kind {
-            FrameKind::Intra => {
-                self.codec
-                    .decode_intra(step, &mut models, &mut rc, &mut recon);
-            }
-            FrameKind::Predicted => {
-                let reference = self
-                    .reference
-                    .as_ref()
-                    .ok_or_else(|| CodecError::BadInput("P frame without reference".into()))?;
-                self.codec
-                    .decode_inter(reference, step, &mut models, &mut rc, &mut recon);
-            }
-        }
-        if self.codec.profile.deblock {
-            for p in &mut recon {
-                deblock(p, step);
-            }
-        }
-        let frame = HybridCodec::planes_to_frame(&recon);
-        self.reference = Some(recon);
-        self.next_index += 1;
-        self.decoded += 1;
-        Ok(frame)
-    }
-
-    fn frames_decoded(&self) -> usize {
-        self.decoded
-    }
-
-    fn last_rate(&self) -> Option<u8> {
-        self.stream.map(|(_, _, qp)| qp)
-    }
-}
+pub type HybridDecoderSession<'a> = StreamDecoder<'a, HybridCodec>;
 
 impl VideoCodec for HybridCodec {
     type Error = CodecError;
     type Rate = u8;
-    type Encoder<'a> = HybridEncoderSession<'a>;
-    type Decoder<'a> = HybridDecoderSession<'a>;
+    /// The previous reconstruction, per color plane.
+    type Reference = [Plane; 3];
 
     fn codec_name(&self) -> &str {
         self.profile.name
@@ -793,6 +470,112 @@ impl VideoCodec for HybridCodec {
 
     fn start_decode(&self) -> HybridDecoderSession<'_> {
         HybridCodec::start_decode(self)
+    }
+
+    fn metrics(&self) -> &'static SessionMetrics {
+        static METRICS: OnceLock<SessionMetrics> = OnceLock::new();
+        METRICS.get_or_init(|| SessionMetrics::new("nvc_hybrid"))
+    }
+
+    fn bad_input(reason: String) -> CodecError {
+        CodecError::BadInput(reason)
+    }
+
+    fn check_dims(&self, w: usize, h: usize) -> Result<(), CodecError> {
+        if w == 0 || h == 0 {
+            return Err(CodecError::BadInput(format!("bad stream geometry {w}x{h}")));
+        }
+        Ok(())
+    }
+
+    fn write_header(&self, w: usize, h: usize, qp: u8) -> Vec<u8> {
+        let mut header = BitWriter::new();
+        header.write_bits(w as u32, 16);
+        header.write_bits(h as u32, 16);
+        header.write_bits(u32::from(qp), 8);
+        header.finish()
+    }
+
+    fn parse_header(&self, payload: &[u8]) -> Result<(usize, usize, u8), CodecError> {
+        let mut hr = BitReader::new(payload);
+        let w = hr.read_bits(16)? as usize;
+        let h = hr.read_bits(16)? as usize;
+        let qp = hr.read_bits(8)? as u8;
+        Ok((w, h, qp))
+    }
+
+    fn encode_frame(
+        &self,
+        frame: &Frame,
+        reference: Option<&[Plane; 3]>,
+        qp: u8,
+    ) -> Result<CodedFrame<[Plane; 3]>, CodecError> {
+        let (w, h) = (frame.width(), frame.height());
+        let step = dct::qp_to_step(qp);
+        let planes = HybridCodec::frame_to_planes(frame);
+        let mut models = Models::new(self.profile.search_range);
+        let mut rc = RangeEncoder::new();
+        let mut recon = [Plane::zeros(w, h), Plane::zeros(w, h), Plane::zeros(w, h)];
+        let section = match reference {
+            None => {
+                self.encode_intra(&planes, step, &mut models, &mut rc, &mut recon);
+                Section::Intra
+            }
+            Some(reference) => {
+                self.encode_inter(&planes, reference, step, &mut models, &mut rc, &mut recon);
+                Section::Motion
+            }
+        };
+        if self.profile.deblock {
+            for p in &mut recon {
+                deblock(p, step);
+            }
+        }
+        Ok(CodedFrame {
+            sections: vec![(section, rc.finish())],
+            reconstruction: HybridCodec::planes_to_frame(&recon),
+            reference: recon,
+        })
+    }
+
+    fn decode_frame(
+        &self,
+        kind: FrameKind,
+        sections: &SectionList,
+        reference: Option<&[Plane; 3]>,
+        (w, h): (usize, usize),
+        qp: u8,
+    ) -> Result<([Plane; 3], Frame), CodecError> {
+        let step = dct::qp_to_step(qp);
+        let payload = match (kind, sections) {
+            (FrameKind::Intra, [(Section::Intra, payload)]) => payload,
+            (FrameKind::Predicted, [(Section::Motion, payload)]) => payload,
+            _ => {
+                return Err(CodecError::BadInput(
+                    "packet sections do not match its frame kind".into(),
+                ))
+            }
+        };
+        let mut models = Models::new(self.profile.search_range);
+        let mut rc = RangeDecoder::new(payload);
+        let mut recon = [Plane::zeros(w, h), Plane::zeros(w, h), Plane::zeros(w, h)];
+        match kind {
+            FrameKind::Intra => {
+                self.decode_intra(step, &mut models, &mut rc, &mut recon);
+            }
+            FrameKind::Predicted => {
+                let reference = reference
+                    .ok_or_else(|| CodecError::BadInput("P frame without reference".into()))?;
+                self.decode_inter(reference, step, &mut models, &mut rc, &mut recon);
+            }
+        }
+        if self.profile.deblock {
+            for p in &mut recon {
+                deblock(p, step);
+            }
+        }
+        let frame = HybridCodec::planes_to_frame(&recon);
+        Ok((recon, frame))
     }
 }
 
@@ -1056,34 +839,12 @@ mod tests {
     }
 
     #[test]
-    fn decoder_session_rejects_malformed_packets() {
-        use nvc_video::codec::DecoderSession as _;
-        let seq = test_seq(3);
-        let codec = HybridCodec::new(Profile::hevc_like());
-        let coded = nvc_video::codec::encode_sequence(&codec, &seq, 24).unwrap();
-        let bytes: Vec<Vec<u8>> = coded.packets.iter().map(|p| p.to_bytes()).collect();
-        // Truncation and corruption of the first packet.
-        assert!(codec
-            .start_decode()
-            .push_packet(&bytes[0][..bytes[0].len() - 1])
-            .is_err());
-        let mut corrupt = bytes[0].clone();
-        corrupt[20] ^= 0x55;
-        assert!(codec.start_decode().push_packet(&corrupt).is_err());
-        // P packet cannot lead a stream; frame indices cannot skip.
-        assert!(codec.start_decode().push_packet(&bytes[1]).is_err());
-        let mut dec = codec.start_decode();
-        dec.push_packet(&bytes[0]).unwrap();
-        assert!(dec.push_packet(&bytes[2]).is_err());
-    }
-
-    #[test]
     fn joinable_stream_decodes_from_any_intra() {
         use nvc_video::codec::{DecoderSession as _, EncoderSession as _};
         let seq = test_seq(6);
         let codec = HybridCodec::new(Profile::hevc_like());
         let mut enc = codec.start_encode(24);
-        assert!(enc.set_join_headers(true), "hybrid supports joinable mode");
+        enc.set_join_headers(true);
         let mut packets = Vec::new();
         for (i, frame) in seq.frames().iter().enumerate() {
             if i == 3 {

@@ -80,7 +80,8 @@ fn main() -> ExitCode {
             failed = true;
             println!(
                 "serve panic ratchet exceeded: {count} panic-family sites in \
-                 crates/serve/src, ceiling is {} — remove these or lower existing ones:",
+                 crates/serve/src and {}, ceiling is {} — remove these or lower existing ones:",
+                lint::SESSION_FILE,
                 cfg.serve_panic_ceiling
             );
             for (file, line) in &panic_sites {

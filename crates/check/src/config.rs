@@ -9,7 +9,8 @@
 pub struct Config {
     /// Maximum allowed panic-family call sites (`unwrap`/`expect`/
     /// `panic!`/`unreachable!`/`todo!`/`unimplemented!`) in
-    /// `crates/serve/src` non-test code. New code may only lower it.
+    /// `crates/serve/src` and the shared stream session's non-test
+    /// code. New code may only lower it.
     pub serve_panic_ceiling: usize,
     /// Crate names whose sources must not read the wall clock.
     pub wallclock_crates: Vec<String>,

@@ -7,9 +7,11 @@
 //!    justification on the same line or within the two lines above.
 //! 2. **wallclock** — no `Instant`, `SystemTime` or `epoch_micros` in
 //!    the deterministic crates, outside the config allowlist.
-//! 3. **serve-ratchet** — panic-family call sites in
-//!    `crates/serve/src` non-test code are counted and compared to the
-//!    checked-in ceiling; the count may only go down.
+//! 3. **serve-ratchet** — panic-family call sites in the non-test code
+//!    of `crates/serve/src` and of the shared stream session
+//!    ([`SESSION_FILE`]), which every served byte is decoded through,
+//!    are counted and compared to the checked-in ceiling; the count may
+//!    only go down.
 //! 4. **lock-order** — within a function, a classified lock may not be
 //!    acquired while a later-level lock is held (declared hierarchy:
 //!    registry → broadcast → ring → conn).
@@ -27,6 +29,10 @@ use crate::lexer::{self, Tok, TokKind};
 pub const ATOMIC_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
 const PANIC_BANGS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
+
+/// The one stream session both codecs and the server decode untrusted
+/// packets through; ratcheted together with `crates/serve/src`.
+pub const SESSION_FILE: &str = "crates/video/src/session.rs";
 
 /// One finding, formatted by the binary as `file:line: [rule] message`.
 #[derive(Debug)]
@@ -65,7 +71,7 @@ pub fn lint_file(rel: &str, src: &str, cfg: &Config) -> FileReport {
     file.rule_wallclock(cfg, &mut report);
     file.rule_lock_order(cfg, &mut report);
     file.rule_no_unsafe(&mut report);
-    if rel.starts_with("crates/serve/src/") {
+    if rel.starts_with("crates/serve/src/") || rel == SESSION_FILE {
         report.panic_sites = file.panic_sites();
     }
     report

@@ -139,7 +139,12 @@ fn ratchet_counts_only_real_panic_sites_outside_tests() {
     let report = lint("crates/serve/src/x.rs", src);
     assert_eq!(report.panic_sites, vec![2, 3, 8]);
 
-    // The same file outside crates/serve/src is not ratcheted.
+    // The shared stream session is under the same ratchet…
+    let report = lint("crates/video/src/session.rs", src);
+    assert_eq!(report.panic_sites, vec![2, 3, 8]);
+
+    // …the rest of its crate, like every other file outside
+    // crates/serve/src, is not.
     let report = lint("crates/video/src/x.rs", src);
     assert!(report.panic_sites.is_empty());
 }

@@ -1,11 +1,13 @@
 //! End-to-end CTVC codec: encoder, bitstream format and decoder.
 //!
 //! The codec is organized around streaming sessions ([`CtvcEncoderSession`]
-//! / [`CtvcDecoderSession`], via the workspace-wide
-//! [`VideoCodec`](nvc_video::VideoCodec) trait): frames go in one at a
-//! time, length-delimited CRC-protected packets come out, and all carried
+//! / [`CtvcDecoderSession`], the workspace-wide
+//! [`nvc_video::session`] state machine): frames go in one at a time,
+//! length-delimited CRC-protected packets come out, and all carried
 //! state (the reference feature tensor, stream geometry, GOP position)
-//! lives in the session structs. The whole-sequence
+//! lives in the session. This file supplies what is CTVC's own — the
+//! header layout and coding one frame against the reference features —
+//! through the [`VideoCodec`] hooks. The whole-sequence
 //! [`encode`](CtvcCodec::encode) / [`decode`](CtvcCodec::decode) methods
 //! are thin wrappers over the sessions.
 
@@ -17,37 +19,16 @@ use crate::modules::{
 };
 use crate::motion;
 use nvc_core::ExecCtx;
-use nvc_entropy::container::{read_sections, FrameKind, Packet, Section, SectionWriter};
+use nvc_entropy::container::{FrameKind, Section};
 use nvc_entropy::{BitReader, BitWriter, CodingError};
 use nvc_tensor::{Shape, Tensor, TensorError};
-use nvc_video::codec::{
-    DecoderSession as DecoderSessionTrait, EncoderSession as EncoderSessionTrait, StreamStats,
-    VideoCodec,
-};
-use nvc_video::rate::{RateMode, RateOutcome, SessionRateControl};
+use nvc_video::codec::{CodedFrame, SectionList, VideoCodec};
+use nvc_video::rate::RateMode;
+use nvc_video::session::{SessionMetrics, StreamDecoder, StreamEncoder};
 use nvc_video::{Frame, Sequence, VideoError};
 use std::error::Error;
 use std::fmt;
 use std::sync::OnceLock;
-
-/// Per-frame codec instrumentation, shared by every CTVC session in the
-/// process: encode/decode wall time and coded bits per frame. Purely
-/// observational — nothing here feeds back into coding decisions, so
-/// bitstreams are byte-identical with telemetry in any mode.
-struct CodecMetrics {
-    encode_frame_us: nvc_telemetry::Histogram,
-    decode_frame_us: nvc_telemetry::Histogram,
-    frame_bits: nvc_telemetry::Histogram,
-}
-
-fn codec_metrics() -> &'static CodecMetrics {
-    static METRICS: OnceLock<CodecMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| CodecMetrics {
-        encode_frame_us: nvc_telemetry::histogram("nvc_ctvc_encode_frame_us"),
-        decode_frame_us: nvc_telemetry::histogram("nvc_ctvc_decode_frame_us"),
-        frame_bits: nvc_telemetry::histogram("nvc_ctvc_frame_bits"),
-    })
-}
 
 /// Error type for the CTVC codec.
 #[derive(Debug)]
@@ -160,15 +141,6 @@ impl CtvcCodec {
     /// accounting; the functional path uses block matching).
     pub fn motion_cnn(&self) -> &MotionCnn {
         &self.me_cnn
-    }
-
-    fn check_dims(&self, w: usize, h: usize) -> Result<(), CtvcError> {
-        if !w.is_multiple_of(16) || !h.is_multiple_of(16) || w == 0 || h == 0 {
-            return Err(CtvcError::BadInput(format!(
-                "resolution {w}x{h} must be a non-zero multiple of 16"
-            )));
-        }
-        Ok(())
     }
 
     fn mask_fn<'a>(&'a self, ae: &'a CompressionAutoencoder) -> Option<Box<latent::MaskFn<'a>>> {
@@ -320,34 +292,13 @@ impl CtvcCodec {
     /// [`restart_gop`](nvc_video::EncoderSession::restart_gop) is
     /// called.
     pub fn start_encode(&self, mode: impl Into<RateMode<RatePoint>>) -> CtvcEncoderSession<'_> {
-        CtvcEncoderSession {
-            codec: self,
-            control: SessionRateControl::new(mode.into()),
-            wire_rate: None,
-            join_headers: false,
-            dims: None,
-            reference_f: None,
-            next_index: 0,
-            gop_position: 0,
-            bytes_per_frame: Vec::new(),
-            bits_per_frame: Vec::new(),
-            frame_types: Vec::new(),
-            rate_per_frame: Vec::new(),
-            total_bytes: 0,
-            last_recon: None,
-        }
+        StreamEncoder::new(self, mode.into())
     }
 
     /// Opens a streaming decoder session. Stream geometry and rate are
     /// read from the first packet's embedded header.
     pub fn start_decode(&self) -> CtvcDecoderSession<'_> {
-        CtvcDecoderSession {
-            codec: self,
-            stream: None,
-            reference_f: None,
-            next_index: 0,
-            decoded: 0,
-        }
+        StreamDecoder::new(self)
     }
 
     /// Encodes a sequence at the given rate point — a thin wrapper that
@@ -380,397 +331,87 @@ impl CtvcCodec {
     pub fn decode(&self, bitstream: &[u8]) -> Result<Sequence, CtvcError> {
         nvc_video::codec::decode_bitstream(self, bitstream)
     }
-}
 
-/// Geometry and *current* rate of an open decode stream: seeded by the
-/// stream header, the rate then follows any in-band [`Section::Rate`]
-/// switches.
-#[derive(Debug, Clone, Copy)]
-struct StreamInfo {
-    w: usize,
-    h: usize,
-    rate: RatePoint,
-}
-
-/// Streaming encoder session for [`CtvcCodec`].
-///
-/// Carries the closed-loop reference *features* (FVC-style feature-space
-/// state), the stream geometry, the GOP position and the rate-control
-/// state explicitly, instead of recomputing them per whole-sequence
-/// call.
-#[derive(Debug)]
-pub struct CtvcEncoderSession<'a> {
-    codec: &'a CtvcCodec,
-    control: SessionRateControl<RatePoint>,
-    /// The rate the decoder currently assumes (stream header, then any
-    /// in-band [`Section::Rate`] updates). `None` before the first frame.
-    wire_rate: Option<RatePoint>,
-    /// Joinable-stream mode: every intra packet carries the stream
-    /// header, so decoders can join at any intra boundary. See
-    /// [`EncoderSession::set_join_headers`](nvc_video::EncoderSession::set_join_headers).
-    join_headers: bool,
-    dims: Option<(usize, usize)>,
-    reference_f: Option<Tensor>,
-    next_index: u32,
-    gop_position: u32,
-    bytes_per_frame: Vec<usize>,
-    bits_per_frame: Vec<u64>,
-    frame_types: Vec<FrameKind>,
-    rate_per_frame: Vec<u8>,
-    total_bytes: usize,
-    last_recon: Option<Frame>,
-}
-
-impl CtvcEncoderSession<'_> {
-    /// The rate point the stream is currently coded at (the most recent
-    /// frame's choice); `None` before the first frame.
-    pub fn current_rate(&self) -> Option<RatePoint> {
-        self.wire_rate
-    }
-
-    /// Frames since the last intra frame (0 = the upcoming frame starts
-    /// a new GOP).
-    pub fn gop_position(&self) -> u32 {
-        self.gop_position
-    }
-
-    fn encode_intra(
-        &mut self,
-        x: &Tensor,
-        w: usize,
-        h: usize,
-        rate: RatePoint,
-    ) -> Result<Vec<u8>, CtvcError> {
-        let codec = self.codec;
-        let f = codec.fe.forward_ctx(x, &codec.exec)?;
+    fn encode_intra(&self, x: &Tensor, rate: RatePoint) -> Result<CodedFrame<Tensor>, CtvcError> {
+        let (_, _, h, w) = x.shape().dims();
+        let f = self.fe.forward_ctx(x, &self.exec)?;
         let symbols = latent::quantize(&f, rate.intra_step(), None)?;
         let payload = latent::encode_intra_payload(&symbols, f.shape())?;
-        let (f_hat, rec) = codec.reconstruct_intra(&payload, w, h, rate)?;
-        self.reference_f = Some(f_hat);
-        self.last_recon = Some(Frame::from_tensor(rec)?);
-        Ok(payload)
+        let (f_hat, rec) = self.reconstruct_intra(&payload, w, h, rate)?;
+        Ok(CodedFrame {
+            sections: vec![(Section::Intra, payload)],
+            reference: f_hat,
+            reconstruction: Frame::from_tensor(rec)?,
+        })
     }
 
     fn encode_predicted(
-        &mut self,
+        &self,
         x: &Tensor,
-        f_ref: Tensor,
+        f_ref: &Tensor,
         rate: RatePoint,
-    ) -> Result<(Vec<u8>, Vec<u8>), CtvcError> {
-        let codec = self.codec;
-        let f_cur = codec.fe.forward_ctx(x, &codec.exec)?;
+    ) -> Result<CodedFrame<Tensor>, CtvcError> {
+        let f_cur = self.fe.forward_ctx(x, &self.exec)?;
         // Functional motion estimation (block matching).
         let field = motion::estimate_motion_ctx(
             &motion::matching_plane(&f_cur),
-            &motion::matching_plane(&f_ref),
-            codec.cfg.me_block,
-            codec.cfg.me_range,
-            codec.cfg.half_pel_motion,
-            &codec.exec,
+            &motion::matching_plane(f_ref),
+            self.cfg.me_block,
+            self.cfg.me_range,
+            self.cfg.half_pel_motion,
+            &self.exec,
         );
         // Embed into the N-channel motion tensor O_t.
         let (_, _, fh, fw) = f_cur.shape().dims();
-        let n = codec.cfg.n;
+        let n = self.cfg.n;
         let o_t = Tensor::from_fn(Shape::new(1, n, fh, fw), |_, c, yy, xx| match c {
             0 => field.at(0, 0, yy, xx) / MOTION_SCALE,
             1 => field.at(0, 1, yy, xx) / MOTION_SCALE,
             _ => 0.0,
         });
-        let zm = codec.motion_ae.analysis.forward_ctx(&o_t, &codec.exec)?;
+        let zm = self.motion_ae.analysis.forward_ctx(&o_t, &self.exec)?;
         let (motion_payload, zm_hat) =
-            codec.code_latent(&zm, &codec.motion_ae, rate.latent_step())?;
+            self.code_latent(&zm, &self.motion_ae, rate.latent_step())?;
         // Closed loop: compensate with the *reconstructed* motion.
-        let o_hat = codec
-            .motion_ae
-            .synthesis
-            .forward_ctx(&zm_hat, &codec.exec)?;
-        let o_mc = codec.motion_for_compensation(o_hat);
-        let f_bar = codec.comp.forward_ctx(&f_ref, &o_mc, &codec.exec)?;
+        let o_hat = self.motion_ae.synthesis.forward_ctx(&zm_hat, &self.exec)?;
+        let o_mc = self.motion_for_compensation(o_hat);
+        let f_bar = self.comp.forward_ctx(f_ref, &o_mc, &self.exec)?;
         let r_t = f_cur.sub(&f_bar)?;
-        let zr = codec.residual_ae.analysis.forward_ctx(&r_t, &codec.exec)?;
+        let zr = self.residual_ae.analysis.forward_ctx(&r_t, &self.exec)?;
         let (residual_payload, zr_hat) =
-            codec.code_latent(&zr, &codec.residual_ae, rate.latent_step())?;
+            self.code_latent(&zr, &self.residual_ae, rate.latent_step())?;
         // Reconstruct exactly like the decoder will: `ẑ_m`, `ẑ_r` are the
         // latents it dequantizes from the payloads and `F̄_t` is the
         // prediction it compensates, so only the residual branch is left.
-        let r_hat = codec
+        let r_hat = self
             .residual_ae
             .synthesis
-            .forward_ctx(&zr_hat, &codec.exec)?;
-        let (f_hat, rec) = codec.reconstruct_from(&f_bar, &r_hat)?;
-        self.reference_f = Some(f_hat);
-        self.last_recon = Some(Frame::from_tensor(rec)?);
-        Ok((motion_payload, residual_payload))
-    }
-}
-
-impl EncoderSessionTrait for CtvcEncoderSession<'_> {
-    type Error = CtvcError;
-    type Rate = RatePoint;
-
-    fn push_frame(&mut self, frame: &Frame) -> Result<Packet, CtvcError> {
-        let _span = codec_metrics().encode_frame_us.time();
-        let (w, h) = (frame.width(), frame.height());
-        match self.dims {
-            None => {
-                self.codec.check_dims(w, h)?;
-                self.dims = Some((w, h));
-            }
-            Some(dims) if dims != (w, h) => {
-                return Err(CtvcError::BadInput(format!(
-                    "frame {w}x{h} does not match stream {}x{}",
-                    dims.0, dims.1
-                )));
-            }
-            Some(_) => {}
-        }
-        let intra = self.reference_f.is_none();
-        let rate = self.control.pick(u64::from(self.next_index), intra, w * h);
-        let mut sections = SectionWriter::new();
-        if self.next_index == 0 || (self.join_headers && intra) {
-            // Stream header rides in the first packet — and, in
-            // joinable-stream mode, in every intra packet, so a decoder
-            // can open the stream at any intra boundary. It carries the
-            // frame's own rate, so no separate rate section is needed.
-            let mut header = BitWriter::new();
-            header.write_bits(w as u32, 16);
-            header.write_bits(h as u32, 16);
-            header.write_bits(self.codec.cfg.n as u32, 16);
-            header.write_bits(u32::from(rate.index()), 8);
-            header.write_bit(self.codec.cfg.attention);
-            header.write_bit(self.codec.cfg.deformable);
-            sections.push(Section::SideInfo, header.finish());
-        } else if self.wire_rate != Some(rate) {
-            // In-band rate switch: signaled only when the rate changes,
-            // so fixed-rate streams stay byte-identical to the legacy
-            // format. Legal mid-GOP — the reference chain is untouched.
-            sections.push(Section::Rate, vec![rate.index()]);
-        }
-        self.wire_rate = Some(rate);
-        let x = frame.tensor();
-        let kind = match self.reference_f.take() {
-            None => {
-                let payload = self.encode_intra(x, w, h, rate)?;
-                self.bytes_per_frame.push(payload.len());
-                sections.push(Section::Intra, payload);
-                self.gop_position = 0;
-                FrameKind::Intra
-            }
-            Some(f_ref) => {
-                let (motion_payload, residual_payload) = self.encode_predicted(x, f_ref, rate)?;
-                self.bytes_per_frame
-                    .push(motion_payload.len() + residual_payload.len());
-                sections.push(Section::Motion, motion_payload);
-                sections.push(Section::Residual, residual_payload);
-                self.gop_position += 1;
-                FrameKind::Predicted
-            }
-        };
-        let packet = Packet::new(self.next_index, kind, sections.finish());
-        self.total_bytes += packet.encoded_len();
-        let bits = packet.encoded_len() as u64 * 8;
-        codec_metrics().frame_bits.record(bits);
-        self.bits_per_frame.push(bits);
-        self.frame_types.push(kind);
-        self.rate_per_frame.push(rate.index());
-        self.control.observe(RateOutcome {
-            frame_index: u64::from(self.next_index),
-            intra: kind == FrameKind::Intra,
-            pixels: w * h,
-            bits,
-            wire_rate: rate.index(),
-        });
-        self.next_index += 1;
-        Ok(packet)
-    }
-
-    fn last_reconstruction(&self) -> Option<&Frame> {
-        self.last_recon.as_ref()
-    }
-
-    fn frames_pushed(&self) -> usize {
-        self.next_index as usize
-    }
-
-    fn restart_gop(&mut self) -> bool {
-        self.reference_f = None;
-        self.gop_position = 0;
-        true
-    }
-
-    fn set_join_headers(&mut self, enabled: bool) -> bool {
-        self.join_headers = enabled;
-        true
-    }
-
-    fn last_rate(&self) -> Option<u8> {
-        self.wire_rate.map(|r| r.index())
-    }
-
-    fn set_rate_mode(&mut self, mode: RateMode<RatePoint>) {
-        self.control.retarget(mode);
-    }
-
-    fn finish(self) -> Result<StreamStats, CtvcError> {
-        Ok(StreamStats {
-            frames: self.next_index as usize,
-            bytes_per_frame: self.bytes_per_frame,
-            bits_per_frame: self.bits_per_frame,
-            frame_types: self.frame_types,
-            rate_per_frame: self.rate_per_frame,
-            total_bytes: self.total_bytes,
+            .forward_ctx(&zr_hat, &self.exec)?;
+        let (f_hat, rec) = self.reconstruct_from(&f_bar, &r_hat)?;
+        Ok(CodedFrame {
+            sections: vec![
+                (Section::Motion, motion_payload),
+                (Section::Residual, residual_payload),
+            ],
+            reference: f_hat,
+            reconstruction: Frame::from_tensor(rec)?,
         })
     }
 }
 
+/// Streaming encoder session for [`CtvcCodec`]: the shared
+/// [`StreamEncoder`] carrying the closed-loop reference *features*
+/// (FVC-style feature-space state).
+pub type CtvcEncoderSession<'a> = StreamEncoder<'a, CtvcCodec>;
+
 /// Streaming decoder session for [`CtvcCodec`].
-#[derive(Debug)]
-pub struct CtvcDecoderSession<'a> {
-    codec: &'a CtvcCodec,
-    stream: Option<StreamInfo>,
-    reference_f: Option<Tensor>,
-    next_index: u32,
-    decoded: usize,
-}
-
-impl CtvcDecoderSession<'_> {
-    /// Parses a `SideInfo` stream-header section, validating the codec
-    /// configuration it claims against this decoder's.
-    fn parse_header(&self, payload: &[u8]) -> Result<StreamInfo, CtvcError> {
-        let mut hr = BitReader::new(payload);
-        let w = hr.read_bits(16)? as usize;
-        let h = hr.read_bits(16)? as usize;
-        let n = hr.read_bits(16)? as usize;
-        let rate = RatePoint::new(hr.read_bits(8)? as u8);
-        let attention = hr.read_bit()?;
-        let deformable = hr.read_bit()?;
-        let cfg = &self.codec.cfg;
-        if n != cfg.n || attention != cfg.attention || deformable != cfg.deformable {
-            return Err(CtvcError::BadInput(format!(
-                "bitstream coded with N={n}, attention={attention}, \
-                 deformable={deformable}; decoder configured as N={}, attention={}, \
-                 deformable={}",
-                cfg.n, cfg.attention, cfg.deformable
-            )));
-        }
-        self.codec.check_dims(w, h)?;
-        Ok(StreamInfo { w, h, rate })
-    }
-}
-
-impl DecoderSessionTrait for CtvcDecoderSession<'_> {
-    type Error = CtvcError;
-
-    fn push_packet(&mut self, bytes: &[u8]) -> Result<Frame, CtvcError> {
-        let _span = codec_metrics().decode_frame_us.time();
-        let (packet, consumed) = Packet::from_bytes(bytes)?;
-        if consumed != bytes.len() {
-            return Err(CtvcError::BadInput(format!(
-                "{} trailing bytes after packet",
-                bytes.len() - consumed
-            )));
-        }
-        if self.stream.is_some() && packet.frame_index != self.next_index {
-            return Err(CtvcError::BadInput(format!(
-                "expected frame {}, got packet for frame {}",
-                self.next_index, packet.frame_index
-            )));
-        }
-        let sections = read_sections(&packet.payload)?;
-        let mut rest: &[(Section, Vec<u8>)] = &sections;
-        if self.stream.is_none() {
-            // Stream join: the first pushed packet — frame 0 of a plain
-            // stream or, for joinable streams, any header-carrying
-            // intra — must lead with the stream header, which also
-            // seeds the frame-index sequence.
-            let (first, tail) = rest
-                .split_first()
-                .ok_or_else(|| CtvcError::BadInput("first packet has no sections".into()))?;
-            if first.0 != Section::SideInfo {
-                return Err(CtvcError::BadInput("missing stream header".into()));
-            }
-            self.stream = Some(self.parse_header(&first.1)?);
-            self.next_index = packet.frame_index;
-            rest = tail;
-        } else if packet.kind == FrameKind::Intra
-            && matches!(rest.first(), Some((Section::SideInfo, _)))
-        {
-            // Joinable streams re-send the header on every intra; it
-            // must agree with the open stream and carries the frame's
-            // rate (no separate rate section).
-            let (first, tail) = rest.split_first().expect("checked non-empty");
-            let header = self.parse_header(&first.1)?;
-            let open = self.stream.expect("stream open");
-            if (header.w, header.h) != (open.w, open.h) {
-                return Err(CtvcError::BadInput(format!(
-                    "mid-stream header {}x{} does not match open stream {}x{}",
-                    header.w, header.h, open.w, open.h
-                )));
-            }
-            self.stream = Some(header);
-            rest = tail;
-        } else {
-            // An in-band rate switch may lead the packet's sections.
-            let (switch, tail) =
-                nvc_video::codec::take_rate_section(rest).map_err(CtvcError::BadInput)?;
-            if let Some(index) = switch {
-                let stream = self.stream.as_mut().expect("stream open");
-                stream.rate = RatePoint::try_new(index).map_err(CtvcError::BadInput)?;
-                rest = tail;
-            }
-        }
-        let StreamInfo { w, h, rate } = self.stream.expect("stream open");
-        let rec = match packet.kind {
-            FrameKind::Intra => {
-                let payload = match rest {
-                    [(Section::Intra, payload)] => payload,
-                    _ => {
-                        return Err(CtvcError::BadInput(
-                            "intra packet must carry exactly one intra section".into(),
-                        ))
-                    }
-                };
-                let (f_hat, rec) = self.codec.reconstruct_intra(payload, w, h, rate)?;
-                self.reference_f = Some(f_hat);
-                rec
-            }
-            FrameKind::Predicted => {
-                let (motion, residual) = match rest {
-                    [(Section::Motion, m), (Section::Residual, r)] => (m, r),
-                    _ => {
-                        return Err(CtvcError::BadInput(
-                            "predicted packet must carry motion + residual sections".into(),
-                        ))
-                    }
-                };
-                let f_ref = self
-                    .reference_f
-                    .as_ref()
-                    .ok_or_else(|| CtvcError::BadInput("P frame before intra".into()))?;
-                let (f_hat, rec) = self.codec.reconstruct_p(f_ref, motion, residual, rate)?;
-                self.reference_f = Some(f_hat);
-                rec
-            }
-        };
-        self.next_index += 1;
-        self.decoded += 1;
-        Ok(Frame::from_tensor(rec)?)
-    }
-
-    fn frames_decoded(&self) -> usize {
-        self.decoded
-    }
-
-    fn last_rate(&self) -> Option<u8> {
-        self.stream.map(|s| s.rate.index())
-    }
-}
+pub type CtvcDecoderSession<'a> = StreamDecoder<'a, CtvcCodec>;
 
 impl VideoCodec for CtvcCodec {
     type Error = CtvcError;
     type Rate = RatePoint;
-    type Encoder<'a> = CtvcEncoderSession<'a>;
-    type Decoder<'a> = CtvcDecoderSession<'a>;
+    /// The reference *features* `F̂_{t−1}`.
+    type Reference = Tensor;
 
     fn codec_name(&self) -> &str {
         self.cfg.name
@@ -782,6 +423,100 @@ impl VideoCodec for CtvcCodec {
 
     fn start_decode(&self) -> CtvcDecoderSession<'_> {
         CtvcCodec::start_decode(self)
+    }
+
+    fn metrics(&self) -> &'static SessionMetrics {
+        static METRICS: OnceLock<SessionMetrics> = OnceLock::new();
+        METRICS.get_or_init(|| SessionMetrics::new("nvc_ctvc"))
+    }
+
+    fn bad_input(reason: String) -> CtvcError {
+        CtvcError::BadInput(reason)
+    }
+
+    fn check_dims(&self, w: usize, h: usize) -> Result<(), CtvcError> {
+        if !w.is_multiple_of(16) || !h.is_multiple_of(16) || w == 0 || h == 0 {
+            return Err(CtvcError::BadInput(format!(
+                "resolution {w}x{h} must be a non-zero multiple of 16"
+            )));
+        }
+        Ok(())
+    }
+
+    fn write_header(&self, w: usize, h: usize, rate: RatePoint) -> Vec<u8> {
+        let mut header = BitWriter::new();
+        header.write_bits(w as u32, 16);
+        header.write_bits(h as u32, 16);
+        header.write_bits(self.cfg.n as u32, 16);
+        header.write_bits(u32::from(rate.index()), 8);
+        header.write_bit(self.cfg.attention);
+        header.write_bit(self.cfg.deformable);
+        header.finish()
+    }
+
+    /// Validates the codec configuration the header claims against this
+    /// decoder's.
+    fn parse_header(&self, payload: &[u8]) -> Result<(usize, usize, RatePoint), CtvcError> {
+        let mut hr = BitReader::new(payload);
+        let w = hr.read_bits(16)? as usize;
+        let h = hr.read_bits(16)? as usize;
+        let n = hr.read_bits(16)? as usize;
+        let rate = RatePoint::new(hr.read_bits(8)? as u8);
+        let attention = hr.read_bit()?;
+        let deformable = hr.read_bit()?;
+        let cfg = &self.cfg;
+        if n != cfg.n || attention != cfg.attention || deformable != cfg.deformable {
+            return Err(CtvcError::BadInput(format!(
+                "bitstream coded with N={n}, attention={attention}, \
+                 deformable={deformable}; decoder configured as N={}, attention={}, \
+                 deformable={}",
+                cfg.n, cfg.attention, cfg.deformable
+            )));
+        }
+        Ok((w, h, rate))
+    }
+
+    fn encode_frame(
+        &self,
+        frame: &Frame,
+        reference: Option<&Tensor>,
+        rate: RatePoint,
+    ) -> Result<CodedFrame<Tensor>, CtvcError> {
+        match reference {
+            None => self.encode_intra(frame.tensor(), rate),
+            Some(f_ref) => self.encode_predicted(frame.tensor(), f_ref, rate),
+        }
+    }
+
+    fn decode_frame(
+        &self,
+        kind: FrameKind,
+        sections: &SectionList,
+        reference: Option<&Tensor>,
+        (w, h): (usize, usize),
+        rate: RatePoint,
+    ) -> Result<(Tensor, Frame), CtvcError> {
+        let (f_hat, rec) = match kind {
+            FrameKind::Intra => {
+                let [(Section::Intra, payload)] = sections else {
+                    return Err(CtvcError::BadInput(
+                        "intra packet must carry exactly one intra section".into(),
+                    ));
+                };
+                self.reconstruct_intra(payload, w, h, rate)?
+            }
+            FrameKind::Predicted => {
+                let [(Section::Motion, motion), (Section::Residual, residual)] = sections else {
+                    return Err(CtvcError::BadInput(
+                        "predicted packet must carry motion + residual sections".into(),
+                    ));
+                };
+                let f_ref =
+                    reference.ok_or_else(|| CtvcError::BadInput("P frame before intra".into()))?;
+                self.reconstruct_p(f_ref, motion, residual, rate)?
+            }
+        };
+        Ok((f_hat, Frame::from_tensor(rec)?))
     }
 }
 
@@ -926,45 +661,12 @@ mod tests {
     }
 
     #[test]
-    fn decoder_session_rejects_malformed_packets() {
-        use nvc_video::codec::DecoderSession as _;
-        let codec = CtvcCodec::new(CtvcConfig::ctvc_fp(8)).unwrap();
-        let s = seq(3);
-        let coded = nvc_video::codec::encode_sequence(&codec, &s, RatePoint::new(1)).unwrap();
-        let bytes: Vec<Vec<u8>> = coded.packets.iter().map(|p| p.to_bytes()).collect();
-
-        // Truncation at every prefix of the first packet.
-        for cut in 0..bytes[0].len() {
-            let mut dec = codec.start_decode();
-            assert!(dec.push_packet(&bytes[0][..cut]).is_err(), "cut {cut}");
-        }
-        // Payload corruption is caught by the CRC.
-        let mut corrupt = bytes[0].clone();
-        let last = corrupt.len() - 1;
-        corrupt[last] ^= 0xFF;
-        assert!(codec.start_decode().push_packet(&corrupt).is_err());
-        // Out-of-order delivery is rejected.
-        let mut dec = codec.start_decode();
-        assert!(
-            dec.push_packet(&bytes[1]).is_err(),
-            "P packet before intra/header"
-        );
-        let mut dec = codec.start_decode();
-        dec.push_packet(&bytes[0]).unwrap();
-        assert!(dec.push_packet(&bytes[2]).is_err(), "skipped frame index");
-        // Trailing garbage after a whole packet is rejected.
-        let mut padded = bytes[0].clone();
-        padded.push(0);
-        assert!(codec.start_decode().push_packet(&padded).is_err());
-    }
-
-    #[test]
     fn joinable_stream_decodes_from_any_intra() {
         use nvc_video::codec::{DecoderSession as _, EncoderSession as _};
         let codec = CtvcCodec::new(CtvcConfig::ctvc_fp(8)).unwrap();
         let s = seq(6);
         let mut enc = codec.start_encode(RatePoint::new(1));
-        assert!(enc.set_join_headers(true), "CTVC supports joinable mode");
+        enc.set_join_headers(true);
         let mut packets = Vec::new();
         for (i, frame) in s.frames().iter().enumerate() {
             if i == 3 {

@@ -27,6 +27,7 @@ use crate::poll::PollWaker;
 use crate::proto::Family;
 use crate::sync::LockExt;
 use nvc_entropy::container::FrameKind;
+use nvc_video::StreamStats;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -73,6 +74,13 @@ pub(crate) struct CachedPacket {
     pub kind: FrameKind,
     /// Rate parameter the frame was coded at.
     pub rate: u8,
+}
+
+impl CachedPacket {
+    /// Appends this packet's row to a subscriber's trailer.
+    pub(crate) fn record_into(&self, stats: &mut StreamStats) {
+        stats.record(self.payload_len, self.bytes.len(), self.kind, self.rate);
+    }
 }
 
 /// Result of pushing one packet into a subscriber ring.
@@ -463,16 +471,21 @@ impl PublisherGuard {
 
     /// Clean end of stream: subscribers drain and get their trailer.
     pub(crate) fn finish(&mut self) {
-        self.done = true;
-        self.broadcast.end(Done::Finished);
-        self.registry.remove(&self.name, &self.broadcast);
+        self.end(Done::Finished);
     }
 
     /// Publisher-side failure: subscribers get the reason as an error.
     pub(crate) fn fail(&mut self, reason: &str) {
+        self.end(Done::Failed(reason.to_string()));
+    }
+
+    /// Frees the name *before* ending the rings: a subscriber that sees
+    /// the end may reconnect as the next publisher under the same name
+    /// at once, and must find it free.
+    fn end(&mut self, done: Done) {
         self.done = true;
-        self.broadcast.end(Done::Failed(reason.to_string()));
         self.registry.remove(&self.name, &self.broadcast);
+        self.broadcast.end(done);
     }
 }
 

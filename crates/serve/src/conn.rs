@@ -314,39 +314,6 @@ impl Write for OutHandle {
     }
 }
 
-/// Per-subscriber stats accumulator: the same per-frame columns an
-/// encode stream's trailer carries, derived from the cached packets so
-/// every subscriber's trailer describes exactly the bytes it received.
-#[derive(Debug, Default)]
-pub(crate) struct SubscriberStats {
-    bytes_per_frame: Vec<usize>,
-    bits_per_frame: Vec<u64>,
-    frame_types: Vec<nvc_entropy::container::FrameKind>,
-    rate_per_frame: Vec<u8>,
-    total_bytes: usize,
-}
-
-impl SubscriberStats {
-    pub(crate) fn account(&mut self, packet: &CachedPacket) {
-        self.bytes_per_frame.push(packet.payload_len);
-        self.bits_per_frame.push(packet.bytes.len() as u64 * 8);
-        self.frame_types.push(packet.kind);
-        self.rate_per_frame.push(packet.rate);
-        self.total_bytes += packet.bytes.len();
-    }
-
-    fn finish(self) -> StreamStats {
-        StreamStats {
-            frames: self.bytes_per_frame.len(),
-            bytes_per_frame: self.bytes_per_frame,
-            bits_per_frame: self.bits_per_frame,
-            frame_types: self.frame_types,
-            rate_per_frame: self.rate_per_frame,
-            total_bytes: self.total_bytes,
-        }
-    }
-}
-
 /// Transfers ring packets into a subscriber's outbox, stopping at the
 /// backpressure cap, ring exhaustion, or a terminal ring state. Returns
 /// `true` when the subscription reached its end (trailer or error
@@ -355,7 +322,7 @@ impl SubscriberStats {
 pub(crate) fn pump_subscriber(
     ring: &SubscriberRing,
     out: &Mutex<OutState>,
-    stats: &mut Option<SubscriberStats>,
+    stats: &mut StreamStats,
     version: u8,
 ) -> bool {
     loop {
@@ -372,15 +339,12 @@ pub(crate) fn pump_subscriber(
         }
         match ring.pop(Duration::ZERO) {
             RingPop::Packet(packet) => {
-                if let Some(stats) = stats.as_mut() {
-                    stats.account(&packet);
-                }
+                packet.record_into(stats);
                 push_shared(out, packet);
             }
             RingPop::Empty => return false,
             RingPop::Closed => {
-                let trailer = stats.take().unwrap_or_default().finish();
-                push_bytes(out, stats_msg_bytes(&trailer, version));
+                push_bytes(out, stats_msg_bytes(stats, version));
                 set_close(out, CloseKind::Graceful);
                 return true;
             }
@@ -430,7 +394,10 @@ pub(crate) enum ConnKind<'env> {
     /// An established subscriber: packets flow ring → outbox → socket.
     Subscriber {
         ring: Arc<SubscriberRing>,
-        stats: Option<SubscriberStats>,
+        /// The trailer so far: the same per-frame columns an encode
+        /// stream's trailer carries, recorded from the cached packets
+        /// so it describes exactly the bytes this subscriber received.
+        stats: StreamStats,
         version: u8,
         /// The subscription ended; only the outbox drain remains.
         done: bool,
@@ -506,7 +473,7 @@ mod tests {
         let slow_out = Mutex::new(OutState::default());
         let fast_out = Mutex::new(OutState::default());
 
-        let mut slow_stats = Some(SubscriberStats::default());
+        let mut slow_stats = StreamStats::default();
         assert!(
             pump_subscriber(&slow_att.ring, &slow_out, &mut slow_stats, 3),
             "eviction is terminal"
@@ -518,7 +485,7 @@ mod tests {
             other => panic!("expected a draining close, got {other:?}"),
         }
 
-        let mut fast_stats = Some(SubscriberStats::default());
+        let mut fast_stats = StreamStats::default();
         assert!(
             pump_subscriber(&fast_att.ring, &fast_out, &mut fast_stats, 3),
             "a closed broadcast is terminal"

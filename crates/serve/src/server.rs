@@ -39,14 +39,13 @@
 use crate::broadcast::{BroadcastInfo, BroadcastRegistry, CachedPacket, PublisherGuard};
 use crate::conn::{
     pump_subscriber, push_bytes, push_shared, queue_hangup, service_writes, CloseKind, Conn,
-    ConnKind, OutHandle, OutState, SubscriberStats, WriteStatus,
+    ConnKind, OutHandle, OutState, WriteStatus,
 };
 use crate::governor::{granted_position, GovAdmit, GovWant, Governed, Governor, GovernorConfig};
 use crate::poll::{PollShared, PollWaker, TimerKind, TimerWheel};
 use crate::proto::{
-    ack_msg_bytes, write_error_msg, write_frame_msg, write_join_msg, write_packet_msg,
-    write_stats_msg, Ack, Family, Hello, HelloDecoder, JoinInfo, MsgDecoder, Retarget, Role,
-    TargetBppWire, WireMsg, MSG_PACKET,
+    ack_msg_bytes, write_error_msg, write_frame_msg, write_join_msg, write_stats_msg, Ack, Family,
+    Hello, HelloDecoder, JoinInfo, MsgDecoder, Retarget, Role, TargetBppWire, WireMsg, MSG_PACKET,
 };
 use crate::sync::LockExt;
 use nvc_baseline::{HybridCodec, Profile};
@@ -54,8 +53,9 @@ use nvc_core::ExecPool;
 use nvc_entropy::container::{FrameKind, Packet};
 use nvc_model::{CtvcCodec, CtvcConfig, RatePoint};
 use nvc_telemetry::{Counter as TCounter, Gauge, Histogram as TH, Registry};
-use nvc_video::codec::{DecoderSession, EncoderSession, StreamStats};
+use nvc_video::codec::{DecoderSession, EncoderSession, StreamStats, VideoCodec};
 use nvc_video::rate::{RateMode, RateParam};
+use nvc_video::session::{StreamDecoder, StreamEncoder};
 use nvc_video::Frame;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
@@ -132,10 +132,6 @@ pub struct ServeConfig {
     /// separately from [`ServeConfig::max_sessions`] — subscribers hold
     /// no codec session and no worker-pool slot, so thousands are fine.
     pub max_subscribers: usize,
-    /// Kept for configuration compatibility: the event-driven core
-    /// performs all fan-out writes on the poller thread, so there is no
-    /// separate fan-out permit pool to cap anymore.
-    pub fanout_cap: usize,
     /// Time a fresh connection gets to deliver its `Hello`: a peer that
     /// completes TCP accept but stays silent is closed with `'X'` (and
     /// counted under [`ServeReport::rejected`]) when the timer-wheel
@@ -177,7 +173,6 @@ impl Default for ServeConfig {
             broadcast_gop: 8,
             subscriber_ring: 64,
             max_subscribers: 4096,
-            fanout_cap: 0,
             handshake_timeout: Duration::from_secs(10),
             write_timeout: WRITE_TIMEOUT,
             governor: None,
@@ -697,27 +692,7 @@ struct DecodeRunner<S> {
     negotiated: (usize, usize),
     /// Negotiated protocol version — fixes the stats-trailer layout.
     version: u8,
-    bytes_per_frame: Vec<usize>,
-    bits_per_frame: Vec<u64>,
-    frame_types: Vec<FrameKind>,
-    rate_per_frame: Vec<u8>,
-    total_bytes: usize,
-}
-
-impl<S: DecoderSession> DecodeRunner<S> {
-    fn new(sess: S, negotiated: (usize, usize), version: u8, out: OutHandle) -> Self {
-        DecodeRunner {
-            sess,
-            out,
-            negotiated,
-            version,
-            bytes_per_frame: Vec::new(),
-            bits_per_frame: Vec::new(),
-            frame_types: Vec::new(),
-            rate_per_frame: Vec::new(),
-            total_bytes: 0,
-        }
-    }
+    stats: StreamStats,
 }
 
 impl<S: DecoderSession> SessionRunner for DecodeRunner<S> {
@@ -737,13 +712,15 @@ impl<S: DecoderSession> SessionRunner for DecodeRunner<S> {
                         StepOutcome::Failed
                     }
                     Ok(frame) => {
-                        self.bytes_per_frame.push(packet.payload.len());
-                        self.bits_per_frame.push(bytes.len() as u64 * 8);
-                        self.frame_types.push(packet.kind);
-                        // The in-band rate governing this frame (stream
-                        // header or a per-packet rate switch).
-                        self.rate_per_frame.push(self.sess.last_rate().unwrap_or(0));
-                        self.total_bytes += bytes.len();
+                        // The rate column is the in-band rate governing
+                        // this frame (stream header or a per-packet
+                        // rate switch).
+                        self.stats.record(
+                            packet.payload.len(),
+                            bytes.len(),
+                            packet.kind,
+                            self.sess.last_rate().unwrap_or(0),
+                        );
                         let ok = write_frame_msg(&mut self.out, packet.frame_index, &frame)
                             .and_then(|()| self.out.flush())
                             .is_ok();
@@ -769,15 +746,7 @@ impl<S: DecoderSession> SessionRunner for DecodeRunner<S> {
                 StepOutcome::Failed
             }
             Job::End => {
-                let stats = StreamStats {
-                    frames: self.bytes_per_frame.len(),
-                    bytes_per_frame: std::mem::take(&mut self.bytes_per_frame),
-                    bits_per_frame: std::mem::take(&mut self.bits_per_frame),
-                    frame_types: std::mem::take(&mut self.frame_types),
-                    rate_per_frame: std::mem::take(&mut self.rate_per_frame),
-                    total_bytes: self.total_bytes,
-                };
-                let _ = write_stats_msg(&mut self.out, &stats, self.version);
+                let _ = write_stats_msg(&mut self.out, &self.stats, self.version);
                 self.out.hangup(None);
                 StepOutcome::Finished
             }
@@ -785,6 +754,39 @@ impl<S: DecoderSession> SessionRunner for DecodeRunner<S> {
                 self.out.hangup(Some(&message));
                 StepOutcome::Failed
             }
+        }
+    }
+}
+
+/// The broadcast half of a publish stream: every coded packet is also
+/// published into the claimed broadcast for fan-out, and an intra
+/// refresh is forced every `gop` frames — so, with the session in
+/// joinable-stream mode, a late joiner's backlog always begins with a
+/// self-describing packet at most one GOP in the past.
+struct Fanout<'env> {
+    guard: PublisherGuard,
+    /// Relay GOP length: frames since the last intra before a forced
+    /// refresh.
+    gop: u32,
+    since_intra: u32,
+    counters: &'env Counters,
+}
+
+impl Fanout<'_> {
+    fn publish(&mut self, packet: &Packet, bytes: &[u8], rate: u8) {
+        self.since_intra = match packet.kind {
+            FrameKind::Intra => 1,
+            FrameKind::Predicted => self.since_intra + 1,
+        };
+        let evicted = self.guard.broadcast().publish(CachedPacket {
+            bytes: bytes.to_vec(),
+            payload_len: packet.payload.len(),
+            frame_index: packet.frame_index,
+            kind: packet.kind,
+            rate,
+        });
+        if evicted > 0 {
+            self.counters.evicted.add(evicted as u64);
         }
     }
 }
@@ -797,17 +799,8 @@ struct EncodeRunner<'env, S: EncoderSession> {
     /// Governor registration on a governed server: re-derives the
     /// granted rate mode before every frame, in stream order.
     gov: Option<Governed<'env, S::Rate>>,
-}
-
-impl<'env, S: EncoderSession> EncodeRunner<'env, S> {
-    fn new(sess: S, version: u8, out: OutHandle, gov: Option<Governed<'env, S::Rate>>) -> Self {
-        EncodeRunner {
-            sess: Some(sess),
-            out,
-            version,
-            gov,
-        }
-    }
+    /// Set on publish streams; a plain encode stream only echoes.
+    fanout: Option<Fanout<'env>>,
 }
 
 impl<S: EncoderSession> SessionRunner for EncodeRunner<'_, S> {
@@ -823,20 +816,41 @@ impl<S: EncoderSession> SessionRunner for EncodeRunner<'_, S> {
                         sess.set_rate_mode(mode);
                     }
                 }
+                if self.fanout.as_ref().is_some_and(|f| f.since_intra >= f.gop) {
+                    sess.restart_gop();
+                }
                 match sess.push_frame(&frame) {
                     Ok(packet) => {
-                        let ok = write_packet_msg(&mut self.out, &packet)
+                        // Serialize once; subscribers get these exact
+                        // bytes (Arc-shared), the client an echo of the
+                        // same buffer — byte identity across every
+                        // receiver is by construction.
+                        let bytes = packet.to_bytes();
+                        if let Some(fanout) = self.fanout.as_mut() {
+                            fanout.publish(&packet, &bytes, sess.last_rate().unwrap_or(0));
+                        }
+                        let ok = self
+                            .out
+                            .write_all(&[MSG_PACKET])
+                            .and_then(|()| self.out.write_all(&bytes))
                             .and_then(|()| self.out.flush())
                             .is_ok();
                         if ok {
                             StepOutcome::Continue
                         } else {
+                            if let Some(fanout) = self.fanout.as_mut() {
+                                fanout.guard.fail("publisher connection lost");
+                            }
                             self.out.hangup(None);
                             StepOutcome::Failed
                         }
                     }
                     Err(e) => {
-                        self.out.hangup(Some(&format!("encode: {e}")));
+                        let message = format!("encode: {e}");
+                        if let Some(fanout) = self.fanout.as_mut() {
+                            fanout.guard.fail(&message);
+                        }
+                        self.out.hangup(Some(&message));
                         StepOutcome::Failed
                     }
                 }
@@ -881,12 +895,18 @@ impl<S: EncoderSession> SessionRunner for EncodeRunner<'_, S> {
                     }
                     None => {}
                 }
+                if let Some(fanout) = self.fanout.as_mut() {
+                    fanout.guard.finish();
+                }
                 self.out.hangup(None);
                 StepOutcome::Finished
             }
             Job::Abort(message) => {
                 if let Some(gov) = self.gov.as_mut() {
                     gov.end();
+                }
+                if let Some(fanout) = self.fanout.as_mut() {
+                    fanout.guard.fail(&message);
                 }
                 self.out.hangup(Some(&message));
                 StepOutcome::Failed
@@ -895,157 +915,53 @@ impl<S: EncoderSession> SessionRunner for EncodeRunner<'_, S> {
     }
 }
 
-/// An encode session that is also a broadcast publisher: every coded
-/// packet is echoed back to the publishing client *and* published into
-/// the broadcast for fan-out. The session runs in joinable-stream mode
-/// (every intra carries a full stream header) and forces an intra
-/// refresh every `gop` frames, so a late joiner's backlog always begins
-/// with a self-describing packet at most one GOP in the past.
-struct PublishRunner<'env, S: EncoderSession> {
-    sess: Option<S>,
-    out: OutHandle,
-    /// Negotiated protocol version — fixes the stats-trailer layout.
+/// Boxes the runner of a decode stream on `codec`.
+fn decode_runner<'env, C>(
+    codec: &'env C,
+    negotiated: (usize, usize),
     version: u8,
-    guard: PublisherGuard,
-    /// Relay GOP length: frames since the last intra before a forced
-    /// refresh.
-    gop: u32,
-    since_intra: u32,
+    out: OutHandle,
+) -> Box<dyn SessionRunner + Send + 'env>
+where
+    C: VideoCodec + Sync,
+    C::Reference: Send,
+{
+    Box::new(DecodeRunner {
+        sess: StreamDecoder::new(codec),
+        out,
+        negotiated,
+        version,
+        stats: StreamStats::default(),
+    })
+}
+
+/// Boxes the runner of an encode stream on `codec` — a publish stream
+/// when `fanout` carries the claimed broadcast, which also puts the
+/// session in joinable-stream mode (every intra carries the stream
+/// header).
+fn encode_runner<'env, C>(
+    codec: &'env C,
+    mode: RateMode<C::Rate>,
+    version: u8,
+    out: OutHandle,
+    admit: Option<GovAdmit<'env>>,
+    fanout: Option<Fanout<'env>>,
     counters: &'env Counters,
-    /// Governor registration on a governed server: re-derives the
-    /// granted rate mode before every frame, in stream order.
-    gov: Option<Governed<'env, S::Rate>>,
-}
-
-impl<'env, S: EncoderSession> PublishRunner<'env, S> {
-    fn new(
-        sess: S,
-        version: u8,
-        out: OutHandle,
-        guard: PublisherGuard,
-        gop: u32,
-        counters: &'env Counters,
-        gov: Option<Governed<'env, S::Rate>>,
-    ) -> Self {
-        PublishRunner {
-            sess: Some(sess),
-            out,
-            version,
-            guard,
-            gop: gop.max(1),
-            since_intra: 0,
-            counters,
-            gov,
-        }
-    }
-}
-
-impl<S: EncoderSession> SessionRunner for PublishRunner<'_, S> {
-    fn step(&mut self, job: Job) -> StepOutcome {
-        let Some(sess) = self.sess.as_mut() else {
-            self.out.hangup(Some("stream already finished"));
-            return StepOutcome::Failed;
-        };
-        match job {
-            Job::Frame(frame) => {
-                if let Some(gov) = self.gov.as_mut() {
-                    if let Some(mode) = gov.refresh() {
-                        sess.set_rate_mode(mode);
-                    }
-                }
-                if self.since_intra >= self.gop {
-                    sess.restart_gop();
-                }
-                match sess.push_frame(&frame) {
-                    Ok(packet) => {
-                        self.since_intra = match packet.kind {
-                            FrameKind::Intra => 1,
-                            FrameKind::Predicted => self.since_intra + 1,
-                        };
-                        // Serialize once; subscribers get these exact
-                        // bytes (Arc-shared), the publisher an echo of
-                        // the same buffer — byte identity across every
-                        // receiver is by construction.
-                        let bytes = packet.to_bytes();
-                        let evicted = self.guard.broadcast().publish(CachedPacket {
-                            bytes: bytes.clone(),
-                            payload_len: packet.payload.len(),
-                            frame_index: packet.frame_index,
-                            kind: packet.kind,
-                            rate: sess.last_rate().unwrap_or(0),
-                        });
-                        if evicted > 0 {
-                            self.counters.evicted.add(evicted as u64);
-                        }
-                        let ok = self
-                            .out
-                            .write_all(&[MSG_PACKET])
-                            .and_then(|()| self.out.write_all(&bytes))
-                            .and_then(|()| self.out.flush())
-                            .is_ok();
-                        if ok {
-                            StepOutcome::Continue
-                        } else {
-                            self.guard.fail("publisher connection lost");
-                            self.out.hangup(None);
-                            StepOutcome::Failed
-                        }
-                    }
-                    Err(e) => {
-                        self.guard.fail(&format!("encode: {e}"));
-                        self.out.hangup(Some(&format!("encode: {e}")));
-                        StepOutcome::Failed
-                    }
-                }
-            }
-            Job::Packet(_) => {
-                self.out.hangup(Some("coded packet on a publish stream"));
-                StepOutcome::Failed
-            }
-            Job::Retarget(retarget) => {
-                match wire_rate_mode::<S::Rate>(retarget.target, retarget.rate) {
-                    Ok(mode) => {
-                        sess.set_rate_mode(mode);
-                        if retarget.restart_gop {
-                            sess.restart_gop();
-                        }
-                        StepOutcome::Continue
-                    }
-                    Err(e) => {
-                        self.out.hangup(Some(&format!("retarget: {e}")));
-                        StepOutcome::Failed
-                    }
-                }
-            }
-            Job::End => {
-                // Non-`None` by the guard at entry (see `EncodeRunner`).
-                let finished = self.sess.take().map(S::finish);
-                if let Some(gov) = self.gov.as_mut() {
-                    gov.end();
-                }
-                match finished {
-                    Some(Ok(stats)) => {
-                        let _ = write_stats_msg(&mut self.out, &stats, self.version);
-                    }
-                    Some(Err(e)) => {
-                        let _ = write_error_msg(&mut self.out, &format!("finish: {e}"));
-                    }
-                    None => {}
-                }
-                self.guard.finish();
-                self.out.hangup(None);
-                StepOutcome::Finished
-            }
-            Job::Abort(message) => {
-                if let Some(gov) = self.gov.as_mut() {
-                    gov.end();
-                }
-                self.guard.fail(&message);
-                self.out.hangup(Some(&message));
-                StepOutcome::Failed
-            }
-        }
-    }
+) -> Box<dyn SessionRunner + Send + 'env>
+where
+    C: VideoCodec + Sync,
+    C::Reference: Send,
+{
+    let gov = admit.and_then(|admit| claim_governed(counters, admit, &mode));
+    let mut sess = StreamEncoder::new(codec, mode);
+    sess.set_join_headers(fanout.is_some());
+    Box::new(EncodeRunner {
+        sess: Some(sess),
+        out,
+        version,
+        gov,
+        fanout,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1081,40 +997,26 @@ enum SessionPlan {
     HybridDecode,
     CtvcEncode(RateMode<RatePoint>),
     HybridEncode(RateMode<u8>),
-    CtvcPublish(RateMode<RatePoint>),
-    HybridPublish(RateMode<u8>),
 }
 
 impl SessionPlan {
-    /// Resolves a non-subscribe handshake. [`validate_hello`] already
-    /// accepted the rate, so this succeeds on every reachable input —
-    /// routing the conversion through a `Result` anyway keeps the
-    /// handshake total.
+    /// Resolves a non-subscribe handshake; a publish stream is an encode
+    /// plan plus the broadcast claim taken at admission.
+    /// [`validate_hello`] already accepted the rate, so this succeeds on
+    /// every reachable input — routing the conversion through a `Result`
+    /// anyway keeps the handshake total.
     fn resolve(hello: &Hello) -> Result<SessionPlan, String> {
         match (hello.family, hello.role) {
             (Family::Ctvc, Role::Decode) => Ok(SessionPlan::CtvcDecode),
             (Family::Hybrid, Role::Decode) => Ok(SessionPlan::HybridDecode),
-            (Family::Ctvc, Role::Encode) => {
+            (Family::Ctvc, Role::Encode | Role::Publish) => {
                 wire_rate_mode::<RatePoint>(hello.target, hello.rate).map(SessionPlan::CtvcEncode)
             }
-            (Family::Ctvc, Role::Publish) => {
-                wire_rate_mode::<RatePoint>(hello.target, hello.rate).map(SessionPlan::CtvcPublish)
-            }
-            (Family::Hybrid, Role::Encode) => {
+            (Family::Hybrid, Role::Encode | Role::Publish) => {
                 wire_rate_mode::<u8>(hello.target, hello.rate).map(SessionPlan::HybridEncode)
-            }
-            (Family::Hybrid, Role::Publish) => {
-                wire_rate_mode::<u8>(hello.target, hello.rate).map(SessionPlan::HybridPublish)
             }
             (_, Role::Subscribe) => Err("subscribe streams hold no codec session".into()),
         }
-    }
-
-    fn is_publish(&self) -> bool {
-        matches!(
-            self,
-            SessionPlan::CtvcPublish(_) | SessionPlan::HybridPublish(_)
-        )
     }
 }
 
@@ -2020,7 +1922,7 @@ impl<'p, 'env> Poller<'p, 'env> {
         } else {
             self.cfg.broadcast_gop.clamp(1, usize::from(u16::MAX)) as u16
         };
-        let mut publish_guard = None;
+        let mut fanout = None;
         if hello.role == Role::Publish {
             let name = hello.broadcast.as_deref().unwrap_or_default();
             let info = BroadcastInfo {
@@ -2030,7 +1932,14 @@ impl<'p, 'env> Poller<'p, 'env> {
                 gop: relay_gop,
             };
             match self.registry.create(name, info, hello.rate) {
-                Ok(guard) => publish_guard = Some(guard),
+                Ok(guard) => {
+                    fanout = Some(Fanout {
+                        guard,
+                        gop: u32::from(relay_gop),
+                        since_intra: 0,
+                        counters: self.counters,
+                    });
+                }
                 Err(reason) => {
                     self.counters.active.sub(1);
                     self.reject(token, &format!("handshake: {reason}"));
@@ -2053,15 +1962,6 @@ impl<'p, 'env> Poller<'p, 'env> {
                 degraded: false,
             },
         };
-        // A publish plan must have claimed its broadcast name above;
-        // recover by rejecting (not panicking) if that pairing ever
-        // breaks. The dropped `gov_admit` returns its share on its own.
-        if plan.is_publish() && publish_guard.is_none() {
-            self.counters.active.sub(1);
-            self.reject(token, "internal: publish stream without a broadcast claim");
-            self.apply_write(token, now);
-            return;
-        }
         let waker = PollWaker::new(Arc::clone(&self.shared), token);
         push_bytes(&out, ack_msg_bytes(hello.version, &ack));
         self.counters.sessions.inc();
@@ -2070,79 +1970,23 @@ impl<'p, 'env> Poller<'p, 'env> {
         let version = hello.version;
         let counters = self.counters;
         let out_handle = OutHandle::new(Arc::clone(&out), waker.clone());
-        let runner: Box<dyn SessionRunner + Send + 'env> = match plan {
-            SessionPlan::CtvcDecode => Box::new(DecodeRunner::new(
-                self.ctvc.start_decode(),
-                negotiated,
+        let runner = match plan {
+            SessionPlan::CtvcDecode => decode_runner(self.ctvc, negotiated, version, out_handle),
+            SessionPlan::HybridDecode => {
+                decode_runner(self.hybrid, negotiated, version, out_handle)
+            }
+            SessionPlan::CtvcEncode(mode) => encode_runner(
+                self.ctvc, mode, version, out_handle, gov_admit, fanout, counters,
+            ),
+            SessionPlan::HybridEncode(mode) => encode_runner(
+                self.hybrid,
+                mode,
                 version,
                 out_handle,
-            )),
-            SessionPlan::HybridDecode => Box::new(DecodeRunner::new(
-                self.hybrid.start_decode(),
-                negotiated,
-                version,
-                out_handle,
-            )),
-            SessionPlan::CtvcEncode(mode) => {
-                let governed = gov_admit.and_then(|admit| claim_governed(counters, admit, &mode));
-                Box::new(EncodeRunner::new(
-                    self.ctvc.start_encode(mode),
-                    version,
-                    out_handle,
-                    governed,
-                ))
-            }
-            SessionPlan::HybridEncode(mode) => {
-                let governed = gov_admit.and_then(|admit| claim_governed(counters, admit, &mode));
-                Box::new(EncodeRunner::new(
-                    self.hybrid.start_encode(mode),
-                    version,
-                    out_handle,
-                    governed,
-                ))
-            }
-            SessionPlan::CtvcPublish(mode) => {
-                let governed = gov_admit.and_then(|admit| claim_governed(counters, admit, &mode));
-                let mut sess = self.ctvc.start_encode(mode);
-                let joinable = sess.set_join_headers(true);
-                debug_assert!(joinable, "served CTVC codec lacks joinable-stream mode");
-                let Some(guard) = publish_guard.take() else {
-                    // Checked non-`None` before the ack went out.
-                    self.counters.active.sub(1);
-                    self.remove_conn(token, false);
-                    return;
-                };
-                Box::new(PublishRunner::new(
-                    sess,
-                    version,
-                    out_handle,
-                    guard,
-                    u32::from(relay_gop),
-                    counters,
-                    governed,
-                ))
-            }
-            SessionPlan::HybridPublish(mode) => {
-                let governed = gov_admit.and_then(|admit| claim_governed(counters, admit, &mode));
-                let mut sess = self.hybrid.start_encode(mode);
-                let joinable = sess.set_join_headers(true);
-                debug_assert!(joinable, "served hybrid codec lacks joinable-stream mode");
-                let Some(guard) = publish_guard.take() else {
-                    // Checked non-`None` before the ack went out.
-                    self.counters.active.sub(1);
-                    self.remove_conn(token, false);
-                    return;
-                };
-                Box::new(PublishRunner::new(
-                    sess,
-                    version,
-                    out_handle,
-                    guard,
-                    u32::from(relay_gop),
-                    counters,
-                    governed,
-                ))
-            }
+                gov_admit,
+                fanout,
+                counters,
+            ),
         };
         let slot = Arc::new(Slot {
             state: Mutex::new(SlotState::default()),
@@ -2265,9 +2109,9 @@ impl<'p, 'env> Poller<'p, 'env> {
         // The join-time backlog (at most one GOP segment) goes straight
         // into the outbox, bypassing the pump's cap, and is accounted in
         // the trailer like every later packet.
-        let mut stats = SubscriberStats::default();
+        let mut stats = StreamStats::default();
         for packet in &attachment.backlog {
-            stats.account(packet);
+            packet.record_into(&mut stats);
             push_shared(&out, Arc::clone(packet));
         }
         {
@@ -2279,7 +2123,7 @@ impl<'p, 'env> Poller<'p, 'env> {
             conn.gen = conn.gen.wrapping_add(1);
             conn.kind = ConnKind::Subscriber {
                 ring: Arc::clone(&attachment.ring),
-                stats: Some(stats),
+                stats,
                 version: hello.version,
                 done: false,
             };

@@ -11,7 +11,7 @@
 use nvc_baseline::Profile;
 use nvc_model::{CtvcCodec, CtvcConfig};
 use nvc_serve::{
-    Hello, ServeConfig, ServeError, Server, ServerHandle, StreamClient, SubscribeClient,
+    Family, Hello, ServeConfig, ServeError, Server, ServerHandle, StreamClient, SubscribeClient,
     SubscribeEvent,
 };
 use nvc_video::codec::DecoderSession;
@@ -247,5 +247,61 @@ fn publisher_death_fails_subscribers_instead_of_hanging_them() {
 
     // The name is free again for the next publisher.
     let _next = publish(&server, Hello::ctvc_publish(1, W, H, "game"));
+    server.shutdown();
+}
+
+/// The moment a subscriber learns its broadcast is over — the error
+/// after a publisher death, or its trailer after a clean finish — the
+/// name must already be free: a client that reconnects as the next
+/// publisher on that signal is acked, never told the name is in use.
+/// (The publisher guard once ended the rings *before* releasing the
+/// name. The watched subscriber attaches first, so its ring ends first;
+/// the rings attached behind it widen the window enough that this loop
+/// hit it within 40 rounds on every run.)
+#[test]
+fn name_is_free_the_moment_subscribers_see_the_broadcast_end() {
+    let server = spawn_server(test_config());
+    let source = seq(1);
+    let hello = || Hello::hybrid_publish(24, W, H, "game");
+    let mut publisher = publish(&server, hello());
+    for clean in [false, true] {
+        for round in 0..40 {
+            let sub_hello = Hello::subscribe("game", W, H).with_family(Family::Hybrid);
+            let mut sub = subscribe(&server, sub_hello.clone()).unwrap();
+            let _behind: Vec<_> = (0..6)
+                .map(|_| subscribe(&server, sub_hello.clone()).unwrap())
+                .collect();
+            publisher.send_frame(&source.frames()[0]).unwrap();
+            publisher.drain().unwrap();
+            // A clean finish blocks on the publisher's own trailer, so
+            // it runs beside the subscriber's read.
+            let ending = if clean {
+                Some(std::thread::spawn(move || publisher.finish()))
+            } else {
+                drop(publisher);
+                None
+            };
+            loop {
+                match sub.next_event() {
+                    Ok(SubscribeEvent::Packet(_)) => {}
+                    Ok(SubscribeEvent::End(_)) => {
+                        assert!(clean, "round {round}: trailer after a publisher death");
+                        break;
+                    }
+                    Err(e) => {
+                        assert!(!clean, "round {round}: clean finish failed: {e}");
+                        break;
+                    }
+                }
+            }
+            publisher = StreamClient::connect(server.addr(), hello()).unwrap_or_else(|e| {
+                panic!("round {round}, clean = {clean}: name not free at the end signal: {e}")
+            });
+            publisher.set_read_timeout(Some(TIMEOUT)).unwrap();
+            if let Some(ending) = ending {
+                ending.join().unwrap().unwrap();
+            }
+        }
+    }
     server.shutdown();
 }

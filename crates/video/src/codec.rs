@@ -10,17 +10,21 @@
 //!   [`DecoderSession::push_packet`] consumes one packet's bytes and
 //!   returns the reconstructed frame.
 //!
-//! The carried state (previous reconstruction, entropy-model context, GOP
-//! position) lives in the session structs, so decoding proceeds
-//! frame-at-a-time with constant memory — the shape the paper's NVCA
-//! hardware decodes in, and the shape a live-traffic serving stack needs.
-//! Whole-sequence `encode`/`decode` methods on the concrete codecs are
-//! thin wrappers over these sessions (see [`encode_sequence`] /
-//! [`decode_bitstream`]), so the two paths are bit-identical by
-//! construction.
+//! The stream-level protocol — where the header rides, when a rate switch
+//! is signalled, what a join point is, frame-index continuity, the stats
+//! columns — is written once, in [`crate::session`]; a codec implements
+//! only the [`VideoCodec`] hooks (its header bits, coding one frame
+//! against a reference). The carried state lives in the session structs,
+//! so decoding proceeds frame-at-a-time with constant memory — the shape
+//! the paper's NVCA hardware decodes in, and the shape a live-traffic
+//! serving stack needs. Whole-sequence `encode`/`decode` methods on the
+//! concrete codecs are thin wrappers over these sessions (see
+//! [`encode_sequence`] / [`decode_bitstream`]), so the two paths are
+//! bit-identical by construction.
 
 use crate::rate::{RateMode, RateParam};
-use crate::{Frame, Sequence};
+use crate::session::{SessionMetrics, StreamDecoder, StreamEncoder};
+use crate::{Frame, Sequence, VideoError};
 use nvc_entropy::container::{split_packets, Packet, Section};
 use nvc_entropy::CodingError;
 use std::error::Error;
@@ -30,7 +34,7 @@ use std::error::Error;
 pub use nvc_entropy::container::FrameKind as FrameType;
 
 /// Summary statistics returned by [`EncoderSession::finish`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Number of frames pushed.
     pub frames: usize,
@@ -58,6 +62,19 @@ pub struct StreamStats {
 }
 
 impl StreamStats {
+    /// Appends one coded frame: `payload_bytes` is what the caller
+    /// accounts as the frame's payload (see
+    /// [`StreamStats::bytes_per_frame`]), `packet_bytes` the serialized
+    /// packet size, `rate` the wire rate byte the frame was coded at.
+    pub fn record(&mut self, payload_bytes: usize, packet_bytes: usize, kind: FrameType, rate: u8) {
+        self.frames += 1;
+        self.bytes_per_frame.push(payload_bytes);
+        self.bits_per_frame.push(packet_bytes as u64 * 8);
+        self.frame_types.push(kind);
+        self.rate_per_frame.push(rate);
+        self.total_bytes += packet_bytes;
+    }
+
     /// Bits per pixel over `frames` frames of `pixels_per_frame` pixels.
     pub fn bpp(&self, pixels_per_frame: usize) -> f64 {
         if self.frames == 0 || pixels_per_frame == 0 {
@@ -107,12 +124,8 @@ pub trait EncoderSession {
 
     /// Forces the next pushed frame to restart the prediction chain
     /// with an intra frame (stream-join / error-recovery point, and the
-    /// natural anchor for a rate switch). Returns whether the codec
-    /// honors the request; the default implementation is a no-op for
-    /// codecs without a prediction chain to restart.
-    fn restart_gop(&mut self) -> bool {
-        false
-    }
+    /// natural anchor for a rate switch).
+    fn restart_gop(&mut self);
 
     /// Switches the session into *joinable-stream* mode (or back out of
     /// it): when enabled, every intra packet carries the full stream
@@ -122,21 +135,15 @@ pub trait EncoderSession {
     /// The broadcast relay publishes streams in this mode so late
     /// subscribers can start at the most recent intra segment. Off by
     /// default, keeping plain streams byte-identical to the legacy
-    /// layout. Returns whether the codec honors the request; the
-    /// default implementation refuses.
-    fn set_join_headers(&mut self, enabled: bool) -> bool {
-        let _ = enabled;
-        false
-    }
+    /// layout.
+    fn set_join_headers(&mut self, enabled: bool);
 
     /// Wire rate byte (`RatePoint` index / QP) the most recently pushed
     /// frame was coded at — `None` before the first frame. Mirrors
     /// [`DecoderSession::last_rate`]; the serving layer uses it to
     /// record truthful per-packet rate columns without parsing codec
     /// payloads.
-    fn last_rate(&self) -> Option<u8> {
-        None
-    }
+    fn last_rate(&self) -> Option<u8>;
 
     /// Replaces the session's rate control from the next frame on — the
     /// in-process form of the wire's `'R'` retarget. Mid-GOP switches
@@ -176,11 +183,25 @@ pub trait DecoderSession {
 
     /// Wire rate byte (`RatePoint` index / QP) governing the most
     /// recently decoded frame, once the stream header (or a per-frame
-    /// rate update) has been seen. `None` before the first packet, and
-    /// for decoders without an in-band rate.
-    fn last_rate(&self) -> Option<u8> {
-        None
-    }
+    /// rate update) has been seen. `None` before the first packet.
+    fn last_rate(&self) -> Option<u8>;
+}
+
+/// A packet's parsed section list, as produced by
+/// `nvc_entropy::container::read_sections`.
+pub type SectionList = [(Section, Vec<u8>)];
+
+/// One frame as a codec coded it: what [`VideoCodec::encode_frame`]
+/// hands back to the session.
+#[derive(Debug)]
+pub struct CodedFrame<R> {
+    /// The frame's coded sections, in wire order. The session places
+    /// them behind any stream header or rate switch.
+    pub sections: Vec<(Section, Vec<u8>)>,
+    /// Prediction state the next frame is coded against.
+    pub reference: R,
+    /// Decoder-identical reconstruction of the frame.
+    pub reconstruction: Frame,
 }
 
 /// A video codec with streaming encode/decode sessions.
@@ -189,21 +210,22 @@ pub trait DecoderSession {
 /// `RatePoint`) and `nvc_baseline::HybridCodec` (classical, rate selected
 /// by a QP). Code generic over this trait works identically with both —
 /// see [`encode_sequence`] and [`decode_bitstream`].
-pub trait VideoCodec {
-    /// Codec error type. `From<CodingError>` lets generic stream-level
-    /// framing errors surface through the codec's own error.
-    type Error: Error + From<CodingError>;
+///
+/// A codec supplies only what is its own: the bits of its stream header
+/// and how one frame is coded against a reference. Everything about the
+/// *stream* — header placement, in-band rate switches, join points,
+/// frame-index continuity, statistics — is [`StreamEncoder`] /
+/// [`StreamDecoder`], shared by every implementor.
+pub trait VideoCodec: Sized {
+    /// Codec error type. The `From` conversions let stream-level framing
+    /// and frame errors surface through the codec's own error.
+    type Error: Error + From<CodingError> + From<VideoError>;
     /// Rate-control parameter for an encode session, pluggable into the
     /// generic controllers through the [`RateParam`] ladder.
     type Rate: RateParam;
-    /// Encoder session type, borrowing the codec.
-    type Encoder<'a>: EncoderSession<Error = Self::Error, Rate = Self::Rate>
-    where
-        Self: 'a;
-    /// Decoder session type, borrowing the codec.
-    type Decoder<'a>: DecoderSession<Error = Self::Error>
-    where
-        Self: 'a;
+    /// Prediction state carried from one frame to the next (the previous
+    /// reconstruction, in whatever domain the codec predicts in).
+    type Reference;
 
     /// Human-readable codec name for reports.
     fn codec_name(&self) -> &str;
@@ -216,38 +238,71 @@ pub trait VideoCodec {
     /// # Errors
     ///
     /// Returns the codec's error for invalid rate parameters.
-    fn start_encode(&self, mode: RateMode<Self::Rate>) -> Result<Self::Encoder<'_>, Self::Error>;
+    fn start_encode(
+        &self,
+        mode: RateMode<Self::Rate>,
+    ) -> Result<StreamEncoder<'_, Self>, Self::Error>;
 
     /// Opens a decoder session.
-    fn start_decode(&self) -> Self::Decoder<'_>;
-}
+    fn start_decode(&self) -> StreamDecoder<'_, Self>;
 
-/// A packet's parsed section list, as produced by
-/// `nvc_entropy::container::read_sections`.
-pub type SectionList = [(Section, Vec<u8>)];
+    /// The per-frame histograms this codec family's sessions record
+    /// into.
+    fn metrics(&self) -> &'static SessionMetrics;
 
-/// Splits a leading in-band rate switch ([`Section::Rate`], one byte)
-/// off a packet's parsed section list — the shared decoder-side half of
-/// the in-band rate protocol, so both codec families stay in lockstep.
-/// Returns the wire rate byte (if a rate section led the packet) and
-/// the remaining sections; the codec validates the byte against its own
-/// rate domain.
-///
-/// # Errors
-///
-/// Returns a description if a rate section is present but malformed
-/// (any payload length other than one byte).
-pub fn take_rate_section(sections: &SectionList) -> Result<(Option<u8>, &SectionList), String> {
-    match sections.split_first() {
-        Some(((Section::Rate, payload), tail)) => match payload.as_slice() {
-            [byte] => Ok((Some(*byte), tail)),
-            other => Err(format!(
-                "rate section must carry exactly one byte, got {}",
-                other.len()
-            )),
-        },
-        _ => Ok((None, sections)),
-    }
+    /// The codec's error for semantically invalid input — how the
+    /// session reports stream-level violations.
+    fn bad_input(reason: String) -> Self::Error;
+
+    /// Whether the codec can code `w × h` frames.
+    ///
+    /// # Errors
+    ///
+    /// Returns the codec's error for unsupported geometry.
+    fn check_dims(&self, w: usize, h: usize) -> Result<(), Self::Error>;
+
+    /// Serializes the codec's stream header for a `w × h` stream whose
+    /// carrying frame is coded at `rate`.
+    fn write_header(&self, w: usize, h: usize, rate: Self::Rate) -> Vec<u8>;
+
+    /// Parses a stream header back into `(w, h, rate)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the codec's error on a truncated header or one written
+    /// by an incompatibly configured encoder.
+    fn parse_header(&self, payload: &[u8]) -> Result<(usize, usize, Self::Rate), Self::Error>;
+
+    /// Codes one frame at `rate` — intra when `reference` is `None`,
+    /// predicted from it otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Returns the codec's error if the frame cannot be coded.
+    fn encode_frame(
+        &self,
+        frame: &Frame,
+        reference: Option<&Self::Reference>,
+        rate: Self::Rate,
+    ) -> Result<CodedFrame<Self::Reference>, Self::Error>;
+
+    /// Decodes one frame of a `dims.0 × dims.1` stream from the sections
+    /// [`VideoCodec::encode_frame`] produced, returning the new
+    /// reference and the reconstruction. Must never panic on untrusted
+    /// sections.
+    ///
+    /// # Errors
+    ///
+    /// Returns the codec's error on sections that do not match `kind`,
+    /// a predicted frame without a reference, or undecodable payloads.
+    fn decode_frame(
+        &self,
+        kind: FrameType,
+        sections: &SectionList,
+        reference: Option<&Self::Reference>,
+        dims: (usize, usize),
+        rate: Self::Rate,
+    ) -> Result<(Self::Reference, Frame), Self::Error>;
 }
 
 /// Result of a generic whole-sequence encode over sessions.

@@ -37,14 +37,16 @@ pub mod codec;
 mod frame;
 pub mod metrics;
 pub mod rate;
+pub mod session;
 pub mod synthetic;
 
 pub use codec::{
-    decode_bitstream, encode_sequence, encode_sequence_with, DecoderSession, EncodedStream,
-    EncoderSession, FrameType, StreamStats, VideoCodec,
+    decode_bitstream, encode_sequence, encode_sequence_with, CodedFrame, DecoderSession,
+    EncodedStream, EncoderSession, FrameType, StreamStats, VideoCodec,
 };
 pub use frame::{Frame, Sequence, VideoError};
 pub use rate::{
     RateController, RateMode, RateOutcome, RateParam, RateRequest, SessionRateControl,
     TargetBppController,
 };
+pub use session::{SessionMetrics, StreamDecoder, StreamEncoder};

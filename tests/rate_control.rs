@@ -31,10 +31,17 @@ fn encode_with_gops<C: VideoCodec>(
     let mut enc = codec.start_encode(mode).unwrap();
     let mut packets = Vec::new();
     for (i, frame) in seq.frames().iter().enumerate() {
-        if i > 0 && i % gop == 0 {
-            assert!(enc.restart_gop(), "both codecs honor restart_gop");
+        let restart = i > 0 && i % gop == 0;
+        if restart {
+            enc.restart_gop();
         }
-        packets.push(enc.push_frame(frame).unwrap().to_bytes());
+        let packet = enc.push_frame(frame).unwrap();
+        assert_eq!(
+            packet.kind == FrameKind::Intra,
+            i == 0 || restart,
+            "frame {i}: restart_gop must force exactly the next frame intra"
+        );
+        packets.push(packet.to_bytes());
     }
     (packets, enc.finish().unwrap())
 }
