@@ -2,8 +2,9 @@
 //! smoke test and perf-regression gate.
 //!
 //! Times the optimized kernels (direct conv, fast conv, fast and direct
-//! deconv, stride-2 direct conv, Swin attention, deformable warp,
-//! activation quantization) — the first two against in-binary replicas
+//! deconv, stride-2 direct conv, direct conv at the served and analysis
+//! shapes, Swin attention, deformable warp, activation quantization) —
+//! the first two against in-binary replicas
 //! of the pre-PR-2 scalar implementations — measures end-to-end
 //! encode/decode at
 //! `threads = 1`, `2` and `max`, checks both codec families for
@@ -462,6 +463,38 @@ fn main() {
         divergence = true;
     }
 
+    // Direct conv at the shapes the codecs run it at, whatever `--quick`
+    // says: the three feature scales of the default server's `ctvc_fp(12)`
+    // 96x64 decode, and `Analysis::down2` of the N=36 sparse encoder at
+    // 128x96. Layers of tens of microseconds, so a sample is a batch.
+    const SERVED_BATCH: usize = 16;
+    for (name, n, (sh, sw), stride) in [
+        ("conv3x3_direct_n12_48x32", 12, (32, 48), 1),
+        ("conv3x3_direct_n12_24x16", 12, (16, 24), 1),
+        ("conv3x3_direct_n12_12x8", 12, (8, 12), 1),
+        ("conv3x3_s2_direct_n72_32x24", 72, (24, 32), 2),
+    ] {
+        let served = Conv2d::randn(n, n, 3, stride, 1, 17).unwrap();
+        let xs = smooth_tensor(n, sh, sw);
+        let t = bench(reps, || {
+            for _ in 0..SERVED_BATCH {
+                served.forward_ctx(&xs, &ctx1).unwrap();
+            }
+        }) / SERVED_BATCH as f64;
+        rows.push(KernelRow {
+            name,
+            ms: t * 1e3,
+            mpix_s: (sh * sw) as f64 / 1e6 / t,
+            speedup_vs_naive: None,
+        });
+        if served.forward_ctx(&xs, &ctx1).unwrap().as_slice()
+            != served.forward_ctx(&xs, &ctx_max).unwrap().as_slice()
+        {
+            eprintln!("FAIL: {name} serial vs parallel diverged");
+            divergence = true;
+        }
+    }
+
     // Swin attention (2N channels, the analysis transform's shape).
     let attn = SwinAttention::new(2 * n_ch, 3, 2, 2, 11).unwrap();
     let xa = smooth_tensor(2 * n_ch, h / 4, w / 4);
@@ -526,7 +559,7 @@ fn main() {
             .map(|s| format!("  ({s:.2}x vs pre-PR)"))
             .unwrap_or_default();
         println!(
-            "{:>18}: {:7.2} ms  {:6.2} Mpix/s{}",
+            "{:>27}: {:7.3} ms  {:6.2} Mpix/s{}",
             r.name, r.ms, r.mpix_s, speedup
         );
     }

@@ -73,7 +73,13 @@ use std::time::{Duration, Instant};
 /// reference VM a freshly spawned scoped thread shares its parent's
 /// core for the first ~3–4 ms (two 4 ms spins joined take 8 ms, two
 /// 10 ms spins 12 ms), so a fan-out shorter than that runs no faster
-/// than serial, and `1 << 18` multiply–accumulates is ~40 µs of work.
+/// than serial. `1 << 18` multiply–accumulates is 20–25 µs of direct
+/// convolution now that `Conv2d` accumulates in registers (10–13 GMAC/s
+/// at the served 24×16 and 48×32 planes; ~40 µs at the 6 GMAC/s of the
+/// axpy kernel the gate was set against), while one `thread::scope`
+/// spawn + join costs ≈ 80 µs of wall time beyond the work it carries —
+/// so just above the gate a fan-out still loses; the gate is a floor,
+/// not a break-even point.
 pub const PAR_MIN_WORK: u64 = 1 << 18;
 
 /// Upper bound on cached scratch buffers, to keep the pool from hoarding

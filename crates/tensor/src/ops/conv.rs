@@ -8,6 +8,11 @@ use nvc_core::ExecCtx;
 /// Weight layout is `[c_out][c_in][k][k]` row-major; one bias per output
 /// channel.
 ///
+/// Every stride runs one kernel over one staged layout (zero-padded
+/// polyphase planes, outputs accumulated in registers); see
+/// [`Conv2d::forward_ctx`] for it and for the one bias value, `-0.0`,
+/// that bypasses it.
+///
 /// # Example
 ///
 /// ```
@@ -183,12 +188,11 @@ impl Conv2d {
         &self.weight[base..base + kk]
     }
 
-    /// Spatial output size for an `h × w` input.
+    /// Spatial output size for an `h × w` input; `(0, 0)` when the padded
+    /// input is smaller than the kernel along either axis.
     pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        (
-            (h + 2 * self.padding - self.k) / self.stride + 1,
-            (w + 2 * self.padding - self.k) / self.stride + 1,
-        )
+        let dim = |d: usize| Some((d + 2 * self.padding).checked_sub(self.k)? / self.stride + 1);
+        dim(h).zip(dim(w)).unwrap_or((0, 0))
     }
 
     /// Runs the convolution single-threaded.
@@ -203,14 +207,35 @@ impl Conv2d {
 
     /// Runs the convolution, fanning output channels across `ctx`'s worker
     /// pool. Each output plane is computed independently with a fixed
-    /// accumulation order (`c_in` ascending, then kernel taps row-major),
-    /// so the result is bit-identical for every worker count. The fan-out
-    /// is work-size gated: small planes (decode-side latent shapes) run
-    /// serially because worker spawn overhead would dominate.
+    /// accumulation order (bias, then `c_in` ascending, then kernel taps
+    /// row-major, zero weights skipped), so the result is bit-identical
+    /// for every worker count. The fan-out is work-size gated: small
+    /// planes (decode-side latent shapes) run serially because worker
+    /// spawn overhead would dominate.
     ///
-    /// A strided convolution first de-interleaves every input row into
-    /// its `stride` column phases, so each tap reads one phase at unit
-    /// stride like the `stride == 1` case does.
+    /// **Layout.** With `reach = (k − 1) / s`, every input channel is
+    /// first staged, once per call, as `s · s` phase planes of
+    /// `(oh + reach)` rows at one pitch `P = ow + reach`: plane
+    /// `(rp, cp)[j][i] = padded[j·s + rp][i·s + cp]`, where `padded` is
+    /// the input with `padding` explicit `+0.0` cells on every side.
+    /// Stride 1 is the one-plane case, a padded copy.
+    ///
+    /// **Flat index.** Output `(oy, ox)` at flat index `i = oy·P + ox`
+    /// reads tap `(kh, kw)` at `phase(kh % s, kw % s)[i + (kh/s)·P + kw/s]`
+    /// — a constant offset per tap. One output plane is therefore
+    /// `flat[i] = bias + Σ kv · staged[off(ci, kh, kw) + i]` over
+    /// `i < (oh − 1)·P + ow` with no row or column clipping; blocks of 32
+    /// flat elements stay in registers across the whole tap walk and are
+    /// stored once. The `reach` junk elements that end each flat row are
+    /// computed and dropped.
+    ///
+    /// **Why a `-0.0` bias is special.** A padded tap adds `kv · (+0.0) =
+    /// ±0.0` where the definition adds nothing. `x + y` is `-0.0` only
+    /// when both are, so an accumulator seeded with any other bias is
+    /// never `-0.0` and adding `±0.0` to it is the identity. A channel
+    /// whose bias *is* `-0.0` (and a plane of fewer than 4 flat
+    /// elements) takes a per-element loop that skips padded taps instead.
+    /// Weights are assumed finite.
     ///
     /// # Errors
     ///
@@ -230,127 +255,164 @@ impl Conv2d {
             )));
         }
         let (oh, ow) = self.output_hw(h, w);
-        let out_shape = Shape::new(n, self.c_out, oh, ow);
-        let mut out = Tensor::zeros(out_shape);
-        let s = self.stride;
-        // Column `ix` of a row is element `ix / s` of its phase run
-        // `ix % s`; runs are `run_len` apart, padded where `s ∤ w`.
-        let run_len = w.div_ceil(s);
-        // Unit stride reads the input as it is, and so does an empty row.
-        let staged = (s > 1 && w > 0).then(|| {
-            let mut staged = ctx.scratch().take_stale(n * c * h * s * run_len);
-            for (runs, row) in staged
-                .chunks_exact_mut(s * run_len)
-                .zip(input.as_slice().chunks_exact(w))
-            {
-                for (r, run) in runs.chunks_exact_mut(run_len).enumerate() {
-                    for (d, &v) in run.iter_mut().zip(row.iter().skip(r).step_by(s)) {
-                        *d = v;
-                    }
-                }
-            }
-            staged
-        });
-        let in_data = staged.as_deref().unwrap_or(input.as_slice());
-        let pad = self.padding as isize;
-        let spans = |len: usize, out_len: usize| -> Vec<TapSpan> {
-            (0..self.k)
-                .map(|kk| TapSpan::new(kk as isize - pad, s, len, out_len))
-                .collect()
-        };
-        let (rows, cols) = (spans(h, oh), spans(w, ow));
-        let plane_len = h * s * run_len;
+        let mut out = Tensor::zeros(Shape::new(n, self.c_out, oh, ow));
+        let (k, s) = (self.k, self.stride);
+        let reach = (k - 1) / s;
+        let pitch = ow + reach;
+        let phase_len = (oh + reach) * pitch;
+        let image_len = self.c_in * s * s * phase_len;
+        let mut staged = ctx.scratch().take_stale(n * image_len);
+        for (i, phases) in staged.chunks_exact_mut(s * s * phase_len).enumerate() {
+            let in_plane = &input.as_slice()[i * h * w..][..h * w];
+            self.stage_plane(in_plane, (h, w), pitch, phases);
+        }
+        let taps = self.c_in * k * k;
+        let offsets: Vec<usize> = (0..taps)
+            .map(|t| {
+                let (ci, kh, kw) = (t / (k * k), t / k % k, t % k);
+                ((ci * s + kh % s) * s + kw % s) * phase_len + kh / s * pitch + kw / s
+            })
+            .collect();
+        let flat_len = (oh - 1) * pitch + ow;
         let work = n as u64 * self.macs(h, w);
         ctx.par_chunks_mut_gated(out.as_mut_slice(), oh * ow, work, |plane_idx, out_plane| {
-            let nn = plane_idx / self.c_out;
-            let co = plane_idx % self.c_out;
-            let in_planes = &in_data[nn * self.c_in * plane_len..][..self.c_in * plane_len];
-            self.forward_plane(in_planes, run_len, &rows, &cols, co, ow, out_plane);
+            let (nn, co) = (plane_idx / self.c_out, plane_idx % self.c_out);
+            let bias = self.bias[co];
+            let kernel = &self.weight[co * taps..][..taps];
+            if bias.to_bits() == (-0.0_f32).to_bits() || flat_len < 4 {
+                let in_planes = &input.as_slice()[nn * self.c_in * h * w..][..self.c_in * h * w];
+                self.scalar_plane(in_planes, (h, w), kernel, bias, ow, out_plane);
+                return;
+            }
+            let live: Vec<(f32, usize)> = kernel
+                .iter()
+                .zip(&offsets)
+                .filter(|(&kv, _)| kv != 0.0)
+                .map(|(&kv, &off)| (kv, off))
+                .collect();
+            let image = &staged[nn * image_len..][..image_len];
+            if reach == 0 {
+                accumulate(image, &live, bias, out_plane);
+                return;
+            }
+            let mut flat = vec![0.0; flat_len];
+            accumulate(image, &live, bias, &mut flat);
+            for (out_row, flat_row) in out_plane.chunks_exact_mut(ow).zip(flat.chunks(pitch)) {
+                out_row.copy_from_slice(&flat_row[..ow]);
+            }
         });
-        if let Some(staged) = staged {
-            ctx.scratch().put(staged);
-        }
+        ctx.scratch().put(staged);
         Ok(out)
     }
 
-    /// Computes one output-channel plane from phase-split input rows
-    /// (`stride` runs of `run_len` elements each). Every tap's rows and
-    /// columns are clipped up front (`rows[kh]`, `cols[kw]`), so the loops
-    /// carry no bounds or padding checks.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_plane(
+    /// Writes one `h × w` input plane as its `s · s` zero-padded phase
+    /// planes of row pitch `pitch`. Every cell is written: the buffer is
+    /// stale.
+    fn stage_plane(&self, in_plane: &[f32], hw: (usize, usize), pitch: usize, phases: &mut [f32]) {
+        let ((h, w), s, p) = (hw, self.stride, self.padding);
+        let phase_len = phases.len() / (s * s);
+        for (phase, plane) in phases.chunks_exact_mut(phase_len).enumerate() {
+            let (rp, cp) = (phase / s, phase % s);
+            // Staged columns `lo..hi` fall inside the input, the rest on
+            // padding; column `lo` is input column `lo·s + cp − p`.
+            let lo = p.saturating_sub(cp).div_ceil(s);
+            let hi = (w + p).saturating_sub(cp).div_ceil(s).min(pitch);
+            for (j, row) in plane.chunks_exact_mut(pitch).enumerate() {
+                match (j * s + rp).checked_sub(p).filter(|&iy| iy < h) {
+                    Some(iy) if lo < hi => {
+                        let src = &in_plane[iy * w + lo * s + cp - p..(iy + 1) * w];
+                        row[..lo].fill(0.0);
+                        if s == 1 {
+                            // The same gather as a `memcpy`: 4–8 % of a
+                            // served-shape layer.
+                            row[lo..hi].copy_from_slice(&src[..hi - lo]);
+                        } else {
+                            for (d, &v) in row[lo..hi].iter_mut().zip(src.iter().step_by(s)) {
+                                *d = v;
+                            }
+                        }
+                        row[hi..].fill(0.0);
+                    }
+                    _ => row.fill(0.0),
+                }
+            }
+        }
+    }
+
+    /// One output plane straight from the definition — per element: bias,
+    /// then every in-range non-zero tap, `c_in` ascending and row-major —
+    /// for the planes the staged path cannot take.
+    fn scalar_plane(
         &self,
         in_planes: &[f32],
-        run_len: usize,
-        rows: &[TapSpan],
-        cols: &[TapSpan],
-        co: usize,
+        hw: (usize, usize),
+        kernel: &[f32],
+        bias: f32,
         ow: usize,
         out_plane: &mut [f32],
     ) {
-        out_plane.fill(self.bias[co]);
-        let s = self.stride;
-        let plane_len = in_planes.len().checked_div(self.c_in).unwrap_or(0);
-        for ci in 0..self.c_in {
-            let in_plane = &in_planes[ci * plane_len..][..plane_len];
-            let kernel = self.kernel_slice(co, ci);
-            for (k_row, rows) in kernel.chunks_exact(self.k).zip(rows) {
-                for (&kv, cols) in k_row.iter().zip(cols) {
-                    if kv == 0.0 || rows.count == 0 || cols.count == 0 {
-                        continue;
-                    }
-                    // Input row `iy = (rows.first + j)·s + rows.run` starts
-                    // at `iy · s · run_len`; its phase `cols.run` follows.
-                    let first_run = (rows.first * s + rows.run) * s + cols.run;
-                    let in_rows = in_plane[first_run * run_len..].chunks(s * s * run_len);
-                    let out_rows = out_plane[rows.out_min * ow..].chunks_exact_mut(ow);
-                    for (out_row, run) in out_rows.zip(in_rows).take(rows.count) {
-                        for (o, &v) in out_row[cols.out_min..][..cols.count]
-                            .iter_mut()
-                            .zip(&run[cols.first..][..cols.count])
-                        {
-                            *o += kv * v;
-                        }
-                    }
+        let ((h, w), k, s, p) = (hw, self.k, self.stride, self.padding);
+        for (i, o) in out_plane.iter_mut().enumerate() {
+            let mut acc = bias;
+            for (t, &kv) in kernel.iter().enumerate() {
+                let (ci, kh, kw) = (t / (k * k), t / k % k, t % k);
+                let iy = (i / ow * s + kh).checked_sub(p).filter(|&iy| iy < h);
+                let ix = (i % ow * s + kw).checked_sub(p).filter(|&ix| ix < w);
+                if let (Some(iy), Some(ix), true) = (iy, ix, kv != 0.0) {
+                    acc += kv * in_planes[(ci * h + iy) * w + ix];
                 }
             }
+            *o = acc;
         }
     }
 
     /// Number of multiply–accumulate operations for an `h × w` input, used
-    /// by the performance model.
+    /// by the performance model; `0` when the input is smaller than the
+    /// kernel.
     pub fn macs(&self, h: usize, w: usize) -> u64 {
         let (oh, ow) = self.output_hw(h, w);
         (self.c_out * self.c_in * self.k * self.k) as u64 * (oh * ow) as u64
     }
 }
 
-/// Where one kernel row or column reads and writes along its axis:
-/// outputs `out_min..out_min + count` take elements
-/// `first..first + count` of input phase `run`, because input index
-/// `i = o·s + shift = (o + q)·s + run`.
-struct TapSpan {
-    out_min: usize,
-    count: usize,
-    run: usize,
-    first: usize,
+/// `flat[i] = bias + Σ kv · staged[off + i]` over `taps` in order, in
+/// register-resident blocks: 32 elements wide, or the widest of 16 / 8 / 4
+/// that a shorter `flat` (at least 4 long) still holds.
+fn accumulate(staged: &[f32], taps: &[(f32, usize)], bias: f32, flat: &mut [f32]) {
+    match flat.len() {
+        32.. => accumulate_blocks::<8>(staged, taps, bias, flat),
+        16.. => accumulate_blocks::<4>(staged, taps, bias, flat),
+        8.. => accumulate_blocks::<2>(staged, taps, bias, flat),
+        _ => accumulate_blocks::<1>(staged, taps, bias, flat),
+    }
 }
 
-impl TapSpan {
-    /// Clips `0 ≤ o·s + shift < len` to `0 ≤ o < out_len`; `shift` is the
-    /// tap's kernel index minus the padding.
-    fn new(shift: isize, s: usize, len: usize, out_len: usize) -> Self {
-        let out_min = ((-shift).max(0) as usize).div_ceil(s);
-        let out_end = match usize::try_from(len as isize - shift) {
-            Ok(lim) if lim > 0 => ((lim - 1) / s + 1).min(out_len),
-            _ => 0,
-        };
-        TapSpan {
-            out_min,
-            count: out_end.saturating_sub(out_min),
-            run: shift.rem_euclid(s as isize) as usize,
-            // Non-negative whenever the span is non-empty.
-            first: (out_min as isize + shift.div_euclid(s as isize)).max(0) as usize,
+/// [`accumulate`] in blocks of `4 · V` elements. The last block overlaps
+/// its predecessor instead of narrowing: every element is computed
+/// independently, so computing some twice changes no bit, while narrow
+/// tail blocks are latency-bound.
+fn accumulate_blocks<const V: usize>(
+    staged: &[f32],
+    taps: &[(f32, usize)],
+    bias: f32,
+    flat: &mut [f32],
+) {
+    let (width, len) = (4 * V, flat.len());
+    let tail = (len % width != 0).then(|| len - width);
+    for x0 in (0..len / width).map(|b| b * width).chain(tail) {
+        // Four-wide sub-arrays map one-to-one onto SIMD registers (the
+        // `tile_exec::reduce_group` idiom).
+        let mut acc = [[bias; 4]; V];
+        for &(kv, off) in taps {
+            let src = &staged[off + x0..][..width];
+            for (a, y) in acc.iter_mut().zip(src.chunks_exact(4)) {
+                for (a, &v) in a.iter_mut().zip(y) {
+                    *a += kv * v;
+                }
+            }
+        }
+        for (o, a) in flat[x0..][..width].chunks_exact_mut(4).zip(&acc) {
+            o.copy_from_slice(a);
         }
     }
 }
@@ -361,9 +423,9 @@ mod tests {
     use crate::init::SplitMix64;
     use crate::ops::test_util::{bits, sparse_values};
 
-    /// The strided gather loop (`ix += s` per output column, straight
-    /// off the unstaged input) that the phase-split path replaced, kept
-    /// as the bit-exact reference: same taps, same order.
+    /// The convolution straight off the unstaged input, one axpy per tap
+    /// with a strided gather (`ix += s` per output column) and clipped
+    /// borders, kept as the bit-exact reference: same taps, same order.
     fn strided_reference(c: &Conv2d, input: &Tensor) -> Tensor {
         let (n, _, h, w) = input.shape().dims();
         let (oh, ow) = c.output_hw(h, w);
@@ -410,23 +472,25 @@ mod tests {
         Conv2d::new(weight, bias, c_out, c_in, k, s, p).unwrap()
     }
 
+    fn random_input(rng: &mut SplitMix64, dims: (usize, usize, usize, usize)) -> Tensor {
+        let (n, c, h, w) = dims;
+        let values = sparse_values(rng, n * c * h * w, 0.25);
+        Tensor::from_vec(Shape::new(n, c, h, w), values).unwrap()
+    }
+
     #[test]
     fn phase_split_matches_strided_reference_bit_for_bit() {
         let mut rng = SplitMix64::new(0x5EED_C0DE);
         let mut cases = 0;
-        for k in 2..=5 {
+        for k in 1..=5 {
             for s in 1..=4 {
-                for p in 0..k {
+                for p in 0..k.max(2) {
                     for (h, w) in [(1, 1), (3, 5), (17, 9), (34, 50)] {
                         if h + 2 * p < k || w + 2 * p < k {
                             continue;
                         }
                         let c = random_conv(&mut rng, 3, 2, (k, s, p));
-                        let x = Tensor::from_vec(
-                            Shape::new(2, 2, h, w),
-                            sparse_values(&mut rng, 2 * 2 * h * w, 0.25),
-                        )
-                        .unwrap();
+                        let x = random_input(&mut rng, (2, 2, h, w));
                         let want = strided_reference(&c, &x);
                         let got = c.forward(&x).unwrap();
                         assert_eq!(got.shape(), want.shape());
@@ -437,6 +501,63 @@ mod tests {
             }
         }
         assert!(cases >= 4 * 4 * 8);
+    }
+
+    #[test]
+    fn every_flat_length_and_block_width_matches_reference() {
+        // One-row planes put the flat length at exactly `ow`; the
+        // multi-row ones add junk columns inside a block.
+        let shapes = (1..=70)
+            .map(|w| (1, w))
+            .chain((2..=6).flat_map(|h| (1..=12).map(move |w| (h, w))));
+        let mut rng = SplitMix64::new(0xF1A7);
+        let mut seen = std::collections::BTreeSet::new();
+        for (h, w) in shapes {
+            for ksp in [(3, 1, 1), (3, 2, 1), (1, 1, 0), (4, 3, 2)] {
+                let c = random_conv(&mut rng, 2, 2, ksp);
+                let x = random_input(&mut rng, (1, 2, h, w));
+                let got = c.forward(&x).unwrap();
+                assert_eq!(
+                    bits(&got),
+                    bits(&strided_reference(&c, &x)),
+                    "{ksp:?} {h}x{w}"
+                );
+                let (oh, ow) = c.output_hw(h, w);
+                seen.insert((oh - 1) * (ow + (c.k - 1) / c.stride) + ow);
+            }
+        }
+        // Scalar planes, each block width, exact fits and overlapped tails.
+        assert!((1..=70).all(|len| seen.contains(&len)));
+    }
+
+    #[test]
+    fn mixed_bias_signs_take_the_fallback_per_channel() {
+        let mut rng = SplitMix64::new(0xB1A5);
+        for ksp in [(3, 1, 1), (3, 2, 1), (5, 2, 2), (1, 1, 0)] {
+            let mut c = random_conv(&mut rng, 5, 3, ksp);
+            c.bias.copy_from_slice(&[-0.0, 0.0, 1.5, -0.0, -2.25]);
+            // Zero taps of both signs over zero inputs of both signs.
+            for zero_share in [0.3, 1.0] {
+                let values = sparse_values(&mut rng, 2 * 3 * 9 * 11, zero_share);
+                let x = Tensor::from_vec(Shape::new(2, 3, 9, 11), values).unwrap();
+                let got = c.forward(&x).unwrap();
+                assert_eq!(bits(&got), bits(&strided_reference(&c, &x)), "{ksp:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn output_hw_and_macs_are_total() {
+        let c = Conv2d::randn(2, 3, 5, 2, 1, 0).unwrap();
+        // h + 2p = k − 1, = k, and an empty input.
+        assert_eq!(c.output_hw(2, 9), (0, 0));
+        assert_eq!(c.output_hw(9, 2), (0, 0));
+        assert_eq!(c.output_hw(3, 3), (1, 1));
+        assert_eq!(c.output_hw(0, 0), (0, 0));
+        assert_eq!(c.macs(2, 9), 0);
+        assert_eq!(c.macs(0, 0), 0);
+        assert_eq!(c.macs(3, 3), 2 * 3 * 25);
+        assert!(c.forward(&Tensor::zeros(Shape::new(1, 3, 2, 9))).is_err());
     }
 
     #[test]
@@ -465,33 +586,35 @@ mod tests {
     #[test]
     fn every_thread_count_matches_above_the_work_gate() {
         let mut rng = SplitMix64::new(5);
-        let c = random_conv(&mut rng, 7, 6, (3, 2, 1));
-        let x = Tensor::from_vec(
-            Shape::new(2, 6, 34, 50),
-            sparse_values(&mut rng, 2 * 6 * 34 * 50, 0.1),
-        )
-        .unwrap();
-        assert!(2 * c.macs(34, 50) >= nvc_core::PAR_MIN_WORK);
-        let want = bits(&strided_reference(&c, &x));
-        for threads in [1, 2, 3, 7] {
-            let got = c.forward_ctx(&x, &ExecCtx::with_threads(threads)).unwrap();
-            assert_eq!(bits(&got), want, "threads={threads}");
+        for s in [1, 2] {
+            let mut c = random_conv(&mut rng, 7, 6, (3, s, 1));
+            c.bias[3] = -0.0;
+            let x = random_input(&mut rng, (2, 6, 34, 50));
+            assert!(2 * c.macs(34, 50) >= nvc_core::PAR_MIN_WORK);
+            let want = bits(&strided_reference(&c, &x));
+            for threads in [1, 2, 3, 7] {
+                let got = c.forward_ctx(&x, &ExecCtx::with_threads(threads)).unwrap();
+                assert_eq!(bits(&got), want, "s={s} threads={threads}");
+            }
         }
     }
 
     #[test]
     fn poisoned_recycled_staging_is_never_read() {
-        // 7 columns at stride 3: runs of 3, 2 and 2 in slots of 3, so the
-        // staging buffer has pad elements that keep the recycled NaNs.
+        // Padding cells, phases the input never reaches (7 columns at
+        // stride 3 over a 5-tap kernel) and the junk columns of the flat
+        // row all start out as recycled NaNs; none may reach an output.
         let mut rng = SplitMix64::new(6);
-        let c = random_conv(&mut rng, 2, 3, (5, 3, 2));
-        let x =
-            Tensor::from_vec(Shape::new(1, 3, 6, 7), sparse_values(&mut rng, 126, 0.2)).unwrap();
-        let ctx = ExecCtx::serial();
-        ctx.scratch().put(vec![f32::NAN; 4096]);
-        let got = c.forward_ctx(&x, &ctx).unwrap();
-        assert_eq!(bits(&got), bits(&strided_reference(&c, &x)));
-        assert_eq!(ctx.scratch().cached(), 1, "staging goes back to the pool");
+        for ksp in [(5, 3, 2), (3, 1, 1), (3, 2, 1), (2, 4, 1), (1, 1, 0)] {
+            let mut c = random_conv(&mut rng, 3, 3, ksp);
+            c.bias[1] = -0.0;
+            let x = random_input(&mut rng, (2, 3, 6, 7));
+            let ctx = ExecCtx::serial();
+            ctx.scratch().put(vec![f32::NAN; 4096]);
+            let got = c.forward_ctx(&x, &ctx).unwrap();
+            assert_eq!(bits(&got), bits(&strided_reference(&c, &x)), "{ksp:?}");
+            assert_eq!(ctx.scratch().cached(), 1, "staging goes back to the pool");
+        }
         // A padded empty input has nothing to stage.
         let wide = Conv2d::randn(1, 1, 2, 2, 1, 0).unwrap();
         let y = wide
