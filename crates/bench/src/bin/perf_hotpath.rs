@@ -1,36 +1,27 @@
-//! Hot-path performance benchmark, serial-vs-parallel bit-exactness
-//! smoke test and perf-regression gate.
+//! Hot-path performance benchmark and serial-vs-parallel bit-exactness
+//! smoke test.
 //!
 //! Times the optimized kernels (direct conv, fast conv, fast and direct
-//! deconv, stride-2 direct conv, direct conv at the served and analysis
-//! shapes, Swin attention, deformable warp, activation quantization) —
-//! the first two against in-binary replicas
-//! of the pre-PR-2 scalar implementations — measures end-to-end
-//! encode/decode at
-//! `threads = 1`, `2` and `max`, checks both codec families for
-//! bit-exact parallel execution, and writes `BENCH_PR3.json` at the
-//! repository root.
+//! deconv, stride-2 direct conv, direct conv and deconv at the served and
+//! analysis shapes, Swin attention, deformable warp, activation
+//! quantization), measures end-to-end encode/decode at `threads = 1`, `2`
+//! and `max`, checks both codec families for bit-exact parallel
+//! execution, and gates the telemetry span overhead (enabled vs
+//! disabled) at 2 %. Prints; writes nothing.
 //!
 //! Usage:
 //!
 //! ```text
-//! perf_hotpath           # full run, writes BENCH_PR3.json
-//! perf_hotpath --quick   # CI smoke: small shapes, no JSON, exit != 0
-//!                        # if any serial-vs-parallel output diverges
-//! perf_hotpath --check [baseline.json]
-//!                        # perf gate: re-times the kernels and exits
-//!                        # != 0 if any regresses > 15 % vs the recorded
-//!                        # baseline (default BENCH_PR2.json), after
-//!                        # calibrating out the host-speed difference
-//!                        # with the median measured/baseline ratio;
-//!                        # also gates the telemetry span overhead
-//!                        # (enabled vs disabled) at 2 %
+//! perf_hotpath           # full run at the paper's N = 36, 64x64
+//! perf_hotpath --quick   # CI smoke: small shapes, one repetition
 //! ```
 //!
+//! Either way the exit status is non-zero if any serial-vs-parallel
+//! output diverges or enabling telemetry spans costs more than 2 %.
+//!
 //! All kernel timings run with telemetry spans disabled
-//! (`nvc_telemetry::Mode::Off`) so they stay comparable with baselines
-//! recorded before the instrumentation existed; the dedicated overhead
-//! gate is what measures the enabled path.
+//! (`nvc_telemetry::Mode::Off`); the dedicated overhead gate is what
+//! measures the enabled path.
 
 #![forbid(unsafe_code)]
 
@@ -63,167 +54,29 @@ fn smooth_tensor(c: usize, h: usize, w: usize) -> Tensor {
     })
 }
 
-// ---- pre-PR-2 reference implementations (the seed's scalar loops) ----
-
-/// The seed's `Conv2d::forward`: scalar inner loop with per-element
-/// bounds/padding checks. Kept verbatim as the baseline the optimized
-/// kernels are measured against.
-fn naive_conv_forward(conv: &Conv2d, input: &Tensor) -> Tensor {
-    let (n, _, h, w) = input.shape().dims();
-    let (oh, ow) = conv.output_hw(h, w);
-    let out_shape = Shape::new(n, conv.c_out(), oh, ow);
-    let mut out = Tensor::zeros(out_shape);
-    let in_shape = input.shape();
-    let in_data = input.as_slice();
-    let pad = conv.padding() as isize;
-    let k = conv.kernel();
-    for nn in 0..n {
-        for co in 0..conv.c_out() {
-            let bias = conv.bias()[co];
-            let out_base = out_shape.index(nn, co, 0, 0);
-            out.as_mut_slice()[out_base..out_base + oh * ow]
-                .iter_mut()
-                .for_each(|v| *v = bias);
-            for ci in 0..conv.c_in() {
-                let kernel = conv.kernel_slice(co, ci);
-                let in_base = in_shape.index(nn, ci, 0, 0);
-                let in_plane = &in_data[in_base..in_base + h * w];
-                for oy in 0..oh {
-                    let iy0 = (oy * conv.stride()) as isize - pad;
-                    for (ki, kv) in kernel.iter().enumerate() {
-                        if *kv == 0.0 {
-                            continue;
-                        }
-                        let kh = (ki / k) as isize;
-                        let kw = (ki % k) as isize;
-                        let iy = iy0 + kh;
-                        if iy < 0 || iy as usize >= h {
-                            continue;
-                        }
-                        let in_row = &in_plane[iy as usize * w..(iy as usize + 1) * w];
-                        let out_row_base = out_base + oy * ow;
-                        let out_data = out.as_mut_slice();
-                        for ox in 0..ow {
-                            let ix = (ox * conv.stride()) as isize - pad + kw;
-                            if ix < 0 || ix as usize >= w {
-                                continue;
-                            }
-                            out_data[out_row_base + ox] += kv * in_row[ix as usize];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The seed's `FastConv2d::forward`: per-tile `Mat` construction and a
-/// `u_acc.clone()` inside the innermost tile loop. `bias` is the source
-/// convolution's bias vector (not exposed by `FastConv2d`).
-fn naive_fast_conv_forward(fast: &FastConv2d, input: &Tensor, bias: &[f32]) -> Tensor {
-    let (n, _, h, w) = input.shape().dims();
-    let t = fast.transform();
-    let (p, m, mu) = (t.patch(), t.tile(), t.mu());
-    let step = t.in_step();
-    let offset = t.in_offset() as isize;
-    let (ty_n, tx_n) = fast.tile_count(h, w);
-    let mut out = Tensor::zeros(Shape::new(n, fast.c_out(), h, w));
-    let mut patch = Mat::zeros(p, p);
-    let mut y_tiles: Vec<Vec<f32>> = vec![vec![0.0; mu * mu]; fast.c_in()];
-    let mut u_acc = vec![0.0_f32; mu * mu];
-    for nn in 0..n {
-        for ty in 0..ty_n {
-            for tx in 0..tx_n {
-                let iy0 = (ty * step) as isize - offset;
-                let ix0 = (tx * step) as isize - offset;
-                for (ci, tile) in y_tiles.iter_mut().enumerate() {
-                    for py in 0..p {
-                        for px in 0..p {
-                            *patch.at_mut(py, px) =
-                                input.at_padded(nn, ci, iy0 + py as isize, ix0 + px as isize);
-                        }
-                    }
-                    let y = t.transform_input(&patch).expect("patch shape");
-                    tile.copy_from_slice(y.as_slice());
-                }
-                for (co, &b) in bias.iter().enumerate().take(fast.c_out()) {
-                    u_acc.iter_mut().for_each(|v| *v = 0.0);
-                    for (ci, y) in y_tiles.iter().enumerate() {
-                        fast.kernel(co, ci).hadamard_accumulate(y, &mut u_acc);
-                    }
-                    let u = Mat::from_vec(mu, mu, u_acc.clone()).expect("tile shape");
-                    let v = t.inverse(&u).expect("tile shape");
-                    for vy in 0..m {
-                        let oy = ty * m + vy;
-                        if oy >= h {
-                            break;
-                        }
-                        for vx in 0..m {
-                            let ox = tx * m + vx;
-                            if ox >= w {
-                                break;
-                            }
-                            *out.at_mut(nn, co, oy, ox) = v.at(vy, vx) + b;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 struct KernelRow {
     name: &'static str,
     ms: f64,
     mpix_s: f64,
-    speedup_vs_naive: Option<f64>,
 }
 
-fn json_kernels(rows: &[KernelRow]) -> String {
-    let fields: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let speedup = r
-                .speedup_vs_naive
-                .map(|s| format!(", \"speedup_vs_pre_pr\": {s:.2}"))
-                .unwrap_or_default();
-            format!(
-                "    \"{}\": {{\"ms\": {:.3}, \"mpix_s\": {:.3}{}}}",
-                r.name, r.ms, r.mpix_s, speedup
-            )
-        })
-        .collect();
-    fields.join(",\n")
-}
-
-/// Extracts `"<kernel>": {"ms": <number>` from a recorded bench JSON
-/// (the in-tree format written by this binary; no external JSON crate in
-/// the offline workspace).
-fn baseline_ms(json: &str, kernel: &str) -> Option<f64> {
-    let pos = json.find(&format!("\"{kernel}\""))?;
-    let rest = &json[pos..];
-    let tail = rest[rest.find("\"ms\":")? + 5..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-/// Telemetry-overhead gate: times the span-instrumented Winograd kernel
-/// with telemetry enabled and disabled, interleaved per round so clock
-/// or cache drift cannot bias one mode, and fails if the enabled path
-/// costs more than 2 % over best-of-round times. Leaves telemetry off,
-/// matching the rest of the benchmark.
-fn telemetry_overhead_ok(fast: &FastConv2d, x: &Tensor, ctx: &ExecCtx) -> bool {
+/// Telemetry-overhead gate: times the span-instrumented pruned Winograd
+/// kernel (always at N = 36, 64×64, whatever `--quick` says: shorter
+/// calls would gate on timer noise) with telemetry enabled and disabled,
+/// interleaved per round so clock or cache drift cannot bias one mode,
+/// and fails if the enabled path costs more than 2 %. Leaves telemetry
+/// off, matching the rest of the benchmark.
+fn telemetry_overhead_ok(ctx: &ExecCtx) -> bool {
     const ROUNDS: usize = 15;
     const BATCH: usize = 3;
+    let conv = Conv2d::randn(36, 36, 3, 1, 1, 7).unwrap();
+    let fast = FastConv2d::from_conv_pruned(&conv, Sparsity::new(0.5).unwrap()).unwrap();
+    let x = smooth_tensor(36, 64, 64);
     let time_batch = |mode: nvc_telemetry::Mode| {
         nvc_telemetry::set_mode(mode);
         let t0 = Instant::now();
         for _ in 0..BATCH {
-            fast.forward_ctx(x, ctx).unwrap();
+            fast.forward_ctx(&x, ctx).unwrap();
         }
         t0.elapsed().as_secs_f64()
     };
@@ -247,103 +100,19 @@ fn telemetry_overhead_ok(fast: &FastConv2d, x: &Tensor, ctx: &ExecCtx) -> bool {
     ratio <= 1.02
 }
 
-/// Perf-regression gate: compares freshly measured kernel times against
-/// a recorded baseline, failing any kernel > 15 % slower after host
-/// calibration.
-///
-/// Calibration prefers the baseline's recorded `conv3x3_naive_ms`: the
-/// naive replica is frozen source in this binary, so its measured/
-/// recorded ratio captures pure host+toolchain speed — a *uniform*
-/// regression of the optimized kernels cannot hide in it. Baselines
-/// without that field (PR 2) fall back to the median measured/baseline
-/// ratio, where a kernel must regress both absolutely and relative to
-/// the median (the median absorbs host scale, but also — unavoidably —
-/// uniform regressions; that mode is only a cross-machine stopgap).
-fn run_check(rows: &[KernelRow], baseline_path: &str, naive_conv_ms: f64) -> bool {
-    let json = match std::fs::read_to_string(baseline_path) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("--check: cannot read {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let mut ratios: Vec<(&str, f64)> = Vec::new();
-    for r in rows {
-        match baseline_ms(&json, r.name) {
-            Some(base) if base > 0.0 => ratios.push((r.name, r.ms / base)),
-            _ => println!("--check: {} not in baseline, skipping", r.name),
-        }
-    }
-    if ratios.is_empty() {
-        eprintln!("--check: no comparable kernels in {baseline_path}");
-        return false;
-    }
-    let naive_base = baseline_ms(&json, "conv3x3_naive");
-    let (calibration, absolute_gate) = match naive_base {
-        Some(base) if base > 0.0 => {
-            let c = naive_conv_ms / base;
-            println!(
-                "--check vs {baseline_path}: host calibration {c:.2}x \
-                 (frozen naive-conv replica, {naive_conv_ms:.2} ms vs {base:.2} ms recorded)"
-            );
-            (c, false)
-        }
-        _ => {
-            let mut sorted: Vec<f64> = ratios.iter().map(|&(_, r)| r).collect();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let c = sorted[sorted.len() / 2];
-            println!(
-                "--check vs {baseline_path}: no recorded naive-conv calibration; \
-                 falling back to median measured/baseline ({c:.2}x)"
-            );
-            (c, true)
-        }
-    };
-    let mut ok = true;
-    for (name, ratio) in ratios {
-        let rel = ratio / calibration;
-        let regressed = rel > 1.15 && (!absolute_gate || ratio > 1.15);
-        let verdict = if regressed {
-            ok = false;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!("  {name:>18}: {ratio:.2}x vs baseline (relative {rel:.2}x)  {verdict}");
-    }
-    ok
-}
-
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let baseline_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1))
-        .filter(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| format!("{root}/BENCH_PR2.json"));
+    let quick = std::env::args().any(|a| a == "--quick");
     let max_threads = ExecCtx::auto().threads();
     let mut divergence = false;
-    // Span-free timings: keep every number comparable with baselines
-    // recorded before the telemetry layer existed. The overhead gate
-    // below is the one place the enabled path is measured.
+    // Span-free timings; the overhead gate below is the one place the
+    // enabled path is measured.
     nvc_telemetry::set_mode(nvc_telemetry::Mode::Off);
 
     // ---- kernel benchmarks at the paper's N = 36 ----
     let n_ch = if quick { BENCH_N } else { 36 };
     let (h, w) = if quick { (32, 32) } else { (64, 64) };
-    let reps = if quick {
-        1
-    } else if check {
-        3
-    } else {
-        5
-    };
+    let reps = if quick { 1 } else { 5 };
     let pix = (h * w) as f64 / 1e6;
     let x = smooth_tensor(n_ch, h, w);
     let ctx1 = ExecCtx::serial();
@@ -354,28 +123,19 @@ fn main() {
 
     // Direct 3x3 conv.
     let conv = Conv2d::randn(n_ch, n_ch, 3, 1, 1, 7).unwrap();
-    let t_naive = bench(reps, || {
-        naive_conv_forward(&conv, &x);
-    });
-    // Frozen-replica time: the host-speed yardstick for --check and the
-    // recorded calibration in the bench JSON.
-    let naive_conv_ms = t_naive * 1e3;
-    let t_new = bench(reps, || {
+    let t_conv_1 = bench(reps, || {
         conv.forward_ctx(&x, &ctx1).unwrap();
     });
-    if naive_conv_forward(&conv, &x).as_slice()
+    if conv.forward_ctx(&x, &ctx1).unwrap().as_slice()
         != conv.forward_ctx(&x, &ctx_max).unwrap().as_slice()
     {
-        // The optimized direct conv keeps the seed's accumulation order,
-        // so even this cross-implementation check is exact.
-        eprintln!("FAIL: direct conv diverged from reference");
+        eprintln!("FAIL: direct conv serial vs parallel diverged");
         divergence = true;
     }
     rows.push(KernelRow {
         name: "conv3x3_direct",
-        ms: t_new * 1e3,
-        mpix_s: pix / t_new,
-        speedup_vs_naive: Some(t_naive / t_new),
+        ms: t_conv_1 * 1e3,
+        mpix_s: pix / t_conv_1,
     });
 
     // Fast (Winograd) conv, dense and 50 % pruned. The pruned operator
@@ -383,9 +143,6 @@ fn main() {
     // dense one — the whole point of transform-domain pruning.
     let fast_dense = FastConv2d::from_conv(&conv).unwrap();
     let fast_sparse = FastConv2d::from_conv_pruned(&conv, Sparsity::new(0.5).unwrap()).unwrap();
-    let t_naive = bench(reps, || {
-        naive_fast_conv_forward(&fast_dense, &x, conv.bias());
-    });
     let t_new = bench(reps, || {
         fast_dense.forward_ctx(&x, &ctx1).unwrap();
     });
@@ -393,7 +150,6 @@ fn main() {
         name: "fastconv_dense",
         ms: t_new * 1e3,
         mpix_s: pix / t_new,
-        speedup_vs_naive: Some(t_naive / t_new),
     });
     let t_sp = bench(reps, || {
         fast_sparse.forward_ctx(&x, &ctx1).unwrap();
@@ -402,7 +158,6 @@ fn main() {
         name: "fastconv_sparse50",
         ms: t_sp * 1e3,
         mpix_s: pix / t_sp,
-        speedup_vs_naive: None,
     });
     let sparse_speedup = t_new / t_sp;
     if fast_sparse.forward_ctx(&x, &ctx1).unwrap().as_slice()
@@ -423,7 +178,6 @@ fn main() {
         name: "fastdeconv_dense",
         ms: t_de * 1e3,
         mpix_s: pix / t_de,
-        speedup_vs_naive: None,
     });
     // Direct (polyphase) deconv on the same shape: what a config without
     // sparsity runs, e.g. the default server.
@@ -434,7 +188,6 @@ fn main() {
         name: "deconv_direct",
         ms: t_dd * 1e3,
         mpix_s: pix / t_dd,
-        speedup_vs_naive: None,
     });
     if fast_de.forward_ctx(&xd, &ctx1).unwrap().as_slice()
         != fast_de.forward_ctx(&xd, &ctx_max).unwrap().as_slice()
@@ -454,7 +207,6 @@ fn main() {
         name: "conv3x3_s2_direct",
         ms: t_s2 * 1e3,
         mpix_s: pix / t_s2,
-        speedup_vs_naive: None,
     });
     if conv_down.forward_ctx(&x, &ctx1).unwrap().as_slice()
         != conv_down.forward_ctx(&x, &ctx_max).unwrap().as_slice()
@@ -463,33 +215,50 @@ fn main() {
         divergence = true;
     }
 
-    // Direct conv at the shapes the codecs run it at, whatever `--quick`
-    // says: the three feature scales of the default server's `ctvc_fp(12)`
-    // 96x64 decode, and `Analysis::down2` of the N=36 sparse encoder at
-    // 128x96. Layers of tens of microseconds, so a sample is a batch.
+    // Direct conv and deconv at the shapes the codecs run them at,
+    // whatever `--quick` says: the three feature scales of the default
+    // server's `ctvc_fp(12)` 96x64 decode (the deconvs read
+    // edge-replicated inputs, two rows and columns larger; the last one is
+    // the frame reconstructor's), and `Analysis::down2` of the N=36 sparse
+    // encoder at 128x96. Layers of tens of microseconds, so a sample is a
+    // batch.
     const SERVED_BATCH: usize = 16;
-    for (name, n, (sh, sw), stride) in [
-        ("conv3x3_direct_n12_48x32", 12, (32, 48), 1),
-        ("conv3x3_direct_n12_24x16", 12, (16, 24), 1),
-        ("conv3x3_direct_n12_12x8", 12, (8, 12), 1),
-        ("conv3x3_s2_direct_n72_32x24", 72, (24, 32), 2),
+    type Served = Box<dyn Fn(&Tensor, &ExecCtx) -> Tensor>;
+    let served_conv = |n: usize, stride: usize| -> Served {
+        let conv = Conv2d::randn(n, n, 3, stride, 1, 17).unwrap();
+        Box::new(move |x, ctx| conv.forward_ctx(x, ctx).unwrap())
+    };
+    let served_deconv = |c_out: usize| -> Served {
+        let deconv = DeConv2d::randn(c_out, 12, 4, 2, 1, 19).unwrap();
+        Box::new(move |x, ctx| deconv.forward_ctx(x, ctx).unwrap())
+    };
+    for (name, op, c_in, (sh, sw)) in [
+        ("conv3x3_direct_n12_48x32", served_conv(12, 1), 12, (32, 48)),
+        ("conv3x3_direct_n12_24x16", served_conv(12, 1), 12, (16, 24)),
+        ("conv3x3_direct_n12_12x8", served_conv(12, 1), 12, (8, 12)),
+        (
+            "conv3x3_s2_direct_n72_32x24",
+            served_conv(72, 2),
+            72,
+            (24, 32),
+        ),
+        ("deconv_direct_n12_8x6", served_deconv(12), 12, (6, 8)),
+        ("deconv_direct_n12_14x10", served_deconv(12), 12, (10, 14)),
+        ("deconv_direct_n12_26x18", served_deconv(12), 12, (18, 26)),
+        ("deconv_direct_n12to3_50x34", served_deconv(3), 12, (34, 50)),
     ] {
-        let served = Conv2d::randn(n, n, 3, stride, 1, 17).unwrap();
-        let xs = smooth_tensor(n, sh, sw);
+        let xs = smooth_tensor(c_in, sh, sw);
         let t = bench(reps, || {
             for _ in 0..SERVED_BATCH {
-                served.forward_ctx(&xs, &ctx1).unwrap();
+                op(&xs, &ctx1);
             }
         }) / SERVED_BATCH as f64;
         rows.push(KernelRow {
             name,
             ms: t * 1e3,
             mpix_s: (sh * sw) as f64 / 1e6 / t,
-            speedup_vs_naive: None,
         });
-        if served.forward_ctx(&xs, &ctx1).unwrap().as_slice()
-            != served.forward_ctx(&xs, &ctx_max).unwrap().as_slice()
-        {
+        if op(&xs, &ctx1).as_slice() != op(&xs, &ctx_max).as_slice() {
             eprintln!("FAIL: {name} serial vs parallel diverged");
             divergence = true;
         }
@@ -505,7 +274,6 @@ fn main() {
         name: "attention_swin",
         ms: t_at * 1e3,
         mpix_s: (h / 4 * w / 4) as f64 / 1e6 / t_at,
-        speedup_vs_naive: None,
     });
     if attn.forward_ctx(&xa, &ctx1).unwrap().as_slice()
         != attn.forward_ctx(&xa, &ctx_max).unwrap().as_slice()
@@ -529,7 +297,6 @@ fn main() {
         name: "dfconv_warp",
         ms: t_df * 1e3,
         mpix_s: pix / t_df,
-        speedup_vs_naive: None,
     });
     if dfconv.forward_ctx(&x, &offsets, &ctx1).unwrap().as_slice()
         != dfconv
@@ -550,34 +317,12 @@ fn main() {
         name: "actq_fxp12",
         ms: t_q * 1e3,
         mpix_s: pix / t_q,
-        speedup_vs_naive: None,
     });
 
     for r in &rows {
-        let speedup = r
-            .speedup_vs_naive
-            .map(|s| format!("  ({s:.2}x vs pre-PR)"))
-            .unwrap_or_default();
-        println!(
-            "{:>27}: {:7.3} ms  {:6.2} Mpix/s{}",
-            r.name, r.ms, r.mpix_s, speedup
-        );
+        println!("{:>27}: {:7.3} ms  {:6.2} Mpix/s", r.name, r.ms, r.mpix_s);
     }
     println!("sparse50 speedup vs dense: {sparse_speedup:.2}x (compressed-kernel execution)");
-
-    if check {
-        let ok = run_check(&rows, &baseline_path, naive_conv_ms);
-        let overhead_ok = telemetry_overhead_ok(&fast_sparse, &x, &ctx1);
-        if !overhead_ok {
-            eprintln!("--check: telemetry span overhead exceeds 2%");
-        }
-        if divergence || !ok || !overhead_ok {
-            eprintln!("perf_hotpath --check: FAILED");
-            std::process::exit(1);
-        }
-        println!("perf_hotpath --check: all kernels within 15% of baseline, telemetry overhead within 2%");
-        return;
-    }
 
     // Cache-blocked matmul (attention projection shape).
     let tokens = 81;
@@ -609,9 +354,6 @@ fn main() {
     );
 
     // Thread scaling on the heaviest kernel at 1, 2 and max workers.
-    let t_conv_1 = bench(reps, || {
-        conv.forward_ctx(&x, &ctx1).unwrap();
-    });
     let conv_scale_at = |threads: usize| -> f64 {
         let ctx = ExecCtx::with_threads(threads);
         let t = bench(reps, || {
@@ -732,49 +474,8 @@ fn main() {
     }
     println!("bit-exactness: serial and parallel outputs identical for both codec families");
 
-    if quick {
-        println!("quick mode: skipping BENCH_PR3.json");
-        return;
+    if !telemetry_overhead_ok(&ctx1) {
+        eprintln!("perf_hotpath: telemetry span overhead exceeds 2%");
+        std::process::exit(1);
     }
-
-    let json = format!(
-        "{{\n  \"pr\": 3,\n  \"generated_by\": \"perf_hotpath\",\n  \
-         \"note\": \"fastconv_sparse50 executes pruned kernels in compressed (value, index) \
-         form inside the grouped tiled executor (nvc_fastalg tile_exec.rs), so at rho = 0.5 \
-         it must undercut fastconv_dense; ablation_sparsity --quick guards that ratio in \
-         CI\",\n  \
-         \"host_threads\": {max_threads},\n  \"kernel_shape\": \"N={n_ch} {h}x{w}\",\n  \
-         \"calibration\": {{\"conv3x3_naive\": {{\"ms\": {naive_conv_ms:.3}}}}},\n  \
-         \"kernels\": {{\n{}\n  }},\n  \
-         \"sparse_speedup_vs_dense\": {sparse_speedup:.2},\n  \
-         \"thread_scaling\": {{\n    \
-         \"conv3x3\": {{\"threads_1\": 1.00, \"threads_2\": {conv_s2:.2}, \
-         \"threads_max\": {conv_smax:.2}}},\n    \
-         \"decode_fps\": {{\"threads_1\": {:.3}, \"threads_2\": {:.3}, \
-         \"threads_max\": {:.3}}}\n  }},\n  \
-         \"end_to_end\": {{\n    \
-         \"config\": \"CTVC-Net(Sparse) N={BENCH_N} {ew}x{eh}x{frames}\",\n    \
-         \"encode_fps_t1\": {:.3},\n    \"encode_fps_t2\": {:.3},\n    \
-         \"encode_fps_tmax\": {:.3},\n    \
-         \"decode_fps_t1\": {:.3},\n    \"decode_fps_t2\": {:.3},\n    \
-         \"decode_fps_tmax\": {:.3},\n    \
-         \"encode_speedup_tmax_vs_t1\": {:.2},\n    \
-         \"decode_speedup_tmax_vs_t1\": {:.2},\n    \
-         \"bit_exact_across_threads\": true\n  }}\n}}\n",
-        json_kernels(&rows),
-        fpf / dec_t1,
-        fpf / dec_t2,
-        fpf / dec_tmax,
-        fpf / enc_t1,
-        fpf / enc_t2,
-        fpf / enc_tmax,
-        fpf / dec_t1,
-        fpf / dec_t2,
-        fpf / dec_tmax,
-        enc_t1 / enc_tmax,
-        dec_t1 / dec_tmax,
-    );
-    let path = format!("{root}/BENCH_PR3.json");
-    std::fs::write(&path, json).expect("write BENCH_PR3.json");
-    println!("wrote {path}");
 }

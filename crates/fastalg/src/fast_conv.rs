@@ -1,20 +1,36 @@
 use crate::sparse::{pack_co_streams, prune, CoStream, SparseKernel, Sparsity};
-use crate::tile_exec::{forward_tiled, KernelFamily, TileProblem};
-use crate::transforms::{winograd_f2x2_3x3, TransformPair};
+use crate::tile_exec::{forward_tiled, TileProblem};
+use crate::transforms::{fta_t3_6x6_4x4, winograd_f2x2_3x3, TransformPair};
 use nvc_core::ExecCtx;
 use nvc_tensor::mat::Mat;
-use nvc_tensor::ops::Conv2d;
+use nvc_tensor::ops::{Conv2d, DeConv2d};
 use nvc_tensor::{Tensor, TensorError};
 
-/// A 3×3 stride-1 convolution executed through the Winograd
-/// `F(2×2, 3×3)` transform pipeline, optionally with transform-domain
-/// pruning — the software model of what the SFTC computes for Convs.
+/// A layer executed through a fast transform pipeline, optionally with
+/// transform-domain pruning — the software model of what the SFTC
+/// computes, for convolutions and deconvolutions alike (Eq. (1)).
 ///
 /// Construction transforms every `(c_out, c_in)` kernel once
 /// (`E = G W Gᵀ`); `forward` then per input tile computes `Y = Bᵀ X B`,
 /// accumulates `Σ_ci E ⊙ Y` over input channels *in the transform domain*
 /// (exactly like the SCU array, which reduces channels before the single
-/// inverse transform), and applies `V = Aᵀ U A`.
+/// inverse transform), and applies `V = Aᵀ U A`. The [`TransformPair`] is
+/// all that tells the two families apart.
+#[derive(Debug, Clone)]
+pub struct FastLayer {
+    transform: TransformPair,
+    /// Compressed transform-domain kernels, indexed `[co * c_in + ci]`.
+    kernels: Vec<SparseKernel>,
+    /// Packed per-output-channel reduction streams, built once at
+    /// construction — what the tiled executor consumes.
+    streams: Vec<CoStream>,
+    /// One per output channel.
+    bias: Vec<f32>,
+    c_in: usize,
+}
+
+/// A [`FastLayer`] built by [`FastLayer::from_conv`]: a 3×3 stride-1
+/// convolution on the Winograd `F(2×2, 3×3)` pipeline.
 ///
 /// # Example
 ///
@@ -29,28 +45,36 @@ use nvc_tensor::{Tensor, TensorError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct FastConv2d {
-    transform: TransformPair,
-    /// Compressed transform-domain kernels, indexed `[co * c_in + ci]`.
-    kernels: Vec<SparseKernel>,
-    /// Packed per-output-channel reduction streams, built once at
-    /// construction — what the tiled executor consumes.
-    streams: Vec<CoStream>,
-    bias: Vec<f32>,
-    c_out: usize,
-    c_in: usize,
-    sparsity: Sparsity,
-}
+pub type FastConv2d = FastLayer;
 
-impl FastConv2d {
+/// A [`FastLayer`] built by [`FastLayer::from_deconv`]: a 4×4 stride-2
+/// transposed convolution on the FTA `T3(6×6, 4×4)` pipeline. Each tile
+/// reads a 5×5 patch of the once-padded input stepping by 3 and produces
+/// a 6×6 output tile, so an `h × w` input yields `2h × 2w` output.
+///
+/// # Example
+///
+/// ```
+/// use nvc_fastalg::FastDeConv2d;
+/// use nvc_tensor::{ops::DeConv2d, Shape, Tensor};
+/// # fn main() -> Result<(), nvc_tensor::TensorError> {
+/// let deconv = DeConv2d::randn(4, 8, 4, 2, 1, 21)?;
+/// let fast = FastDeConv2d::from_deconv(&deconv)?;
+/// let y = fast.forward(&Tensor::zeros(Shape::new(1, 8, 6, 9)))?;
+/// assert_eq!(y.shape().dims(), (1, 4, 12, 18));
+/// # Ok(())
+/// # }
+/// ```
+pub type FastDeConv2d = FastLayer;
+
+impl FastLayer {
     /// Builds the dense fast convolution from a direct [`Conv2d`].
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::Incompatible`] unless the convolution is
     /// 3×3, stride 1, padding 1 (the configuration `F(2×2, 3×3)` and the
-    /// NVCA hardware support).
+    /// NVCA hardware support) — the only way construction fails.
     pub fn from_conv(conv: &Conv2d) -> Result<Self, TensorError> {
         Self::from_conv_pruned(conv, Sparsity::dense())
     }
@@ -60,21 +84,67 @@ impl FastConv2d {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`FastConv2d::from_conv`].
+    /// Same conditions as [`FastLayer::from_conv`].
     pub fn from_conv_pruned(conv: &Conv2d, rho: Sparsity) -> Result<Self, TensorError> {
-        if conv.kernel() != 3 || conv.stride() != 1 || conv.padding() != 1 {
+        let ksp = (conv.kernel(), conv.stride(), conv.padding());
+        let dims = (conv.c_out(), conv.c_in());
+        let kernel = |co, ci| conv.kernel_slice(co, ci);
+        let shape = ("convolutions", ksp);
+        Self::build(winograd_f2x2_3x3(), shape, dims, conv.bias(), rho, kernel)
+    }
+
+    /// Builds the dense fast deconvolution from a direct [`DeConv2d`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::Incompatible`] unless the deconvolution is
+    /// 4×4, stride 2, padding 1 (the `T3(6×6, 4×4)` configuration) — the
+    /// only way construction fails.
+    pub fn from_deconv(deconv: &DeConv2d) -> Result<Self, TensorError> {
+        Self::from_deconv_pruned(deconv, Sparsity::dense())
+    }
+
+    /// Builds the fast deconvolution with transform-domain pruning at
+    /// sparsity `rho`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`FastLayer::from_deconv`].
+    pub fn from_deconv_pruned(deconv: &DeConv2d, rho: Sparsity) -> Result<Self, TensorError> {
+        let ksp = (deconv.kernel(), deconv.stride(), deconv.padding());
+        let dims = (deconv.c_out(), deconv.c_in());
+        let kernel = |co, ci| deconv.kernel_slice(ci, co);
+        let shape = ("deconvolutions", ksp);
+        Self::build(fta_t3_6x6_4x4(), shape, dims, deconv.bias(), rho, kernel)
+    }
+
+    /// Transforms, prunes and packs the `k × k` kernels `kernel(co, ci)`
+    /// of a layer of shape `(k, s, p)`. A transform executes one shape:
+    /// its kernel size, its output scale as the stride, its pre-padding
+    /// as the padding.
+    fn build<'a>(
+        transform: TransformPair,
+        (what, (k, s, p)): (&str, (usize, usize, usize)),
+        (c_out, c_in): (usize, usize),
+        bias: &[f32],
+        rho: Sparsity,
+        kernel: impl Fn(usize, usize) -> &'a [f32],
+    ) -> Result<Self, TensorError> {
+        let t = &transform;
+        let want = (t.kernel(), t.out_scale(), t.in_offset());
+        if (k, s, p) != want {
             return Err(TensorError::incompatible(format!(
-                "F(2x2,3x3) requires k=3 s=1 p=1 convolutions, got k={} s={} p={}",
-                conv.kernel(),
-                conv.stride(),
-                conv.padding()
+                "{} requires k={} s={} p={} {what}, got k={k} s={s} p={p}",
+                t.name(),
+                want.0,
+                want.1,
+                want.2
             )));
         }
-        let transform = winograd_f2x2_3x3();
-        let mut kernels = Vec::with_capacity(conv.c_out() * conv.c_in());
-        for co in 0..conv.c_out() {
-            for ci in 0..conv.c_in() {
-                let w = Mat::from_vec(3, 3, conv.kernel_slice(co, ci).to_vec())?;
+        let mut kernels = Vec::with_capacity(c_out * c_in);
+        for co in 0..c_out {
+            for ci in 0..c_in {
+                let w = Mat::from_vec(k, k, kernel(co, ci).to_vec())?;
                 let e = transform.transform_kernel(&w)?;
                 let masked = if rho.ratio() > 0.0 {
                     prune(&transform, &e, rho)?.masked
@@ -84,31 +154,24 @@ impl FastConv2d {
                 kernels.push(SparseKernel::from_dense(&masked)?);
             }
         }
-        let streams = pack_co_streams(&kernels, conv.c_in());
-        Ok(FastConv2d {
+        let streams = pack_co_streams(&kernels, c_in);
+        Ok(FastLayer {
             transform,
             kernels,
             streams,
-            bias: conv.bias().to_vec(),
-            c_out: conv.c_out(),
-            c_in: conv.c_in(),
-            sparsity: rho,
+            bias: bias.to_vec(),
+            c_in,
         })
     }
 
     /// Output channel count.
     pub fn c_out(&self) -> usize {
-        self.c_out
+        self.bias.len()
     }
 
     /// Input channel count.
     pub fn c_in(&self) -> usize {
         self.c_in
-    }
-
-    /// Sparsity the kernels were pruned to.
-    pub fn sparsity(&self) -> Sparsity {
-        self.sparsity
     }
 
     /// The underlying transform pair.
@@ -122,7 +185,7 @@ impl FastConv2d {
     ///
     /// Panics if `co` or `ci` is out of range.
     pub fn kernel(&self, co: usize, ci: usize) -> &SparseKernel {
-        assert!(co < self.c_out && ci < self.c_in);
+        assert!(co < self.c_out() && ci < self.c_in);
         &self.kernels[co * self.c_in + ci]
     }
 
@@ -131,62 +194,60 @@ impl FastConv2d {
         self.kernels.iter().map(|k| k.nnz()).sum()
     }
 
-    /// Number of tiles needed to cover an `h × w` input (output is same
-    /// size for this same-padding configuration).
+    /// Number of tiles needed to cover the output of an `h × w` input
+    /// (the same size for a convolution, `2h × 2w` for a deconvolution).
     pub fn tile_count(&self, h: usize, w: usize) -> (usize, usize) {
-        let m = self.transform.tile();
-        (h.div_ceil(m), w.div_ceil(m))
+        let (m, scale) = (self.transform.tile(), self.transform.out_scale());
+        ((scale * h).div_ceil(m), (scale * w).div_ceil(m))
     }
 
     /// Hadamard multiplications to process an `h × w` input with the
     /// current (possibly pruned) kernels. Compare with
-    /// `c_out · c_in · 9 · h · w` for the direct algorithm.
+    /// `c_out · c_in · k² · h · w` for the direct algorithm.
     pub fn hadamard_mults(&self, h: usize, w: usize) -> u64 {
         let (ty, tx) = self.tile_count(h, w);
         (ty * tx) as u64 * self.nnz_total() as u64
     }
 
-    /// Runs the fast convolution single-threaded.
+    /// Runs the layer single-threaded.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::Incompatible`] if the input channel count
-    /// differs from `c_in`.
+    /// differs from `c_in` or the input is empty, as the direct operators
+    /// do.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor, TensorError> {
         self.forward_ctx(input, &ExecCtx::serial())
     }
 
-    /// Runs the fast convolution through the tiled executor (see
-    /// [`crate::tile_exec`]'s module docs in the source): one fan-out
-    /// splits the tile rows into a stripe per worker, and each worker
-    /// stages cache-sized bands of lane-grouped input transforms and
-    /// reduces them into every output channel while they are hot, with
-    /// allocation-free hot loops. Kernels execute in compressed
-    /// `(value, index)` form — the reduction iterates only the kept
-    /// transform-domain coefficients, lane-grouped across tiles so it
-    /// still vectorizes — so sparsity ρ cuts the reduction work by ρ.
-    /// Results are bit-identical for every worker count.
+    /// Runs the layer through the tiled executor — a stripe of tile rows
+    /// per worker, cache-sized staging bands, allocation-free hot loops,
+    /// kernels consumed in compressed `(value, index)` form so sparsity ρ
+    /// cuts the reduction work by ρ (see [`crate::tile_exec`]'s module
+    /// docs in the source). Results are bit-identical for every worker
+    /// count.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`FastConv2d::forward`].
+    /// Same conditions as [`FastLayer::forward`].
     pub fn forward_ctx(&self, input: &Tensor, ctx: &ExecCtx) -> Result<Tensor, TensorError> {
         let (_, c, h, w) = input.shape().dims();
         if c != self.c_in {
             return Err(TensorError::incompatible(format!(
-                "fast conv expects {} input channels, got {c}",
+                "{} expects {} input channels, got {c}",
+                self.transform.name(),
                 self.c_in
             )));
         }
+        if h == 0 || w == 0 {
+            return Err(TensorError::incompatible("empty input"));
+        }
         forward_tiled(
             &TileProblem {
-                family: KernelFamily::Winograd,
                 transform: &self.transform,
                 streams: &self.streams,
                 bias: &self.bias,
                 c_in: self.c_in,
-                out_h: h,
-                out_w: w,
             },
             input,
             ctx,

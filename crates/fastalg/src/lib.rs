@@ -25,10 +25,12 @@
 //! kernel retains exactly `⌈(1−ρ)µ²⌉` non-zeros (the fine-grained
 //! *structured* sparsity the SCU array exploits).
 //!
-//! [`FastConv2d`] and [`FastDeConv2d`] execute whole layers through the
-//! tiled transform pipeline (optionally pruned) and are verified against
-//! the direct operators from [`nvc_tensor`] up to floating-point
-//! associativity (see the property tests).
+//! [`FastLayer`] executes whole layers through the tiled transform
+//! pipeline (optionally pruned): one type for both families, as Eq. (1)
+//! is one formula — the [`TransformPair`] it is built with is all that
+//! differs. [`FastConv2d`] and [`FastDeConv2d`] are its two names. It is
+//! verified against the direct operators from [`nvc_tensor`] up to
+//! floating-point associativity (see the property tests).
 //!
 //! # Example
 //!
@@ -50,12 +52,15 @@
 #![forbid(unsafe_code)]
 
 mod fast_conv;
-mod fast_deconv;
 mod sparse;
 mod tile_exec;
 mod transforms;
 
-pub use fast_conv::FastConv2d;
-pub use fast_deconv::FastDeConv2d;
+pub use fast_conv::{FastConv2d, FastDeConv2d, FastLayer};
 pub use sparse::{prune, PruneReport, SparseKernel, Sparsity};
 pub use transforms::{fta_t3_6x6_4x4, winograd_f2x2_3x3, TransformPair};
+
+#[cfg(test)]
+mod fast_deconv {
+    mod tests;
+}

@@ -1,8 +1,8 @@
-//! Shared tiled execution engine for [`FastConv2d`](crate::FastConv2d)
-//! and [`FastDeConv2d`](crate::FastDeConv2d).
+//! Tiled execution engine of [`FastLayer`](crate::FastLayer).
 //!
-//! Both fast operators are the same computation with different transform
-//! geometry: per tile, transform every input channel's patch
+//! A fast convolution and a fast deconvolution are the same computation
+//! with different transform geometry: per tile, transform every input
+//! channel's patch
 //! (`Y = Bᵀ X B`), accumulate `Σ_ci E ⊙ Y` in the transform domain, and
 //! inverse-transform once per output channel (`V = Aᵀ U A`). Dense and
 //! pruned kernels run the same code: every output channel reduces by
@@ -56,22 +56,12 @@ use nvc_core::{ExecCtx, ScratchPool};
 use nvc_tensor::{Shape, Tensor, TensorError};
 use std::ops::Range;
 
-/// Which fast transform a [`TileProblem`] runs — the label its timings
-/// are reported under.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum KernelFamily {
-    /// Winograd `F(2×2, 3×3)` convolution ([`crate::FastConv2d`]).
-    Winograd,
-    /// FTA `T3(6×6, 4×4)` deconvolution ([`crate::FastDeConv2d`]).
-    Fta,
-}
-
 /// The per-kernel-family forward-call histogram (microseconds), global
 /// so every operator instance of a family aggregates into one metric.
 /// Dense and pruned operators report separately: their cost differs
 /// (`µ²` vs `nnz` per tile), so mixing them would bury exactly the
 /// comparison the sparsity work needs.
-fn family_histogram(family: KernelFamily, sparse: bool) -> &'static nvc_telemetry::Histogram {
+fn family_histogram(t: &TransformPair, sparse: bool) -> &'static nvc_telemetry::Histogram {
     static HISTS: std::sync::OnceLock<[nvc_telemetry::Histogram; 4]> = std::sync::OnceLock::new();
     let hists = HISTS.get_or_init(|| {
         [
@@ -81,14 +71,14 @@ fn family_histogram(family: KernelFamily, sparse: bool) -> &'static nvc_telemetr
             nvc_telemetry::histogram("nvc_kernel_fta_sparse_us"),
         ]
     });
-    &hists[usize::from(matches!(family, KernelFamily::Fta)) * 2 + usize::from(sparse)]
+    // The FTA transform is the one that upsamples.
+    &hists[usize::from(t.out_scale() > 1) * 2 + usize::from(sparse)]
 }
 
 /// One fast-operator invocation, described geometrically.
 pub(crate) struct TileProblem<'a> {
-    /// The reporting family (conv/deconv).
-    pub family: KernelFamily,
-    /// The transform pair (fixes patch/tile/µ geometry).
+    /// The transform pair (fixes patch/tile/µ geometry, the output size
+    /// and the family timings are reported under).
     pub transform: &'a TransformPair,
     /// Packed reduction stream of every output channel.
     pub streams: &'a [CoStream],
@@ -96,10 +86,6 @@ pub(crate) struct TileProblem<'a> {
     pub bias: &'a [f32],
     /// Input channel count.
     pub c_in: usize,
-    /// Output height (equals input height for conv, doubles for deconv).
-    pub out_h: usize,
-    /// Output width.
-    pub out_w: usize,
 }
 
 /// Staged `f32`s per band (256 KiB): with the group's lane scratch and
@@ -199,6 +185,7 @@ struct Layout<'a> {
     input: &'a [f32],
     in_h: usize,
     in_w: usize,
+    out_w: usize,
     /// Tiles per tile row.
     tx_n: usize,
     /// Lane groups per band.
@@ -227,9 +214,9 @@ pub(crate) fn forward_banded(
     assert!(p <= MAX_PATCH && m <= MAX_TILE && mu <= MAX_MU);
     let c_out = prob.streams.len();
     let nnz: usize = prob.streams.iter().map(|s| s.values.len()).sum();
-    let _span = family_histogram(prob.family, nnz < c_out * prob.c_in * mu * mu).time();
+    let _span = family_histogram(t, nnz < c_out * prob.c_in * mu * mu).time();
     let (n, _, in_h, in_w) = input.shape().dims();
-    let (oh, ow) = (prob.out_h, prob.out_w);
+    let (oh, ow) = (in_h * t.out_scale(), in_w * t.out_scale());
     let mut out = Tensor::zeros(Shape::new(n, c_out, oh, ow));
     if out.as_slice().is_empty() {
         return Ok(out);
@@ -249,6 +236,7 @@ pub(crate) fn forward_banded(
             input: &input.as_slice()[nn * in_floats..][..in_floats],
             in_h,
             in_w,
+            out_w: ow,
             tx_n,
             band_groups,
         };
@@ -392,7 +380,7 @@ fn reduce_group(
     plane: &mut [f32],
 ) {
     let t = l.prob.transform;
-    let (m, ow) = (t.tile(), l.prob.out_w);
+    let (m, ow) = (t.tile(), l.out_w);
     let row_len = l.prob.c_in * LANES;
     // Coefficient `j`'s accumulator lanes live in registers across its
     // whole channel reduction; each kept weight is one LANES-wide
@@ -469,11 +457,11 @@ mod tests {
         let mut rng = SplitMix64::new(0x7E57_BA2D);
         let (c_in, c_out) = (6, 5);
         let bias: Vec<f32> = (0..c_out).map(|co| co as f32 * 0.125 - 0.25).collect();
-        for (family, t, (h, w), scale) in [
+        for (t, (h, w)) in [
             // 32×39 tiles = 39 lane groups: two default bands when serial.
-            (KernelFamily::Winograd, winograd_f2x2_3x3(), (63, 77), 1),
+            (winograd_f2x2_3x3(), (63, 77)),
             // 15×19 tiles = 9 lane groups of 12 288 floats: two bands.
-            (KernelFamily::Fta, fta_t3_6x6_4x4(), (44, 56), 2),
+            (fta_t3_6x6_4x4(), (44, 56)),
         ] {
             let data = (0..c_in * h * w)
                 .map(|_| rng.next_f32() * 4.0 - 2.0)
@@ -482,13 +470,10 @@ mod tests {
             for rho in [0.0, 0.5, 0.9] {
                 let streams = streams(&t, c_out, c_in, rho, rng.next_u64() % 500);
                 let prob = TileProblem {
-                    family,
                     transform: &t,
                     streams: &streams,
                     bias: &bias,
                     c_in,
-                    out_h: h * scale,
-                    out_w: w * scale,
                 };
                 let want = forward_banded(&prob, &x, &ExecCtx::serial(), usize::MAX).unwrap();
                 for band_floats in [1, BAND_FLOATS, usize::MAX] {
@@ -498,7 +483,8 @@ mod tests {
                         assert_eq!(
                             got.as_slice(),
                             want.as_slice(),
-                            "{family:?} rho={rho} band={band_floats} workers={workers}"
+                            "{} rho={rho} band={band_floats} workers={workers}",
+                            t.name()
                         );
                     }
                 }
@@ -513,13 +499,10 @@ mod tests {
         let t = winograd_f2x2_3x3();
         let streams = streams(&t, 3, 2, 0.5, 7);
         let prob = TileProblem {
-            family: KernelFamily::Winograd,
             transform: &t,
             streams: &streams,
             bias: &[0.0; 3],
             c_in: 2,
-            out_h: 9,
-            out_w: 7,
         };
         let x = Tensor::from_fn(Shape::new(1, 2, 9, 7), |_, c, y, xx| {
             (c * 63 + y * 7 + xx) as f32 * 0.01

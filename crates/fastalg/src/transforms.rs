@@ -159,6 +159,12 @@ impl TransformPair {
         self.in_step
     }
 
+    /// Output samples per input sample along each axis: 1 for the
+    /// convolution transform, 2 for the stride-2 deconvolution one.
+    pub(crate) fn out_scale(&self) -> usize {
+        self.m / self.in_step
+    }
+
     /// Zero padding applied to the top/left of the input before tiling.
     pub fn in_offset(&self) -> usize {
         self.in_offset

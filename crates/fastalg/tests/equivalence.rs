@@ -2,11 +2,11 @@
 //! (transform-domain) operators must reproduce the direct operators for
 //! arbitrary inputs and weights, and pruning must behave monotonically.
 //! Case generation uses the in-tree SplitMix64 PRNG from `nvc-tensor`.
+//! Both families run through the one [`FastLayer`] type, so the
+//! per-family cases are rows of one table ([`FAMILIES`]).
 
 use nvc_core::ExecCtx;
-use nvc_fastalg::{
-    fta_t3_6x6_4x4, prune, winograd_f2x2_3x3, FastConv2d, FastDeConv2d, Sparsity, TransformPair,
-};
+use nvc_fastalg::{fta_t3_6x6_4x4, prune, winograd_f2x2_3x3, FastLayer, Sparsity};
 use nvc_tensor::init::SplitMix64;
 use nvc_tensor::mat::Mat;
 use nvc_tensor::ops::{Conv2d, DeConv2d};
@@ -19,37 +19,65 @@ fn rand_tensor(rng: &mut SplitMix64, c: usize, h: usize, w: usize) -> Tensor {
     Tensor::from_vec(Shape::new(1, c, h, w), data).unwrap()
 }
 
-/// Winograd F(2x2,3x3) equals direct 3x3 convolution for any input.
-#[test]
-fn fast_conv_equals_direct() {
-    let mut rng = SplitMix64::new(0xFA57_0001);
+/// Either direct operator's `forward_ctx`.
+type Direct = Box<dyn Fn(&Tensor, &ExecCtx) -> Tensor>;
+
+/// A seeded direct operator and the fast layer built from it at sparsity
+/// `rho`.
+struct Pair {
+    direct: Direct,
+    fast: FastLayer,
+}
+
+/// Builds a [`Pair`] from `(c_out, c_in, seed, rho)`.
+type Family = fn(usize, usize, u64, f64) -> Pair;
+
+fn conv_pair(c_out: usize, c_in: usize, seed: u64, rho: f64) -> Pair {
+    let conv = Conv2d::randn(c_out, c_in, 3, 1, 1, seed).unwrap();
+    let fast = FastLayer::from_conv_pruned(&conv, Sparsity::new(rho).unwrap()).unwrap();
+    let direct = Box::new(move |x: &Tensor, ctx: &ExecCtx| conv.forward_ctx(x, ctx).unwrap());
+    Pair { direct, fast }
+}
+
+fn deconv_pair(c_out: usize, c_in: usize, seed: u64, rho: f64) -> Pair {
+    let deconv = DeConv2d::randn(c_out, c_in, 4, 2, 1, seed).unwrap();
+    let fast = FastLayer::from_deconv_pruned(&deconv, Sparsity::new(rho).unwrap()).unwrap();
+    let direct = Box::new(move |x: &Tensor, ctx: &ExecCtx| deconv.forward_ctx(x, ctx).unwrap());
+    Pair { direct, fast }
+}
+
+/// Winograd `F(2×2, 3×3)` over 3×3/s1/p1 convolutions, FTA `T3(6×6, 4×4)`
+/// over 4×4/s2/p1 deconvolutions.
+const FAMILIES: [(&str, Family); 2] = [("conv", conv_pair), ("deconv", deconv_pair)];
+
+/// The dense fast layer equals its direct operator for any input.
+fn fast_equals_direct(
+    family: Family,
+    seed: u64,
+    (c_out, c_in, h, w): (usize, usize, usize, usize),
+) {
+    let mut rng = SplitMix64::new(seed);
     for _ in 0..CASES {
-        let x = rand_tensor(&mut rng, 3, 9, 11);
-        let seed = rng.next_u64() % 500;
-        let conv = Conv2d::randn(4, 3, 3, 1, 1, seed).unwrap();
-        let fast = FastConv2d::from_conv(&conv).unwrap();
-        let direct = conv.forward(&x).unwrap();
-        let fastv = fast.forward(&x).unwrap();
+        let x = rand_tensor(&mut rng, c_in, h, w);
+        let pair = family(c_out, c_in, rng.next_u64() % 500, 0.0);
+        let direct = (pair.direct)(&x, &ExecCtx::serial());
+        let fastv = pair.fast.forward(&x).unwrap();
+        assert_eq!(direct.shape(), fastv.shape());
         let scale = direct.max_abs().max(1.0);
         assert!(direct.sub(&fastv).unwrap().max_abs() < 1e-3 * scale);
     }
 }
 
+/// Winograd F(2x2,3x3) equals direct 3x3 convolution for any input.
+#[test]
+fn fast_conv_equals_direct() {
+    fast_equals_direct(conv_pair, 0xFA57_0001, (4, 3, 9, 11));
+}
+
 /// FTA T3(6x6,4x4) equals direct 4x4 stride-2 deconvolution.
 #[test]
 fn fast_deconv_equals_direct() {
-    let mut rng = SplitMix64::new(0xFA57_0002);
-    for _ in 0..CASES {
-        let x = rand_tensor(&mut rng, 2, 7, 5);
-        let seed = rng.next_u64() % 500;
-        let deconv = DeConv2d::randn(3, 2, 4, 2, 1, seed).unwrap();
-        let fast = FastDeConv2d::from_deconv(&deconv).unwrap();
-        let direct = deconv.forward(&x).unwrap();
-        let fastv = fast.forward(&x).unwrap();
-        assert_eq!(direct.shape(), fastv.shape());
-        let scale = direct.max_abs().max(1.0);
-        assert!(direct.sub(&fastv).unwrap().max_abs() < 1e-3 * scale);
-    }
+    fast_equals_direct(deconv_pair, 0xFA57_0002, (3, 2, 7, 5));
 }
 
 /// Pruning is monotone: higher sparsity keeps a subset of the scores,
@@ -105,39 +133,23 @@ fn parallel_operators_are_bit_exact() {
         // Odd sizes force partial tiles and uneven chunk partitions.
         let x = rand_tensor(&mut rng, 3, 11, 13);
         let seed = rng.next_u64() % 500;
-        let conv = Conv2d::randn(5, 3, 3, 1, 1, seed).unwrap();
-        let fast =
-            FastConv2d::from_conv_pruned(&conv, Sparsity::new(0.25 * (case % 3) as f64).unwrap())
-                .unwrap();
-        let deconv = DeConv2d::randn(4, 3, 4, 2, 1, seed ^ 7).unwrap();
-        let fast_de = FastDeConv2d::from_deconv(&deconv).unwrap();
-
-        let conv_ref = conv.forward(&x).unwrap();
-        let fast_ref = fast.forward(&x).unwrap();
-        let deconv_ref = deconv.forward(&x).unwrap();
-        let fast_de_ref = fast_de.forward(&x).unwrap();
-        for threads in THREAD_SWEEP {
-            let ctx = ExecCtx::with_threads(threads);
-            assert_eq!(
-                conv.forward_ctx(&x, &ctx).unwrap().as_slice(),
-                conv_ref.as_slice(),
-                "Conv2d diverged at {threads} threads"
-            );
-            assert_eq!(
-                fast.forward_ctx(&x, &ctx).unwrap().as_slice(),
-                fast_ref.as_slice(),
-                "FastConv2d diverged at {threads} threads"
-            );
-            assert_eq!(
-                deconv.forward_ctx(&x, &ctx).unwrap().as_slice(),
-                deconv_ref.as_slice(),
-                "DeConv2d diverged at {threads} threads"
-            );
-            assert_eq!(
-                fast_de.forward_ctx(&x, &ctx).unwrap().as_slice(),
-                fast_de_ref.as_slice(),
-                "FastDeConv2d diverged at {threads} threads"
-            );
+        for (name, family) in FAMILIES {
+            let pair = family(5, 3, seed, 0.25 * (case % 3) as f64);
+            let direct_ref = (pair.direct)(&x, &ExecCtx::serial());
+            let fast_ref = pair.fast.forward(&x).unwrap();
+            for threads in THREAD_SWEEP {
+                let ctx = ExecCtx::with_threads(threads);
+                assert_eq!(
+                    (pair.direct)(&x, &ctx).as_slice(),
+                    direct_ref.as_slice(),
+                    "direct {name} diverged at {threads} threads"
+                );
+                assert_eq!(
+                    pair.fast.forward_ctx(&x, &ctx).unwrap().as_slice(),
+                    fast_ref.as_slice(),
+                    "fast {name} diverged at {threads} threads"
+                );
+            }
         }
     }
 }
@@ -151,9 +163,8 @@ fn multi_band_execution_matches_direct() {
     // 64 in-channels at 96x96 -> 192x192 output: 32x32 FTA tiles at
     // 64·64 floats each = one lane group per band, 32 bands.
     let x = rand_tensor(&mut rng, 64, 96, 96);
-    let deconv = DeConv2d::randn(3, 64, 4, 2, 1, 901).unwrap();
-    let fast = FastDeConv2d::from_deconv(&deconv).unwrap();
-    let direct = deconv.forward(&x).unwrap();
+    let Pair { direct, fast } = deconv_pair(3, 64, 901, 0.0);
+    let direct = direct(&x, &ExecCtx::serial());
     let fastv = fast.forward(&x).unwrap();
     assert_eq!(direct.shape(), fastv.shape());
     let scale = direct.max_abs().max(1.0);
@@ -168,8 +179,7 @@ fn multi_band_execution_matches_direct() {
 fn scratch_reuse_does_not_change_results() {
     let mut rng = SplitMix64::new(0xFA57_0007);
     let ctx = ExecCtx::with_threads(3);
-    let conv = Conv2d::randn(4, 2, 3, 1, 1, 42).unwrap();
-    let fast = FastConv2d::from_conv(&conv).unwrap();
+    let fast = conv_pair(4, 2, 42, 0.0).fast;
     for _ in 0..4 {
         let x = rand_tensor(&mut rng, 2, 9, 7);
         let fresh = fast.forward_ctx(&x, &ExecCtx::with_threads(3)).unwrap();
@@ -178,37 +188,20 @@ fn scratch_reuse_does_not_change_results() {
     }
 }
 
-/// Reference "dense application" of a fast conv's (possibly pruned)
+/// Reference "dense application" of a fast layer's (possibly pruned)
 /// kernels: the padded-buffer execution the executor used before
 /// compressed-kernel execution — per tile, every kernel multiplies all
 /// µ² positions (pruned positions contribute exactly `+0.0`), `c_in`
 /// ascending. The compressed executor must match this **bit for bit**:
 /// an IEEE-754 accumulator seeded with `+0.0` is unaffected by adding
-/// the `±0.0` of a pruned position.
-fn dense_apply_conv(fast: &FastConv2d, input: &Tensor) -> Tensor {
+/// the `±0.0` of a pruned position. One reference for both families: the
+/// output is the input's size times the transform's tile-to-step ratio.
+fn dense_apply(fast: &FastLayer, input: &Tensor) -> Tensor {
+    let t = fast.transform();
+    let (c_in, c_out) = (fast.c_in(), fast.c_out());
     let (_, _, h, w) = input.shape().dims();
-    let kernel = |co, ci| fast.kernel(co, ci).to_dense();
-    dense_apply(
-        fast.transform(),
-        &kernel,
-        fast.c_in(),
-        fast.c_out(),
-        (h, w),
-        input,
-    )
-}
-
-/// [`dense_apply_conv`] for either family: `kernel(co, ci)` is the
-/// reconstructed dense transform-domain kernel, `(oh, ow)` the output
-/// size (the input's for conv, twice that for deconv).
-fn dense_apply(
-    t: &TransformPair,
-    kernel: &dyn Fn(usize, usize) -> Mat,
-    c_in: usize,
-    c_out: usize,
-    (oh, ow): (usize, usize),
-    input: &Tensor,
-) -> Tensor {
+    let scale = t.tile() / t.in_step();
+    let (oh, ow) = (scale * h, scale * w);
     let (p, m, mu) = (t.patch(), t.tile(), t.mu());
     let mu2 = mu * mu;
     let n = input.shape().n();
@@ -219,7 +212,7 @@ fn dense_apply(
     // Padded dense buffers reconstructed from the compressed kernels.
     let dense: Vec<Vec<f32>> = (0..c_out)
         .flat_map(|co| (0..c_in).map(move |ci| (co, ci)))
-        .map(|(co, ci)| kernel(co, ci).as_slice().to_vec())
+        .map(|(co, ci)| fast.kernel(co, ci).to_dense().as_slice().to_vec())
         .collect();
     let mut patch = vec![0.0_f32; p * p];
     let mut y_tiles = vec![0.0_f32; c_in * mu2];
@@ -273,41 +266,28 @@ fn stripe_execution_matches_dense_application_for_every_worker_count() {
     const WORKERS: [usize; 6] = [1, 2, 3, 4, 7, 64];
     let mut rng = SplitMix64::new(0xFA57_000B);
     for rho in [0.0, 0.25, 0.5, 0.75, 0.9] {
-        let rho = Sparsity::new(rho).unwrap();
         let seed = rng.next_u64() % 500;
         // The first frame of each family carries enough work to clear
         // the executor's fan-out gate at every pruning level (19 and 8
         // tile rows, so 64 workers outnumber both); the others are a
         // thin frame and a single tile.
-        let conv = Conv2d::randn(5, 6, 3, 1, 1, seed).unwrap();
-        let fast = FastConv2d::from_conv_pruned(&conv, rho).unwrap();
-        for (h, w) in [(37, 41), (5, 33), (2, 2)] {
-            let x = rand_tensor(&mut rng, 6, h, w);
-            let want = dense_apply_conv(&fast, &x);
-            for workers in WORKERS {
-                let got = fast.forward_ctx(&x, &ExecCtx::with_threads(workers));
-                assert_eq!(
-                    got.unwrap().as_slice(),
-                    want.as_slice(),
-                    "conv {h}x{w} rho={} workers={workers}",
-                    rho.ratio()
-                );
-            }
-        }
-        let deconv = DeConv2d::randn(4, 3, 4, 2, 1, seed ^ 0x5A).unwrap();
-        let fast = FastDeConv2d::from_deconv_pruned(&deconv, rho).unwrap();
-        let kernel = |co, ci| fast.kernel(co, ci).to_dense();
-        for (h, w) in [(23, 25), (4, 17), (3, 3)] {
-            let x = rand_tensor(&mut rng, 3, h, w);
-            let want = dense_apply(fast.transform(), &kernel, 3, 4, (2 * h, 2 * w), &x);
-            for workers in WORKERS {
-                let got = fast.forward_ctx(&x, &ExecCtx::with_threads(workers));
-                assert_eq!(
-                    got.unwrap().as_slice(),
-                    want.as_slice(),
-                    "deconv {h}x{w} rho={} workers={workers}",
-                    rho.ratio()
-                );
+        let frames = [
+            ((5, 6), [(37, 41), (5, 33), (2, 2)]),
+            ((4, 3), [(23, 25), (4, 17), (3, 3)]),
+        ];
+        for ((name, family), ((c_out, c_in), sizes)) in FAMILIES.into_iter().zip(frames) {
+            let fast = family(c_out, c_in, seed, rho).fast;
+            for (h, w) in sizes {
+                let x = rand_tensor(&mut rng, c_in, h, w);
+                let want = dense_apply(&fast, &x);
+                for workers in WORKERS {
+                    let got = fast.forward_ctx(&x, &ExecCtx::with_threads(workers));
+                    assert_eq!(
+                        got.unwrap().as_slice(),
+                        want.as_slice(),
+                        "{name} {h}x{w} rho={rho} workers={workers}"
+                    );
+                }
             }
         }
     }
@@ -326,8 +306,8 @@ fn sparse_apply_matches_dense_apply_bit_for_bit() {
             let x = rand_tensor(&mut rng, 3, 11, 13);
             let seed = rng.next_u64() % 500;
             let conv = Conv2d::randn(4, 3, 3, 1, 1, seed).unwrap();
-            let fast = FastConv2d::from_conv_pruned(&conv, Sparsity::new(rho).unwrap()).unwrap();
-            let reference = dense_apply_conv(&fast, &x);
+            let fast = FastLayer::from_conv_pruned(&conv, Sparsity::new(rho).unwrap()).unwrap();
+            let reference = dense_apply(&fast, &x);
             let got = fast.forward(&x).unwrap();
             assert_eq!(
                 got.as_slice(),
@@ -337,8 +317,7 @@ fn sparse_apply_matches_dense_apply_bit_for_bit() {
             // Bias rides on top of the tile sums; re-check with one.
             let mut biased = conv.clone();
             biased.bias_mut()[1] = 0.375;
-            let fast_b =
-                FastConv2d::from_conv_pruned(&biased, Sparsity::new(rho).unwrap()).unwrap();
+            let fast_b = FastLayer::from_conv_pruned(&biased, Sparsity::new(rho).unwrap()).unwrap();
             let with_bias = fast_b.forward(&x).unwrap();
             let base = fast.forward(&x).unwrap();
             for c in 0..4 {
@@ -366,58 +345,10 @@ fn sparse_deconv_matches_sparsely_reconstructed_dense_kernels() {
     let mut rng = SplitMix64::new(0xFA57_000A);
     for rho in [0.25, 0.5, 0.75, 0.9] {
         let x = rand_tensor(&mut rng, 2, 7, 5);
-        let seed = rng.next_u64() % 500;
-        let deconv = DeConv2d::randn(3, 2, 4, 2, 1, seed).unwrap();
-        let fast = FastDeConv2d::from_deconv_pruned(&deconv, Sparsity::new(rho).unwrap()).unwrap();
-        let got = fast.forward(&x).unwrap();
-        // Dense-apply reference: every masked kernel reconstructed to
-        // its padded µ² buffer and multiplied in full, c_in ascending.
-        let t = fast.transform();
-        let (p, m, mu) = (t.patch(), t.tile(), t.mu());
-        let mu2 = mu * mu;
-        let (ty_n, tx_n) = fast.tile_count(7, 5);
-        let (oh, ow) = (14, 10);
-        let step = t.in_step();
-        let offset = t.in_offset() as isize;
-        let mut reference = Tensor::zeros(Shape::new(1, 3, oh, ow));
-        let mut patch = vec![0.0_f32; p * p];
-        let mut y_tiles = vec![0.0_f32; 2 * mu2];
-        let mut u_acc = vec![0.0_f32; mu2];
-        let mut v = vec![0.0_f32; m * m];
-        for ty in 0..ty_n {
-            for tx in 0..tx_n {
-                let iy0 = (ty * step) as isize - offset;
-                let ix0 = (tx * step) as isize - offset;
-                for ci in 0..2 {
-                    for py in 0..p {
-                        for px in 0..p {
-                            patch[py * p + px] =
-                                x.at_padded(0, ci, iy0 + py as isize, ix0 + px as isize);
-                        }
-                    }
-                    t.transform_input_slice(&patch, &mut y_tiles[ci * mu2..ci * mu2 + mu2]);
-                }
-                for co in 0..3 {
-                    u_acc.iter_mut().for_each(|a| *a = 0.0);
-                    for ci in 0..2 {
-                        let e = fast.kernel(co, ci).to_dense();
-                        let y = &y_tiles[ci * mu2..][..mu2];
-                        for ((a, &ev), &yv) in u_acc.iter_mut().zip(e.as_slice()).zip(y) {
-                            *a += ev * yv;
-                        }
-                    }
-                    t.inverse_slice(&u_acc, &mut v);
-                    for vy in 0..m.min(oh - ty * m) {
-                        for vx in 0..m.min(ow - tx * m) {
-                            *reference.at_mut(0, co, ty * m + vy, tx * m + vx) = v[vy * m + vx];
-                        }
-                    }
-                }
-            }
-        }
+        let fast = deconv_pair(3, 2, rng.next_u64() % 500, rho).fast;
         assert_eq!(
-            got.as_slice(),
-            reference.as_slice(),
+            fast.forward(&x).unwrap().as_slice(),
+            dense_apply(&fast, &x).as_slice(),
             "rho={rho}: deconv compressed execution diverged from dense application"
         );
     }
@@ -431,8 +362,8 @@ fn zero_sparsity_equals_dense() {
         let x = rand_tensor(&mut rng, 2, 6, 6);
         let seed = rng.next_u64() % 200;
         let conv = Conv2d::randn(2, 2, 3, 1, 1, seed).unwrap();
-        let dense = FastConv2d::from_conv(&conv).unwrap();
-        let rho0 = FastConv2d::from_conv_pruned(&conv, Sparsity::dense()).unwrap();
+        let dense = FastLayer::from_conv(&conv).unwrap();
+        let rho0 = FastLayer::from_conv_pruned(&conv, Sparsity::dense()).unwrap();
         let a = dense.forward(&x).unwrap();
         let b = rho0.forward(&x).unwrap();
         assert!(a.sub(&b).unwrap().max_abs() == 0.0);

@@ -3,7 +3,7 @@
 
 use crate::config::Precision;
 use nvc_core::ExecCtx;
-use nvc_fastalg::{FastConv2d, FastDeConv2d, Sparsity};
+use nvc_fastalg::{FastLayer, Sparsity};
 use nvc_quant::{fake_quantize_dynamic_inplace, QFormat};
 use nvc_tensor::mat::{softmax_rows_inplace, Mat};
 use nvc_tensor::ops::{relu, Conv2d, DeConv2d, Linear};
@@ -38,60 +38,59 @@ impl NumericCtx {
 }
 
 /// Quantizes an operator's weights in place for FXP deployment.
-pub fn quantize_conv_weights(conv: &mut Conv2d, precision: Precision) {
+fn quantize_weights(weights: &mut [f32], precision: Precision) {
     if precision == Precision::Fxp {
         let fmt = QFormat::weights16();
-        for w in conv.weight_mut() {
+        for w in weights {
             *w = fmt.roundtrip(*w);
         }
     }
 }
 
-/// Quantizes a deconvolution's weights in place for FXP deployment.
-pub fn quantize_deconv_weights(deconv: &mut DeConv2d, precision: Precision) {
-    if precision == Precision::Fxp {
-        let fmt = QFormat::weights16();
-        for w in deconv.weight_mut() {
-            *w = fmt.roundtrip(*w);
-        }
-    }
-}
-
-/// A 3×3 stride-1 convolution that executes either directly or through the
-/// (optionally pruned) Winograd pipeline — the software switch mirroring
-/// the SFTC's reconfigurability.
+/// A convolution or deconvolution that executes either directly or
+/// through the (optionally pruned) fast-transform pipeline — the software
+/// switch mirroring the SFTC's reconfigurability: one operator, both
+/// layer kinds, both algorithms.
 #[derive(Debug, Clone)]
-pub enum ConvOp {
-    /// Direct execution.
-    Direct(Conv2d),
-    /// Winograd transform-domain execution (dense or pruned).
-    Fast(Box<FastConv2d>),
+pub enum LayerOp {
+    /// Direct convolution.
+    Conv(Conv2d),
+    /// Direct transposed convolution.
+    Deconv(DeConv2d),
+    /// Transform-domain execution, Winograd or FTA, dense or pruned.
+    Fast(Box<FastLayer>),
 }
 
-impl ConvOp {
-    /// Builds the operator: FXP weight quantization first, then (for
-    /// eligible 3×3/s1/p1 convolutions with sparsity requested) the fast
-    /// pruned path.
+impl LayerOp {
+    /// Builds the operator from a direct one: FXP weight quantization
+    /// first, then, with sparsity requested, the pruned fast path if the
+    /// layer has the shape its transform executes — the fast
+    /// constructors' rule, and their only way to fail.
     ///
     /// # Errors
     ///
-    /// Propagates construction errors from the fast path.
+    /// Returns an error if `sparsity` is outside `[0, 1)`.
     pub fn build(
-        mut conv: Conv2d,
+        mut direct: LayerOp,
         precision: Precision,
         sparsity: Option<f64>,
     ) -> Result<Self, TensorError> {
-        quantize_conv_weights(&mut conv, precision);
-        match sparsity {
-            Some(rho) if conv.kernel() == 3 && conv.stride() == 1 && conv.padding() == 1 => {
-                let fast = FastConv2d::from_conv_pruned(&conv, Sparsity::new(rho)?)?;
-                Ok(ConvOp::Fast(Box::new(fast)))
+        let rho = sparsity.map(Sparsity::new).transpose()?;
+        let fast = match &mut direct {
+            LayerOp::Conv(conv) => {
+                quantize_weights(conv.weight_mut(), precision);
+                rho.and_then(|rho| FastLayer::from_conv_pruned(conv, rho).ok())
             }
-            _ => Ok(ConvOp::Direct(conv)),
-        }
+            LayerOp::Deconv(deconv) => {
+                quantize_weights(deconv.weight_mut(), precision);
+                rho.and_then(|rho| FastLayer::from_deconv_pruned(deconv, rho).ok())
+            }
+            LayerOp::Fast(_) => None,
+        };
+        Ok(fast.map_or(direct, |f| LayerOp::Fast(Box::new(f))))
     }
 
-    /// Runs the convolution single-threaded.
+    /// Runs the operator single-threaded.
     ///
     /// # Errors
     ///
@@ -100,7 +99,7 @@ impl ConvOp {
         self.forward_ctx(x, &ExecCtx::serial())
     }
 
-    /// Runs the convolution on `exec`'s worker pool (bit-identical for
+    /// Runs the operator on `exec`'s worker pool (bit-identical for
     /// every worker count).
     ///
     /// # Errors
@@ -108,62 +107,9 @@ impl ConvOp {
     /// Propagates shape errors.
     pub fn forward_ctx(&self, x: &Tensor, exec: &ExecCtx) -> Result<Tensor, TensorError> {
         match self {
-            ConvOp::Direct(c) => c.forward_ctx(x, exec),
-            ConvOp::Fast(c) => c.forward_ctx(x, exec),
-        }
-    }
-}
-
-/// A 4×4 stride-2 deconvolution executing directly or through the FTA
-/// pipeline.
-#[derive(Debug, Clone)]
-pub enum DeconvOp {
-    /// Direct execution.
-    Direct(DeConv2d),
-    /// FTA transform-domain execution (dense or pruned).
-    Fast(Box<FastDeConv2d>),
-}
-
-impl DeconvOp {
-    /// Builds the operator (see [`ConvOp::build`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors from the fast path.
-    pub fn build(
-        mut deconv: DeConv2d,
-        precision: Precision,
-        sparsity: Option<f64>,
-    ) -> Result<Self, TensorError> {
-        quantize_deconv_weights(&mut deconv, precision);
-        match sparsity {
-            Some(rho) if deconv.kernel() == 4 && deconv.stride() == 2 && deconv.padding() == 1 => {
-                let fast = FastDeConv2d::from_deconv_pruned(&deconv, Sparsity::new(rho)?)?;
-                Ok(DeconvOp::Fast(Box::new(fast)))
-            }
-            _ => Ok(DeconvOp::Direct(deconv)),
-        }
-    }
-
-    /// Runs the deconvolution single-threaded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        self.forward_ctx(x, &ExecCtx::serial())
-    }
-
-    /// Runs the deconvolution on `exec`'s worker pool (bit-identical for
-    /// every worker count).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    pub fn forward_ctx(&self, x: &Tensor, exec: &ExecCtx) -> Result<Tensor, TensorError> {
-        match self {
-            DeconvOp::Direct(d) => d.forward_ctx(x, exec),
-            DeconvOp::Fast(d) => d.forward_ctx(x, exec),
+            LayerOp::Conv(c) => c.forward_ctx(x, exec),
+            LayerOp::Deconv(d) => d.forward_ctx(x, exec),
+            LayerOp::Fast(f) => f.forward_ctx(x, exec),
         }
     }
 }
@@ -171,8 +117,8 @@ impl DeconvOp {
 /// Residual block (paper Fig. 2f): `x + Conv(ReLU(Conv(ReLU(x))))`.
 #[derive(Debug, Clone)]
 pub struct ResBlock {
-    conv1: ConvOp,
-    conv2: ConvOp,
+    conv1: LayerOp,
+    conv2: LayerOp,
     ctx: NumericCtx,
 }
 
@@ -189,8 +135,8 @@ impl ResBlock {
         sparsity: Option<f64>,
     ) -> Result<Self, TensorError> {
         Ok(ResBlock {
-            conv1: ConvOp::build(conv1, precision, sparsity)?,
-            conv2: ConvOp::build(conv2, precision, sparsity)?,
+            conv1: LayerOp::build(LayerOp::Conv(conv1), precision, sparsity)?,
+            conv2: LayerOp::build(LayerOp::Conv(conv2), precision, sparsity)?,
             ctx: NumericCtx::new(precision),
         })
     }
@@ -468,8 +414,8 @@ fn roll(t: &Tensor, dy: isize, dx: isize) -> Tensor {
 pub struct SwinAm {
     attn: SwinAttention,
     // Branch-1 ResBlock is built for |·| extraction over (z, −z) pairs.
-    abs_conv1: ConvOp,
-    abs_conv2: ConvOp,
+    abs_conv1: LayerOp,
+    abs_conv2: LayerOp,
     mask_conv: Conv2d,
     branch2: Vec<ResBlock>,
     ctx: NumericCtx,
@@ -529,8 +475,8 @@ impl SwinAm {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(SwinAm {
             attn,
-            abs_conv1: ConvOp::build(abs_conv1, precision, sparsity)?,
-            abs_conv2: ConvOp::build(abs_conv2, precision, sparsity)?,
+            abs_conv1: LayerOp::build(LayerOp::Conv(abs_conv1), precision, sparsity)?,
+            abs_conv2: LayerOp::build(LayerOp::Conv(abs_conv2), precision, sparsity)?,
             mask_conv,
             branch2,
             ctx: NumericCtx::new(precision),
@@ -610,6 +556,36 @@ mod tests {
         Tensor::from_fn(Shape::new(1, c, h, w), |_, ch, y, x| {
             0.3 * ((y as f32 * 0.7 + x as f32 * 0.5 + ch as f32).sin())
         })
+    }
+
+    #[test]
+    fn direct_and_fast_arms_agree_on_tiny_and_empty_planes() {
+        let conv = Conv2d::randn(2, 2, 3, 1, 1, 5).unwrap();
+        let deconv = DeConv2d::randn(2, 2, 4, 2, 1, 6).unwrap();
+        let arms = |sparsity| {
+            [
+                LayerOp::build(LayerOp::Conv(conv.clone()), Precision::Fp32, sparsity).unwrap(),
+                LayerOp::build(LayerOp::Deconv(deconv.clone()), Precision::Fp32, sparsity).unwrap(),
+            ]
+        };
+        for (direct, fast) in arms(None).into_iter().zip(arms(Some(0.0))) {
+            assert!(!matches!(direct, LayerOp::Fast(_)) && matches!(fast, LayerOp::Fast(_)));
+            for (h, w) in [(0, 0), (0, 3), (3, 0)] {
+                let empty = Tensor::zeros(Shape::new(1, 2, h, w));
+                assert!(direct.forward(&empty).is_err(), "direct {h}x{w}");
+                assert!(fast.forward(&empty).is_err(), "fast {h}x{w}");
+            }
+            let x = smooth(2, 1, 1);
+            let (d, f) = (direct.forward(&x).unwrap(), fast.forward(&x).unwrap());
+            assert_eq!(d.shape(), f.shape());
+            assert!(d.sub(&f).unwrap().max_abs() < 1e-5);
+        }
+        // A shape the transforms do not execute runs direct whatever the
+        // sparsity; an invalid sparsity is an error whatever the shape.
+        let strided = LayerOp::Conv(Conv2d::randn(2, 2, 3, 2, 1, 7).unwrap());
+        let op = LayerOp::build(strided.clone(), Precision::Fp32, Some(0.5)).unwrap();
+        assert!(matches!(op, LayerOp::Conv(_)));
+        assert!(LayerOp::build(strided, Precision::Fp32, Some(1.5)).is_err());
     }
 
     #[test]

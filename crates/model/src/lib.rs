@@ -70,7 +70,7 @@ mod weights;
 pub use codec::{CtvcCodec, CtvcCoded, CtvcDecoderSession, CtvcEncoderSession, CtvcError};
 pub use config::{CtvcConfig, Precision, RatePoint};
 pub use graph::{decoder_graph, LayerDesc, LayerKind};
-pub use layers::{ConvOp, DeconvOp, ResBlock, SwinAm, SwinAttention};
+pub use layers::{LayerOp, ResBlock, SwinAm, SwinAttention};
 pub use modules::{
     Analysis, CompressionAutoencoder, DeformableCompensation, FeatureExtractor, FrameReconstructor,
     MotionCnn, Synthesis,

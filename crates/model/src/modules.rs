@@ -1,7 +1,7 @@
 //! CTVC-Net modules (paper Fig. 2a–e) with analytic weights.
 
 use crate::config::CtvcConfig;
-use crate::layers::{ConvOp, DeconvOp, NumericCtx, ResBlock, SwinAm};
+use crate::layers::{LayerOp, NumericCtx, ResBlock, SwinAm};
 use crate::weights;
 use nvc_core::ExecCtx;
 use nvc_tensor::ops::{relu, Conv2d, DeformConv2d, MaxPool2d};
@@ -11,7 +11,7 @@ use std::borrow::Cow;
 /// Runs a stride-2 deconvolution with edge-replicated input padding so the
 /// upsampled output has no zero-padding falloff at the borders (standard
 /// edge handling; the operator itself is unchanged).
-fn padded_deconv(op: &DeconvOp, x: &Tensor, exec: &ExecCtx) -> Result<Tensor, TensorError> {
+fn padded_deconv(op: &LayerOp, x: &Tensor, exec: &ExecCtx) -> Result<Tensor, TensorError> {
     let (_, _, h, w) = x.shape().dims();
     let y = op.forward_ctx(&x.replicate_pad(1), exec)?;
     y.crop_region(2, 2, 2 * h, 2 * w)
@@ -26,7 +26,7 @@ fn padded_deconv(op: &DeconvOp, x: &Tensor, exec: &ExecCtx) -> Result<Tensor, Te
 /// small seeded texture kernels.
 #[derive(Debug, Clone)]
 pub struct FeatureExtractor {
-    conv1: ConvOp,
+    conv1: LayerOp,
     pool: MaxPool2d,
     res: ResBlock,
     ctx: NumericCtx,
@@ -68,7 +68,7 @@ impl FeatureExtractor {
             }
         })?;
         Ok(FeatureExtractor {
-            conv1: ConvOp::build(conv1, cfg.precision, cfg.sparsity)?,
+            conv1: LayerOp::build(LayerOp::Conv(conv1), cfg.precision, cfg.sparsity)?,
             pool: MaxPool2d::new(2)?,
             res: ResBlock::near_identity(n, cfg.precision, cfg.sparsity, cfg.seed ^ 0xFE01)?,
             ctx: NumericCtx::new(cfg.precision),
@@ -102,7 +102,7 @@ impl FeatureExtractor {
 #[derive(Debug, Clone)]
 pub struct FrameReconstructor {
     res: ResBlock,
-    deconv: DeconvOp,
+    deconv: LayerOp,
     ctx: NumericCtx,
 }
 
@@ -115,8 +115,8 @@ impl FrameReconstructor {
     pub fn new(cfg: &CtvcConfig) -> Result<Self, TensorError> {
         Ok(FrameReconstructor {
             res: ResBlock::near_identity(cfg.n, cfg.precision, cfg.sparsity, cfg.seed ^ 0xF4)?,
-            deconv: DeconvOp::build(
-                weights::rgb_synthesis_deconv(cfg.n)?,
+            deconv: LayerOp::build(
+                LayerOp::Deconv(weights::rgb_synthesis_deconv(cfg.n)?),
                 cfg.precision,
                 cfg.sparsity,
             )?,
@@ -152,8 +152,8 @@ impl FrameReconstructor {
 /// carries the paper's layers, and its output refines nothing.
 #[derive(Debug, Clone)]
 pub struct MotionCnn {
-    conv1: ConvOp,
-    conv2: ConvOp,
+    conv1: LayerOp,
+    conv2: LayerOp,
     ctx: NumericCtx,
 }
 
@@ -166,13 +166,23 @@ impl MotionCnn {
     pub fn new(cfg: &CtvcConfig) -> Result<Self, TensorError> {
         let n = cfg.n;
         Ok(MotionCnn {
-            conv1: ConvOp::build(
-                weights::small_random_conv(2 * n, 2 * n, 0.02, cfg.seed ^ 0x3E)?,
+            conv1: LayerOp::build(
+                LayerOp::Conv(weights::small_random_conv(
+                    2 * n,
+                    2 * n,
+                    0.02,
+                    cfg.seed ^ 0x3E,
+                )?),
                 cfg.precision,
                 cfg.sparsity,
             )?,
-            conv2: ConvOp::build(
-                weights::small_random_conv(n, 2 * n, 0.02, cfg.seed ^ 0x3E02)?,
+            conv2: LayerOp::build(
+                LayerOp::Conv(weights::small_random_conv(
+                    n,
+                    2 * n,
+                    0.02,
+                    cfg.seed ^ 0x3E02,
+                )?),
                 cfg.precision,
                 cfg.sparsity,
             )?,
@@ -207,8 +217,8 @@ impl MotionCnn {
 pub struct DeformableCompensation {
     offset_conv: Conv2d,
     dfconv: DeformConv2d,
-    refine1: ConvOp,
-    refine2: ConvOp,
+    refine1: LayerOp,
+    refine2: LayerOp,
     ctx: NumericCtx,
 }
 
@@ -246,13 +256,13 @@ impl DeformableCompensation {
         Ok(DeformableCompensation {
             offset_conv,
             dfconv,
-            refine1: ConvOp::build(
-                weights::small_random_conv(n, n, 0.003, cfg.seed ^ 0xDC)?,
+            refine1: LayerOp::build(
+                LayerOp::Conv(weights::small_random_conv(n, n, 0.003, cfg.seed ^ 0xDC)?),
                 cfg.precision,
                 cfg.sparsity,
             )?,
-            refine2: ConvOp::build(
-                weights::small_random_conv(n, n, 0.003, cfg.seed ^ 0xDC02)?,
+            refine2: LayerOp::build(
+                LayerOp::Conv(weights::small_random_conv(n, n, 0.003, cfg.seed ^ 0xDC02)?),
                 cfg.precision,
                 cfg.sparsity,
             )?,
@@ -372,7 +382,7 @@ impl Analysis {
 /// stages.
 #[derive(Debug, Clone)]
 pub struct Synthesis {
-    stages: Vec<(ResBlock, DeconvOp)>,
+    stages: Vec<(ResBlock, LayerOp)>,
     ctx: NumericCtx,
 }
 
@@ -387,8 +397,8 @@ impl Synthesis {
                     cfg.sparsity,
                     seed ^ (0x51 + i as u64),
                 )?;
-                let up = DeconvOp::build(
-                    weights::bilinear_up_deconv(n, n, n, 1.0)?,
+                let up = LayerOp::build(
+                    LayerOp::Deconv(weights::bilinear_up_deconv(n, n, n, 1.0)?),
                     cfg.precision,
                     cfg.sparsity,
                 )?;

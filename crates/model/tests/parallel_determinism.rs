@@ -103,7 +103,7 @@ fn sparse_operators_are_thread_count_invariant() {
 }
 
 /// End-to-end determinism of the sparse codec at a pruning level other
-/// than the stock 50 % (the config knob feeds every ConvOp/DeconvOp):
+/// than the stock 50 % (the config knob feeds every `LayerOp`):
 /// packets and reconstructions must not depend on the worker count.
 #[test]
 fn sparse_codec_at_custom_rho_is_thread_count_invariant() {

@@ -1,3 +1,4 @@
+use super::staged::{accumulate, stage};
 use crate::init::{he_std, Gaussian};
 use crate::{Shape, Tensor, TensorError};
 use nvc_core::ExecCtx;
@@ -261,11 +262,7 @@ impl Conv2d {
         let pitch = ow + reach;
         let phase_len = (oh + reach) * pitch;
         let image_len = self.c_in * s * s * phase_len;
-        let mut staged = ctx.scratch().take_stale(n * image_len);
-        for (i, phases) in staged.chunks_exact_mut(s * s * phase_len).enumerate() {
-            let in_plane = &input.as_slice()[i * h * w..][..h * w];
-            self.stage_plane(in_plane, (h, w), pitch, phases);
-        }
+        let staged = stage(input, (s, self.padding), (oh + reach, pitch), ctx);
         let taps = self.c_in * k * k;
         let offsets: Vec<usize> = (0..taps)
             .map(|t| {
@@ -305,40 +302,6 @@ impl Conv2d {
         Ok(out)
     }
 
-    /// Writes one `h × w` input plane as its `s · s` zero-padded phase
-    /// planes of row pitch `pitch`. Every cell is written: the buffer is
-    /// stale.
-    fn stage_plane(&self, in_plane: &[f32], hw: (usize, usize), pitch: usize, phases: &mut [f32]) {
-        let ((h, w), s, p) = (hw, self.stride, self.padding);
-        let phase_len = phases.len() / (s * s);
-        for (phase, plane) in phases.chunks_exact_mut(phase_len).enumerate() {
-            let (rp, cp) = (phase / s, phase % s);
-            // Staged columns `lo..hi` fall inside the input, the rest on
-            // padding; column `lo` is input column `lo·s + cp − p`.
-            let lo = p.saturating_sub(cp).div_ceil(s);
-            let hi = (w + p).saturating_sub(cp).div_ceil(s).min(pitch);
-            for (j, row) in plane.chunks_exact_mut(pitch).enumerate() {
-                match (j * s + rp).checked_sub(p).filter(|&iy| iy < h) {
-                    Some(iy) if lo < hi => {
-                        let src = &in_plane[iy * w + lo * s + cp - p..(iy + 1) * w];
-                        row[..lo].fill(0.0);
-                        if s == 1 {
-                            // The same gather as a `memcpy`: 4–8 % of a
-                            // served-shape layer.
-                            row[lo..hi].copy_from_slice(&src[..hi - lo]);
-                        } else {
-                            for (d, &v) in row[lo..hi].iter_mut().zip(src.iter().step_by(s)) {
-                                *d = v;
-                            }
-                        }
-                        row[hi..].fill(0.0);
-                    }
-                    _ => row.fill(0.0),
-                }
-            }
-        }
-    }
-
     /// One output plane straight from the definition — per element: bias,
     /// then every in-range non-zero tap, `c_in` ascending and row-major —
     /// for the planes the staged path cannot take.
@@ -372,48 +335,6 @@ impl Conv2d {
     pub fn macs(&self, h: usize, w: usize) -> u64 {
         let (oh, ow) = self.output_hw(h, w);
         (self.c_out * self.c_in * self.k * self.k) as u64 * (oh * ow) as u64
-    }
-}
-
-/// `flat[i] = bias + Σ kv · staged[off + i]` over `taps` in order, in
-/// register-resident blocks: 32 elements wide, or the widest of 16 / 8 / 4
-/// that a shorter `flat` (at least 4 long) still holds.
-fn accumulate(staged: &[f32], taps: &[(f32, usize)], bias: f32, flat: &mut [f32]) {
-    match flat.len() {
-        32.. => accumulate_blocks::<8>(staged, taps, bias, flat),
-        16.. => accumulate_blocks::<4>(staged, taps, bias, flat),
-        8.. => accumulate_blocks::<2>(staged, taps, bias, flat),
-        _ => accumulate_blocks::<1>(staged, taps, bias, flat),
-    }
-}
-
-/// [`accumulate`] in blocks of `4 · V` elements. The last block overlaps
-/// its predecessor instead of narrowing: every element is computed
-/// independently, so computing some twice changes no bit, while narrow
-/// tail blocks are latency-bound.
-fn accumulate_blocks<const V: usize>(
-    staged: &[f32],
-    taps: &[(f32, usize)],
-    bias: f32,
-    flat: &mut [f32],
-) {
-    let (width, len) = (4 * V, flat.len());
-    let tail = (len % width != 0).then(|| len - width);
-    for x0 in (0..len / width).map(|b| b * width).chain(tail) {
-        // Four-wide sub-arrays map one-to-one onto SIMD registers (the
-        // `tile_exec::reduce_group` idiom).
-        let mut acc = [[bias; 4]; V];
-        for &(kv, off) in taps {
-            let src = &staged[off + x0..][..width];
-            for (a, y) in acc.iter_mut().zip(src.chunks_exact(4)) {
-                for (a, &v) in a.iter_mut().zip(y) {
-                    *a += kv * v;
-                }
-            }
-        }
-        for (o, a) in flat[x0..][..width].chunks_exact_mut(4).zip(&acc) {
-            o.copy_from_slice(a);
-        }
     }
 }
 

@@ -1,3 +1,4 @@
+use super::staged::{accumulate, stage};
 use crate::init::{he_std, Gaussian};
 use crate::{Shape, Tensor, TensorError};
 use nvc_core::ExecCtx;
@@ -5,7 +6,9 @@ use nvc_core::ExecCtx;
 /// 2-D transposed convolution ("deconvolution", `DeConv(N, k, s)` in paper
 /// Fig. 2), executed polyphase: each of the `s × s` output phases is a
 /// unit-stride correlation of the input with the taps `k[py + s·a][px + s·b]`,
-/// accumulated in contiguous phase runs and interleaved into the output row.
+/// run on the staged layout and accumulate loop [`Conv2d`](super::Conv2d)
+/// uses and interleaved into the output; see [`DeConv2d::forward_ctx`] for
+/// the layout and for the one bias value, `-0.0`, that bypasses it.
 ///
 /// For input size `h × w`, output size is `(h-1)·s − 2p + k` per dimension.
 /// CTVC-Net uses `DeConv(·, 4, 2)` with padding 1, which exactly doubles
@@ -211,17 +214,35 @@ impl DeConv2d {
 
     /// Runs the transposed convolution, fanning output channels across
     /// `ctx`'s worker pool. Each output element accumulates its
-    /// contributions in a fixed order (`c_in` ascending, then input rows
-    /// ascending, then input columns ascending), so the result is
-    /// bit-identical for every worker count. The fan-out is work-size
-    /// gated (small planes run serially).
+    /// contributions in a fixed order (bias, then `c_in` ascending, then
+    /// input rows ascending, then input columns ascending, zero weights
+    /// skipped), so the result is bit-identical for every worker count.
+    /// The fan-out is work-size gated (small planes run serially).
     ///
-    /// Zero products are not accumulated: a zero input contributes the
-    /// additive identity `-0.0` and a zero-weight tap is skipped. Adding
-    /// `±0.0` can only change an accumulator that is itself `-0.0`, which
-    /// takes a `-0.0` bias; for such a channel zero-weight taps are kept,
-    /// so in every case the sum is that of the products of the non-zero
-    /// inputs. Inputs are assumed finite.
+    /// **Layout.** Output `(oy, ox)` is element `(qy, qx) = ((oy + p) / s,
+    /// (ox + p) / s)` of phase `(py, px) = ((oy + p) % s, (ox + p) % s)`,
+    /// and tap `(py + s·a, px + s·b)` brings it input `(qy − a, qx − b)`.
+    /// A phase has `qh = (oh − 1 + p) / s + 1` rows, `qw` columns likewise,
+    /// and `reach = (k − 1) / s` is the largest `a`. Every input channel is
+    /// staged once per call as the stride-1 case of the layout of
+    /// [`Conv2d::forward_ctx`](super::Conv2d::forward_ctx): `qh + reach`
+    /// rows at pitch `P = qw + reach`, `plane[j][i] = input[j − reach][i −
+    /// reach]`, explicit `+0.0` outside the input.
+    ///
+    /// **Flat index.** Phase element `(qy, qx)` at flat index
+    /// `i = qy·P + qx` reads tap `(a, b)` at `plane[(reach − a)·P + reach −
+    /// b + i]`, a constant offset per tap, so a phase of an output plane
+    /// is the `flat[i] = bias + Σ kv · staged[off + i]` that `Conv2d`
+    /// computes, by the same loop, and `flat[qy·P + qx]` is stored to
+    /// `out[qy·s + py − p][qx·s + px − p]`. Junk row ends and elements
+    /// that land outside the output are computed and dropped.
+    ///
+    /// **A `-0.0` bias** is special for `Conv2d`'s reason: padded cells,
+    /// zero inputs and dropped zero weights move `±0.0` terms in or out of
+    /// a sum, the identity unless the accumulator is `-0.0`. Such a
+    /// channel (and a plane of fewer than 4 flat elements) takes a
+    /// per-element loop that follows the definition: zero inputs skipped,
+    /// zero-weight taps kept. Inputs and weights are assumed finite.
     ///
     /// # Errors
     ///
@@ -238,90 +259,102 @@ impl DeConv2d {
             return Err(TensorError::incompatible("empty input"));
         }
         let (oh, ow) = self.output_hw(h, w);
-        let out_shape = Shape::new(n, self.c_out, oh, ow);
-        let mut out = Tensor::zeros(out_shape);
-        let in_data = input.as_slice();
+        let mut out = Tensor::zeros(Shape::new(n, self.c_out, oh, ow));
         let (k, s, p) = (self.k, self.stride, self.padding);
-        // Output column `ox` is element `(ox + p) / s` of phase run
-        // `(ox + p) % s`; rows split the same way.
-        let run_len = (ow - 1 + p) / s + 1;
-        let live: Vec<bool> = self
-            .weight
-            .chunks_exact(k * k)
-            .map(|kernel| kernel.iter().any(|&v| v != 0.0))
+        let reach = (k - 1) / s;
+        let (qh, qw) = ((oh - 1 + p) / s + 1, (ow - 1 + p) / s + 1);
+        let pitch = qw + reach;
+        let plane_len = (qh + reach) * pitch;
+        let image_len = self.c_in * plane_len;
+        let staged = stage(input, (1, reach), (qh + reach, pitch), ctx);
+        let flat_len = (qh - 1) * pitch + qw;
+        // Per phase, its taps as (index into a `k × k` kernel, staged
+        // offset), descending so that input rows, then columns, ascend.
+        let phase_taps: Vec<Vec<(usize, usize)>> = (0..s * s)
+            .map(|phase| {
+                (0..k * k)
+                    .rev()
+                    .filter(|t| (t / k % s, t % k % s) == (phase / s, phase % s))
+                    .map(|t| (t, (reach - t / k / s) * pitch + reach - t % k / s))
+                    .collect()
+            })
             .collect();
         let work = n as u64 * self.macs(h, w);
         ctx.par_chunks_mut_gated(out.as_mut_slice(), oh * ow, work, |plane_idx, out_plane| {
-            let nn = plane_idx / self.c_out;
-            let co = plane_idx % self.c_out;
+            let (nn, co) = (plane_idx / self.c_out, plane_idx % self.c_out);
             let bias = self.bias[co];
-            let keep_zero_taps = bias.to_bits() == (-0.0_f32).to_bits();
-            let mut runs = ctx.scratch().take_stale(s * run_len);
-            for (oy, out_row) in out_plane.chunks_exact_mut(ow).enumerate() {
-                let (py, qy) = ((oy + p) % s, (oy + p) / s);
-                runs.fill(bias);
+            if bias.to_bits() == (-0.0_f32).to_bits() || flat_len < 4 {
+                let in_planes = &input.as_slice()[nn * self.c_in * h * w..][..self.c_in * h * w];
+                self.scalar_plane(in_planes, (h, w), co, ow, out_plane);
+                return;
+            }
+            let image = &staged[nn * image_len..][..image_len];
+            let mut flat = vec![0.0; flat_len];
+            let mut taps = Vec::new();
+            for (phase, kernel_taps) in phase_taps.iter().enumerate() {
+                let (py, px) = (phase / s, phase % s);
+                taps.clear();
                 for ci in 0..self.c_in {
-                    if !(live[ci * self.c_out + co] || keep_zero_taps) {
-                        continue;
-                    }
-                    let in_plane = &in_data[(nn * self.c_in + ci) * h * w..][..h * w];
                     let kernel = self.kernel_slice(ci, co);
-                    // Taps descend so that input rows ascend.
-                    for a in (0..k.saturating_sub(py).div_ceil(s)).rev() {
-                        if let Some(iy) = qy.checked_sub(a).filter(|&iy| iy < h) {
-                            let in_row = &in_plane[iy * w..][..w];
-                            let k_row = &kernel[(py + s * a) * k..][..k];
-                            accumulate_phases(&mut runs, s, in_row, k_row, keep_zero_taps);
-                        }
-                    }
+                    let live = kernel_taps.iter().filter(|&&(t, _)| kernel[t] != 0.0);
+                    taps.extend(live.map(|&(t, off)| (kernel[t], ci * plane_len + off)));
                 }
-                for (px, run) in runs.chunks_exact(run_len).enumerate() {
-                    let q_lo = p.saturating_sub(px).div_ceil(s);
-                    let ox_lo = q_lo * s + px - p;
-                    let phase = out_row.iter_mut().skip(ox_lo).step_by(s);
-                    for (o, &v) in phase.zip(&run[q_lo..]) {
+                accumulate(image, &taps, bias, &mut flat);
+                // The phase's first row and column inside the output.
+                let first = |rem: usize| p.saturating_sub(rem).div_ceil(s);
+                let (qy0, qx0) = (first(py), first(px));
+                let out_rows = out_plane.chunks_exact_mut(ow);
+                let out_rows = out_rows.skip(qy0 * s + py - p).step_by(s);
+                for (out_row, flat_row) in out_rows.zip(flat.chunks(pitch).skip(qy0)) {
+                    let cells = out_row.iter_mut().skip(qx0 * s + px - p).step_by(s);
+                    for (o, &v) in cells.zip(&flat_row[qx0..]) {
                         *o = v;
                     }
                 }
             }
-            ctx.scratch().put(runs);
         });
+        ctx.scratch().put(staged);
         Ok(out)
+    }
+
+    /// One output plane straight from the definition — per element: bias,
+    /// then every non-zero input that reaches it, `c_in` ascending and
+    /// row-major — for the planes the staged path cannot take.
+    fn scalar_plane(
+        &self,
+        in_planes: &[f32],
+        (h, w): (usize, usize),
+        co: usize,
+        ow: usize,
+        out_plane: &mut [f32],
+    ) {
+        let (k, s, p) = (self.k, self.stride, self.padding);
+        // Output coordinate `o` takes tap `t` from input `(o + p − t) / s`.
+        let source = |o: usize, t: usize, len: usize| {
+            let d = (o + p).checked_sub(t).filter(|d| d % s == 0)?;
+            Some(d / s).filter(|&i| i < len)
+        };
+        for (i, o) in out_plane.iter_mut().enumerate() {
+            let mut acc = self.bias[co];
+            for ci in 0..self.c_in {
+                let kernel = self.kernel_slice(ci, co);
+                // Taps descend so that input rows, then columns, ascend.
+                for (kh, kw) in (0..k * k).rev().map(|t| (t / k, t % k)) {
+                    if let (Some(iy), Some(ix)) = (source(i / ow, kh, h), source(i % ow, kw, w)) {
+                        let x = in_planes[(ci * h + iy) * w + ix];
+                        if x != 0.0 {
+                            acc += x * kernel[kh * k + kw];
+                        }
+                    }
+                }
+            }
+            *o = acc;
+        }
     }
 
     /// Number of multiply–accumulate operations for an `h × w` input.
     pub fn macs(&self, h: usize, w: usize) -> u64 {
         (self.c_out * self.c_in * self.k * self.k) as u64 * (h * w) as u64
-    }
-}
-
-/// Adds one input row, weighted by one kernel row, into the `s`
-/// equal-length phase runs of an output row: tap `kw = px + s·b` moves
-/// input column `ix` to element `ix + b` of run `px`, a contiguous axpy.
-/// Taps descend so that each element receives its input columns in
-/// ascending order.
-fn accumulate_phases(
-    runs: &mut [f32],
-    s: usize,
-    in_row: &[f32],
-    k_row: &[f32],
-    keep_zero_taps: bool,
-) {
-    let run_len = runs.len() / s;
-    for (px, run) in runs.chunks_exact_mut(run_len).enumerate() {
-        for b in (0..k_row.len().saturating_sub(px).div_ceil(s)).rev() {
-            let kv = k_row[px + s * b];
-            if kv == 0.0 && !keep_zero_taps {
-                continue;
-            }
-            // Elements past the run's end belong to no output column.
-            let Some(dst) = run.get_mut(b..) else {
-                continue;
-            };
-            for (o, &x) in dst.iter_mut().zip(in_row) {
-                *o += if x != 0.0 { x * kv } else { -0.0 };
-            }
-        }
     }
 }
 
@@ -412,6 +445,39 @@ mod tests {
     }
 
     #[test]
+    fn every_flat_length_and_block_width_matches_reference() {
+        // One-row inputs under `k − p − 1 < s` put the flat length at
+        // exactly `w`; the other shapes add junk columns inside a block.
+        let shapes = (1..=70)
+            .map(|w| (1, w))
+            .chain((2..=6).flat_map(|h| (1..=12).map(move |w| (h, w))));
+        let mut rng = SplitMix64::new(0xF1A7_DEC0);
+        let mut seen = std::collections::BTreeSet::new();
+        for (h, w) in shapes {
+            for ksp in [(4, 2, 1), (3, 2, 1), (2, 2, 0), (5, 3, 2)] {
+                let d = random_deconv(&mut rng, 2, 2, ksp);
+                let x = Tensor::from_vec(
+                    Shape::new(1, 2, h, w),
+                    sparse_values(&mut rng, 2 * h * w, 0.25),
+                )
+                .unwrap();
+                let got = d.forward(&x).unwrap();
+                assert_eq!(
+                    bits(&got),
+                    bits(&scatter_reference(&d, &x)),
+                    "{ksp:?} {h}x{w}"
+                );
+                let (k, s, p) = ksp;
+                let (oh, ow) = d.output_hw(h, w);
+                let (qh, qw) = ((oh - 1 + p) / s + 1, (ow - 1 + p) / s + 1);
+                seen.insert((qh - 1) * (qw + (k - 1) / s) + qw);
+            }
+        }
+        // Scalar planes, each block width, exact fits and overlapped tails.
+        assert!((1..=70).all(|len| seen.contains(&len)));
+    }
+
+    #[test]
     fn zero_weights_and_zero_inputs_match_reference() {
         let mut rng = SplitMix64::new(7);
         let x = Tensor::from_vec(Shape::new(1, 2, 5, 6), sparse_values(&mut rng, 60, 0.3)).unwrap();
@@ -469,7 +535,8 @@ mod tests {
     #[test]
     fn every_thread_count_matches_above_the_work_gate() {
         let mut rng = SplitMix64::new(3);
-        let d = random_deconv(&mut rng, 7, 6, (4, 2, 1));
+        let mut d = random_deconv(&mut rng, 7, 6, (4, 2, 1));
+        d.bias[3] = -0.0;
         let x = Tensor::from_vec(
             Shape::new(2, 6, 34, 50),
             sparse_values(&mut rng, 2 * 6 * 34 * 50, 0.1),
@@ -485,19 +552,21 @@ mod tests {
 
     #[test]
     fn poisoned_recycled_phase_runs_are_never_read() {
+        // Padding rows and columns, the junk columns of each phase's flat
+        // row and a phase with no taps at all (`k < s`) all start out as
+        // recycled NaNs; none may reach an output.
         let mut rng = SplitMix64::new(4);
-        let d = random_deconv(&mut rng, 2, 3, (5, 3, 1));
-        let x =
-            Tensor::from_vec(Shape::new(1, 3, 6, 7), sparse_values(&mut rng, 126, 0.2)).unwrap();
-        let ctx = ExecCtx::serial();
-        ctx.scratch().put(vec![f32::NAN; 4096]);
-        let got = d.forward_ctx(&x, &ctx).unwrap();
-        assert_eq!(bits(&got), bits(&scatter_reference(&d, &x)));
-        assert_eq!(
-            ctx.scratch().cached(),
-            1,
-            "the run buffer goes back to the pool"
-        );
+        for ksp in [(5, 3, 1), (4, 2, 1), (3, 1, 1), (2, 4, 0), (2, 1, 0)] {
+            let mut d = random_deconv(&mut rng, 2, 3, ksp);
+            d.bias[1] = -0.0;
+            let x = Tensor::from_vec(Shape::new(2, 3, 6, 7), sparse_values(&mut rng, 252, 0.2))
+                .unwrap();
+            let ctx = ExecCtx::serial();
+            ctx.scratch().put(vec![f32::NAN; 4096]);
+            let got = d.forward_ctx(&x, &ctx).unwrap();
+            assert_eq!(bits(&got), bits(&scatter_reference(&d, &x)), "{ksp:?}");
+            assert_eq!(ctx.scratch().cached(), 1, "staging goes back to the pool");
+        }
     }
 
     #[test]

@@ -8,12 +8,18 @@
 //! accumulation's summation order fixed, so both paths are bit-identical
 //! for every worker count. The hardware simulator reasons about operator
 //! cost analytically and is unaffected by the software execution strategy.
+//!
+//! [`Conv2d`] and [`DeConv2d`] are one direct kernel: both stage their
+//! input with the one routine and reduce it with the one register-resident
+//! loop of the private `staged` module, a convolution once per output
+//! plane, a transposed convolution once per output phase.
 
 mod conv;
 mod deconv;
 mod deform;
 mod linear;
 mod pool;
+mod staged;
 
 pub use conv::Conv2d;
 pub use deconv::DeConv2d;
