@@ -21,7 +21,6 @@ pub struct Interval {
 pub struct Histogram {
     freqs: Vec<u32>,
     cum: Vec<u32>, // cum[i] = sum of freqs[0..i]; len = n+1
-    dirty: bool,
 }
 
 impl Histogram {
@@ -61,7 +60,6 @@ impl Histogram {
         let mut h = Histogram {
             freqs: freqs.to_vec(),
             cum: Vec::new(),
-            dirty: true,
         };
         h.rebuild();
         Ok(h)
@@ -75,7 +73,6 @@ impl Histogram {
             acc += f;
             self.cum.push(acc);
         }
-        self.dirty = false;
     }
 
     /// Alphabet size.
@@ -148,8 +145,12 @@ impl Histogram {
             for f in &mut self.freqs {
                 *f = (*f / 2).max(1);
             }
+            self.rebuild();
+        } else {
+            for c in &mut self.cum[s + 1..] {
+                *c += 32;
+            }
         }
-        self.rebuild();
     }
 }
 
@@ -161,6 +162,13 @@ impl Histogram {
 /// quantized to integer frequencies with a floor of 1 so every symbol
 /// remains codable.
 ///
+/// The mass falls with `|k|`, so every frequency above the floor sits in
+/// one run around the centre (the *head*) and both tails are all 1s. The
+/// model keeps cumulative counts for the head only; a tail's counts are
+/// closed-form. That is O(head) memory — at most a few thousand entries
+/// for the widest scale, often a few dozen — and a binary search over the
+/// head alone, with the intervals of the full table.
+///
 /// # Example
 ///
 /// ```
@@ -170,8 +178,38 @@ impl Histogram {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaplaceModel {
-    hist: Histogram,
     max_sym: i32,
+    /// Index of the first head symbol; every symbol below it has
+    /// frequency 1, so the count below index `i ≤ head_lo` is `i`.
+    head_lo: u32,
+    /// `head[j]` is the count below index `head_lo + j`, up to and
+    /// including the count at the end of the head (so `head[0] ==
+    /// head_lo`). Every symbol after the head has frequency 1.
+    head: Box<[u32]>,
+    total: u32,
+}
+
+/// The full frequency table: `exp(−|k|/b)` quantised onto integer
+/// frequencies summing to ≈ 2¹⁸, floored at 1, centre at least 2. These
+/// integers are part of the bitstream format.
+fn laplace_freqs(b: f64, max_sym: i32) -> Vec<u32> {
+    let n = (2 * max_sym + 1) as usize;
+    let budget = 1u32 << 18;
+    let mut weights = Vec::with_capacity(n);
+    let mut wsum = 0.0_f64;
+    for k in -max_sym..=max_sym {
+        let w = (-(k.abs() as f64) / b).exp();
+        weights.push(w);
+        wsum += w;
+    }
+    let mut freqs: Vec<u32> = weights
+        .iter()
+        .map(|w| ((w / wsum) * budget as f64).round().max(1.0) as u32)
+        .collect();
+    // Ensure central symbol dominates ties for determinism.
+    let centre = max_sym as usize;
+    freqs[centre] = freqs[centre].max(2);
+    freqs
 }
 
 impl LaplaceModel {
@@ -193,29 +231,46 @@ impl LaplaceModel {
                 reason: format!("max symbol {max_sym} outside 1..=4096"),
             });
         }
-        let n = (2 * max_sym + 1) as usize;
-        // Quantize exp(-|k|/b) onto integer frequencies summing ~2^18.
-        let budget = 1u32 << 18;
-        let mut weights = Vec::with_capacity(n);
-        let mut wsum = 0.0_f64;
-        for k in -max_sym..=max_sym {
-            let w = (-(k.abs() as f64) / b).exp();
-            weights.push(w);
-            wsum += w;
+        let freqs = laplace_freqs(b, max_sym);
+        let total: u64 = freqs.iter().map(|&f| f as u64).sum();
+        if total >= crate::range::MAX_TOTAL as u64 {
+            return Err(CodingError::InvalidModel {
+                reason: format!("total {total} exceeds coder limit"),
+            });
         }
-        let mut freqs: Vec<u32> = weights
-            .iter()
-            .map(|w| ((w / wsum) * budget as f64).round().max(1.0) as u32)
-            .collect();
-        // Keep total under the coder limit (it already is, by budget).
-        debug_assert!(freqs.iter().map(|&f| f as u64).sum::<u64>() < (1 << 22));
-        // Ensure central symbol dominates ties for determinism.
+        // The centre is at least 2, so the head is never empty. Interior
+        // 1s (none in practice) are kept in the head, which stays exact.
         let centre = max_sym as usize;
-        freqs[centre] = freqs[centre].max(2);
+        let lo = freqs.iter().position(|&f| f > 1).unwrap_or(centre);
+        let hi = freqs.iter().rposition(|&f| f > 1).unwrap_or(centre) + 1;
+        let head: Box<[u32]> = std::iter::once(lo as u32)
+            .chain(freqs[lo..hi].iter().scan(lo as u32, |acc, &f| {
+                *acc += f;
+                Some(*acc)
+            }))
+            .collect();
         Ok(LaplaceModel {
-            hist: Histogram::from_freqs(&freqs)?,
             max_sym,
+            head_lo: lo as u32,
+            head,
+            total: total as u32,
         })
+    }
+
+    /// Alphabet size `2·max_sym + 1`.
+    fn len(&self) -> u32 {
+        (2 * self.max_sym + 1) as u32
+    }
+
+    /// Count of all symbols below index `i` (`i ≤ len()`).
+    fn cum(&self, i: u32) -> u32 {
+        match i.checked_sub(self.head_lo) {
+            None => i,
+            Some(j) => match self.head.get(j as usize) {
+                Some(&c) => c,
+                None => self.total - (self.len() - i),
+            },
+        }
     }
 
     /// Largest representable magnitude; values beyond are clamped by
@@ -229,21 +284,20 @@ impl LaplaceModel {
         v.clamp(-self.max_sym, self.max_sym)
     }
 
-    /// The underlying histogram (symbol `k` maps to index
-    /// `k + max_symbol`).
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
-    }
-
-    /// Model total, forwarded from the histogram.
+    /// Model total.
+    #[inline]
     pub fn total(&self) -> u32 {
-        self.hist.total()
+        self.total
     }
 
     /// Interval of signed value `v` (clamped to range).
+    #[inline]
     pub fn interval(&self, v: i32) -> Interval {
         let idx = (self.clamp(v) + self.max_sym) as u32;
-        self.hist.interval(idx)
+        Interval {
+            low: self.cum(idx),
+            high: self.cum(idx + 1),
+        }
     }
 
     /// Signed value whose interval contains cumulative frequency `f`.
@@ -251,8 +305,37 @@ impl LaplaceModel {
     /// # Panics
     ///
     /// Panics if `f >= total()`.
+    #[inline]
     pub fn lookup(&self, f: u32) -> (i32, Interval) {
-        let (idx, iv) = self.hist.lookup(f);
+        assert!(f < self.total, "frequency {f} >= total {}", self.total);
+        let head = &self.head;
+        let last = head.len() - 1;
+        let unit = Interval {
+            low: f,
+            high: f + 1,
+        };
+        let (idx, iv) = if f < self.head_lo {
+            (f, unit)
+        } else if f >= head[last] {
+            (self.len() - (self.total - f), unit)
+        } else {
+            // head[lo] <= f < head[hi]. A plain loop: `partition_point`
+            // measured ≈ 30 % slower here.
+            let (mut lo, mut hi) = (0, last);
+            while lo + 1 < hi {
+                let mid = (lo + hi) / 2;
+                if head[mid] <= f {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            let iv = Interval {
+                low: head[lo],
+                high: head[hi],
+            };
+            (self.head_lo + lo as u32, iv)
+        };
         (idx as i32 - self.max_sym, iv)
     }
 
@@ -311,6 +394,48 @@ mod tests {
         // Symbol 2 dominates.
         let iv = h.interval(2);
         assert!((iv.high - iv.low) as f64 / h.total() as f64 > 0.9);
+    }
+
+    #[test]
+    fn incremental_record_matches_a_rebuild() {
+        // Skewed so the total crosses the halving threshold (2²¹) twice.
+        let mut h = Histogram::from_freqs(&[5, 1, 9, 1, 2]).unwrap();
+        let mut halvings = 0;
+        for i in 0..100_000u32 {
+            let before = h.total();
+            h.record([0, 2, 2, 4, 1, 2, 3][i as usize % 7]);
+            halvings += usize::from(h.total() < before);
+            assert_eq!(h, Histogram::from_freqs(&h.freqs).unwrap(), "record {i}");
+        }
+        assert_eq!(halvings, 2);
+    }
+
+    #[test]
+    fn laplace_head_and_tails_match_the_full_table() {
+        // Heads from the centre alone (tiny `b`) to the whole alphabet
+        // (huge `b`), including the probe's (1.5, 32).
+        for &(b, max_sym) in &[
+            (0.01, 1),
+            (0.01, 9),
+            (0.3, 40),
+            (1.5, 32),
+            (7.0, 64),
+            (500.0, 16),
+            (40.0, 300),
+        ] {
+            let m = LaplaceModel::new(b, max_sym).unwrap();
+            let full = Histogram::from_freqs(&laplace_freqs(b, max_sym)).unwrap();
+            assert_eq!(m.total(), full.total(), "b={b} max_sym={max_sym}");
+            for v in -max_sym - 1..=max_sym + 1 {
+                let idx = (v.clamp(-max_sym, max_sym) + max_sym) as u32;
+                assert_eq!(m.interval(v), full.interval(idx), "b={b} v={v}");
+            }
+            for f in 0..m.total() {
+                let (v, iv) = m.lookup(f);
+                let (idx, full_iv) = full.lookup(f);
+                assert_eq!((v + max_sym, iv), (idx as i32, full_iv), "b={b} f={f}");
+            }
+        }
     }
 
     #[test]

@@ -256,7 +256,13 @@ impl CtvcCodec {
         f_bar: &Tensor,
         r_hat: &Tensor,
     ) -> Result<(Tensor, Tensor), CtvcError> {
-        let f_hat = f_bar.add(r_hat)?;
+        self.render(f_bar.add(r_hat)?)
+    }
+
+    /// The tail of every reconstruction, encoder and decoder alike:
+    /// features `F̂_t` → frame reconstruction → clamp; returns features
+    /// and pixels.
+    fn render(&self, f_hat: Tensor) -> Result<(Tensor, Tensor), CtvcError> {
         let px = self
             .fr
             .forward_ctx(&f_hat, &self.exec)?
@@ -276,11 +282,7 @@ impl CtvcCodec {
         let shape = Shape::new(1, self.cfg.n, h / 2, w / 2);
         let symbols = latent::decode_intra_payload(payload, shape)?;
         let f_hat = latent::dequantize(&symbols, shape, rate.intra_step(), None)?;
-        let px = self
-            .fr
-            .forward_ctx(&f_hat, &self.exec)?
-            .map(|v| v.clamp(0.0, 1.0));
-        Ok((f_hat, px))
+        self.render(f_hat)
     }
 
     /// Opens a streaming encoder session under the given rate-control
@@ -333,11 +335,13 @@ impl CtvcCodec {
     }
 
     fn encode_intra(&self, x: &Tensor, rate: RatePoint) -> Result<CodedFrame<Tensor>, CtvcError> {
-        let (_, _, h, w) = x.shape().dims();
         let f = self.fe.forward_ctx(x, &self.exec)?;
         let symbols = latent::quantize(&f, rate.intra_step(), None)?;
         let payload = latent::encode_intra_payload(&symbols, f.shape())?;
-        let (f_hat, rec) = self.reconstruct_intra(&payload, w, h, rate)?;
+        // Intra coding is lossless, so these are the symbols the decoder
+        // will decode: reconstruct from them instead of from the payload.
+        let f_hat = latent::dequantize(&symbols, f.shape(), rate.intra_step(), None)?;
+        let (f_hat, rec) = self.render(f_hat)?;
         Ok(CodedFrame {
             sections: vec![(Section::Intra, payload)],
             reference: f_hat,

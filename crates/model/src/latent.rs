@@ -7,6 +7,7 @@
 
 use nvc_entropy::{CodingError, LaplaceModel, RangeDecoder, RangeEncoder};
 use nvc_tensor::{Shape, Tensor, TensorError};
+use std::sync::OnceLock;
 
 /// Mask evaluator: reconstructs the Swin-AM attention mask from a latent
 /// (the decoder-reproducible half of the backward-adaptive gain).
@@ -88,6 +89,52 @@ pub fn dequantize(
     }
 }
 
+/// The Laplace models of one alphabet, one per scale byte, each built on
+/// first use and kept for the life of the process. A model depends on
+/// nothing but its byte, and building one costs one `exp` per symbol of
+/// the alphabet where coding a symbol costs a table read, so it is built
+/// once instead of per channel per payload. Only the bytes streams use
+/// are ever built; all 2 × 256 compact models together are ≈ 0.6 MiB.
+struct Models {
+    max_sym: i32,
+    cells: [OnceLock<LaplaceModel>; 256],
+}
+
+impl Models {
+    const fn new(max_sym: i32) -> Self {
+        Models {
+            max_sym,
+            cells: [const { OnceLock::new() }; 256],
+        }
+    }
+
+    /// The model for scale byte `idx`. Threads racing a first touch may
+    /// each build it; all get the one that was stored.
+    fn get(&self, idx: u8) -> Result<&LaplaceModel, CodingError> {
+        let cell = &self.cells[usize::from(idx)];
+        if let Some(model) = cell.get() {
+            return Ok(model);
+        }
+        let model = LaplaceModel::new(byte_to_scale(idx), self.max_sym)?;
+        Ok(cell.get_or_init(|| model))
+    }
+
+    /// The scale bytes whose model has been built.
+    #[cfg(test)]
+    fn initialised(&self) -> Vec<u8> {
+        (0..=255u8)
+            .filter(|&idx| self.cells[usize::from(idx)].get().is_some())
+            .collect()
+    }
+}
+
+/// P-frame latents: symbols in `±MAX_SYM`.
+static LATENT: Models = Models::new(MAX_SYM);
+
+/// Intra features after [`intra_transform`]: pair sums reach `±2·MAX_SYM`
+/// and MED residuals of those `±4·MAX_SYM`.
+static INTRA: Models = Models::new(4 * MAX_SYM);
+
 /// Entropy-encodes symbols of an `N × h × w` latent: per-channel Laplace
 /// scale bytes followed by the range-coded payload.
 ///
@@ -96,27 +143,7 @@ pub fn dequantize(
 /// Returns an error if a Laplace model cannot be built (never happens for
 /// in-range scales).
 pub fn encode_payload(symbols: &[i32], shape: Shape) -> Result<Vec<u8>, CodingError> {
-    let (_, c, h, w) = shape.dims();
-    let plane = h * w;
-    let mut bytes = Vec::with_capacity(c + symbols.len() / 4);
-    let mut models = Vec::with_capacity(c);
-    for ch in 0..c {
-        let s = &symbols[ch * plane..(ch + 1) * plane];
-        let mean_abs =
-            s.iter().map(|&v| v.unsigned_abs() as f64).sum::<f64>() / plane.max(1) as f64;
-        let idx = scale_to_byte(mean_abs.max(0.05));
-        bytes.push(idx);
-        models.push(LaplaceModel::new(byte_to_scale(idx), MAX_SYM)?);
-    }
-    let mut rc = RangeEncoder::new();
-    for ch in 0..c {
-        let model = &models[ch];
-        for &s in &symbols[ch * plane..(ch + 1) * plane] {
-            rc.encode(&model.interval(s), model.total());
-        }
-    }
-    bytes.extend_from_slice(&rc.finish());
-    Ok(bytes)
+    encode(symbols, shape, &LATENT)
 }
 
 /// Decodes a payload produced by [`encode_payload`] back into symbols.
@@ -125,26 +152,7 @@ pub fn encode_payload(symbols: &[i32], shape: Shape) -> Result<Vec<u8>, CodingEr
 ///
 /// Returns an error on truncated input.
 pub fn decode_payload(bytes: &[u8], shape: Shape) -> Result<Vec<i32>, CodingError> {
-    let (_, c, h, w) = shape.dims();
-    let plane = h * w;
-    if bytes.len() < c {
-        return Err(CodingError::UnexpectedEof);
-    }
-    let mut models = Vec::with_capacity(c);
-    for &idx in &bytes[..c] {
-        models.push(LaplaceModel::new(byte_to_scale(idx), MAX_SYM)?);
-    }
-    let mut rc = RangeDecoder::new(&bytes[c..]);
-    let mut symbols = Vec::with_capacity(c * plane);
-    for model in &models {
-        for _ in 0..plane {
-            let f = rc.decode_freq(model.total());
-            let (v, iv) = model.lookup(f);
-            rc.decode_update(&iv, model.total());
-            symbols.push(v);
-        }
-    }
-    Ok(symbols)
+    decode(bytes, shape, &LATENT)
 }
 
 /// Entropy-encodes *intra feature* symbols with two reversible predictive
@@ -157,8 +165,7 @@ pub fn decode_payload(bytes: &[u8], shape: Shape) -> Result<Vec<i32>, CodingErro
 ///
 /// Returns an error if a model cannot be built.
 pub fn encode_intra_payload(symbols: &[i32], shape: Shape) -> Result<Vec<u8>, CodingError> {
-    let transformed = intra_transform(symbols, shape, true);
-    encode_wide(&transformed, shape)
+    encode(&intra_transform(symbols, shape, true), shape, &INTRA)
 }
 
 /// Inverse of [`encode_intra_payload`].
@@ -167,7 +174,7 @@ pub fn encode_intra_payload(symbols: &[i32], shape: Shape) -> Result<Vec<u8>, Co
 ///
 /// Returns an error on truncated input.
 pub fn decode_intra_payload(bytes: &[u8], shape: Shape) -> Result<Vec<i32>, CodingError> {
-    let transformed = decode_wide(bytes, shape)?;
+    let transformed = decode(bytes, shape, &INTRA)?;
     Ok(intra_transform(&transformed, shape, false))
 }
 
@@ -250,26 +257,23 @@ fn intra_transform(symbols: &[i32], shape: Shape, forward: bool) -> Vec<i32> {
     out
 }
 
-/// Wide-alphabet Laplace coding (DPCM differences span ±2·MAX_SYM).
-fn encode_wide(symbols: &[i32], shape: Shape) -> Result<Vec<u8>, CodingError> {
+/// Per-channel scale bytes, then every channel range-coded under its
+/// byte's model from `models`.
+fn encode(symbols: &[i32], shape: Shape, models: &Models) -> Result<Vec<u8>, CodingError> {
     let (_, c, h, w) = shape.dims();
     let plane = h * w;
-    let max_sym = 4 * MAX_SYM;
-    let mut bytes = Vec::with_capacity(c + symbols.len() / 8);
-    let mut models = Vec::with_capacity(c);
+    let mut bytes = Vec::with_capacity(c + symbols.len() / 4);
     for ch in 0..c {
         let s = &symbols[ch * plane..(ch + 1) * plane];
         let mean_abs =
             s.iter().map(|&v| v.unsigned_abs() as f64).sum::<f64>() / plane.max(1) as f64;
-        let idx = scale_to_byte(mean_abs.max(0.05));
-        bytes.push(idx);
-        models.push(LaplaceModel::new(byte_to_scale(idx), max_sym)?);
+        bytes.push(scale_to_byte(mean_abs.max(0.05)));
     }
     let mut rc = RangeEncoder::new();
     for ch in 0..c {
-        let model = &models[ch];
+        let model = models.get(bytes[ch])?;
         for &s in &symbols[ch * plane..(ch + 1) * plane] {
-            debug_assert!(s.abs() <= max_sym, "symbol {s} exceeds wide alphabet");
+            debug_assert!(s.abs() <= models.max_sym, "symbol {s} exceeds the alphabet");
             rc.encode(&model.interval(s), model.total());
         }
     }
@@ -277,20 +281,17 @@ fn encode_wide(symbols: &[i32], shape: Shape) -> Result<Vec<u8>, CodingError> {
     Ok(bytes)
 }
 
-fn decode_wide(bytes: &[u8], shape: Shape) -> Result<Vec<i32>, CodingError> {
+/// Inverse of [`encode`] under the same `models`.
+fn decode(bytes: &[u8], shape: Shape, models: &Models) -> Result<Vec<i32>, CodingError> {
     let (_, c, h, w) = shape.dims();
     let plane = h * w;
-    let max_sym = 4 * MAX_SYM;
-    if bytes.len() < c {
+    let Some((scales, body)) = bytes.split_at_checked(c) else {
         return Err(CodingError::UnexpectedEof);
-    }
-    let mut models = Vec::with_capacity(c);
-    for &idx in &bytes[..c] {
-        models.push(LaplaceModel::new(byte_to_scale(idx), max_sym)?);
-    }
-    let mut rc = RangeDecoder::new(&bytes[c..]);
+    };
+    let mut rc = RangeDecoder::new(body);
     let mut symbols = Vec::with_capacity(c * plane);
-    for model in &models {
+    for &idx in scales {
+        let model = models.get(idx)?;
         for _ in 0..plane {
             let f = rc.decode_freq(model.total());
             let (v, iv) = model.lookup(f);
@@ -419,5 +420,147 @@ mod tests {
         let symbols = quantize(&z, 0.05, None).unwrap();
         let bytes = encode_payload(&symbols, z.shape()).unwrap();
         assert!(decode_payload(&bytes[..2], z.shape()).is_err());
+    }
+
+    #[test]
+    fn intra_coding_is_lossless_at_the_edge_of_the_wide_alphabet() {
+        // A ±MAX_SYM checkerboard on every channel: pair sums reach
+        // ±2·MAX_SYM, and the MED residual of a checkerboard is the full
+        // swing between neighbours, ±4·MAX_SYM.
+        let shape = Shape::new(1, 7, 5, 6);
+        let symbols: Vec<i32> = (0..7 * 5 * 6)
+            .map(|i| {
+                let (y, x) = ((i / 6) % 5, i % 6);
+                if (x + y) % 2 == 0 {
+                    MAX_SYM
+                } else {
+                    -MAX_SYM
+                }
+            })
+            .collect();
+        let transformed = intra_transform(&symbols, shape, true);
+        let widest = transformed.iter().map(|v| v.abs()).max();
+        assert_eq!(widest, Some(4 * MAX_SYM));
+        let payload = encode_intra_payload(&symbols, shape).unwrap();
+        assert_eq!(decode_intra_payload(&payload, shape).unwrap(), symbols);
+    }
+
+    /// FNV-1a 64 of `x`'s little-endian bytes, folded into `h`.
+    fn fnv1a(h: &mut u64, x: u32) {
+        for byte in x.to_le_bytes() {
+            *h = (*h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// Every table the format can select, hashed: for each alphabet and
+    /// scale byte, the total and then every symbol's interval in symbol
+    /// order. The constant was recorded on the full-table `LaplaceModel`
+    /// these compact models replaced, which built the golden fixtures.
+    ///
+    /// The tables come from `f64::exp`/`powf`, which Rust takes from the
+    /// platform libm. If this test fails after a toolchain or platform
+    /// change, a decoder built there would desync from every existing
+    /// stream at its first symbol. Changing the constant is a format
+    /// decision — generating the tables from integers belongs to a new
+    /// named config — not a test fix.
+    #[test]
+    fn laplace_tables_are_frozen() {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for models in [&LATENT, &INTRA] {
+            for idx in 0..=255u8 {
+                let m = models.get(idx).unwrap();
+                fnv1a(&mut h, m.total());
+                for v in -models.max_sym..=models.max_sym {
+                    let iv = m.interval(v);
+                    fnv1a(&mut h, iv.low);
+                    fnv1a(&mut h, iv.high);
+                }
+            }
+        }
+        assert_eq!(h, 0xc92b_fc02_bdb4_8d25);
+    }
+
+    /// The full frequency table the compact model must reproduce, built
+    /// as the format defines it.
+    fn reference_table(b: f64, max_sym: i32) -> nvc_entropy::Histogram {
+        let weights: Vec<f64> = (-max_sym..=max_sym)
+            .map(|k| (-(k.abs() as f64) / b).exp())
+            .collect();
+        let wsum: f64 = weights.iter().sum();
+        let mut freqs: Vec<u32> = weights
+            .iter()
+            .map(|w| ((w / wsum) * f64::from(1u32 << 18)).round().max(1.0) as u32)
+            .collect();
+        let centre = max_sym as usize;
+        freqs[centre] = freqs[centre].max(2);
+        nvc_entropy::Histogram::from_freqs(&freqs).unwrap()
+    }
+
+    #[test]
+    fn cached_models_match_the_full_tables() {
+        for models in [&LATENT, &INTRA] {
+            let max_sym = models.max_sym;
+            for idx in 0..=255u8 {
+                let b = byte_to_scale(idx);
+                assert!(b.is_finite() && b > 0.0, "byte {idx} → scale {b}");
+                let m = models.get(idx).unwrap();
+                let full = reference_table(b, max_sym);
+                assert_eq!(m.total(), full.total(), "byte {idx}");
+                for v in -max_sym - 1..=max_sym + 1 {
+                    let iv = full.interval((v.clamp(-max_sym, max_sym) + max_sym) as u32);
+                    assert_eq!(m.interval(v), iv, "byte {idx}, symbol {v}");
+                    if v.abs() <= max_sym {
+                        assert_eq!(m.lookup(iv.low), (v, iv), "byte {idx}, low of {v}");
+                        assert_eq!(m.lookup(iv.high - 1), (v, iv), "byte {idx}, high of {v}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_scale_byte_survives_hostile_bodies() {
+        let mut rng = nvc_tensor::init::SplitMix64::new(0x5CA1_E0B7);
+        let shape = Shape::new(1, 3, 4, 5);
+        for idx in 0..=255u8 {
+            for _ in 0..4 {
+                let len = (rng.next_u64() % 64) as usize;
+                let mut bytes = vec![idx; 3];
+                bytes.extend((0..len).map(|_| rng.next_u64() as u8));
+                // Ok or Err, never a panic; a decoded latent has its shape.
+                if let Ok(s) = decode_payload(&bytes, shape) {
+                    assert_eq!(s.len(), 60);
+                }
+                if let Ok(s) = decode_intra_payload(&bytes, shape) {
+                    assert_eq!(s.len(), 60);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn racing_first_touches_share_one_model() {
+        static RACE: Models = Models::new(MAX_SYM);
+        let start = std::sync::Barrier::new(2);
+        let [a, b] = std::thread::scope(|s| {
+            let touch = || {
+                start.wait();
+                RACE.get(131).unwrap()
+            };
+            let threads = [s.spawn(touch), s.spawn(touch)];
+            threads.map(|t| t.join().unwrap())
+        });
+        assert!(std::ptr::eq(a, b));
+        assert_eq!(RACE.initialised(), [131]);
+    }
+
+    #[test]
+    fn a_decode_builds_only_the_models_it_touches() {
+        let models = Models::new(MAX_SYM);
+        let shape = Shape::new(1, 4, 3, 3);
+        let mut bytes = vec![200, 7, 200, 96];
+        bytes.extend_from_slice(&[0x3C; 12]);
+        decode(&bytes, shape, &models).unwrap();
+        assert_eq!(models.initialised(), [7, 96, 200]);
     }
 }
