@@ -1,9 +1,9 @@
 //! The blocking client side of the protocol.
 
 use crate::proto::{
-    read_ack_body, read_error_body, read_frame_body, read_stats_body, read_u8, write_frame_msg,
-    write_packet_msg, write_retarget_msg, Ack, Hello, Retarget, Role, MSG_ACK, MSG_END, MSG_ERROR,
-    MSG_FRAME, MSG_PACKET, MSG_STATS,
+    read_error_body, read_frame_body, read_handshake_ack, read_stats_body, read_u8,
+    write_frame_msg, write_packet_msg, write_retarget_msg, Ack, Hello, Retarget, Role, MSG_END,
+    MSG_ERROR, MSG_FRAME, MSG_PACKET, MSG_STATS,
 };
 use crate::ServeError;
 use nvc_entropy::container::Packet;
@@ -81,18 +81,16 @@ impl StreamClient {
         }
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
+        let mut reader = BufReader::new(stream.try_clone()?);
         let mut writer = BufWriter::new(stream);
         hello.write_to(&mut writer)?;
         writer.flush()?;
-        let mut client = StreamClient {
+        let ack = read_handshake_ack(&mut reader)?;
+        Ok(StreamClient {
             reader,
             writer,
             hello,
-            ack: Ack {
-                rate: 0,
-                degraded: false,
-            },
+            ack,
             window: 4,
             outstanding: 0,
             sent_at: VecDeque::new(),
@@ -100,17 +98,7 @@ impl StreamClient {
             packets: Vec::new(),
             latencies: Vec::new(),
             next_frame_index: 0,
-        };
-        match read_u8(&mut client.reader)? {
-            MSG_ACK => {
-                client.ack = read_ack_body(&mut client.reader, client.hello.version)?;
-                Ok(client)
-            }
-            MSG_ERROR => Err(ServeError::Remote(read_error_body(&mut client.reader)?)),
-            tag => Err(ServeError::Protocol(format!(
-                "expected handshake ack, got tag 0x{tag:02X}"
-            ))),
-        }
+        })
     }
 
     /// The negotiated handshake.
@@ -129,7 +117,7 @@ impl StreamClient {
 
     /// Whether the server admitted this session *degraded* — below its
     /// requested rate because the governor's aggregate budget is under
-    /// pressure (protocol version 4; always `false` on older versions).
+    /// pressure.
     pub fn admitted_degraded(&self) -> bool {
         self.ack.degraded
     }
@@ -201,17 +189,12 @@ impl StreamClient {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError`] on the wrong direction, a version-1
-    /// handshake, socket failure, or a server-reported error.
+    /// Returns [`ServeError`] on the wrong direction, socket failure, or
+    /// a server-reported error.
     pub fn retarget(&mut self, retarget: Retarget) -> Result<(), ServeError> {
         if !matches!(self.hello.role, Role::Encode | Role::Publish) {
             return Err(ServeError::Protocol(
                 "retarget on a decode-direction stream".into(),
-            ));
-        }
-        if self.hello.version < 2 {
-            return Err(ServeError::Protocol(
-                "retarget needs protocol version 2".into(),
             ));
         }
         if let Err(e) =
@@ -272,10 +255,7 @@ impl StreamClient {
                 Response::Frame(frame)
             }
             MSG_PACKET => Response::Packet(Packet::read_from(&mut self.reader)?),
-            MSG_STATS => {
-                let version = self.hello.version;
-                return Ok(Response::Stats(read_stats_body(&mut self.reader, version)?));
-            }
+            MSG_STATS => return Ok(Response::Stats(read_stats_body(&mut self.reader)?)),
             MSG_ERROR => return Err(ServeError::Remote(read_error_body(&mut self.reader)?)),
             tag => {
                 return Err(ServeError::Protocol(format!(

@@ -109,27 +109,31 @@ pub(crate) fn push_shared(out: &Mutex<OutState>, packet: Arc<CachedPacket>) {
     st.chunks.push_back(Chunk::Shared(packet));
 }
 
-/// Queues an end-of-connection. The first queued close wins — a later,
-/// different close (say a graceful end racing an eviction) must not
-/// override what the peer is already being told.
-pub(crate) fn set_close(out: &Mutex<OutState>, kind: CloseKind) {
-    let mut st = out.lock_clean();
-    if st.close.is_none() {
-        st.close = Some(kind);
-    }
-}
-
-/// The queued equivalent of the old blocking `hangup`: with a message,
-/// queue the `'X'` notice and a draining close; without, just a graceful
-/// close.
-pub(crate) fn queue_hangup(out: &Mutex<OutState>, message: Option<&str>) {
-    match message {
+/// The queued equivalent of the old blocking `hangup`: queues a
+/// connection's last bytes — `tail` (a trailer, say), then with a
+/// message the `'X'` notice — and its close: draining after a notice,
+/// graceful otherwise.
+///
+/// Bytes and close go in under *one* lock, so no write pass can send
+/// the last byte without also seeing the close; the poller then frees
+/// the connection's slot in the pass that ends the conversation (see
+/// `Poller::release`). The first queued close wins — a later, different
+/// close (say a graceful end racing an eviction) must not override what
+/// the peer is already being told.
+pub(crate) fn queue_hangup(out: &Mutex<OutState>, mut tail: Vec<u8>, message: Option<&str>) {
+    let kind = match message {
         Some(message) => {
-            push_bytes(out, error_msg_bytes(message));
-            set_close(out, CloseKind::Drain);
+            tail.extend_from_slice(&error_msg_bytes(message));
+            CloseKind::Drain
         }
-        None => set_close(out, CloseKind::Graceful),
+        None => CloseKind::Graceful,
+    };
+    let mut st = out.lock_clean();
+    if !st.gone && !tail.is_empty() {
+        st.queued += tail.len();
+        st.chunks.push_back(Chunk::Own(tail));
     }
+    st.close.get_or_insert(kind);
 }
 
 /// Result of one write-servicing pass over a connection.
@@ -269,18 +273,11 @@ impl OutHandle {
         }
     }
 
-    /// The old blocking `hangup`, producer-side: queue the optional
-    /// `'X'` notice and the matching close, then wake the poller.
+    /// The old blocking `hangup`, producer-side: queue whatever is
+    /// buffered, the optional `'X'` notice and the matching close in
+    /// one step ([`queue_hangup`]), then wake the poller.
     pub(crate) fn hangup(&mut self, message: Option<&str>) {
-        let close = match message {
-            Some(message) => {
-                self.buf.extend_from_slice(&error_msg_bytes(message));
-                CloseKind::Drain
-            }
-            None => CloseKind::Graceful,
-        };
-        let _ = self.flush();
-        set_close(&self.out, close);
+        queue_hangup(&self.out, std::mem::take(&mut self.buf), message);
         self.waker.wake();
     }
 }
@@ -323,7 +320,6 @@ pub(crate) fn pump_subscriber(
     ring: &SubscriberRing,
     out: &Mutex<OutState>,
     stats: &mut StreamStats,
-    version: u8,
 ) -> bool {
     loop {
         {
@@ -344,12 +340,11 @@ pub(crate) fn pump_subscriber(
             }
             RingPop::Empty => return false,
             RingPop::Closed => {
-                push_bytes(out, stats_msg_bytes(stats, version));
-                set_close(out, CloseKind::Graceful);
+                queue_hangup(out, stats_msg_bytes(stats), None);
                 return true;
             }
             RingPop::Evicted(reason) | RingPop::Failed(reason) => {
-                queue_hangup(out, Some(&reason));
+                queue_hangup(out, Vec::new(), Some(&reason));
                 return true;
             }
         }
@@ -398,7 +393,6 @@ pub(crate) enum ConnKind<'env> {
         /// stream's trailer carries, recorded from the cached packets
         /// so it describes exactly the bytes this subscriber received.
         stats: StreamStats,
-        version: u8,
         /// The subscription ended; only the outbox drain remains.
         done: bool,
     },
@@ -410,6 +404,7 @@ pub(crate) enum ConnKind<'env> {
 mod tests {
     use super::*;
     use crate::broadcast::{BroadcastInfo, BroadcastRegistry};
+    use crate::poll::PollShared;
     use crate::proto::{read_error_body, read_stats_body, MSG_ERROR, MSG_STATS};
     use nvc_entropy::container::{FrameKind, Packet};
     use std::io::Read;
@@ -475,7 +470,7 @@ mod tests {
 
         let mut slow_stats = StreamStats::default();
         assert!(
-            pump_subscriber(&slow_att.ring, &slow_out, &mut slow_stats, 3),
+            pump_subscriber(&slow_att.ring, &slow_out, &mut slow_stats),
             "eviction is terminal"
         );
         match service_writes(&slow_srv, &slow_out) {
@@ -487,7 +482,7 @@ mod tests {
 
         let mut fast_stats = StreamStats::default();
         assert!(
-            pump_subscriber(&fast_att.ring, &fast_out, &mut fast_stats, 3),
+            pump_subscriber(&fast_att.ring, &fast_out, &mut fast_stats),
             "a closed broadcast is terminal"
         );
         match service_writes(&fast_srv, &fast_out) {
@@ -516,7 +511,7 @@ mod tests {
         }
         fast_client.read_exact(&mut tag).unwrap();
         assert_eq!(tag[0], MSG_STATS, "clean end must carry the trailer");
-        let stats = read_stats_body(&mut &fast_client, 3).unwrap();
+        let stats = read_stats_body(&mut &fast_client).unwrap();
         assert_eq!(stats.frames, 4);
     }
 
@@ -526,7 +521,7 @@ mod tests {
     fn outbox_orders_notices_before_close_and_blackholes_the_dead() {
         let (srv, mut client) = socket_pair();
         let out = Mutex::new(OutState::default());
-        queue_hangup(&out, Some("boom"));
+        queue_hangup(&out, Vec::new(), Some("boom"));
         assert!(matches!(
             service_writes(&srv, &out),
             WriteStatus::Close(CloseKind::Drain)
@@ -551,5 +546,42 @@ mod tests {
         push_bytes(&out, vec![1u8; 16]);
         assert_eq!(out.lock().unwrap().queued, 0, "dead outbox drops pushes");
         assert!(matches!(service_writes(&srv, &out), WriteStatus::Gone));
+    }
+
+    /// A runner's hangup publishes its last bytes and the close at
+    /// once, so whatever the poller finds when woken, a queued trailer
+    /// or notice never comes without its close. Queued in two steps, a
+    /// write pass could send the trailer, the client reconnect, and the
+    /// accept run before the pass that frees the finished session's
+    /// slot: "server at session capacity" after a clean finish. Every
+    /// wake is held at the wake queue's lock, so the outbox is observed
+    /// exactly as the producer's first wake published it.
+    #[test]
+    fn hangup_queues_the_last_bytes_and_the_close_together() {
+        for (message, kind) in [
+            (None, CloseKind::Graceful),
+            (Some("boom"), CloseKind::Drain),
+        ] {
+            let shared = PollShared::new();
+            let out = Arc::new(Mutex::new(OutState::default()));
+            let mut handle =
+                OutHandle::new(Arc::clone(&out), PollWaker::new(Arc::clone(&shared), 7));
+            handle.write_all(b"trailer").unwrap();
+            let wakes = shared.block_wakes();
+            let producer = std::thread::spawn(move || handle.hangup(message));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let close = loop {
+                let st = out.lock_clean();
+                if !st.chunks.is_empty() {
+                    break st.close;
+                }
+                drop(st);
+                assert!(Instant::now() < deadline, "hangup queued nothing");
+                std::thread::yield_now();
+            };
+            drop(wakes);
+            producer.join().unwrap();
+            assert_eq!(close, Some(kind), "bytes visible before their close");
+        }
     }
 }

@@ -5,7 +5,8 @@
 //! prefix + CRC) and the session API
 //! ([`nvc_video::codec::EncoderSession`] / [`DecoderSession`]) were built
 //! transport-shaped; this crate is the transport. A connection speaks a
-//! small tagged-message protocol (see [`proto`]):
+//! small tagged-message protocol with one version, [`proto::VERSION`]
+//! (see [`proto`]):
 //!
 //! 1. a [`Hello`] handshake fixes the codec family (learned CTVC-Net or
 //!    the classical hybrid), the stream geometry, the rate mode —
@@ -49,8 +50,8 @@
 //!
 //! # Broadcast
 //!
-//! Protocol version 3 adds two connection roles on top of the
-//! point-to-point encode/decode pairs: a [`Role::Publish`] connection is
+//! Two more connection roles sit on top of the point-to-point
+//! encode/decode pairs: a [`Role::Publish`] connection is
 //! an encode stream whose coded packets are *also* published into a
 //! named broadcast, and any number of [`Role::Subscribe`] connections
 //! ([`SubscribeClient`]) attach to that name and receive the same packet
@@ -67,8 +68,8 @@
 //! A server configured with [`ServeConfig::governor`] splits one
 //! aggregate bit budget ([`GovernorConfig`]) across every live
 //! encode/publish session, weighted by demand with per-client fairness
-//! (protocol version 4's client-identity handshake field,
-//! [`Hello::with_client`]). Admission becomes a three-step response:
+//! (the handshake's client-identity field, [`Hello::with_client`]).
+//! Admission becomes a three-step response:
 //! admit at full rate, admit *degraded* — started a few rungs down the
 //! rate ladder, flagged in the handshake ack — or reject with a clean
 //! `'X'` once projected demand or scheduler backlog pass the configured
@@ -121,7 +122,7 @@ mod sync;
 
 pub use client::{StreamClient, StreamSummary};
 pub use governor::GovernorConfig;
-pub use proto::{Ack, Direction, Family, Hello, JoinInfo, Retarget, Role, TargetBppWire};
+pub use proto::{Ack, Family, Hello, JoinInfo, Retarget, Role, TargetBppWire};
 pub use server::{scrape_metrics, ServeConfig, ServeReport, Server, ServerHandle};
 pub use subscribe::{SubscribeClient, SubscribeEvent, SubscribeSummary};
 

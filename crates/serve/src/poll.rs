@@ -98,6 +98,14 @@ impl PollShared {
         }
     }
 
+    /// Holds the wake queue's lock until the returned guard drops: every
+    /// waker blocks inside [`PollShared::wake`] meanwhile, so a test can
+    /// observe what a producer had published at the moment it woke.
+    #[cfg(test)]
+    pub(crate) fn block_wakes(&self) -> impl Sized + '_ {
+        self.wakes.lock_clean()
+    }
+
     /// Unconditional unpark — shutdown path, where losing the deduped
     /// edge to a concurrent waker must not leave the poller parked.
     pub(crate) fn kick(&self) {

@@ -20,13 +20,13 @@
 //!   `[index: u32][w: u16][h: u16][crc32: u32][rgb: 3·w·h f32 LE]`.
 //!   The CRC covers the pixel bytes, so a decode client detects
 //!   corruption exactly as the server detects it on coded packets.
-//! * `'S'` carries the stream's [`StreamStats`]: per-frame payload bytes
-//!   and per-frame serialized bits.
+//! * `'S'` carries the stream's [`StreamStats`]: per-frame payload bytes,
+//!   serialized bits, frame types and rates.
 //! * `'X'` carries a UTF-8 failure description; the sender closes the
 //!   connection right after. It is valid at any point, including instead
 //!   of the handshake ack.
 //!
-//! Protocol version 3 adds *broadcast* roles. A [`Role::Publish`]
+//! Two more roles make up *broadcasts*. A [`Role::Publish`]
 //! connection looks like an encode stream (frames up, the publisher's
 //! own coded packets back), but the server also fans the packets out to
 //! every subscriber of the broadcast named in the handshake. A
@@ -45,11 +45,15 @@
 //! Subscribers that stop draining are *evicted*: the server drops their
 //! ring and sends `'X'` instead of ever stalling the publisher.
 //!
-//! Protocol version 4 adds the *governed* handshake: the `Hello` may
-//! carry a client identity (the governor's per-client fairness key) and
-//! the ack grows a flags byte ([`Ack`]) so the server can admit a
-//! session *degraded* — granted a lower starting rung than requested —
-//! instead of rejecting it outright when the aggregate budget is tight.
+//! Handshakes are *governed*: the `Hello` may carry a client identity
+//! (the governor's per-client fairness key) and the ack carries a flags
+//! byte ([`Ack`]) so the server can admit a session *degraded* —
+//! granted a lower starting rung than requested — instead of rejecting
+//! it outright when the aggregate budget is tight.
+//!
+//! There is one protocol version, [`VERSION`]. A handshake carrying any
+//! other version byte is refused with an `'X'` naming it, and the
+//! connection closes.
 //!
 //! The module is public so alternative transports (or tests) can speak
 //! the protocol directly; [`StreamClient`](crate::StreamClient),
@@ -65,24 +69,15 @@ use std::io::{Read, Write};
 /// Handshake magic: every connection starts with these four bytes.
 pub const MAGIC: [u8; 4] = *b"NVCS";
 
-/// Wire-protocol version. Version 2 added the handshake's rate-mode
-/// field (closed-loop target-bpp streams), the `'R'` retarget message
-/// and the extended stats trailer (per-frame frame types and rate
-/// indices). Version 3 added the broadcast roles ([`Role::Publish`] /
-/// [`Role::Subscribe`]), the handshake's GOP-length and broadcast-name
-/// fields, and the `'J'` join-info message. Version 4 added the
-/// handshake's optional client-identity field (the governor's fairness
-/// key) and the ack's flags byte (degraded admission, see
-/// [`ACK_DEGRADED`]).
+/// Wire-protocol version: the byte after [`MAGIC`] in every handshake,
+/// and the only one [`Hello::read_from`] accepts. Versions 1–3 (the
+/// layouts without the rate-mode, broadcast or client-identity fields,
+/// and the two-byte ack) are retired; retiring them changed no
+/// version-4 byte.
 pub const VERSION: u8 = 4;
 
-/// Oldest protocol version still accepted: version-1 (fixed-rate only)
-/// through version-3 (two-byte-ack) clients keep working against a
-/// version-4 server, and get the ack and trailer layouts they expect.
-pub const MIN_VERSION: u8 = 1;
-
-/// Cap on a broadcast name as carried in a version-3 handshake, and on
-/// a client identity as carried in a version-4 handshake.
+/// Cap on a broadcast name and on a client identity as carried in a
+/// handshake.
 pub const MAX_NAME_BYTES: usize = 128;
 
 /// Hard cap on frame dimensions accepted from the wire, keeping a
@@ -97,11 +92,11 @@ pub const MAX_STATS_FRAMES: usize = 1 << 20;
 
 /// Message tag: handshake acknowledgement (server → client).
 pub const MSG_ACK: u8 = b'A';
-/// Ack flags bit (protocol version ≥ 4): the session was admitted
-/// *degraded* — the server's governor granted less than the requested
-/// rate, and the ack's rate byte carries the granted starting rung
-/// instead of echoing the request. The stream still runs; the rate is
-/// restored in-band as load drains.
+/// Ack flags bit: the session was admitted *degraded* — the server's
+/// governor granted less than the requested rate, and the ack's rate
+/// byte carries the granted starting rung instead of echoing the
+/// request. The stream still runs; the rate is restored in-band as load
+/// drains.
 pub const ACK_DEGRADED: u8 = 0x01;
 /// Message tag: one serialized coded packet.
 pub const MSG_PACKET: u8 = b'P';
@@ -110,18 +105,16 @@ pub const MSG_FRAME: u8 = b'F';
 /// Message tag: end of stream (client → server).
 pub const MSG_END: u8 = b'E';
 /// Message tag: mid-stream rate retarget (client → server, encode
-/// streams, protocol version ≥ 2). Applies in stream order: frames sent
-/// before the retarget are coded under the old mode, frames after it
-/// under the new one.
+/// streams). Applies in stream order: frames sent before the retarget
+/// are coded under the old mode, frames after it under the new one.
 pub const MSG_RETARGET: u8 = b'R';
 /// Message tag: stream statistics trailer (server → client).
 pub const MSG_STATS: u8 = b'S';
 /// Message tag: failure description, connection closes after.
 pub const MSG_ERROR: u8 = b'X';
-/// Message tag: broadcast join info (server → subscriber, protocol
-/// version ≥ 3), sent right after the ack so the subscriber knows the
-/// stream's family, geometry, GOP length and starting frame index
-/// before the first packet arrives.
+/// Message tag: broadcast join info (server → subscriber), sent right
+/// after the ack so the subscriber knows the stream's family, geometry,
+/// GOP length and starting frame index before the first packet arrives.
 pub const MSG_JOIN: u8 = b'J';
 
 /// Which codec family serves the stream.
@@ -155,8 +148,8 @@ impl Family {
 
 /// What the *server* does with the stream.
 ///
-/// The first two roles are the point-to-point streams every protocol
-/// version supports; the broadcast roles need protocol version ≥ 3.
+/// The first two roles are point-to-point streams; the broadcast roles
+/// pair one publisher with any number of subscribers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// Server encodes: the client streams raw frames and receives coded
@@ -167,17 +160,13 @@ pub enum Role {
     Decode,
     /// Server encodes *and relays*: like [`Role::Encode`], but the coded
     /// packets are also published under the handshake's broadcast name
-    /// for any number of subscribers (protocol version ≥ 3).
+    /// for any number of subscribers.
     Publish,
     /// Server relays: the client sends nothing after the handshake and
     /// receives the named broadcast's packets, starting at an intra
-    /// boundary (protocol version ≥ 3).
+    /// boundary.
     Subscribe,
 }
-
-/// The server-side role of a connection. Known as `Direction` before
-/// the broadcast roles arrived in protocol version 3.
-pub type Direction = Role;
 
 impl Role {
     fn tag(self) -> u8 {
@@ -200,14 +189,14 @@ impl Role {
     }
 
     /// Whether this role takes part in a broadcast (and therefore needs
-    /// a broadcast name and protocol version ≥ 3).
+    /// a broadcast name).
     pub fn is_broadcast(self) -> bool {
         matches!(self, Role::Publish | Role::Subscribe)
     }
 }
 
-/// Closed-loop rate target as carried on the wire (protocol ≥ 2):
-/// bits-per-pixel in 1/1000 units plus a smoothing window in frames.
+/// Closed-loop rate target as carried on the wire: bits-per-pixel in
+/// 1/1000 units plus a smoothing window in frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TargetBppWire {
     /// Target rate in milli-bits-per-pixel (`1000 × bpp`).
@@ -239,10 +228,6 @@ impl TargetBppWire {
 /// The handshake opening every connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hello {
-    /// Protocol version this handshake is serialized as. Constructors
-    /// set the current [`VERSION`]; set `1` to speak to (or emulate) a
-    /// fixed-rate-only peer — then `target` must be `None`.
-    pub version: u8,
     /// Codec family serving the stream.
     pub family: Family,
     /// What the server does with the stream.
@@ -262,26 +247,24 @@ pub struct Hello {
     /// `rate` is not used at all — the server's controller picks every
     /// frame's rate, including the first (the ack still echoes `rate`
     /// for wire compatibility). Must be `None` for decode/subscribe
-    /// streams and version-1 handshakes.
+    /// streams.
     pub target: Option<TargetBppWire>,
     /// Publish streams: requested GOP length in frames (0 = server
-    /// default). Ignored for other roles; must be 0 below version 3.
+    /// default). Ignored for other roles.
     pub gop: u16,
     /// Broadcast name — required (non-empty, ≤ [`MAX_NAME_BYTES`]) for
     /// the broadcast roles, forbidden otherwise.
     pub broadcast: Option<String>,
-    /// Client identity (protocol version ≥ 4, optional): the governor's
-    /// per-client fairness key, so one client opening many sessions
-    /// shares one budget slice instead of multiplying its share. `None`
-    /// (or empty on the wire) makes the server fall back to the peer
-    /// address. Must be `None` below version 4.
+    /// Client identity (optional): the governor's per-client fairness
+    /// key, so one client opening many sessions shares one budget slice
+    /// instead of multiplying its share. `None` (or empty on the wire)
+    /// makes the server fall back to the peer address.
     pub client: Option<String>,
 }
 
 impl Hello {
     fn new(family: Family, role: Role, rate: u8, width: usize, height: usize) -> Self {
         Hello {
-            version: VERSION,
             family,
             role,
             width,
@@ -360,7 +343,7 @@ impl Hello {
         self
     }
 
-    /// Sets the client identity carried in a version-4 handshake — the
+    /// Sets the client identity carried in the handshake — the
     /// governor's per-client fairness key. Sessions sharing an identity
     /// share one slice of the budget.
     pub fn with_client(mut self, client: &str) -> Self {
@@ -368,36 +351,18 @@ impl Hello {
         self
     }
 
-    /// Serializes the handshake in its `version`'s layout.
+    /// Serializes the handshake as protocol [`VERSION`].
     ///
     /// # Errors
     ///
     /// Returns `InvalidInput` for geometry outside `1..=`[`MAX_DIM`]
     /// (which would otherwise truncate silently in the `u16` wire
-    /// fields), for an unserializable version, for a rate target on a
-    /// version-1 handshake, for broadcast fields on a pre-version-3
-    /// handshake, or for a missing/oversized broadcast name; propagates
-    /// writer failures.
+    /// fields), for an empty or oversized client identity, or for a
+    /// missing, oversized or misplaced broadcast name; propagates writer
+    /// failures.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
         let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
         check_wire_dims(self.width, self.height)?;
-        if self.version < MIN_VERSION || self.version > VERSION {
-            return Err(invalid(format!(
-                "cannot serialize protocol version {}",
-                self.version
-            )));
-        }
-        if self.version < 2 && self.target.is_some() {
-            return Err(invalid("target-bpp mode needs protocol version 2".into()));
-        }
-        if self.version < 3
-            && (self.role.is_broadcast() || self.gop != 0 || self.broadcast.is_some())
-        {
-            return Err(invalid("broadcast fields need protocol version 3".into()));
-        }
-        if self.version < 4 && self.client.is_some() {
-            return Err(invalid("client identity needs protocol version 4".into()));
-        }
         if let Some(client) = &self.client {
             if client.is_empty() || client.len() > MAX_NAME_BYTES {
                 return Err(invalid(format!(
@@ -430,49 +395,36 @@ impl Hello {
             }
             None => {}
         }
+        let (mode, milli_bpp, window) = match self.target {
+            None => (0u8, 0u32, 0u16),
+            Some(t) => (1, t.milli_bpp, t.window),
+        };
         w.write_all(&MAGIC)?;
-        w.write_all(&[self.version, self.family.tag(), self.role.tag(), self.rate])?;
+        w.write_all(&[VERSION, self.family.tag(), self.role.tag(), self.rate])?;
         w.write_all(&(self.width as u16).to_le_bytes())?;
         w.write_all(&(self.height as u16).to_le_bytes())?;
-        if self.version >= 2 {
-            match self.target {
-                None => {
-                    w.write_all(&[0])?;
-                    w.write_all(&0u32.to_le_bytes())?;
-                    w.write_all(&0u16.to_le_bytes())?;
-                }
-                Some(t) => {
-                    w.write_all(&[1])?;
-                    w.write_all(&t.milli_bpp.to_le_bytes())?;
-                    w.write_all(&t.window.to_le_bytes())?;
-                }
-            }
-        }
-        if self.version >= 3 {
-            w.write_all(&self.gop.to_le_bytes())?;
-            let name = self.broadcast.as_deref().unwrap_or("");
+        w.write_all(&[mode])?;
+        w.write_all(&milli_bpp.to_le_bytes())?;
+        w.write_all(&window.to_le_bytes())?;
+        w.write_all(&self.gop.to_le_bytes())?;
+        for name in [&self.broadcast, &self.client] {
+            let name = name.as_deref().unwrap_or("");
             w.write_all(&[name.len() as u8])?;
             w.write_all(name.as_bytes())?;
-        }
-        if self.version >= 4 {
-            let client = self.client.as_deref().unwrap_or("");
-            w.write_all(&[client.len() as u8])?;
-            w.write_all(client.as_bytes())?;
         }
         Ok(())
     }
 
-    /// Reads and structurally validates a handshake (magic, supported
-    /// version, known tags, plausible geometry, broadcast-name rules) —
-    /// the version-1 through version-4 layouts. Semantic validation —
-    /// rate range, target plausibility, codec-specific geometry
-    /// constraints, whether the named broadcast exists — happens
-    /// server-side after this.
+    /// Reads and structurally validates a handshake (magic, version,
+    /// known tags, plausible geometry, broadcast-name rules). Semantic
+    /// validation — rate range, target plausibility, codec-specific
+    /// geometry constraints, whether the named broadcast exists —
+    /// happens server-side after this.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Protocol`] on anything that is not a
-    /// well-formed handshake of a supported version.
+    /// well-formed handshake of protocol [`VERSION`].
     pub fn read_from(r: &mut impl Read) -> Result<Hello, ServeError> {
         let mut head = [0u8; 8];
         r.read_exact(&mut head)
@@ -484,18 +436,13 @@ impl Hello {
             )));
         }
         let version = head[4];
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(ServeError::Protocol(format!(
-                "unsupported protocol version {version} (accepted {MIN_VERSION}..={VERSION})"
+                "unsupported protocol version {version} (accepted {VERSION})"
             )));
         }
         let family = Family::from_tag(head[5])?;
         let role = Role::from_tag(head[6])?;
-        if role.is_broadcast() && version < 3 {
-            return Err(ServeError::Protocol(format!(
-                "{role:?} role needs protocol version 3, handshake is version {version}"
-            )));
-        }
         let rate = head[7];
         let width = read_u16(r)? as usize;
         let height = read_u16(r)? as usize;
@@ -504,39 +451,20 @@ impl Hello {
                 "implausible stream geometry {width}x{height}"
             )));
         }
-        let target = if version >= 2 {
-            let mode = read_u8(r)?;
-            let milli_bpp = read_u32(r)?;
-            let window = read_u16(r)?;
-            match mode {
-                0 => None,
-                1 => Some(TargetBppWire { milli_bpp, window }),
-                other => {
-                    return Err(ServeError::Protocol(format!(
-                        "unknown rate-mode tag 0x{other:02X}"
-                    )))
-                }
-            }
-        } else {
-            None
-        };
-        let (gop, broadcast) = if version >= 3 {
-            let gop = read_u16(r)?;
-            let len = read_u8(r)? as usize;
-            if len > MAX_NAME_BYTES {
+        let mode = read_u8(r)?;
+        let milli_bpp = read_u32(r)?;
+        let window = read_u16(r)?;
+        let target = match mode {
+            0 => None,
+            1 => Some(TargetBppWire { milli_bpp, window }),
+            other => {
                 return Err(ServeError::Protocol(format!(
-                    "broadcast name claims {len} bytes (cap {MAX_NAME_BYTES})"
-                )));
+                    "unknown rate-mode tag 0x{other:02X}"
+                )))
             }
-            let mut bytes = vec![0u8; len];
-            r.read_exact(&mut bytes)
-                .map_err(|e| ServeError::Protocol(format!("truncated broadcast name: {e}")))?;
-            let name = String::from_utf8(bytes)
-                .map_err(|_| ServeError::Protocol("broadcast name is not UTF-8".into()))?;
-            (gop, if name.is_empty() { None } else { Some(name) })
-        } else {
-            (0, None)
         };
+        let gop = read_u16(r)?;
+        let broadcast = read_name(r, "broadcast name")?;
         if role.is_broadcast() && broadcast.is_none() {
             return Err(ServeError::Protocol(format!(
                 "{role:?} handshake needs a broadcast name"
@@ -547,24 +475,8 @@ impl Hello {
                 "{role:?} handshake cannot carry a broadcast name"
             )));
         }
-        let client = if version >= 4 {
-            let len = read_u8(r)? as usize;
-            if len > MAX_NAME_BYTES {
-                return Err(ServeError::Protocol(format!(
-                    "client identity claims {len} bytes (cap {MAX_NAME_BYTES})"
-                )));
-            }
-            let mut bytes = vec![0u8; len];
-            r.read_exact(&mut bytes)
-                .map_err(|e| ServeError::Protocol(format!("truncated client identity: {e}")))?;
-            let name = String::from_utf8(bytes)
-                .map_err(|_| ServeError::Protocol("client identity is not UTF-8".into()))?;
-            (!name.is_empty()).then_some(name)
-        } else {
-            None
-        };
+        let client = read_name(r, "client identity")?;
         Ok(Hello {
-            version,
             family,
             role,
             width,
@@ -578,13 +490,29 @@ impl Hello {
     }
 }
 
-/// The handshake acknowledgement (the `'A'` message, server → client).
-///
-/// Through protocol version 3 the ack is two bytes — the tag plus a
-/// rate byte echoing the request. Version 4 appends a flags byte and
-/// gives the rate byte teeth: under a governor the server may admit a
-/// session *degraded* ([`ACK_DEGRADED`] set), in which case the rate
-/// byte carries the granted starting rung rather than the request.
+/// Reads one length-prefixed handshake name (`[len: u8][UTF-8]`, at
+/// most [`MAX_NAME_BYTES`]); empty reads as `None`. `what` names the
+/// field in errors.
+fn read_name(r: &mut impl Read, what: &str) -> Result<Option<String>, ServeError> {
+    let len = read_u8(r)? as usize;
+    if len > MAX_NAME_BYTES {
+        return Err(ServeError::Protocol(format!(
+            "{what} claims {len} bytes (cap {MAX_NAME_BYTES})"
+        )));
+    }
+    let mut bytes = vec![0u8; len];
+    r.read_exact(&mut bytes)
+        .map_err(|e| ServeError::Protocol(format!("truncated {what}: {e}")))?;
+    let name = String::from_utf8(bytes)
+        .map_err(|_| ServeError::Protocol(format!("{what} is not UTF-8")))?;
+    Ok((!name.is_empty()).then_some(name))
+}
+
+/// The handshake acknowledgement (the `'A'` message, server → client):
+/// the tag, a rate byte and a flags byte. Under a governor the server
+/// may admit a session *degraded* ([`ACK_DEGRADED`] set), in which case
+/// the rate byte carries the granted starting rung rather than the
+/// request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ack {
     /// Rate parameter the stream starts at. Equal to the handshake's
@@ -592,51 +520,54 @@ pub struct Ack {
     /// streams only; closed-loop streams keep their bpp target and the
     /// echo).
     pub rate: u8,
-    /// Whether the session was admitted below its requested rate
-    /// (always `false` on pre-version-4 connections, which cannot carry
-    /// the flag).
+    /// Whether the session was admitted below its requested rate.
     pub degraded: bool,
 }
 
-/// Writes one handshake acknowledgement (`'A'` tag + body) in the given
-/// protocol version's layout: two bytes through version 3, three bytes
-/// (with the flags byte) from version 4.
+/// Writes one handshake acknowledgement (`'A'` tag, rate byte, flags
+/// byte).
 ///
 /// # Errors
 ///
 /// Propagates writer failures.
-pub fn write_ack_msg(w: &mut impl Write, version: u8, ack: &Ack) -> std::io::Result<()> {
-    if version >= 4 {
-        w.write_all(&[MSG_ACK, ack.rate, u8::from(ack.degraded) * ACK_DEGRADED])
-    } else {
-        w.write_all(&[MSG_ACK, ack.rate])
-    }
+pub fn write_ack_msg(w: &mut impl Write, ack: &Ack) -> std::io::Result<()> {
+    w.write_all(&[MSG_ACK, ack.rate, u8::from(ack.degraded) * ACK_DEGRADED])
 }
 
 /// [`write_ack_msg`] into owned bytes (see [`stats_msg_bytes`] for why
 /// this is infallible).
-pub fn ack_msg_bytes(version: u8, ack: &Ack) -> Vec<u8> {
+pub fn ack_msg_bytes(ack: &Ack) -> Vec<u8> {
     let mut bytes = Vec::new();
-    let _ = write_ack_msg(&mut bytes, version, ack);
+    let _ = write_ack_msg(&mut bytes, ack);
     bytes
 }
 
-/// Reads a handshake-acknowledgement body (after its `'A'` tag) in the
-/// given protocol version's layout. Unknown flag bits are ignored so a
-/// newer server can extend the byte.
+/// Reads a handshake-acknowledgement body (after its `'A'` tag).
+/// Unknown flag bits are ignored so a newer server can extend the byte.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::Protocol`] on truncation.
-pub fn read_ack_body(r: &mut impl Read, version: u8) -> Result<Ack, ServeError> {
-    let rate = read_u8(r).map_err(|e| ServeError::Protocol(format!("truncated ack: {e}")))?;
-    let degraded = if version >= 4 {
-        let flags = read_u8(r).map_err(|e| ServeError::Protocol(format!("truncated ack: {e}")))?;
-        flags & ACK_DEGRADED != 0
-    } else {
-        false
-    };
-    Ok(Ack { rate, degraded })
+pub fn read_ack_body(r: &mut impl Read) -> Result<Ack, ServeError> {
+    let mut body = [0u8; 2];
+    r.read_exact(&mut body)
+        .map_err(|e| ServeError::Protocol(format!("truncated ack: {e}")))?;
+    Ok(Ack {
+        rate: body[0],
+        degraded: body[1] & ACK_DEGRADED != 0,
+    })
+}
+
+/// Reads the server's answer to a handshake, as both clients do: the
+/// ack, or the `'X'` rejection as [`ServeError::Remote`].
+pub(crate) fn read_handshake_ack(r: &mut impl Read) -> Result<Ack, ServeError> {
+    match read_u8(r)? {
+        MSG_ACK => read_ack_body(r),
+        MSG_ERROR => Err(ServeError::Remote(read_error_body(r)?)),
+        tag => Err(ServeError::Protocol(format!(
+            "expected handshake ack, got tag 0x{tag:02X}"
+        ))),
+    }
 }
 
 /// A mid-stream rate retarget (the `'R'` message): replaces the encode
@@ -905,19 +836,15 @@ pub fn write_packet_msg(w: &mut impl Write, packet: &Packet) -> std::io::Result<
     w.write_all(&packet.to_bytes())
 }
 
-/// Writes the stream-statistics trailer (`'S'` tag + body) in the given
-/// protocol version's layout: version ≥ 2 appends one frame-type byte
-/// (`'I'`/`'P'`) and one rate byte per frame, so clients can see which
-/// frames absorbed rate changes.
+/// Writes the stream-statistics trailer (`'S'` tag + body): the frame
+/// count and total bytes, then per frame its payload bytes, its
+/// serialized bits, its frame type (`'I'`/`'P'`) and the rate it was
+/// coded at — so clients can see which frames absorbed rate changes.
 ///
 /// # Errors
 ///
 /// Propagates writer failures.
-pub fn write_stats_msg(
-    w: &mut impl Write,
-    stats: &StreamStats,
-    version: u8,
-) -> std::io::Result<()> {
+pub fn write_stats_msg(w: &mut impl Write, stats: &StreamStats) -> std::io::Result<()> {
     w.write_all(&[MSG_STATS])?;
     w.write_all(&(stats.frames as u32).to_le_bytes())?;
     w.write_all(&(stats.total_bytes as u64).to_le_bytes())?;
@@ -927,37 +854,30 @@ pub fn write_stats_msg(
     for &b in &stats.bits_per_frame {
         w.write_all(&b.to_le_bytes())?;
     }
-    if version >= 2 {
-        for kind in &stats.frame_types {
-            w.write_all(&[match kind {
-                FrameType::Intra => b'I',
-                FrameType::Predicted => b'P',
-            }])?;
-        }
-        for &rate in &stats.rate_per_frame {
-            w.write_all(&[rate])?;
-        }
+    for kind in &stats.frame_types {
+        w.write_all(&[match kind {
+            FrameType::Intra => b'I',
+            FrameType::Predicted => b'P',
+        }])?;
     }
-    Ok(())
+    w.write_all(&stats.rate_per_frame)
 }
 
 /// [`write_stats_msg`] into owned bytes. A `Vec` writer cannot fail, so
 /// the `io::Result` is vacuous and dropped rather than unwrapped.
-pub fn stats_msg_bytes(stats: &StreamStats, version: u8) -> Vec<u8> {
+pub fn stats_msg_bytes(stats: &StreamStats) -> Vec<u8> {
     let mut bytes = Vec::new();
-    let _ = write_stats_msg(&mut bytes, stats, version);
+    let _ = write_stats_msg(&mut bytes, stats);
     bytes
 }
 
-/// Reads a stream-statistics body (after its `'S'` tag) in the given
-/// protocol version's layout. Version-1 trailers leave
-/// `frame_types`/`rate_per_frame` empty.
+/// Reads a stream-statistics body (after its `'S'` tag).
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::Protocol`] on truncation, an implausible frame
 /// count, or an unknown frame-type byte.
-pub fn read_stats_body(r: &mut impl Read, version: u8) -> Result<StreamStats, ServeError> {
+pub fn read_stats_body(r: &mut impl Read) -> Result<StreamStats, ServeError> {
     let frames = read_u32(r)? as usize;
     if frames > MAX_STATS_FRAMES {
         return Err(ServeError::Protocol(format!(
@@ -973,26 +893,20 @@ pub fn read_stats_body(r: &mut impl Read, version: u8) -> Result<StreamStats, Se
     for _ in 0..frames {
         bits_per_frame.push(read_u64(r)?);
     }
-    let mut frame_types = Vec::new();
-    let mut rate_per_frame = Vec::new();
-    if version >= 2 {
-        frame_types.reserve(frames);
-        for _ in 0..frames {
-            frame_types.push(match read_u8(r)? {
-                b'I' => FrameType::Intra,
-                b'P' => FrameType::Predicted,
-                other => {
-                    return Err(ServeError::Protocol(format!(
-                        "unknown frame-type byte 0x{other:02X} in stats trailer"
-                    )))
-                }
-            });
-        }
-        rate_per_frame.reserve(frames);
-        for _ in 0..frames {
-            rate_per_frame.push(read_u8(r)?);
-        }
+    let mut frame_types = Vec::with_capacity(frames);
+    for _ in 0..frames {
+        frame_types.push(match read_u8(r)? {
+            b'I' => FrameType::Intra,
+            b'P' => FrameType::Predicted,
+            other => {
+                return Err(ServeError::Protocol(format!(
+                    "unknown frame-type byte 0x{other:02X} in stats trailer"
+                )))
+            }
+        });
     }
+    let mut rate_per_frame = vec![0u8; frames];
+    r.read_exact(&mut rate_per_frame)?;
     Ok(StreamStats {
         frames,
         bytes_per_frame,
@@ -1169,16 +1083,23 @@ pub enum WireMsg {
     /// A raw frame and its sender-side index on an encode or publish
     /// stream (`'F'`).
     Frame(u32, Frame),
-    /// A mid-stream rate retarget (`'R'`, protocol ≥ 2).
+    /// A mid-stream rate retarget (`'R'`).
     Retarget(Retarget),
     /// End of stream (`'E'`).
     End,
 }
 
+/// The body a message tag announces on a stream whose role accepts it.
+#[derive(Debug, Clone, Copy)]
+enum Body {
+    Packet,
+    Frame,
+    Retarget,
+    End,
+}
+
 /// Resumable decoder for the post-handshake client→server message
-/// stream: `'P'`/`'F'`/`'R'`/`'E'` tags, filtered by the stream's role
-/// and negotiated protocol version exactly like the blocking reader
-/// loop was.
+/// stream: `'P'`/`'F'`/`'R'`/`'E'` tags, filtered by the stream's role.
 ///
 /// Message sizes are computed from the self-delimiting framing (packet
 /// length prefix, frame geometry header), so between messages the
@@ -1188,18 +1109,18 @@ pub enum WireMsg {
 #[derive(Debug)]
 pub struct MsgDecoder {
     role: Role,
-    version: u8,
     /// Negotiated geometry, checked against every frame header.
     expect: (usize, usize),
     buf: Vec<u8>,
 }
 
 impl MsgDecoder {
-    /// A decoder for a stream with the given negotiated handshake.
-    pub fn new(role: Role, version: u8, width: usize, height: usize) -> Self {
+    /// A decoder for a stream with the given negotiated role and
+    /// geometry. `_version` is ignored — the protocol has one version;
+    /// the parameter is kept only so existing callers compile.
+    pub fn new(role: Role, _version: u8, width: usize, height: usize) -> Self {
         MsgDecoder {
             role,
-            version,
             expect: (width, height),
             buf: Vec::new(),
         }
@@ -1219,93 +1140,20 @@ impl MsgDecoder {
     /// The exact strings the blocking reader loop surfaced as abort
     /// reasons: `bad packet: …`, `bad frame: …`, `bad retarget: …`, or
     /// `unexpected message tag 0x…` (which also covers tags that are
-    /// valid in general but not for this role or version).
+    /// valid in general but not for this role).
     pub fn next_msg(&mut self) -> Result<Option<WireMsg>, String> {
-        /// Tag byte plus the packet container header — enough to know a
-        /// packet's full length (or reject its length claim).
-        const PACKET_NEED: usize = 1 + PACKET_HEADER_BYTES;
-        /// Tag byte plus the frame header (`index`, `w`, `h`, `crc`) —
-        /// enough to know a frame's full length (or reject its
-        /// geometry).
-        const FRAME_NEED: usize = 1 + 12;
-        /// Tag byte plus the fixed-size retarget body.
-        const RETARGET_NEED: usize = 1 + 9;
         let Some(&tag) = self.buf.first() else {
             return Ok(None);
         };
-        match (tag, self.role) {
-            (MSG_PACKET, Role::Decode) => {
-                if self.buf.len() < PACKET_NEED {
-                    return Ok(None);
-                }
-                // Length-guarded by the `PACKET_NEED` check above.
-                let len = u32::from_le_bytes([self.buf[1], self.buf[2], self.buf[3], self.buf[4]])
-                    as usize;
-                // An over-cap length claim parses (and fails) from the
-                // header alone — never wait for a payload that no
-                // legitimate sender produces.
-                if len <= MAX_PAYLOAD_BYTES && self.buf.len() < PACKET_NEED + len {
-                    return Ok(None);
-                }
-                let mut cursor = &self.buf[1..];
-                match Packet::read_from(&mut cursor) {
-                    Ok(packet) => {
-                        let consumed = self.buf.len() - cursor.len();
-                        self.buf.drain(..consumed);
-                        Ok(Some(WireMsg::Packet(packet)))
-                    }
-                    Err(e) => Err(format!("bad packet: {e}")),
-                }
-            }
-            (MSG_FRAME, Role::Encode | Role::Publish) => {
-                if self.buf.len() < FRAME_NEED {
-                    return Ok(None);
-                }
-                // Length-guarded by the `FRAME_NEED` check above.
-                let width = u16::from_le_bytes([self.buf[5], self.buf[6]]) as usize;
-                let height = u16::from_le_bytes([self.buf[7], self.buf[8]]) as usize;
-                // A header that `read_frame_body` rejects before its
-                // payload read (implausible or mismatched geometry)
-                // parses from the header alone, like the blocking
-                // reader did.
-                let header_ok = width != 0
-                    && height != 0
-                    && width <= MAX_DIM
-                    && height <= MAX_DIM
-                    && (width, height) == self.expect;
-                if header_ok && self.buf.len() < FRAME_NEED + 12 * width * height {
-                    return Ok(None);
-                }
-                let mut cursor = &self.buf[1..];
-                match read_frame_body(&mut cursor, Some(self.expect)) {
-                    Ok((index, frame)) => {
-                        let consumed = self.buf.len() - cursor.len();
-                        self.buf.drain(..consumed);
-                        Ok(Some(WireMsg::Frame(index, frame)))
-                    }
-                    Err(e) => Err(format!("bad frame: {e}")),
-                }
-            }
-            (MSG_RETARGET, _) if self.version >= 2 => {
-                if self.buf.len() < RETARGET_NEED {
-                    return Ok(None);
-                }
-                let mut cursor = &self.buf[1..];
-                match read_retarget_body(&mut cursor) {
-                    Ok(retarget) => {
-                        let consumed = self.buf.len() - cursor.len();
-                        self.buf.drain(..consumed);
-                        Ok(Some(WireMsg::Retarget(retarget)))
-                    }
-                    Err(e) => Err(format!("bad retarget: {e}")),
-                }
-            }
-            (MSG_END, _) => {
-                self.buf.drain(..1);
-                Ok(Some(WireMsg::End))
-            }
-            (tag, _) => Err(format!("unexpected message tag 0x{tag:02X}")),
+        let body = self.body(tag)?;
+        if self.buf.len() < self.need(body) {
+            return Ok(None);
         }
+        let mut cursor = &self.buf[1..];
+        let msg = self.parse(body, &mut cursor)?;
+        let consumed = self.buf.len() - cursor.len();
+        self.buf.drain(..consumed);
+        Ok(Some(msg))
     }
 
     /// The abort reason a blocking reader loop would have reported had
@@ -1322,22 +1170,82 @@ impl MsgDecoder {
             buf: &self.buf[1..],
             err,
         };
+        match self.body(tag).and_then(|body| self.parse(body, &mut tail)) {
+            Err(e) => e,
+            Ok(_) => format!("connection lost mid-stream: {}", eof_error()),
+        }
+    }
+
+    /// The one tag filter: the body `tag` announces on this stream's
+    /// role, or the abort reason for a tag the role does not accept.
+    fn body(&self, tag: u8) -> Result<Body, String> {
         match (tag, self.role) {
-            (MSG_PACKET, Role::Decode) => match Packet::read_from(&mut tail) {
-                Err(e) => format!("bad packet: {e}"),
-                Ok(_) => format!("connection lost mid-stream: {}", eof_error()),
-            },
-            (MSG_FRAME, Role::Encode | Role::Publish) => {
-                match read_frame_body(&mut tail, Some(self.expect)) {
-                    Err(e) => format!("bad frame: {e}"),
-                    Ok(_) => format!("connection lost mid-stream: {}", eof_error()),
+            (MSG_PACKET, Role::Decode) => Ok(Body::Packet),
+            (MSG_FRAME, Role::Encode | Role::Publish) => Ok(Body::Frame),
+            (MSG_RETARGET, _) => Ok(Body::Retarget),
+            (MSG_END, _) => Ok(Body::End),
+            (tag, _) => Err(format!("unexpected message tag 0x{tag:02X}")),
+        }
+    }
+
+    /// How many buffered bytes (tag included) a parse of `body` needs
+    /// before it can only fail on content, never on truncation. A header
+    /// the parser rejects on its own — an over-cap packet length, an
+    /// implausible or mismatched frame geometry — needs only the header:
+    /// never wait for a payload no legitimate sender produces.
+    fn need(&self, body: Body) -> usize {
+        /// Tag byte plus the packet container header.
+        const PACKET_NEED: usize = 1 + PACKET_HEADER_BYTES;
+        /// Tag byte plus the frame header (`index`, `w`, `h`, `crc`).
+        const FRAME_NEED: usize = 1 + 12;
+        let buf = &self.buf;
+        match body {
+            Body::Packet if buf.len() >= PACKET_NEED => {
+                let len = u32::from_le_bytes([buf[1], buf[2], buf[3], buf[4]]) as usize;
+                if len <= MAX_PAYLOAD_BYTES {
+                    PACKET_NEED + len
+                } else {
+                    PACKET_NEED
                 }
             }
-            (MSG_RETARGET, _) if self.version >= 2 => match read_retarget_body(&mut tail) {
-                Err(e) => format!("bad retarget: {e}"),
-                Ok(_) => format!("connection lost mid-stream: {}", eof_error()),
-            },
-            (tag, _) => format!("unexpected message tag 0x{tag:02X}"),
+            Body::Packet => PACKET_NEED,
+            Body::Frame if buf.len() >= FRAME_NEED => {
+                let width = u16::from_le_bytes([buf[5], buf[6]]) as usize;
+                let height = u16::from_le_bytes([buf[7], buf[8]]) as usize;
+                let header_ok = width != 0
+                    && height != 0
+                    && width <= MAX_DIM
+                    && height <= MAX_DIM
+                    && (width, height) == self.expect;
+                if header_ok {
+                    FRAME_NEED + 12 * width * height
+                } else {
+                    FRAME_NEED
+                }
+            }
+            Body::Frame => FRAME_NEED,
+            // Tag byte plus the fixed-size retarget body.
+            Body::Retarget => 1 + 9,
+            Body::End => 1,
+        }
+    }
+
+    /// Parses one message body from `r` — the buffer in
+    /// [`next_msg`](MsgDecoder::next_msg), the truncated tail in
+    /// [`interrupt`](MsgDecoder::interrupt) — mapping a failure to the
+    /// abort reason the server reports.
+    fn parse(&self, body: Body, r: &mut impl Read) -> Result<WireMsg, String> {
+        match body {
+            Body::Packet => Packet::read_from(r)
+                .map(WireMsg::Packet)
+                .map_err(|e| format!("bad packet: {e}")),
+            Body::Frame => read_frame_body(r, Some(self.expect))
+                .map(|(index, frame)| WireMsg::Frame(index, frame))
+                .map_err(|e| format!("bad frame: {e}")),
+            Body::Retarget => read_retarget_body(r)
+                .map(WireMsg::Retarget)
+                .map_err(|e| format!("bad retarget: {e}")),
+            Body::End => Ok(WireMsg::End),
         }
     }
 }
@@ -1365,15 +1273,38 @@ mod tests {
 
     #[test]
     fn hello_rejects_garbage() {
-        // Bad magic.
-        assert!(Hello::read_from(&mut &b"XXXX\x01\x00\x00\x00\x10\x00\x10\x00"[..]).is_err());
-        // Bad version.
-        assert!(Hello::read_from(&mut &b"NVCS\x09\x00\x00\x00\x10\x00\x10\x00"[..]).is_err());
-        // Unknown family / direction tags.
-        assert!(Hello::read_from(&mut &b"NVCS\x01\x07\x00\x00\x10\x00\x10\x00"[..]).is_err());
-        assert!(Hello::read_from(&mut &b"NVCS\x01\x00\x07\x00\x10\x00\x10\x00"[..]).is_err());
-        // Zero geometry.
-        assert!(Hello::read_from(&mut &b"NVCS\x01\x00\x00\x00\x00\x00\x10\x00"[..]).is_err());
+        // Every case carries the accepted version byte, so each fails
+        // for the reason it names.
+        let reason = |wire: &[u8]| match Hello::read_from(&mut &wire[..]) {
+            Err(ServeError::Protocol(reason)) => reason,
+            other => panic!("expected a protocol error, got {other:?}"),
+        };
+        let bad_magic = reason(b"XXXX\x04\x00\x00\x00\x10\x00\x10\x00");
+        assert!(bad_magic.starts_with("bad magic"), "{bad_magic}");
+        assert_eq!(
+            reason(b"NVCS\x04\x07\x00\x00\x10\x00\x10\x00"),
+            "unknown codec family 0x07"
+        );
+        assert_eq!(
+            reason(b"NVCS\x04\x00\x07\x00\x10\x00\x10\x00"),
+            "unknown role 0x07"
+        );
+        assert_eq!(
+            reason(b"NVCS\x04\x00\x00\x00\x00\x00\x10\x00"),
+            "implausible stream geometry 0x16"
+        );
+        // Any other version — the retired 1–3 included — is refused on
+        // the version byte alone.
+        let mut wire = Vec::new();
+        Hello::ctvc_encode(1, 32, 32).write_to(&mut wire).unwrap();
+        assert_eq!(wire[4], VERSION);
+        for version in [0, 1, 2, 3, 5, 9, 0xFF] {
+            wire[4] = version;
+            assert_eq!(
+                reason(&wire),
+                format!("unsupported protocol version {version} (accepted 4)")
+            );
+        }
         // Truncation at every prefix.
         let mut buf = Vec::new();
         Hello::ctvc_decode(1, 32, 32).write_to(&mut buf).unwrap();
@@ -1425,18 +1356,10 @@ mod tests {
             total_bytes: 240,
         };
         let mut buf = Vec::new();
-        write_stats_msg(&mut buf, &stats, VERSION).unwrap();
+        write_stats_msg(&mut buf, &stats).unwrap();
         assert_eq!(buf[0], MSG_STATS);
-        assert_eq!(read_stats_body(&mut &buf[1..], VERSION).unwrap(), stats);
-        assert!(read_stats_body(&mut &buf[1..buf.len() - 1], VERSION).is_err());
-
-        // The version-1 layout drops the frame-type and rate columns.
-        let mut v1 = Vec::new();
-        write_stats_msg(&mut v1, &stats, 1).unwrap();
-        assert!(v1.len() < buf.len());
-        let back = read_stats_body(&mut &v1[1..], 1).unwrap();
-        assert_eq!(back.bits_per_frame, stats.bits_per_frame);
-        assert!(back.frame_types.is_empty() && back.rate_per_frame.is_empty());
+        assert_eq!(read_stats_body(&mut &buf[1..]).unwrap(), stats);
+        assert!(read_stats_body(&mut &buf[1..buf.len() - 1]).is_err());
     }
 
     #[test]
@@ -1457,57 +1380,6 @@ mod tests {
         assert!(read_retarget_body(&mut &buf[1..buf.len() - 1]).is_err());
         buf[1] = 0x07;
         assert!(read_retarget_body(&mut &buf[1..]).is_err());
-    }
-
-    #[test]
-    fn version1_hello_still_parses() {
-        // The exact 12-byte layout version-1 clients send.
-        let mut v1 = Hello::ctvc_encode(1, 32, 32);
-        v1.version = 1;
-        let mut buf = Vec::new();
-        v1.write_to(&mut buf).unwrap();
-        assert_eq!(buf.len(), 12, "version-1 layout is 12 bytes");
-        assert_eq!(Hello::read_from(&mut &buf[..]).unwrap(), v1);
-        // A version-1 handshake cannot carry a rate target.
-        let bad = v1.with_target_bpp(0.3, 4);
-        assert!(bad.write_to(&mut Vec::new()).is_err());
-    }
-
-    #[test]
-    fn version2_hello_still_parses() {
-        // The exact 19-byte layout version-2 clients send.
-        let mut v2 = Hello::ctvc_encode(1, 32, 32).with_target_bpp(0.5, 6);
-        v2.version = 2;
-        let mut buf = Vec::new();
-        v2.write_to(&mut buf).unwrap();
-        assert_eq!(buf.len(), 19, "version-2 layout is 19 bytes");
-        assert_eq!(Hello::read_from(&mut &buf[..]).unwrap(), v2);
-        // A version-2 handshake cannot carry broadcast fields…
-        let mut bad = v2.clone();
-        bad.broadcast = Some("game".into());
-        assert!(bad.write_to(&mut Vec::new()).is_err());
-        let mut bad = v2.clone();
-        bad.gop = 8;
-        assert!(bad.write_to(&mut Vec::new()).is_err());
-        // …and a broadcast role tag is rejected in a version-2 header.
-        let mut wire = buf.clone();
-        wire[6] = 2; // Publish
-        assert!(Hello::read_from(&mut &wire[..]).is_err());
-    }
-
-    #[test]
-    fn version3_hello_still_parses() {
-        // The exact layout version-3 clients send: version-2's 19 bytes
-        // plus [gop: u16][name_len: u8][name] and no client field.
-        let mut v3 = Hello::ctvc_publish(1, 32, 32, "game").with_gop(8);
-        v3.version = 3;
-        let mut buf = Vec::new();
-        v3.write_to(&mut buf).unwrap();
-        assert_eq!(buf.len(), 19 + 2 + 1 + 4, "version-3 layout");
-        assert_eq!(Hello::read_from(&mut &buf[..]).unwrap(), v3);
-        // A version-3 handshake cannot carry a client identity.
-        let bad = v3.with_client("alice");
-        assert!(bad.write_to(&mut Vec::new()).is_err());
     }
 
     #[test]
@@ -1545,36 +1417,24 @@ mod tests {
 
     #[test]
     fn ack_layout_is_version_gated() {
-        // Pre-version-4 acks stay two bytes and can never say degraded.
+        // The version-4 ack, the only layout: tag, rate, flags.
         let ack = Ack {
             rate: 2,
             degraded: true,
         };
-        let mut v3 = Vec::new();
-        write_ack_msg(&mut v3, 3, &ack).unwrap();
-        assert_eq!(v3, [MSG_ACK, 2]);
-        let back = read_ack_body(&mut &v3[1..], 3).unwrap();
-        assert_eq!((back.rate, back.degraded), (2, false));
-        // Version-4 acks carry the flags byte.
         let mut v4 = Vec::new();
-        write_ack_msg(&mut v4, VERSION, &ack).unwrap();
+        write_ack_msg(&mut v4, &ack).unwrap();
         assert_eq!(v4, [MSG_ACK, 2, ACK_DEGRADED]);
-        assert_eq!(read_ack_body(&mut &v4[1..], VERSION).unwrap(), ack);
-        let mut plain = Vec::new();
-        write_ack_msg(
-            &mut plain,
-            VERSION,
-            &Ack {
-                rate: 30,
-                degraded: false,
-            },
-        )
-        .unwrap();
+        assert_eq!(read_ack_body(&mut &v4[1..]).unwrap(), ack);
+        let plain = ack_msg_bytes(&Ack {
+            rate: 30,
+            degraded: false,
+        });
         assert_eq!(plain, [MSG_ACK, 30, 0]);
         // Unknown flag bits are ignored, truncation is not.
         let future = [7u8, 0xFE];
-        assert!(!read_ack_body(&mut &future[..], VERSION).unwrap().degraded);
-        assert!(read_ack_body(&mut &v4[1..2], VERSION).is_err());
+        assert!(!read_ack_body(&mut &future[..]).unwrap().degraded);
+        assert!(read_ack_body(&mut &v4[1..2]).is_err());
     }
 
     #[test]

@@ -46,6 +46,7 @@ use crate::poll::{PollShared, PollWaker, TimerKind, TimerWheel};
 use crate::proto::{
     ack_msg_bytes, write_error_msg, write_frame_msg, write_join_msg, write_stats_msg, Ack, Family,
     Hello, HelloDecoder, JoinInfo, MsgDecoder, Retarget, Role, TargetBppWire, WireMsg, MSG_PACKET,
+    VERSION,
 };
 use crate::sync::LockExt;
 use nvc_baseline::{HybridCodec, Profile};
@@ -655,8 +656,9 @@ fn worker_loop<'env>(
             drop(state);
             slot.space.notify_all();
             // `active` is NOT decremented here: the poller frees the
-            // capacity slot when it removes the connection, ordering
-            // the free against the next accept.
+            // capacity slot in the pass that writes the connection's
+            // last byte, ordering the free against the next accept
+            // (`Poller::release`).
             slot.waker.wake();
         } else if state.pending.is_empty() {
             state.scheduled = false;
@@ -690,8 +692,6 @@ struct DecodeRunner<S> {
     /// Geometry from the handshake; the decoded stream must match it,
     /// so clients can trust the negotiated size end to end.
     negotiated: (usize, usize),
-    /// Negotiated protocol version — fixes the stats-trailer layout.
-    version: u8,
     stats: StreamStats,
 }
 
@@ -746,7 +746,7 @@ impl<S: DecoderSession> SessionRunner for DecodeRunner<S> {
                 StepOutcome::Failed
             }
             Job::End => {
-                let _ = write_stats_msg(&mut self.out, &self.stats, self.version);
+                let _ = write_stats_msg(&mut self.out, &self.stats);
                 self.out.hangup(None);
                 StepOutcome::Finished
             }
@@ -794,8 +794,6 @@ impl Fanout<'_> {
 struct EncodeRunner<'env, S: EncoderSession> {
     sess: Option<S>,
     out: OutHandle,
-    /// Negotiated protocol version — fixes the stats-trailer layout.
-    version: u8,
     /// Governor registration on a governed server: re-derives the
     /// granted rate mode before every frame, in stream order.
     gov: Option<Governed<'env, S::Rate>>,
@@ -888,7 +886,7 @@ impl<S: EncoderSession> SessionRunner for EncodeRunner<'_, S> {
                 }
                 match finished {
                     Some(Ok(stats)) => {
-                        let _ = write_stats_msg(&mut self.out, &stats, self.version);
+                        let _ = write_stats_msg(&mut self.out, &stats);
                     }
                     Some(Err(e)) => {
                         let _ = write_error_msg(&mut self.out, &format!("finish: {e}"));
@@ -919,7 +917,6 @@ impl<S: EncoderSession> SessionRunner for EncodeRunner<'_, S> {
 fn decode_runner<'env, C>(
     codec: &'env C,
     negotiated: (usize, usize),
-    version: u8,
     out: OutHandle,
 ) -> Box<dyn SessionRunner + Send + 'env>
 where
@@ -930,7 +927,6 @@ where
         sess: StreamDecoder::new(codec),
         out,
         negotiated,
-        version,
         stats: StreamStats::default(),
     })
 }
@@ -942,7 +938,6 @@ where
 fn encode_runner<'env, C>(
     codec: &'env C,
     mode: RateMode<C::Rate>,
-    version: u8,
     out: OutHandle,
     admit: Option<GovAdmit<'env>>,
     fanout: Option<Fanout<'env>>,
@@ -958,7 +953,6 @@ where
     Box::new(EncodeRunner {
         sess: Some(sess),
         out,
-        version,
         gov,
         fanout,
     })
@@ -1222,7 +1216,7 @@ impl<'p, 'env> Poller<'p, 'env> {
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.kind = ConnKind::Finishing;
             conn.gen = conn.gen.wrapping_add(1);
-            queue_hangup(&conn.out, Some(message));
+            queue_hangup(&conn.out, Vec::new(), Some(message));
         }
         self.counters.rejected.inc();
         self.sync_interest(token);
@@ -1231,13 +1225,32 @@ impl<'p, 'env> Poller<'p, 'env> {
     /// Unregisters a connection. `lost` says the peer vanished with the
     /// stream still live — an established session then still needs its
     /// runner driven once (governor share release, publisher failure),
-    /// so a synthesized abort is queued for the workers.
+    /// so a synthesized abort is queued for the workers. The capacity
+    /// slot frees here unless the draining close already freed it; see
+    /// [`Poller::release`] for when a client may count on it.
     fn remove_conn(&mut self, token: u64, lost: bool) {
         self.read_set.remove(&token);
-        let Some(conn) = self.conns.remove(&token) else {
-            return;
-        };
-        match conn.kind {
+        if let Some(conn) = self.conns.remove(&token) {
+            self.release(conn.kind, lost);
+        }
+    }
+
+    /// Frees what admission reserved for a connection: its session or
+    /// subscriber capacity slot (and, for a lost live session, its
+    /// runner's last step — see [`Poller::remove_conn`]).
+    ///
+    /// The contract: a connection's slot is free by the time its peer
+    /// can have read the last byte the server sends it. The slot frees
+    /// here, on the poller thread, in the same pass that writes that
+    /// byte — after a trailer from [`Poller::remove_conn`] on the
+    /// graceful close, after an `'X'` notice when the draining close
+    /// begins (not when its drain window ends) — so it is strictly
+    /// before the next accept is admitted, and a client that read
+    /// either can reconnect at once. Producers queue the last byte and
+    /// the close together (`conn::queue_hangup`), so no pass can write
+    /// one without seeing the other.
+    fn release(&self, kind: ConnKind<'env>, lost: bool) {
+        match kind {
             ConnKind::Session {
                 slot,
                 decoder,
@@ -1249,10 +1262,6 @@ impl<'p, 'env> Poller<'p, 'env> {
                         .sched
                         .try_enqueue(&slot, Job::Abort(decoder.interrupt(None)));
                 }
-                // The capacity slot frees *here*, on the poller thread:
-                // strictly after this session's last byte went out and
-                // strictly before the next accept is admitted, so a
-                // client that saw the trailer can always reconnect.
                 self.counters.active.sub(1);
             }
             ConnKind::Subscriber { ring, .. } => {
@@ -1388,15 +1397,9 @@ impl<'p, 'env> Poller<'p, 'env> {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if let ConnKind::Subscriber {
-            ring,
-            stats,
-            version,
-            done,
-        } = &mut conn.kind
-        {
+        if let ConnKind::Subscriber { ring, stats, done } = &mut conn.kind {
             if !*done {
-                *done = pump_subscriber(ring, &conn.out, stats, *version);
+                *done = pump_subscriber(ring, &conn.out, stats);
             }
         }
     }
@@ -1474,7 +1477,8 @@ impl<'p, 'env> Poller<'p, 'env> {
                 // Half-close so the peer sees the notice plus EOF, then
                 // give it a bounded window to read before the hard
                 // close — the old post-error drain, now on the wheel.
-                let gen = {
+                // The slot frees now, not when the window ends.
+                let (gen, kind) = {
                     let Some(conn) = self.conns.get_mut(&token) else {
                         return true;
                     };
@@ -1482,8 +1486,12 @@ impl<'p, 'env> Poller<'p, 'env> {
                     conn.draining = true;
                     conn.stalled_since = None;
                     conn.gen = conn.gen.wrapping_add(1);
-                    conn.gen
+                    (
+                        conn.gen,
+                        std::mem::replace(&mut conn.kind, ConnKind::Finishing),
+                    )
                 };
+                self.release(kind, false);
                 self.wheel
                     .arm(token, gen, TimerKind::Drain, now + DRAIN_TIMEOUT);
                 self.sync_interest(token);
@@ -1963,30 +1971,21 @@ impl<'p, 'env> Poller<'p, 'env> {
             },
         };
         let waker = PollWaker::new(Arc::clone(&self.shared), token);
-        push_bytes(&out, ack_msg_bytes(hello.version, &ack));
+        push_bytes(&out, ack_msg_bytes(&ack));
         self.counters.sessions.inc();
 
         let negotiated = (hello.width, hello.height);
-        let version = hello.version;
         let counters = self.counters;
         let out_handle = OutHandle::new(Arc::clone(&out), waker.clone());
         let runner = match plan {
-            SessionPlan::CtvcDecode => decode_runner(self.ctvc, negotiated, version, out_handle),
-            SessionPlan::HybridDecode => {
-                decode_runner(self.hybrid, negotiated, version, out_handle)
+            SessionPlan::CtvcDecode => decode_runner(self.ctvc, negotiated, out_handle),
+            SessionPlan::HybridDecode => decode_runner(self.hybrid, negotiated, out_handle),
+            SessionPlan::CtvcEncode(mode) => {
+                encode_runner(self.ctvc, mode, out_handle, gov_admit, fanout, counters)
             }
-            SessionPlan::CtvcEncode(mode) => encode_runner(
-                self.ctvc, mode, version, out_handle, gov_admit, fanout, counters,
-            ),
-            SessionPlan::HybridEncode(mode) => encode_runner(
-                self.hybrid,
-                mode,
-                version,
-                out_handle,
-                gov_admit,
-                fanout,
-                counters,
-            ),
+            SessionPlan::HybridEncode(mode) => {
+                encode_runner(self.hybrid, mode, out_handle, gov_admit, fanout, counters)
+            }
         };
         let slot = Arc::new(Slot {
             state: Mutex::new(SlotState::default()),
@@ -2003,7 +2002,7 @@ impl<'p, 'env> Poller<'p, 'env> {
                 return;
             };
             conn.gen = conn.gen.wrapping_add(1);
-            let mut decoder = MsgDecoder::new(hello.role, hello.version, hello.width, hello.height);
+            let mut decoder = MsgDecoder::new(hello.role, VERSION, hello.width, hello.height);
             // Bytes the client pipelined behind its Hello.
             decoder.feed(&rest);
             conn.kind = ConnKind::Session {
@@ -2084,7 +2083,7 @@ impl<'p, 'env> Poller<'p, 'env> {
             rate: attachment.rate,
             degraded: false,
         };
-        let mut bytes = ack_msg_bytes(hello.version, &ack);
+        let mut bytes = ack_msg_bytes(&ack);
         if write_join_msg(&mut bytes, &join).is_err() {
             // The broadcast's geometry was wire-validated when it was
             // created, so a failed re-encode is unreachable; unwind the
@@ -2124,7 +2123,6 @@ impl<'p, 'env> Poller<'p, 'env> {
             conn.kind = ConnKind::Subscriber {
                 ring: Arc::clone(&attachment.ring),
                 stats,
-                version: hello.version,
                 done: false,
             };
         }

@@ -6,8 +6,8 @@
 //! module is purely the client.
 
 use crate::proto::{
-    read_ack_body, read_error_body, read_join_body, read_stats_body, read_u8, JoinInfo, Role,
-    MSG_ACK, MSG_ERROR, MSG_JOIN, MSG_PACKET, MSG_STATS,
+    read_error_body, read_handshake_ack, read_join_body, read_stats_body, read_u8, JoinInfo, Role,
+    MSG_ERROR, MSG_JOIN, MSG_PACKET, MSG_STATS,
 };
 use crate::ServeError;
 use nvc_entropy::container::Packet;
@@ -50,7 +50,6 @@ pub struct SubscribeSummary {
 /// [`next_event`]: SubscribeClient::next_event
 pub struct SubscribeClient {
     reader: BufReader<TcpStream>,
-    version: u8,
     join: JoinInfo,
 }
 
@@ -122,17 +121,7 @@ impl SubscribeClient {
         let mut reader = BufReader::new(stream.try_clone()?);
         hello.write_to(&mut writer)?;
         writer.flush()?;
-        match read_u8(&mut reader)? {
-            MSG_ACK => {
-                let _ack = read_ack_body(&mut reader, hello.version)?;
-            }
-            MSG_ERROR => return Err(ServeError::Remote(read_error_body(&mut reader)?)),
-            tag => {
-                return Err(ServeError::Protocol(format!(
-                    "expected handshake ack, got tag 0x{tag:02X}"
-                )))
-            }
-        }
+        read_handshake_ack(&mut reader)?;
         let join = match read_u8(&mut reader)? {
             MSG_JOIN => read_join_body(&mut reader)?,
             MSG_ERROR => return Err(ServeError::Remote(read_error_body(&mut reader)?)),
@@ -142,11 +131,7 @@ impl SubscribeClient {
                 )))
             }
         };
-        Ok(SubscribeClient {
-            reader,
-            version: hello.version,
-            join,
-        })
+        Ok(SubscribeClient { reader, join })
     }
 
     /// What the server said about the joined broadcast.
@@ -174,10 +159,7 @@ impl SubscribeClient {
     pub fn next_event(&mut self) -> Result<SubscribeEvent, ServeError> {
         match read_u8(&mut self.reader)? {
             MSG_PACKET => Ok(SubscribeEvent::Packet(Packet::read_from(&mut self.reader)?)),
-            MSG_STATS => Ok(SubscribeEvent::End(read_stats_body(
-                &mut self.reader,
-                self.version,
-            )?)),
+            MSG_STATS => Ok(SubscribeEvent::End(read_stats_body(&mut self.reader)?)),
             MSG_ERROR => Err(ServeError::Remote(read_error_body(&mut self.reader)?)),
             tag => Err(ServeError::Protocol(format!(
                 "unexpected subscription tag 0x{tag:02X}"

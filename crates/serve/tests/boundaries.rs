@@ -13,7 +13,7 @@
 use nvc_model::{CtvcCodec, CtvcConfig, RatePoint};
 use nvc_serve::proto::{
     write_frame_msg, write_packet_msg, write_retarget_msg, Hello, HelloDecoder, MsgDecoder,
-    Retarget, WireMsg,
+    Retarget, WireMsg, VERSION,
 };
 use nvc_tensor::init::SplitMix64;
 use nvc_video::codec::encode_sequence;
@@ -51,38 +51,38 @@ fn hello_bytes(hello: &Hello) -> Vec<u8> {
 }
 
 /// Every shape the protocol test suite exercises, as raw transcripts:
-/// clean streams of each role and version, pipelined hellos, and the
-/// hostile cases (bad magic, corrupted CRC, wrong-direction and unknown
-/// tags, oversized length claims).
+/// clean streams of each role, pipelined hellos, hellos of the retired
+/// protocol versions, and the hostile cases (bad magic, corrupted CRC,
+/// wrong-direction and unknown tags, oversized length claims).
 fn transcripts() -> Vec<Transcript> {
     let codec = CtvcCodec::new(CtvcConfig::ctvc_fp(8)).expect("ctvc config");
     let source = Synthesizer::new(SceneConfig::uvg_like(W, H, 3)).generate();
     let coded = encode_sequence(&codec, &source, RatePoint::new(1)).expect("encode");
     let mut out = Vec::new();
 
-    // v1 encode: hello, two frames, end.
+    // Encode: hello, two frames, end.
     let mut bytes = hello_bytes(&Hello::ctvc_encode(1, W, H));
     for (i, frame) in frames(2).iter().enumerate() {
         write_frame_msg(&mut bytes, i as u32, frame).unwrap();
     }
     bytes.push(b'E');
     out.push(Transcript {
-        name: "v1 encode stream",
+        name: "encode stream",
         bytes,
     });
 
-    // v1 decode: hello, three packets, end.
+    // Decode: hello, three packets, end.
     let mut bytes = hello_bytes(&Hello::ctvc_decode(1, W, H));
     for packet in &coded.packets {
         write_packet_msg(&mut bytes, packet).unwrap();
     }
     bytes.push(b'E');
     out.push(Transcript {
-        name: "v1 decode stream",
+        name: "decode stream",
         bytes,
     });
 
-    // v2 encode with a mid-stream retarget between the frames.
+    // Encode with a mid-stream retarget between the frames.
     let mut bytes = hello_bytes(&Hello::ctvc_encode(1, W, H).with_gop(4));
     let fs = frames(2);
     write_frame_msg(&mut bytes, 0, &fs[0]).unwrap();
@@ -91,11 +91,11 @@ fn transcripts() -> Vec<Transcript> {
     write_frame_msg(&mut bytes, 1, &fs[1]).unwrap();
     bytes.push(b'E');
     out.push(Transcript {
-        name: "v2 encode with retargets",
+        name: "encode with retargets",
         bytes,
     });
 
-    // v4 governed hello (client identity + target bpp), one frame.
+    // Governed hello (client identity + target bpp), one frame.
     let mut bytes = hello_bytes(
         &Hello::ctvc_encode(1, W, H)
             .with_target_bpp(0.25, 8)
@@ -104,18 +104,20 @@ fn transcripts() -> Vec<Transcript> {
     write_frame_msg(&mut bytes, 0, &frames(1)[0]).unwrap();
     bytes.push(b'E');
     out.push(Transcript {
-        name: "v4 governed encode",
+        name: "governed encode",
         bytes,
     });
 
-    // v3 publish: a broadcast-role encode stream.
+    // Publish: a broadcast-role encode stream.
     let mut bytes = hello_bytes(&Hello::ctvc_publish(1, W, H, "fuzzcast"));
     write_frame_msg(&mut bytes, 0, &frames(1)[0]).unwrap();
     bytes.push(b'E');
     out.push(Transcript {
-        name: "v3 publish stream",
+        name: "publish stream",
         bytes,
     });
+
+    out.extend(retired_version_transcripts(&coded.packets));
 
     // Bad magic: the handshake must fail identically at any boundary.
     let mut bytes = hello_bytes(&Hello::ctvc_decode(1, W, H));
@@ -176,6 +178,47 @@ fn transcripts() -> Vec<Transcript> {
     out
 }
 
+/// Streams as clients of the retired protocol versions sent them: each
+/// hello in its own version's layout (version 1: the first 12 bytes of
+/// today's; version 2: 19, adding the rate mode; version 3: all but the
+/// client-identity byte), followed by a stream the server never reads.
+fn retired_version_transcripts(packets: &[nvc_entropy::container::Packet]) -> Vec<Transcript> {
+    let retired = |version: u8, hello: Hello, layout: usize| {
+        let mut bytes = hello_bytes(&hello);
+        bytes[4] = version;
+        bytes.truncate(layout);
+        bytes
+    };
+    let mut v1 = retired(1, Hello::ctvc_decode(1, W, H), 12);
+    for packet in packets {
+        write_packet_msg(&mut v1, packet).unwrap();
+    }
+    v1.push(b'E');
+    let mut v2 = retired(2, Hello::ctvc_encode(1, W, H).with_target_bpp(0.3, 4), 19);
+    write_frame_msg(&mut v2, 0, &frames(1)[0]).unwrap();
+    write_retarget_msg(&mut v2, &Retarget::fixed(2)).unwrap();
+    v2.push(b'E');
+    let publish = Hello::ctvc_publish(1, W, H, "fuzzcast");
+    let v4_len = hello_bytes(&publish).len();
+    let mut v3 = retired(3, publish, v4_len - 1);
+    write_frame_msg(&mut v3, 0, &frames(1)[0]).unwrap();
+    v3.push(b'E');
+    vec![
+        Transcript {
+            name: "version-1 decode stream",
+            bytes: v1,
+        },
+        Transcript {
+            name: "version-2 encode with a retarget",
+            bytes: v2,
+        },
+        Transcript {
+            name: "version-3 publish stream",
+            bytes: v3,
+        },
+    ]
+}
+
 // ---------------------------------------------------------------------
 // Replay harness
 // ---------------------------------------------------------------------
@@ -208,7 +251,7 @@ fn replay(bytes: &[u8], chunks: &[usize]) -> Vec<String> {
                     events.push(format!("hello: {hello:?}"));
                     msg_dec = Some(MsgDecoder::new(
                         hello.role,
-                        hello.version,
+                        VERSION,
                         hello.width,
                         hello.height,
                     ));
@@ -312,6 +355,25 @@ fn assert_boundary_invariant(name: &str, bytes: &[u8], seed: u64) {
 fn every_transcript_is_chunk_boundary_invariant() {
     for (i, t) in transcripts().iter().enumerate() {
         assert_boundary_invariant(t.name, &t.bytes, 0x5EED_0000 + i as u64);
+    }
+}
+
+/// A retired version fails the handshake on its version byte, whatever
+/// its layout and whatever follows it.
+#[test]
+fn retired_versions_fail_at_the_hello() {
+    let codec = CtvcCodec::new(CtvcConfig::ctvc_fp(8)).expect("ctvc config");
+    let source = Synthesizer::new(SceneConfig::uvg_like(W, H, 3)).generate();
+    let coded = encode_sequence(&codec, &source, RatePoint::new(1)).expect("encode");
+    for (version, t) in (1..=3).zip(retired_version_transcripts(&coded.packets)) {
+        assert_eq!(
+            replay(&t.bytes, &one_chunk(t.bytes.len())),
+            [format!(
+                "hello error: protocol error: unsupported protocol version {version} (accepted 4)"
+            )],
+            "{}",
+            t.name
+        );
     }
 }
 

@@ -178,13 +178,15 @@ fn bogus_hellos_are_rejected_cleanly() {
     // ...and then close the connection.
     assert_eq!(raw.read(&mut tag).unwrap(), 0, "connection must be closed");
 
-    // Unknown codec family tag.
+    // Unknown codec family tag, in a hello of the accepted version.
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     raw.set_read_timeout(Some(TIMEOUT)).unwrap();
-    raw.write_all(b"NVCS\x01\x05\x01\x01\x30\x00\x20\x00")
+    raw.write_all(b"NVCS\x04\x05\x01\x01\x30\x00\x20\x00")
         .unwrap();
     raw.read_exact(&mut tag).unwrap();
     assert_eq!(tag[0], proto::MSG_ERROR);
+    let msg = proto::read_error_body(&mut raw).unwrap();
+    assert_eq!(msg, "handshake: protocol error: unknown codec family 0x05");
 
     let report = server.shutdown();
     assert_eq!(report.sessions, 0);
@@ -385,53 +387,42 @@ fn target_bpp_session_over_the_wire_matches_in_process() {
     server.shutdown();
 }
 
+/// Only protocol version 4 is served. A client of a retired version
+/// (1–3, each hello in its own layout) or of a newer one gets a clean
+/// `'X'` naming the version, then a closed connection.
 #[test]
-fn version1_client_still_speaks_fixed_rate() {
+fn other_protocol_versions_are_rejected_cleanly() {
     let server = spawn_server();
-    let codec = CtvcCodec::new(CtvcConfig::ctvc_fp(8)).unwrap();
-    let coded = encode_sequence(&codec, &seq(2), RatePoint::new(1)).unwrap();
-
-    // A raw version-1 session: 12-byte hello, packets, end — and the
-    // version-1 (short) stats trailer back.
-    let mut raw = TcpStream::connect(server.addr()).unwrap();
-    raw.set_read_timeout(Some(TIMEOUT)).unwrap();
-    let mut hello = Hello::ctvc_decode(1, W, H);
-    hello.version = 1;
-    let mut buf = Vec::new();
-    hello.write_to(&mut buf).unwrap();
-    assert_eq!(buf.len(), 12);
-    for packet in &coded.packets {
-        buf.push(proto::MSG_PACKET);
-        buf.extend_from_slice(&packet.to_bytes());
-    }
-    buf.push(proto::MSG_END);
-    raw.write_all(&buf).unwrap();
-
-    let mut head = [0u8; 2];
-    raw.read_exact(&mut head).unwrap();
-    assert_eq!(head[0], proto::MSG_ACK, "v1 handshake must be accepted");
-    let mut reader = std::io::BufReader::new(raw);
-    for local in coded.decoded.frames() {
+    let mut current = Vec::new();
+    Hello::ctvc_decode(1, W, H).write_to(&mut current).unwrap();
+    // Version 1 sent 12 bytes, version 2 19, version 3 all but the
+    // trailing client-identity byte.
+    for (version, layout) in [
+        (1u8, 12),
+        (2, 19),
+        (3, current.len() - 1),
+        (5, current.len()),
+    ] {
+        let mut hello = current[..layout].to_vec();
+        hello[4] = version;
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        raw.set_read_timeout(Some(TIMEOUT)).unwrap();
+        raw.write_all(&hello).unwrap();
         let mut tag = [0u8; 1];
-        reader.read_exact(&mut tag).unwrap();
-        assert_eq!(tag[0], proto::MSG_FRAME);
-        let (_, frame) = proto::read_frame_body(&mut reader, Some((W, H))).unwrap();
-        assert_eq!(frame.tensor().as_slice(), local.tensor().as_slice());
+        raw.read_exact(&mut tag).unwrap();
+        assert_eq!(tag[0], proto::MSG_ERROR, "version {version} must get 'X'");
+        let msg = proto::read_error_body(&mut raw).unwrap();
+        assert_eq!(
+            msg,
+            format!(
+                "handshake: protocol error: unsupported protocol version {version} (accepted 4)"
+            )
+        );
+        assert_eq!(raw.read(&mut tag).unwrap(), 0, "connection must be closed");
     }
-    let mut tag = [0u8; 1];
-    reader.read_exact(&mut tag).unwrap();
-    assert_eq!(tag[0], proto::MSG_STATS);
-    let stats = proto::read_stats_body(&mut reader, 1).unwrap();
-    assert_eq!(stats.frames, 2);
-    assert!(
-        stats.frame_types.is_empty() && stats.rate_per_frame.is_empty(),
-        "a v1 client must get the trailer layout it expects"
-    );
-    assert_eq!(reader.read(&mut tag).unwrap(), 0, "clean close after stats");
-
     let report = server.shutdown();
-    assert_eq!(report.sessions, 1);
-    assert_eq!(report.errors, 0);
+    assert_eq!(report.rejected, 4);
+    assert_eq!(report.sessions, 0);
 }
 
 #[test]
@@ -576,6 +567,48 @@ fn session_capacity_overflow_is_rejected_cleanly() {
     let report = server.shutdown();
     assert_eq!(report.rejected, 1);
     assert_eq!(report.sessions, 2);
+}
+
+/// A session's slot is free by the time its client has read the last
+/// byte the server sent — the stats trailer of a clean finish, or the
+/// `'X'` of a failed stream — so at `max_sessions: 1` a client may
+/// reconnect the moment either arrives.
+#[test]
+fn a_finished_session_frees_its_slot_before_its_client_can_reconnect() {
+    let server = Server::spawn(
+        "127.0.0.1:0",
+        ServeConfig {
+            max_sessions: 1,
+            ..test_config()
+        },
+    )
+    .expect("bind loopback");
+    let source = seq(1);
+    let mut last_end = "nothing";
+    for round in 0..10 {
+        for fail in [false, true] {
+            let mut client = connect(&server, Hello::ctvc_encode(1, W, H))
+                .unwrap_or_else(|e| panic!("round {round}: slot still held after {last_end}: {e}"));
+            if fail {
+                // A bogus retarget fails the stream with an 'X'.
+                client.retarget(Retarget::fixed(9)).unwrap();
+                let _ = client.send_frame(&source.frames()[0]);
+                let err = client.finish().unwrap_err();
+                assert!(
+                    matches!(&err, ServeError::Remote(m) if m.contains("rate index 9")),
+                    "{err}"
+                );
+                last_end = "an 'X'";
+            } else {
+                client.send_frame(&source.frames()[0]).unwrap();
+                client.finish().unwrap();
+                last_end = "a trailer";
+            }
+        }
+    }
+    let report = server.shutdown();
+    assert_eq!(report.rejected, 0);
+    assert_eq!(report.sessions, 20);
 }
 
 #[test]
