@@ -18,15 +18,23 @@ fn measured_cpu_gops() -> f64 {
     let (w, h, frames) = (96usize, 64usize, 3usize);
     let seq = Synthesizer::new(SceneConfig::uvg_like(w, h, frames)).generate();
     let cfg = CtvcConfig::ctvc_fp(BENCH_N);
-    let codec = CtvcCodec::new(cfg.clone()).expect("valid config");
+    let codec = CtvcCodec::new(cfg).expect("valid config");
     let coded = codec.encode(&seq, RatePoint::new(1)).expect("encode");
     let t0 = Instant::now();
     let _ = codec.decode(&coded.bitstream).expect("decode");
     let secs = t0.elapsed().as_secs_f64();
-    let graph = nvc_model::decoder_graph(&cfg, h, w);
-    let macs_per_frame: u64 = graph.iter().map(|l| l.macs()).sum();
-    let total_ops = 2.0 * macs_per_frame as f64 * (frames - 1) as f64;
-    total_ops / secs / 1e9
+    // Count what the CPU ran: frame 0 is intra (frame reconstruction
+    // only), and a P frame skips feature extraction because the decoder
+    // keeps the previous features as its reference.
+    let p_frame = codec.decoder_workload(h, w);
+    let p_macs: u64 = p_frame
+        .layers()
+        .iter()
+        .filter(|l| l.module != "feature_extraction")
+        .map(|l| l.op.macs())
+        .sum();
+    let macs = codec.intra_workload(h, w).total_macs() + (frames as u64 - 1) * p_macs;
+    2.0 * macs as f64 / secs / 1e9
 }
 
 fn main() {

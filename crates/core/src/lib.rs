@@ -8,12 +8,14 @@
 //! * the **NVCA cycle-level simulator** from [`nvc_sim`] (SFTC + DCC +
 //!   heterogeneous layer chaining dataflow + 28 nm energy model).
 //!
-//! [`Nvca`] deploys a CTVC configuration onto the accelerator: it maps the
-//! decoder layer graph to a simulator workload, decodes bitstreams
-//! functionally, and reports hardware performance (cycles, fps, GOPS,
-//! power, off-chip traffic) for any resolution — including the paper's
-//! 1080p operating point, which the functional software path never has to
-//! execute.
+//! [`Nvca`] deploys a CTVC configuration onto the accelerator: it charges
+//! the simulator with the layers the built decoder modules describe,
+//! decodes bitstreams functionally, and reports hardware performance
+//! (cycles, fps, GOPS, power, off-chip traffic) for any resolution —
+//! including the paper's 1080p operating point, which the functional
+//! software path never has to execute. The simulator charges the paper's
+//! five decoder modules, while the software P-frame decode runs four and
+//! reuses `F̂_{t−1}`.
 //!
 //! # Example
 //!
@@ -45,10 +47,9 @@ pub use nvc_entropy::container::FrameKind;
 pub use report::{offchip_comparison, OffchipRow};
 
 use nvc_entropy::container::{split_packets, Packet};
-use nvc_model::graph::LayerDesc;
-use nvc_model::{CtvcCodec, CtvcConfig, CtvcError, LayerKind};
+use nvc_model::{CtvcCodec, CtvcConfig, CtvcError};
 use nvc_sim::comparators::{PlatformRow, Provenance};
-use nvc_sim::{Dataflow, NvcaConfig, SimLayer, SimOp, SimReport, Simulator, Workload};
+use nvc_sim::{Dataflow, NvcaConfig, SimReport, Simulator, Workload};
 use nvc_video::codec::DecoderSession;
 
 /// A CTVC-Net instance deployed on the NVCA accelerator.
@@ -94,25 +95,24 @@ impl Nvca {
         &self.simulator
     }
 
-    /// Maps the decoder layer graph at `h × w` to a simulator workload.
+    /// The simulator workload of decoding one P frame at `h × w`
+    /// ([`CtvcCodec::decoder_workload`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` or `w` is not a positive multiple of 16.
     pub fn decoder_workload(&self, h: usize, w: usize) -> Workload {
-        let graph = nvc_model::decoder_graph(self.codec.config(), h, w);
-        Workload::new(graph.iter().map(map_layer).collect())
+        self.codec.decoder_workload(h, w)
     }
 
-    /// Workload of decoding an *intra* frame at `h × w`: only the frame
-    /// reconstruction module runs (the intra payload is dequantized
-    /// straight into features; no motion/residual synthesis, no
-    /// compensation).
+    /// The simulator workload of decoding an intra frame at `h × w`
+    /// ([`CtvcCodec::intra_workload`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` or `w` is not a positive multiple of 16.
     pub fn intra_workload(&self, h: usize, w: usize) -> Workload {
-        let graph = nvc_model::decoder_graph(self.codec.config(), h, w);
-        Workload::new(
-            graph
-                .iter()
-                .filter(|l| l.module == "frame_reconstruction")
-                .map(map_layer)
-                .collect(),
-        )
+        self.codec.intra_workload(h, w)
     }
 
     /// Simulates decoding one P frame at `h × w` under a dataflow.
@@ -125,8 +125,9 @@ impl Nvca {
     /// [`DecoderSession`] (validating framing, CRCs and prediction
     /// structure) and simultaneously charged to the simulator with the
     /// workload matching its frame type — intra packets run only frame
-    /// reconstruction, predicted packets run the full five-module decoder
-    /// graph.
+    /// reconstruction. For predicted packets the simulator charges the
+    /// paper's five decoder modules, while the software P-frame decode
+    /// runs four and reuses `F̂_{t−1}`.
     ///
     /// # Errors
     ///
@@ -198,70 +199,6 @@ impl Nvca {
     }
 }
 
-/// Maps one decoder-graph layer onto the simulator's operator zoo.
-fn map_layer(l: &LayerDesc) -> SimLayer {
-    let op = match l.kind {
-        LayerKind::Conv { k: 3, stride } => SimOp::Conv3x3 {
-            c_in: l.c_in,
-            c_out: l.c_out,
-            h_out: l.h_out,
-            w_out: l.w_out,
-            stride,
-        },
-        LayerKind::Conv { k: 1, .. } => SimOp::Conv1x1 {
-            c_in: l.c_in,
-            c_out: l.c_out,
-            h_out: l.h_out,
-            w_out: l.w_out,
-        },
-        LayerKind::Conv { k, stride } => {
-            // Generic odd kernels run in plain MAC mode via an
-            // equivalent-MAC 1×1 shape.
-            SimOp::Conv1x1 {
-                c_in: l.c_in * k * k,
-                c_out: l.c_out,
-                h_out: l.h_out / stride.max(1),
-                w_out: l.w_out,
-            }
-        }
-        LayerKind::DeConv { .. } => SimOp::Deconv4x4 {
-            c_in: l.c_in,
-            c_out: l.c_out,
-            h_out: l.h_out,
-            w_out: l.w_out,
-        },
-        LayerKind::DfConv { groups, .. } => SimOp::DfConv3x3 {
-            c_in: l.c_in,
-            c_out: l.c_out,
-            h_out: l.h_out,
-            w_out: l.w_out,
-            groups,
-        },
-        LayerKind::SwinAttention { window, heads } => SimOp::Attention {
-            c: l.c_in,
-            h: l.h_in,
-            w: l.w_in,
-            window,
-            heads,
-        },
-        LayerKind::Pool { k } => SimOp::Pool {
-            c: l.c_out,
-            h_out: l.h_out,
-            w_out: l.w_out,
-            k,
-        },
-        // `LayerKind` is non-exhaustive; future kinds map to a
-        // traffic-only placeholder until explicitly modelled.
-        _ => SimOp::Pool {
-            c: l.c_out,
-            h_out: l.h_out,
-            w_out: l.w_out,
-            k: 1,
-        },
-    };
-    SimLayer::new(format!("{}.{}", l.module, l.name), l.module, op)
-}
-
 /// Hardware cost of decoding one packet of a stream.
 #[derive(Debug, Clone)]
 pub struct FrameSimReport {
@@ -298,20 +235,6 @@ mod tests {
     use super::*;
     use nvc_model::RatePoint;
     use nvc_video::synthetic::{SceneConfig, Synthesizer};
-
-    #[test]
-    fn workload_mapping_preserves_macs() {
-        let nvca = Nvca::paper_design(CtvcConfig::ctvc_sparse(36)).unwrap();
-        let graph = nvc_model::decoder_graph(nvca.codec().config(), 128, 128);
-        let graph_macs: u64 = graph.iter().map(|l| l.macs()).sum();
-        let wl = nvca.decoder_workload(128, 128);
-        let wl_macs = wl.total_macs();
-        let rel = (graph_macs as f64 - wl_macs as f64).abs() / graph_macs as f64;
-        assert!(
-            rel < 0.05,
-            "MAC mismatch: graph {graph_macs} vs workload {wl_macs}"
-        );
-    }
 
     #[test]
     fn paper_operating_point_is_in_class() {

@@ -27,21 +27,17 @@ impl OffchipRow {
 
 /// Computes the per-module off-chip comparison of Fig. 9(b) at `h × w`.
 pub fn offchip_comparison(nvca: &Nvca, h: usize, w: usize) -> Vec<OffchipRow> {
-    let baseline = nvca.simulate_decode(h, w, Dataflow::LayerByLayer);
-    let chained = nvca.simulate_decode(h, w, Dataflow::Chained);
-    let mut rows = Vec::new();
-    for module in nvc_model::graph::DECODER_MODULES {
-        let b = baseline.module_dram_bytes.get(module).copied().unwrap_or(0);
-        let c = chained.module_dram_bytes.get(module).copied().unwrap_or(0);
-        if b > 0 || c > 0 {
-            rows.push(OffchipRow {
-                module,
-                baseline_bytes: b,
-                chained_bytes: c,
-            });
-        }
-    }
-    rows
+    let wl = nvca.decoder_workload(h, w);
+    let baseline = nvca.simulator().run(&wl, Dataflow::LayerByLayer);
+    let chained = nvca.simulator().run(&wl, Dataflow::Chained);
+    wl.modules()
+        .into_iter()
+        .map(|module| OffchipRow {
+            module,
+            baseline_bytes: baseline.module_dram_bytes[module],
+            chained_bytes: chained.module_dram_bytes[module],
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -161,7 +161,7 @@ impl TransformPair {
 
     /// Output samples per input sample along each axis: 1 for the
     /// convolution transform, 2 for the stride-2 deconvolution one.
-    pub(crate) fn out_scale(&self) -> usize {
+    pub fn out_scale(&self) -> usize {
         self.m / self.in_step
     }
 

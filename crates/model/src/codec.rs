@@ -21,6 +21,7 @@ use crate::motion;
 use nvc_core::ExecCtx;
 use nvc_entropy::container::{FrameKind, Section};
 use nvc_entropy::{BitReader, BitWriter, CodingError};
+use nvc_sim::Workload;
 use nvc_tensor::{Shape, Tensor, TensorError};
 use nvc_video::codec::{CodedFrame, SectionList, VideoCodec};
 use nvc_video::rate::RateMode;
@@ -93,6 +94,19 @@ pub struct CtvcCoded {
     pub bpp: f64,
 }
 
+/// Feature-plane size `(h/2, w/2)` of an `h × w` frame.
+///
+/// # Panics
+///
+/// Panics if `h` or `w` is not a positive multiple of 16.
+fn feature_hw(h: usize, w: usize) -> (usize, usize) {
+    assert!(
+        h > 0 && w > 0 && h.is_multiple_of(16) && w.is_multiple_of(16),
+        "resolution must be a multiple of 16"
+    );
+    (h / 2, w / 2)
+}
+
 /// The CTVC-Net codec (see crate docs).
 #[derive(Debug, Clone)]
 pub struct CtvcCodec {
@@ -141,6 +155,49 @@ impl CtvcCodec {
     /// accounting; the functional path uses block matching).
     pub fn motion_cnn(&self) -> &MotionCnn {
         &self.me_cnn
+    }
+
+    /// The layers of decoding one P frame at `h × w`, read from the built
+    /// modules for the accelerator simulator, in the paper's five decoder
+    /// modules (Fig. 9(b)): feature extraction, motion synthesis (after
+    /// its Swin-AM latent mask when attention is on), deformable
+    /// compensation, residual synthesis (likewise) and frame
+    /// reconstruction.
+    ///
+    /// The simulator models the paper's decoder, which re-extracts the
+    /// reference features every frame; this codec's P-frame decode keeps
+    /// `F̂_{t−1}` as its reference instead and runs the other four
+    /// modules.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` or `w` is not a positive multiple of 16.
+    pub fn decoder_workload(&self, h: usize, w: usize) -> Workload {
+        let (h2, w2) = feature_hw(h, w);
+        let latent = (h2 / 8, w2 / 8);
+        let attention = self.cfg.attention;
+        let mut out = Vec::new();
+        self.fe.describe(&mut out, (h, w));
+        let motion = &self.motion_ae;
+        motion.describe_decoder(&mut out, "motion_synthesis", attention, latent);
+        self.comp.describe(&mut out, (h2, w2));
+        let residual = &self.residual_ae;
+        residual.describe_decoder(&mut out, "residual_synthesis", attention, latent);
+        self.fr.describe(&mut out, (h2, w2));
+        Workload::new(out)
+    }
+
+    /// The layers of decoding an intra frame at `h × w`: frame
+    /// reconstruction alone, since the intra payload dequantizes straight
+    /// into features.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` or `w` is not a positive multiple of 16.
+    pub fn intra_workload(&self, h: usize, w: usize) -> Workload {
+        let mut out = Vec::new();
+        self.fr.describe(&mut out, feature_hw(h, w));
+        Workload::new(out)
     }
 
     fn mask_fn<'a>(&'a self, ae: &'a CompressionAutoencoder) -> Option<Box<latent::MaskFn<'a>>> {
@@ -527,6 +584,7 @@ impl VideoCodec for CtvcCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvc_sim::SimOp;
     use nvc_video::metrics::psnr_sequence;
     use nvc_video::synthetic::{SceneConfig, Synthesizer};
 
@@ -743,5 +801,89 @@ mod tests {
             pd - ps < 5.0 && ps > 25.0,
             "sparse ({ps:.2} dB) must stay usable next to dense ({pd:.2} dB)"
         );
+    }
+
+    fn decoder_workload(cfg: CtvcConfig, h: usize, w: usize) -> Workload {
+        CtvcCodec::new(cfg).unwrap().decoder_workload(h, w)
+    }
+
+    #[test]
+    fn workload_covers_all_modules() {
+        // Pruning changes no layer shape, so the dense build stands in
+        // for the sparse one where only shapes are checked.
+        let wl = decoder_workload(CtvcConfig::ctvc_fp(36), 1088, 1920);
+        let modules = [
+            "feature_extraction",
+            "motion_synthesis",
+            "deformable_compensation",
+            "residual_synthesis",
+            "frame_reconstruction",
+        ];
+        assert_eq!(wl.modules(), modules);
+        // Every layer but the pool computes.
+        for l in wl.layers() {
+            let pool = matches!(l.op, SimOp::Pool { .. });
+            assert!(pool || l.op.macs() > 0, "{} has zero MACs", l.name);
+        }
+    }
+
+    #[test]
+    fn fast_algorithm_classification() {
+        let wl = decoder_workload(CtvcConfig::ctvc_sparse(36), 64, 64);
+        let fast = |alg| {
+            let ops = wl.layers().iter().map(|l| l.op);
+            ops.filter(|op| op.fast_transform() == Some(alg)).count()
+        };
+        let wino = fast("winograd");
+        assert!(
+            wino >= 10,
+            "expected many Winograd-eligible convs, got {wino}"
+        );
+        // 3 deconv stages per synthesis × 2 + frame reconstruction = 7.
+        assert_eq!(fast("fta"), 7);
+        // Pool / DfConv / attention are not fast-transformable.
+        for l in wl.layers() {
+            if matches!(
+                l.op,
+                SimOp::DfConv3x3 { .. } | SimOp::Pool { .. } | SimOp::Attention { .. }
+            ) {
+                assert_eq!(l.op.fast_transform(), None);
+            }
+        }
+    }
+
+    #[test]
+    fn macs_scale_with_resolution() {
+        let cfg = CtvcConfig::ctvc_fp(36);
+        let small = decoder_workload(cfg.clone(), 64, 64).total_macs();
+        let large = decoder_workload(cfg, 128, 128).total_macs();
+        let ratio = large as f64 / small as f64;
+        assert!((3.0..5.0).contains(&ratio), "expected ~4x, got {ratio}");
+    }
+
+    #[test]
+    fn attention_adds_decoder_layers() {
+        let with = decoder_workload(CtvcConfig::ctvc_fp(36), 64, 64);
+        let without = decoder_workload(CtvcConfig::fvc_like(36), 64, 64);
+        assert!(with.layers().len() > without.layers().len());
+    }
+
+    #[test]
+    fn total_macs_at_1080p_are_plausible() {
+        // The decoder at 1080p should land in the tens of GMACs — the
+        // workload class the paper's 3.5 TOPS accelerator sustains at
+        // 25 fps.
+        let wl = decoder_workload(CtvcConfig::ctvc_fp(36), 1088, 1920);
+        let gmacs = wl.total_macs() as f64 / 1e9;
+        assert!(
+            (5.0..200.0).contains(&gmacs),
+            "decoder workload {gmacs:.1} GMAC outside plausible range"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple of 16")]
+    fn workload_rejects_bad_resolution() {
+        let _ = decoder_workload(CtvcConfig::ctvc_fp(36), 100, 64);
     }
 }

@@ -5,6 +5,7 @@ use crate::config::Precision;
 use nvc_core::ExecCtx;
 use nvc_fastalg::{FastLayer, Sparsity};
 use nvc_quant::{fake_quantize_dynamic_inplace, QFormat};
+use nvc_sim::{SimLayer, SimOp};
 use nvc_tensor::mat::{softmax_rows_inplace, Mat};
 use nvc_tensor::ops::{relu, Conv2d, DeConv2d, Linear};
 use nvc_tensor::{Shape, Tensor, TensorError};
@@ -112,6 +113,67 @@ impl LayerOp {
             LayerOp::Fast(f) => f.forward_ctx(x, exec),
         }
     }
+
+    /// The simulator operator this layer is on an `h × w` input, read
+    /// from whichever arm executes it.
+    pub(crate) fn sim_op(&self, h: usize, w: usize) -> SimOp {
+        match self {
+            LayerOp::Conv(c) => conv_sim_op(c, h, w),
+            LayerOp::Deconv(d) => {
+                let shape = (d.c_in(), d.c_out(), d.kernel(), d.stride());
+                sim_op(true, shape, h, w)
+            }
+            // A transform executes one shape: its kernel, with its output
+            // scale as the stride; an upscaling one is a deconvolution.
+            LayerOp::Fast(f) => {
+                let t = f.transform();
+                let shape = (f.c_in(), f.c_out(), t.kernel(), t.out_scale());
+                sim_op(t.out_scale() > 1, shape, h, w)
+            }
+        }
+    }
+}
+
+/// The simulator operator of a direct convolution on an `h × w` input.
+pub(crate) fn conv_sim_op(c: &Conv2d, h: usize, w: usize) -> SimOp {
+    sim_op(false, (c.c_in(), c.c_out(), c.kernel(), c.stride()), h, w)
+}
+
+/// The simulator operator of a (transposed, if `transposed`) convolution
+/// of shape `(c_in, c_out, kernel, stride)` on an `h × w` input.
+///
+/// # Panics
+///
+/// Panics on a shape the simulator has no operator for; no decoder layer
+/// has one.
+fn sim_op(transposed: bool, shape: (usize, usize, usize, usize), h: usize, w: usize) -> SimOp {
+    match (transposed, shape) {
+        (false, (c_in, c_out, 3, stride)) => SimOp::Conv3x3 {
+            c_in,
+            c_out,
+            h_out: h / stride,
+            w_out: w / stride,
+            stride,
+        },
+        (false, (c_in, c_out, 1, 1)) => SimOp::Conv1x1 {
+            c_in,
+            c_out,
+            h_out: h,
+            w_out: w,
+        },
+        (true, (c_in, c_out, 4, 2)) => SimOp::Deconv4x4 {
+            c_in,
+            c_out,
+            h_out: 2 * h,
+            w_out: 2 * w,
+        },
+        (_, (_, _, k, s)) => panic!("no simulator operator for a {k}x{k} stride-{s} layer"),
+    }
+}
+
+/// Appends layer `module.name` to a simulator layer list.
+pub(crate) fn push_sim(out: &mut Vec<SimLayer>, module: &'static str, name: &str, op: SimOp) {
+    out.push(SimLayer::new(format!("{module}.{name}"), module, op));
 }
 
 /// Residual block (paper Fig. 2f): `x + Conv(ReLU(Conv(ReLU(x))))`.
@@ -179,6 +241,20 @@ impl ResBlock {
         let a = self.ctx.actq(self.conv1.forward_ctx(&relu(x), exec)?);
         let b = self.ctx.actq(self.conv2.forward_ctx(&relu(&a), exec)?);
         x.add(&b)
+    }
+
+    /// Describes the block on an `h × w` input as layers
+    /// `module.prefix.conv1` and `module.prefix.conv2`.
+    pub(crate) fn describe(
+        &self,
+        out: &mut Vec<SimLayer>,
+        module: &'static str,
+        prefix: &str,
+        (h, w): (usize, usize),
+    ) {
+        for (name, conv) in [("conv1", &self.conv1), ("conv2", &self.conv2)] {
+            push_sim(out, module, &format!("{prefix}.{name}"), conv.sim_op(h, w));
+        }
     }
 }
 
@@ -514,6 +590,35 @@ impl SwinAm {
         Ok(nvc_tensor::ops::sigmoid(&logits))
     }
 
+    /// Describes the mask branch ([`SwinAm::mask_ctx`]) on an `h × w`
+    /// input as layers `module.swin_am.*`.
+    pub(crate) fn describe_mask(
+        &self,
+        out: &mut Vec<SimLayer>,
+        module: &'static str,
+        (h, w): (usize, usize),
+    ) {
+        let a = &self.attn;
+        let (c, window, heads) = (a.c, a.window, a.heads);
+        let attn = SimOp::Attention {
+            c,
+            h,
+            w,
+            window,
+            heads,
+        };
+        push_sim(out, module, "swin_am.attn", attn);
+        let res = [
+            ("res.conv1", &self.abs_conv1),
+            ("res.conv2", &self.abs_conv2),
+        ];
+        for (name, conv) in res {
+            push_sim(out, module, &format!("swin_am.{name}"), conv.sim_op(h, w));
+        }
+        let mask = conv_sim_op(&self.mask_conv, h, w);
+        push_sim(out, module, "swin_am.mask", mask);
+    }
+
     /// Full Swin-AM composition: `x + mask(x) ⊙ branch2(x)`,
     /// single-threaded.
     ///
@@ -556,6 +661,46 @@ mod tests {
         Tensor::from_fn(Shape::new(1, c, h, w), |_, ch, y, x| {
             0.3 * ((y as f32 * 0.7 + x as f32 * 0.5 + ch as f32).sin())
         })
+    }
+
+    /// The last described layer's output is the tensor the module returns.
+    fn assert_describes(layers: &[SimLayer], out: &Tensor) {
+        let (c, h, w) = layers.last().expect("a described layer").op.output_dims();
+        assert_eq!(out.shape().dims(), (1, c, h, w));
+    }
+
+    #[test]
+    fn layer_op_describes_its_output() {
+        let conv3 = Conv2d::randn(4, 2, 3, 1, 1, 5).unwrap();
+        let conv1 = Conv2d::randn(4, 2, 1, 1, 0, 6).unwrap();
+        let deconv = DeConv2d::randn(4, 2, 4, 2, 1, 7).unwrap();
+        for sparsity in [None, Some(0.5)] {
+            for op in [
+                LayerOp::Conv(conv3.clone()),
+                LayerOp::Conv(conv1.clone()),
+                LayerOp::Deconv(deconv.clone()),
+            ] {
+                let op = LayerOp::build(op, Precision::Fp32, sparsity).unwrap();
+                let layer = SimLayer::new("op", "m", op.sim_op(6, 10));
+                assert_describes(&[layer], &op.forward(&smooth(2, 6, 10)).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn resblock_describes_its_output() {
+        let rb = ResBlock::near_identity(4, Precision::Fp32, Some(0.5), 7).unwrap();
+        let mut layers = Vec::new();
+        rb.describe(&mut layers, "m", "res", (6, 10));
+        assert_describes(&layers, &rb.forward(&smooth(4, 6, 10)).unwrap());
+    }
+
+    #[test]
+    fn swin_am_describes_its_mask() {
+        let am = SwinAm::new(8, 3, 2, 2, Precision::Fp32, Some(0.5), 9).unwrap();
+        let mut layers = Vec::new();
+        am.describe_mask(&mut layers, "m", (5, 7));
+        assert_describes(&layers, &am.mask(&smooth(8, 5, 7)).unwrap());
     }
 
     #[test]

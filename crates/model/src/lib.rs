@@ -16,6 +16,11 @@
 //!   modules; synthesis = three `ResBlock + DeConv(N,4,2)` stages.
 //! * **ResBlock** (Fig. 2f): `x + Conv(ReLU(Conv(ReLU(x))))`.
 //!
+//! The built decoder modules are also the accelerator simulator's only
+//! description of the decoder: [`CtvcCodec::decoder_workload`] and
+//! [`CtvcCodec::intra_workload`] read each layer's channels, kernel and
+//! stride from the operators the modules hold.
+//!
 //! # Substitutions (recorded in `DESIGN.md`)
 //!
 //! With no training loop available, "learned" weights are replaced by
@@ -60,7 +65,6 @@
 
 mod codec;
 mod config;
-pub mod graph;
 mod latent;
 mod layers;
 mod modules;
@@ -69,7 +73,6 @@ mod weights;
 
 pub use codec::{CtvcCodec, CtvcCoded, CtvcDecoderSession, CtvcEncoderSession, CtvcError};
 pub use config::{CtvcConfig, Precision, RatePoint};
-pub use graph::{decoder_graph, LayerDesc, LayerKind};
 pub use layers::{LayerOp, ResBlock, SwinAm, SwinAttention};
 pub use modules::{
     Analysis, CompressionAutoencoder, DeformableCompensation, FeatureExtractor, FrameReconstructor,

@@ -1,9 +1,10 @@
 //! CTVC-Net modules (paper Fig. 2a–e) with analytic weights.
 
 use crate::config::CtvcConfig;
-use crate::layers::{LayerOp, NumericCtx, ResBlock, SwinAm};
+use crate::layers::{conv_sim_op, push_sim, LayerOp, NumericCtx, ResBlock, SwinAm};
 use crate::weights;
 use nvc_core::ExecCtx;
+use nvc_sim::{SimLayer, SimOp};
 use nvc_tensor::ops::{relu, Conv2d, DeformConv2d, MaxPool2d};
 use nvc_tensor::{Tensor, TensorError};
 use std::borrow::Cow;
@@ -96,6 +97,19 @@ impl FeatureExtractor {
         let out = self.res.forward_ctx(&p, exec)?;
         Ok(self.ctx.actq(out))
     }
+
+    /// Describes the module on an `h × w` frame as layers
+    /// `feature_extraction.*`.
+    pub(crate) fn describe(&self, out: &mut Vec<SimLayer>, (h, w): (usize, usize)) {
+        const MODULE: &str = "feature_extraction";
+        let conv1 = self.conv1.sim_op(h, w);
+        let (c, h, w) = conv1.output_dims();
+        push_sim(out, MODULE, "conv1", conv1);
+        let k = self.pool.window();
+        let (h_out, w_out) = (h / k, w / k);
+        push_sim(out, MODULE, "maxpool", SimOp::Pool { c, h_out, w_out, k });
+        self.res.describe(out, MODULE, "res", (h_out, w_out));
+    }
 }
 
 /// Frame reconstruction (Fig. 2b): `ResBlock → DeConv(3,4,2)`.
@@ -142,6 +156,14 @@ impl FrameReconstructor {
     pub fn forward_ctx(&self, f: &Tensor, exec: &ExecCtx) -> Result<Tensor, TensorError> {
         let a = self.ctx.actq(self.res.forward_ctx(f, exec)?);
         padded_deconv(&self.deconv, &a, exec)
+    }
+
+    /// Describes the module on `h × w` features as layers
+    /// `frame_reconstruction.*`.
+    pub(crate) fn describe(&self, out: &mut Vec<SimLayer>, (h, w): (usize, usize)) {
+        const MODULE: &str = "frame_reconstruction";
+        self.res.describe(out, MODULE, "res", (h, w));
+        push_sim(out, MODULE, "up", self.deconv.sim_op(h, w));
     }
 }
 
@@ -302,6 +324,24 @@ impl DeformableCompensation {
         let r = self.refine2.forward_ctx(&relu(&r), exec)?;
         warped.add(&r)
     }
+
+    /// Describes the module on `h × w` features as layers
+    /// `deformable_compensation.*`.
+    pub(crate) fn describe(&self, out: &mut Vec<SimLayer>, (h, w): (usize, usize)) {
+        const MODULE: &str = "deformable_compensation";
+        push_sim(out, MODULE, "offset", conv_sim_op(&self.offset_conv, h, w));
+        let df = &self.dfconv;
+        let dfconv = SimOp::DfConv3x3 {
+            c_in: df.c_in(),
+            c_out: df.c_out(),
+            h_out: h,
+            w_out: w,
+            groups: df.groups(),
+        };
+        push_sim(out, MODULE, "dfconv", dfconv);
+        push_sim(out, MODULE, "refine1", self.refine1.sim_op(h, w));
+        push_sim(out, MODULE, "refine2", self.refine2.sim_op(h, w));
+    }
 }
 
 /// Analysis transform of the compression autoencoders (Fig. 2e, left):
@@ -434,6 +474,18 @@ impl Synthesis {
         }
         Ok(t.into_owned())
     }
+
+    /// Describes the transform on an `h × w` latent as layers
+    /// `module.stage{i}.*`.
+    fn describe(&self, out: &mut Vec<SimLayer>, module: &'static str, hw: (usize, usize)) {
+        let (mut h, mut w) = hw;
+        for (i, (rb, up)) in self.stages.iter().enumerate() {
+            rb.describe(out, module, &format!("stage{i}.res"), (h, w));
+            let op = up.sim_op(h, w);
+            (_, h, w) = op.output_dims();
+            push_sim(out, module, &format!("stage{i}.up"), op);
+        }
+    }
 }
 
 /// One compression autoencoder (motion or residual): analysis + synthesis
@@ -493,6 +545,21 @@ impl CompressionAutoencoder {
         let mask = self.mask_am.mask_ctx(&paired, exec)?;
         mask.slice_channels(0, z.shape().c())
     }
+
+    /// Describes the decoder side on an `h × w` latent as layers
+    /// `module.*`: the latent mask when `attention` is on, then synthesis.
+    pub(crate) fn describe_decoder(
+        &self,
+        out: &mut Vec<SimLayer>,
+        module: &'static str,
+        attention: bool,
+        hw: (usize, usize),
+    ) {
+        if attention {
+            self.mask_am.describe_mask(out, module, hw);
+        }
+        self.synthesis.describe(out, module, hw);
+    }
 }
 
 #[cfg(test)]
@@ -509,6 +576,51 @@ mod tests {
         Tensor::from_fn(Shape::new(1, 3, h, w), |_, c, y, x| {
             0.5 + 0.3 * ((y as f32 * 0.3 + x as f32 * 0.2 + c as f32).sin())
         })
+    }
+
+    /// The last described layer's output is the tensor the module returns.
+    fn assert_describes(layers: &[SimLayer], out: &Tensor) {
+        let (c, h, w) = layers.last().expect("a described layer").op.output_dims();
+        assert_eq!(out.shape().dims(), (1, c, h, w));
+    }
+
+    fn features(h: usize, w: usize) -> Tensor {
+        Tensor::from_fn(Shape::new(1, 8, h, w), |_, c, y, x| {
+            0.2 * ((c + 2 * y + 3 * x) as f32 * 0.1).sin()
+        })
+    }
+
+    #[test]
+    fn feature_extractor_describes_its_output() {
+        let fe = FeatureExtractor::new(&CtvcConfig::ctvc_sparse(8)).unwrap();
+        let mut layers = Vec::new();
+        fe.describe(&mut layers, (32, 48));
+        assert_describes(&layers, &fe.forward(&frame_tensor(32, 48)).unwrap());
+    }
+
+    #[test]
+    fn frame_reconstructor_describes_its_output() {
+        let fr = FrameReconstructor::new(&CtvcConfig::ctvc_sparse(8)).unwrap();
+        let mut layers = Vec::new();
+        fr.describe(&mut layers, (16, 24));
+        assert_describes(&layers, &fr.forward(&features(16, 24)).unwrap());
+    }
+
+    #[test]
+    fn compensation_describes_its_output() {
+        let dc = DeformableCompensation::new(&CtvcConfig::ctvc_sparse(8)).unwrap();
+        let mut layers = Vec::new();
+        dc.describe(&mut layers, (16, 24));
+        let out = dc.forward(&features(16, 24), &features(16, 24)).unwrap();
+        assert_describes(&layers, &out);
+    }
+
+    #[test]
+    fn synthesis_describes_its_output() {
+        let ae = CompressionAutoencoder::new(&CtvcConfig::ctvc_sparse(8), 79).unwrap();
+        let mut layers = Vec::new();
+        ae.synthesis.describe(&mut layers, "m", (2, 3));
+        assert_describes(&layers, &ae.synthesis.forward(&features(2, 3)).unwrap());
     }
 
     #[test]

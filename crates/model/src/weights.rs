@@ -32,27 +32,6 @@ pub fn dirac_conv(
     })
 }
 
-/// Builds a 3×3 convolution whose output channel `co` applies a separable
-/// Gaussian blur to input channel `src(co)` with gain `g(co)`, plus small
-/// seeded texture kernels for channels with no source.
-#[allow(dead_code)] // part of the analytic weight-construction toolkit
-pub fn blur_conv(
-    c_out: usize,
-    c_in: usize,
-    src: impl Fn(usize) -> Option<(usize, f32)>,
-    noise_std: f32,
-    seed: u64,
-) -> Result<Conv2d, TensorError> {
-    let mut g = Gaussian::new(seed);
-    Conv2d::from_fn(c_out, c_in, 3, 1, 1, |co, ci, kh, kw| match src(co) {
-        Some((s, gain)) if s == ci => {
-            gain * GAUSS3[kh] * GAUSS3[kw] / (GAUSS3[1] * GAUSS3[1]) * 0.25
-        }
-        Some(_) => 0.0,
-        None => g.sample(0.0, noise_std),
-    })
-}
-
 /// Anti-aliased stride-2 downsampling convolution (`Conv(c_out, 3, 2)`):
 /// channel `j < keep` low-pass filters channel `j`; channels `>= keep` are
 /// small seeded kernels so the layer still exercises the full array.

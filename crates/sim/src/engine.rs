@@ -239,6 +239,10 @@ impl Simulator {
     /// Runs the workload under a dataflow.
     pub fn run(&self, wl: &Workload, dataflow: Dataflow) -> SimReport {
         let mut layer_reports = Vec::with_capacity(wl.layers().len());
+        // SRAM traffic for the energy model: activations staged twice,
+        // weights once (transform-domain overhead is folded into the MAC
+        // energy).
+        let mut sram_bits = 0.0;
         let chains = self.chains(wl);
 
         for chain in &chains {
@@ -262,14 +266,15 @@ impl Simulator {
                 let in_bytes = self.act_bytes(layer.op.input_elems());
                 let out_bytes = self.act_bytes(layer.op.output_elems());
                 let w_bytes = self.weight_bytes(&layer.op);
+                sram_bits += ((in_bytes + out_bytes) * 2 + w_bytes) as f64 * 8.0;
                 let dram = if chained {
                     // Chain interior stays on chip; striping re-reads a
                     // 2-row halo per stripe boundary per fused layer.
                     let first = idx == 0;
                     let last = idx == chain.len() - 1;
                     let halo = if stripes > 1 {
-                        let (_, _, w) = layer_whw(&layer.op);
-                        2 * (stripes - 1) * self.act_bytes(w)
+                        let (c, _, w) = layer.op.output_dims();
+                        2 * (stripes - 1) * self.act_bytes((c * w) as u64)
                     } else {
                         0
                     };
@@ -313,23 +318,7 @@ impl Simulator {
         let physical_gops = 2.0 * physical as f64 / secs.max(1e-12) / 1e9;
         let effective_gops = 2.0 * effective as f64 / secs.max(1e-12) / 1e9;
 
-        // Energy: compute + SRAM (activations staged twice, weights once,
-        // plus transform-domain overhead folded into the MAC energy) +
-        // DRAM + static.
-        let sram_bits: f64 = layer_reports
-            .iter()
-            .map(|l| {
-                let op = wl.layers().iter().find(|x| x.name == l.name).map(|x| &x.op);
-                match op {
-                    Some(op) => {
-                        ((self.act_bytes(op.input_elems()) + self.act_bytes(op.output_elems())) * 2
-                            + self.weight_bytes(op)) as f64
-                            * 8.0
-                    }
-                    None => 0.0,
-                }
-            })
-            .sum();
+        // Energy: compute + SRAM + DRAM + static.
         let chip_energy_j = physical as f64 * self.energy.pj_per_mac * 1e-12
             + sram_bits * self.energy.pj_per_sram_bit * 1e-12
             + self.energy.static_watts * secs;
@@ -355,39 +344,6 @@ impl Simulator {
             gops_per_watt,
             utilization,
         }
-    }
-}
-
-fn layer_whw(op: &SimOp) -> (u64, u64, u64) {
-    match *op {
-        SimOp::Conv3x3 {
-            c_out,
-            h_out,
-            w_out,
-            ..
-        }
-        | SimOp::Conv1x1 {
-            c_out,
-            h_out,
-            w_out,
-            ..
-        }
-        | SimOp::Deconv4x4 {
-            c_out,
-            h_out,
-            w_out,
-            ..
-        }
-        | SimOp::DfConv3x3 {
-            c_out,
-            h_out,
-            w_out,
-            ..
-        } => (c_out as u64, h_out as u64, (c_out * w_out) as u64),
-        SimOp::Attention { c, h, w, .. } => (c as u64, h as u64, (c * w) as u64),
-        SimOp::Pool {
-            c, h_out, w_out, ..
-        } => (c as u64, h_out as u64, (c * w_out) as u64),
     }
 }
 
@@ -544,6 +500,18 @@ mod tests {
         let sum: u64 = rep.module_dram_bytes.values().sum();
         assert_eq!(sum, rep.dram_bytes);
         assert_eq!(rep.module_dram_bytes.len(), 2);
+    }
+
+    #[test]
+    fn repeated_layer_names_are_each_charged_their_own_traffic() {
+        let layers =
+            |second: &str| Workload::new(vec![conv("m", "x", 12, 32), deconv("m", second, 24, 64)]);
+        let sim = Simulator::new(NvcaConfig::paper());
+        for dataflow in [Dataflow::LayerByLayer, Dataflow::Chained] {
+            let shared = sim.run(&layers("x"), dataflow);
+            let distinct = sim.run(&layers("y"), dataflow);
+            assert_eq!(shared.power_w, distinct.power_w, "{dataflow:?}");
+        }
     }
 
     #[test]

@@ -151,8 +151,8 @@ impl SimOp {
         }
     }
 
-    /// Output activation elements.
-    pub fn output_elems(&self) -> u64 {
+    /// Output activation dimensions `(channels, height, width)`.
+    pub fn output_dims(&self) -> (usize, usize, usize) {
         match *self {
             SimOp::Conv3x3 {
                 c_out,
@@ -177,12 +177,18 @@ impl SimOp {
                 h_out,
                 w_out,
                 ..
-            } => (c_out * h_out * w_out) as u64,
-            SimOp::Attention { c, h, w, .. } => (c * h * w) as u64,
+            } => (c_out, h_out, w_out),
+            SimOp::Attention { c, h, w, .. } => (c, h, w),
             SimOp::Pool {
                 c, h_out, w_out, ..
-            } => (c * h_out * w_out) as u64,
+            } => (c, h_out, w_out),
         }
+    }
+
+    /// Output activation elements.
+    pub fn output_elems(&self) -> u64 {
+        let (c, h, w) = self.output_dims();
+        (c * h * w) as u64
     }
 
     /// Weight elements (dense).
