@@ -151,12 +151,12 @@ impl HybridCodec {
         planes
     }
 
-    fn planes_to_frame(planes: &[Plane; 3]) -> Frame {
+    fn planes_to_frame(planes: &[Plane; 3]) -> Result<Frame, CodecError> {
         let (w, h) = (planes[0].width(), planes[0].height());
         let t = Tensor::from_fn(Shape::new(1, 3, h, w), |_, c, y, x| {
             planes[c].at(y, x).clamp(0.0, 1.0)
         });
-        Frame::from_tensor(t).expect("well-formed planes")
+        Ok(Frame::from_tensor(t)?)
     }
 
     fn luma(planes: &[Plane; 3]) -> Plane {
@@ -533,7 +533,6 @@ impl VideoCodec for HybridCodec {
         }
         Ok(CodedFrame {
             sections: vec![(section, rc.finish())],
-            reconstruction: HybridCodec::planes_to_frame(&recon),
             reference: recon,
         })
     }
@@ -545,7 +544,7 @@ impl VideoCodec for HybridCodec {
         reference: Option<&[Plane; 3]>,
         (w, h): (usize, usize),
         qp: u8,
-    ) -> Result<([Plane; 3], Frame), CodecError> {
+    ) -> Result<[Plane; 3], CodecError> {
         let step = dct::qp_to_step(qp);
         let payload = match (kind, sections) {
             (FrameKind::Intra, [(Section::Intra, payload)]) => payload,
@@ -574,8 +573,11 @@ impl VideoCodec for HybridCodec {
                 deblock(p, step);
             }
         }
-        let frame = HybridCodec::planes_to_frame(&recon);
-        Ok((recon, frame))
+        Ok(recon)
+    }
+
+    fn reconstruct(&self, recon: &[Plane; 3]) -> Result<Frame, CodecError> {
+        HybridCodec::planes_to_frame(recon)
     }
 }
 

@@ -1,7 +1,6 @@
 //! Shared harness utilities for regenerating every table and figure of
-//! the paper. Each `src/bin/*.rs` binary prints one table/figure; see
-//! `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for
-//! recorded paper-vs-measured results.
+//! the paper. Each `src/bin/*.rs` binary prints one table/figure; the
+//! README's "Reproducing the paper" section lists them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -107,6 +107,24 @@ fn feature_hw(h: usize, w: usize) -> (usize, usize) {
     (h / 2, w / 2)
 }
 
+/// Wall time of the CTVC stages that a frame's encode may or may not
+/// run, global like the `nvc_kernel_*_us` family histograms: the motion
+/// search of every P-frame encode, and frame reconstruction, which
+/// every decoded frame runs and an encoder runs only when asked for its
+/// reconstruction.
+struct StageHistograms {
+    motion_search_us: nvc_telemetry::Histogram,
+    render_us: nvc_telemetry::Histogram,
+}
+
+fn stage_histograms() -> &'static StageHistograms {
+    static HISTS: OnceLock<StageHistograms> = OnceLock::new();
+    HISTS.get_or_init(|| StageHistograms {
+        motion_search_us: nvc_telemetry::histogram("nvc_ctvc_motion_search_us"),
+        render_us: nvc_telemetry::histogram("nvc_ctvc_render_us"),
+    })
+}
+
 /// The CTVC-Net codec (see crate docs).
 #[derive(Debug, Clone)]
 pub struct CtvcCodec {
@@ -255,10 +273,10 @@ impl CtvcCodec {
     }
 
     /// Decodes one P frame given the reference *features* `F̂_{t−1}` and
-    /// the two latent payloads; returns the reconstructed features `F̂_t`
-    /// and the pixel frame. The encoder's closed loop computes the same
-    /// two branches on the way to the payloads and joins this path at
-    /// [`Self::reconstruct_from`], so both stay bit-identical.
+    /// the two latent payloads; returns the reconstructed features
+    /// `F̂_t = F̄_t + R̂_t`. The encoder's closed loop computes the same
+    /// two branches on the way to the payloads and forms the same sum,
+    /// so both stay bit-identical.
     ///
     /// Following FVC [5] ("all components operate within the feature
     /// space"), the decoder's reference is the feature tensor itself —
@@ -276,7 +294,7 @@ impl CtvcCodec {
         motion_payload: &[u8],
         residual_payload: &[u8],
         rate: RatePoint,
-    ) -> Result<(Tensor, Tensor), CtvcError> {
+    ) -> Result<Tensor, CtvcError> {
         let (_, _, h2, w2) = f_ref.shape().dims();
         let latent_shape = Shape::new(1, self.cfg.n, h2 / 8, w2 / 8);
         let (f_bar, r_hat) = self.exec.join(
@@ -301,45 +319,22 @@ impl CtvcCodec {
                 Ok(self.residual_ae.synthesis.forward_ctx(&zr, &self.exec)?)
             },
         );
-        self.reconstruct_from(&f_bar?, &r_hat?)
-    }
-
-    /// The tail of P-frame reconstruction, `F̂_t = F̄_t + R̂_t` → frame
-    /// reconstruction → clamp; returns features and pixels. The decoder
-    /// reaches it through [`Self::reconstruct_p`], the encoder directly
-    /// with the prediction and residual its closed loop already holds.
-    fn reconstruct_from(
-        &self,
-        f_bar: &Tensor,
-        r_hat: &Tensor,
-    ) -> Result<(Tensor, Tensor), CtvcError> {
-        self.render(f_bar.add(r_hat)?)
-    }
-
-    /// The tail of every reconstruction, encoder and decoder alike:
-    /// features `F̂_t` → frame reconstruction → clamp; returns features
-    /// and pixels.
-    fn render(&self, f_hat: Tensor) -> Result<(Tensor, Tensor), CtvcError> {
-        let px = self
-            .fr
-            .forward_ctx(&f_hat, &self.exec)?
-            .map(|v| v.clamp(0.0, 1.0));
-        Ok((f_hat, px))
+        Ok(f_bar?.add(&r_hat?)?)
     }
 
     /// Decodes the intra frame from its payload, returning reconstructed
-    /// features and pixels.
+    /// features.
     fn reconstruct_intra(
         &self,
         payload: &[u8],
         w: usize,
         h: usize,
         rate: RatePoint,
-    ) -> Result<(Tensor, Tensor), CtvcError> {
+    ) -> Result<Tensor, CtvcError> {
         let shape = Shape::new(1, self.cfg.n, h / 2, w / 2);
         let symbols = latent::decode_intra_payload(payload, shape)?;
         let f_hat = latent::dequantize(&symbols, shape, rate.intra_step(), None)?;
-        self.render(f_hat)
+        Ok(f_hat)
     }
 
     /// Opens a streaming encoder session under the given rate-control
@@ -398,11 +393,9 @@ impl CtvcCodec {
         // Intra coding is lossless, so these are the symbols the decoder
         // will decode: reconstruct from them instead of from the payload.
         let f_hat = latent::dequantize(&symbols, f.shape(), rate.intra_step(), None)?;
-        let (f_hat, rec) = self.render(f_hat)?;
         Ok(CodedFrame {
             sections: vec![(Section::Intra, payload)],
             reference: f_hat,
-            reconstruction: Frame::from_tensor(rec)?,
         })
     }
 
@@ -414,6 +407,7 @@ impl CtvcCodec {
     ) -> Result<CodedFrame<Tensor>, CtvcError> {
         let f_cur = self.fe.forward_ctx(x, &self.exec)?;
         // Functional motion estimation (block matching).
+        let search = stage_histograms().motion_search_us.time();
         let field = motion::estimate_motion_ctx(
             &motion::matching_plane(&f_cur),
             &motion::matching_plane(f_ref),
@@ -422,6 +416,7 @@ impl CtvcCodec {
             self.cfg.half_pel_motion,
             &self.exec,
         );
+        drop(search);
         // Embed into the N-channel motion tensor O_t.
         let (_, _, fh, fw) = f_cur.shape().dims();
         let n = self.cfg.n;
@@ -448,14 +443,12 @@ impl CtvcCodec {
             .residual_ae
             .synthesis
             .forward_ctx(&zr_hat, &self.exec)?;
-        let (f_hat, rec) = self.reconstruct_from(&f_bar, &r_hat)?;
         Ok(CodedFrame {
             sections: vec![
                 (Section::Motion, motion_payload),
                 (Section::Residual, residual_payload),
             ],
-            reference: f_hat,
-            reconstruction: Frame::from_tensor(rec)?,
+            reference: f_bar.add(&r_hat)?,
         })
     }
 }
@@ -556,15 +549,15 @@ impl VideoCodec for CtvcCodec {
         reference: Option<&Tensor>,
         (w, h): (usize, usize),
         rate: RatePoint,
-    ) -> Result<(Tensor, Frame), CtvcError> {
-        let (f_hat, rec) = match kind {
+    ) -> Result<Tensor, CtvcError> {
+        match kind {
             FrameKind::Intra => {
                 let [(Section::Intra, payload)] = sections else {
                     return Err(CtvcError::BadInput(
                         "intra packet must carry exactly one intra section".into(),
                     ));
                 };
-                self.reconstruct_intra(payload, w, h, rate)?
+                self.reconstruct_intra(payload, w, h, rate)
             }
             FrameKind::Predicted => {
                 let [(Section::Motion, motion), (Section::Residual, residual)] = sections else {
@@ -574,10 +567,19 @@ impl VideoCodec for CtvcCodec {
                 };
                 let f_ref =
                     reference.ok_or_else(|| CtvcError::BadInput("P frame before intra".into()))?;
-                self.reconstruct_p(f_ref, motion, residual, rate)?
+                self.reconstruct_p(f_ref, motion, residual, rate)
             }
-        };
-        Ok((f_hat, Frame::from_tensor(rec)?))
+        }
+    }
+
+    /// Frame reconstruction of the features `F̂_t`, clamped to `[0, 1]`.
+    fn reconstruct(&self, f_hat: &Tensor) -> Result<Frame, CtvcError> {
+        let _span = stage_histograms().render_us.time();
+        let px = self
+            .fr
+            .forward_ctx(f_hat, &self.exec)?
+            .map(|v| v.clamp(0.0, 1.0));
+        Ok(Frame::from_tensor(px)?)
     }
 }
 

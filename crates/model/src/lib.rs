@@ -21,7 +21,10 @@
 //! [`CtvcCodec::intra_workload`] read each layer's channels, kernel and
 //! stride from the operators the modules hold.
 //!
-//! # Substitutions (recorded in `DESIGN.md`)
+//! # Substitutions
+//!
+//! This section is the reproduction's record of where it departs from
+//! the paper; the other crates' docs point here.
 //!
 //! With no training loop available, "learned" weights are replaced by
 //! analytic constructions that make the network a *working* codec:
@@ -35,6 +38,12 @@
 //! quantizer step, and the decoder reconstructs the same mask from the
 //! dequantized latent — the only functionally meaningful reading of an
 //! encoder-side attention mask under fixed weights.
+//!
+//! Two substitutions sit outside this crate. The fixed-point variants
+//! compute in `f32` with fake quantization (`nvc_quant`) instead of
+//! integer arithmetic. The accelerator's energy and area come from
+//! first-principles 28 nm constants in `nvc_sim` instead of a Synopsys
+//! Design Compiler synthesis run.
 //!
 //! # Variants
 //!

@@ -169,9 +169,10 @@ impl FrameReconstructor {
 
 /// Motion-estimation CNN shell (Fig. 2c): `Conv(2N,3,1) → Conv(N,3,1)`.
 ///
-/// Functionally the codec estimates motion by block matching (see
-/// `DESIGN.md`); this module exists so the *encoder-side* compute graph
-/// carries the paper's layers, and its output refines nothing.
+/// Functionally the codec estimates motion by block matching (see the
+/// crate docs, "Substitutions"); this module exists so the
+/// *encoder-side* compute graph carries the paper's layers, and its
+/// output refines nothing.
 #[derive(Debug, Clone)]
 pub struct MotionCnn {
     conv1: LayerOp,

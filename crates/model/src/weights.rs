@@ -1,5 +1,5 @@
 //! Analytic weight constructions — the reproduction's substitute for
-//! trained parameters (see crate docs and `DESIGN.md`).
+//! trained parameters (see the crate docs, "Substitutions").
 
 use nvc_tensor::init::Gaussian;
 use nvc_tensor::ops::{Conv2d, DeConv2d};

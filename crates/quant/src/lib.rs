@@ -18,7 +18,8 @@
 //! is restricted to the representable grid — without re-implementing
 //! integer arithmetic inside every operator; this is the standard software
 //! evaluation methodology for accelerator precision studies and is
-//! recorded as such in `DESIGN.md`.
+//! recorded as a substitution in `nvc_model`'s crate docs
+//! ("Substitutions").
 //!
 //! # Example
 //!

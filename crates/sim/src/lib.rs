@@ -19,8 +19,8 @@
 //! * **Energy/area** — first-principles 28 nm constants (pJ/MAC, pJ/bit
 //!   SRAM, pJ/bit DRAM, gates/multiplier) calibrated so the architecture's
 //!   structural parameters land in the paper's reported class
-//!   (≈3.5 TOPS, ≈0.8 W, ≈5 M gates); see `DESIGN.md` for the
-//!   substitution of the Synopsys DC flow.
+//!   (≈3.5 TOPS, ≈0.8 W, ≈5 M gates); they stand in for the paper's
+//!   Synopsys DC flow (see `nvc_model`'s crate docs, "Substitutions").
 //!
 //! [`comparators`] carries the published reference rows of the paper's
 //! Table II (GPU, CPU, [25], [26]) as clearly-labelled cited constants.

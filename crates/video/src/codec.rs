@@ -10,6 +10,13 @@
 //!   [`DecoderSession::push_packet`] consumes one packet's bytes and
 //!   returns the reconstructed frame.
 //!
+//! A codec's reference need not be pixels (CTVC keeps features), and
+//! nothing an encoder writes depends on the pixels of its own
+//! reconstruction. So pixels come from one function,
+//! [`VideoCodec::reconstruct`], which the decoder runs on every frame
+//! and the encoder only when [`EncoderSession::last_reconstruction`]
+//! asks for it.
+//!
 //! The stream-level protocol — where the header rides, when a rate switch
 //! is signalled, what a join point is, frame-index continuity, the stats
 //! columns — is written once, in [`crate::session`]; a codec implements
@@ -116,8 +123,19 @@ pub trait EncoderSession {
     fn push_frame(&mut self, frame: &Frame) -> Result<Packet, Self::Error>;
 
     /// Decoder-identical reconstruction of the most recently pushed
-    /// frame (the encoder runs its loop closed).
-    fn last_reconstruction(&self) -> Option<&Frame>;
+    /// frame (the encoder runs its loop closed); `None` before the first
+    /// frame.
+    ///
+    /// The encoder renders pixels only when asked: the first call after
+    /// a [`push_frame`](Self::push_frame) runs
+    /// [`VideoCodec::reconstruct`] on the carried reference, and later
+    /// calls return the same frame. A session that is never asked never
+    /// renders.
+    ///
+    /// # Errors
+    ///
+    /// Returns the codec's error if rendering the reference fails.
+    fn last_reconstruction(&self) -> Result<Option<&Frame>, Self::Error>;
 
     /// Number of frames pushed so far.
     fn frames_pushed(&self) -> usize;
@@ -192,16 +210,16 @@ pub trait DecoderSession {
 pub type SectionList = [(Section, Vec<u8>)];
 
 /// One frame as a codec coded it: what [`VideoCodec::encode_frame`]
-/// hands back to the session.
+/// hands back to the session. It carries no pixels: the session renders
+/// the reference through [`VideoCodec::reconstruct`] only if asked.
 #[derive(Debug)]
 pub struct CodedFrame<R> {
     /// The frame's coded sections, in wire order. The session places
     /// them behind any stream header or rate switch.
     pub sections: Vec<(Section, Vec<u8>)>,
-    /// Prediction state the next frame is coded against.
+    /// Prediction state the next frame is coded against, identical to
+    /// what the decoder holds after decoding the frame.
     pub reference: R,
-    /// Decoder-identical reconstruction of the frame.
-    pub reconstruction: Frame,
 }
 
 /// A video codec with streaming encode/decode sessions.
@@ -211,11 +229,12 @@ pub struct CodedFrame<R> {
 /// by a QP). Code generic over this trait works identically with both —
 /// see [`encode_sequence`] and [`decode_bitstream`].
 ///
-/// A codec supplies only what is its own: the bits of its stream header
-/// and how one frame is coded against a reference. Everything about the
-/// *stream* — header placement, in-band rate switches, join points,
-/// frame-index continuity, statistics — is [`StreamEncoder`] /
-/// [`StreamDecoder`], shared by every implementor.
+/// A codec supplies only what is its own: the bits of its stream header,
+/// how one frame is coded against a reference and how a reference is
+/// rendered to pixels. Everything about the *stream* — header placement,
+/// in-band rate switches, join points, frame-index continuity,
+/// statistics — is [`StreamEncoder`] / [`StreamDecoder`], shared by
+/// every implementor.
 pub trait VideoCodec: Sized {
     /// Codec error type. The `From` conversions let stream-level framing
     /// and frame errors surface through the codec's own error.
@@ -288,7 +307,8 @@ pub trait VideoCodec: Sized {
 
     /// Decodes one frame of a `dims.0 × dims.1` stream from the sections
     /// [`VideoCodec::encode_frame`] produced, returning the new
-    /// reference and the reconstruction. Must never panic on untrusted
+    /// reference; the session renders it with
+    /// [`VideoCodec::reconstruct`]. Must never panic on untrusted
     /// sections.
     ///
     /// # Errors
@@ -302,7 +322,16 @@ pub trait VideoCodec: Sized {
         reference: Option<&Self::Reference>,
         dims: (usize, usize),
         rate: Self::Rate,
-    ) -> Result<(Self::Reference, Frame), Self::Error>;
+    ) -> Result<Self::Reference, Self::Error>;
+
+    /// Renders a reference to the pixel frame it stands for: the one
+    /// pixel path of both sessions, so the encoder's reconstruction and
+    /// the decoder's frame are the same function of the same reference.
+    ///
+    /// # Errors
+    ///
+    /// Returns the codec's error if the reference cannot be rendered.
+    fn reconstruct(&self, reference: &Self::Reference) -> Result<Frame, Self::Error>;
 }
 
 /// Result of a generic whole-sequence encode over sessions.
@@ -359,7 +388,7 @@ pub fn encode_sequence_with<C: VideoCodec>(
     for frame in seq.frames() {
         let packet = enc.push_frame(frame)?;
         decoded.push(
-            enc.last_reconstruction()
+            enc.last_reconstruction()?
                 .expect("push_frame succeeded, reconstruction available")
                 .clone(),
         );

@@ -23,6 +23,7 @@ use crate::rate::{RateMode, RateOutcome, RateParam, SessionRateControl};
 use crate::Frame;
 use nvc_entropy::container::{read_sections, FrameKind, Packet, Section, SectionWriter};
 use nvc_telemetry::Histogram;
+use std::cell::OnceCell;
 
 /// Per-frame instrumentation shared by every session of one codec
 /// family: encode/decode wall time and coded bits per frame. Purely
@@ -50,7 +51,9 @@ impl SessionMetrics {
 /// Streaming encoder session of any [`VideoCodec`].
 ///
 /// Carries the closed-loop reference, the stream geometry, the GOP
-/// position and the rate-control state across frames.
+/// position and the rate-control state across frames. Pixels are
+/// rendered from the reference only when
+/// [`last_reconstruction`](EncoderSession::last_reconstruction) asks.
 pub struct StreamEncoder<'a, C: VideoCodec> {
     codec: &'a C,
     control: SessionRateControl<C::Rate>,
@@ -59,9 +62,14 @@ pub struct StreamEncoder<'a, C: VideoCodec> {
     wire_rate: Option<C::Rate>,
     join_headers: bool,
     dims: Option<(usize, usize)>,
+    /// The last pushed frame's reference; `None` before the first frame.
     reference: Option<C::Reference>,
+    /// Set by [`restart_gop`](EncoderSession::restart_gop): the next
+    /// frame is coded intra, whatever `reference` holds.
+    restart: bool,
     gop_position: u32,
-    last_recon: Option<Frame>,
+    /// `reference` rendered to pixels, filled on first request.
+    last_recon: OnceCell<Frame>,
     stats: StreamStats,
 }
 
@@ -76,8 +84,9 @@ impl<'a, C: VideoCodec> StreamEncoder<'a, C> {
             join_headers: false,
             dims: None,
             reference: None,
+            restart: false,
             gop_position: 0,
-            last_recon: None,
+            last_recon: OnceCell::new(),
             stats: StreamStats::default(),
         }
     }
@@ -111,7 +120,8 @@ impl<C: VideoCodec> EncoderSession for StreamEncoder<'_, C> {
             Some(_) => {}
         }
         let index = self.stats.frames as u32;
-        let intra = self.reference.is_none();
+        let predict_from = self.reference.as_ref().filter(|_| !self.restart);
+        let intra = predict_from.is_none();
         let rate = self.control.pick(u64::from(index), intra, w * h);
         let mut sections = SectionWriter::new();
         if index == 0 || (self.join_headers && intra) {
@@ -122,9 +132,7 @@ impl<C: VideoCodec> EncoderSession for StreamEncoder<'_, C> {
             // Legal mid-GOP: the reference chain is untouched.
             sections.push(Section::Rate, vec![rate.to_wire()]);
         }
-        let coded = self
-            .codec
-            .encode_frame(frame, self.reference.as_ref(), rate)?;
+        let coded = self.codec.encode_frame(frame, predict_from, rate)?;
         let mut coded_bytes = 0;
         for (section, payload) in coded.sections {
             coded_bytes += payload.len();
@@ -139,7 +147,8 @@ impl<C: VideoCodec> EncoderSession for StreamEncoder<'_, C> {
         };
         self.wire_rate = Some(rate);
         self.reference = Some(coded.reference);
-        self.last_recon = Some(coded.reconstruction);
+        self.restart = false;
+        self.last_recon = OnceCell::new();
         let packet = Packet::new(index, kind, sections.finish());
         let bits = packet.encoded_len() as u64 * 8;
         metrics.frame_bits.record(bits);
@@ -155,8 +164,15 @@ impl<C: VideoCodec> EncoderSession for StreamEncoder<'_, C> {
         Ok(packet)
     }
 
-    fn last_reconstruction(&self) -> Option<&Frame> {
-        self.last_recon.as_ref()
+    fn last_reconstruction(&self) -> Result<Option<&Frame>, C::Error> {
+        let Some(reference) = &self.reference else {
+            return Ok(None);
+        };
+        if let Some(frame) = self.last_recon.get() {
+            return Ok(Some(frame));
+        }
+        let frame = self.codec.reconstruct(reference)?;
+        Ok(Some(self.last_recon.get_or_init(|| frame)))
     }
 
     fn frames_pushed(&self) -> usize {
@@ -164,7 +180,7 @@ impl<C: VideoCodec> EncoderSession for StreamEncoder<'_, C> {
     }
 
     fn restart_gop(&mut self) {
-        self.reference = None;
+        self.restart = true;
         self.gop_position = 0;
     }
 
@@ -303,13 +319,14 @@ impl<C: VideoCodec> DecoderSession for StreamDecoder<'_, C> {
                 (OpenStream { rate, ..*open }, rest)
             }
         };
-        let (reference, frame) = self.codec.decode_frame(
+        let reference = self.codec.decode_frame(
             packet.kind,
             rest,
             self.reference.as_ref(),
             open.dims,
             open.rate,
         )?;
+        let frame = self.codec.reconstruct(&reference)?;
         self.reference = Some(reference);
         self.stream = Some(OpenStream {
             next_index: open.next_index.wrapping_add(1),

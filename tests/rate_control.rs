@@ -71,7 +71,7 @@ fn mid_gop_rate_switch_is_bit_exact_on_both_families() {
     let mut recons = Vec::new();
     for frame in seq.frames() {
         packets.push(enc.push_frame(frame).unwrap().to_bytes());
-        recons.push(enc.last_reconstruction().unwrap().clone());
+        recons.push(enc.last_reconstruction().unwrap().unwrap().clone());
     }
     let stats = enc.finish().unwrap();
     assert_eq!(stats.rate_per_frame, schedule);
@@ -110,7 +110,7 @@ fn mid_gop_rate_switch_is_bit_exact_on_both_families() {
     let mut recons = Vec::new();
     for frame in seq.frames() {
         packets.push(enc.push_frame(frame).unwrap().to_bytes());
-        recons.push(enc.last_reconstruction().unwrap().clone());
+        recons.push(enc.last_reconstruction().unwrap().unwrap().clone());
     }
     let stats = enc.finish().unwrap();
     assert_eq!(stats.rate_per_frame, qps);
