@@ -7,7 +7,7 @@
 //! are wrappers over the sessions.
 
 use crate::dct::{self, BS};
-use crate::plane::Plane;
+use crate::plane::{PaddedPlane, Plane};
 use crate::Profile;
 use nvc_core::ExecCtx;
 use nvc_entropy::container::{FrameKind, Section};
@@ -97,6 +97,13 @@ impl Models {
             mv_offset,
         }
     }
+}
+
+/// Wall time of phase 1 of every P-frame encode (the motion search and
+/// skip decisions), global like the `nvc_ctvc_*_us` stage histograms.
+fn motion_search_us() -> &'static nvc_telemetry::Histogram {
+    static HIST: OnceLock<nvc_telemetry::Histogram> = OnceLock::new();
+    HIST.get_or_init(|| nvc_telemetry::histogram("nvc_hybrid_motion_search_us"))
 }
 
 const DC_CLAMP: i32 = 512;
@@ -237,7 +244,7 @@ impl HybridCodec {
                     let mut coef = dct::forward(&block);
                     coef[0] -= pred * BS as f32; // orthonormal DC gain is 8
                     let q = dct::quantize(&coef, step);
-                    code_block(rc, models, q, true);
+                    code_block(rc, models, q);
                     let mut dq = dct::dequantize(&q, step);
                     dq[0] += pred * BS as f32;
                     let rec = dct::inverse(&dq);
@@ -259,7 +266,7 @@ impl HybridCodec {
             for by in (0..h).step_by(BS) {
                 for bx in (0..w).step_by(BS) {
                     let pred = intra_dc_pred(plane, by, bx);
-                    let q = decode_block(rc, models, true);
+                    let q = decode_block(rc, models);
                     let mut dq = dct::dequantize(&q, step);
                     dq[0] += pred * BS as f32;
                     let rec = dct::inverse(&dq);
@@ -284,29 +291,12 @@ impl HybridCodec {
         let mb = self.profile.mc_block;
         let cur_luma = Self::luma(planes);
         let ref_luma = Self::luma(reference);
-
-        // Phase 1 — motion decisions. Every block's full search and skip
-        // test read only the two fixed luma planes, so they fan out over
-        // the worker pool; entropy coding stays strictly sequential in
-        // phase 2 and consumes the decisions in raster order, producing
-        // the same bitstream for every thread count.
-        let block_coords: Vec<(usize, usize)> = (0..h)
-            .step_by(mb)
-            .flat_map(|by| (0..w).step_by(mb).map(move |bx| (by, bx)))
-            .collect();
-        let mut decisions = vec![(0_i32, 0_i32, false); block_coords.len()];
-        self.exec.par_chunks_mut(&mut decisions, 1, |bi, d| {
-            let (by, bx) = block_coords[bi];
-            let bs = mb.min(h - by).min(w - bx); // effective block (edges)
-            let (mv_y, mv_x) = self.search_motion(&cur_luma, &ref_luma, by, bx, bs);
-            // Skip decision: zero MV and small prediction error.
-            let sad0 = cur_luma.sad(by, bx, bs, &ref_luma, by as isize * 2, bx as isize * 2);
-            let skip = mv_y == 0 && mv_x == 0 && sad0 / (bs * bs) as f64 <= 0.6 * step as f64;
-            d[0] = (mv_y, mv_x, skip);
-        });
+        let search = motion_search_us().time();
+        let decisions = self.motion_decisions(&cur_luma, &ref_luma, step);
+        drop(search);
 
         // Phase 2 — sequential transform coding and reconstruction.
-        for (&(by, bx), &(mv_y, mv_x, skip)) in block_coords.iter().zip(&decisions) {
+        for (&(by, bx), &(mv_y, mv_x, skip)) in block_coords(w, h, mb).iter().zip(&decisions) {
             let bs = mb.min(h - by).min(w - bx);
             encode_sym(rc, &mut models.skip, u32::from(skip));
             if skip {
@@ -333,7 +323,7 @@ impl HybridCodec {
                         }
                         let coef = dct::forward(&resid);
                         let q = dct::quantize(&coef, step);
-                        code_block(rc, models, q, false);
+                        code_block(rc, models, q);
                         let dq = dct::dequantize(&q, step);
                         let rec = dct::inverse(&dq);
                         let mut out = [0.0_f32; BS * BS];
@@ -376,7 +366,7 @@ impl HybridCodec {
                         for sx in (0..bs).step_by(BS) {
                             let (oy, ox) = (by + sy, bx + sx);
                             let pred = read_block(&recon[c], oy, ox);
-                            let q = decode_block(rc, models, false);
+                            let q = decode_block(rc, models);
                             let dq = dct::dequantize(&q, step);
                             let rec = dct::inverse(&dq);
                             let mut out = [0.0_f32; BS * BS];
@@ -391,32 +381,70 @@ impl HybridCodec {
         }
     }
 
+    /// Phase 1 of a P-frame encode: each motion block's half-pel MV and
+    /// skip flag, in raster block order. Every block's search and skip
+    /// test read only the two fixed luma planes, so they fan out over the
+    /// worker pool; entropy coding stays strictly sequential in phase 2
+    /// and consumes the decisions in raster order, producing the same
+    /// bitstream for every thread count.
+    fn motion_decisions(&self, cur: &Plane, reference: &Plane, step: f32) -> Vec<(i32, i32, bool)> {
+        let (w, h) = (cur.width(), cur.height());
+        let mb = self.profile.mc_block;
+        let r = self.profile.search_range.max(0);
+        // A ±r full-pel candidate reads rows and columns up to r outside
+        // the plane, and its half-pel neighbours one further.
+        let padded = PaddedPlane::new(reference, r as usize + 2);
+        let coords = block_coords(w, h, mb);
+        let mut decisions = vec![(0_i32, 0_i32, false); coords.len()];
+        // Work is samples read. Summed in full, the (2r + 1)² full-pel
+        // candidates would read every sample of the plane that many
+        // times, but the early exit reads only about half of the
+        // candidate rows (0.49–0.51 for the HEVC-like profile, 0.62–0.65
+        // for the AVC-like one, on `hevc_b_like` clips at 64×48 and
+        // 128×96). The half-pel refinement's nine candidates read 25
+        // samples per pixel, the skip test one.
+        let candidates = (2 * r as u64 + 1).pow(2);
+        let refinement = if self.profile.half_pel { 25 } else { 0 };
+        let work = (h * w) as u64 * (candidates / 2 + refinement + 1);
+        self.exec
+            .par_chunks_mut_gated(&mut decisions, 1, work, |bi, d| {
+                let (by, bx) = coords[bi];
+                let at = (by, bx, mb.min(h - by).min(w - bx)); // effective block (edges)
+                let (mv_y, mv_x) = self.search_motion(cur, &padded, at);
+                // Skip decision: zero MV and small prediction error. The
+                // search may have dropped the zero candidate early, so its
+                // SAD is summed here in full.
+                let bs = at.2;
+                let sad0 = block_sad(cur, &padded, at, (0, 0));
+                let skip = mv_y == 0 && mv_x == 0 && sad0 / (bs * bs) as f64 <= 0.6 * step as f64;
+                d[0] = (mv_y, mv_x, skip);
+            });
+        decisions
+    }
+
     /// Full-search (optionally half-pel-refined) motion estimation on the
-    /// luma plane. Returns the MV in half-pel units.
-    fn search_motion(
-        &self,
-        cur: &Plane,
-        reference: &Plane,
-        by: usize,
-        bx: usize,
-        bs: usize,
-    ) -> (i32, i32) {
+    /// luma plane for the block `at = (by, bx, bs)`, over `reference`
+    /// padded by at least `search_range + 2`. Returns the MV in half-pel
+    /// units.
+    ///
+    /// Candidates are visited in raster order and a candidate replaces
+    /// the best only at a strictly lower cost, so ties go to the first.
+    /// [`candidate_cost`] drops a candidate once it cannot win, which
+    /// leaves the result bit-identical to summing every candidate in
+    /// full.
+    fn search_motion(&self, cur: &Plane, reference: &PaddedPlane, at: Block) -> (i32, i32) {
         let r = self.profile.search_range;
         let mut best = (0_i32, 0_i32);
         let mut best_cost = f64::INFINITY;
         for dy in -r..=r {
             for dx in -r..=r {
-                let cost = cur.sad(
-                    by,
-                    bx,
-                    bs,
-                    reference,
-                    (by as i32 + dy) as isize * 2,
-                    (bx as i32 + dx) as isize * 2,
-                ) + 0.01 * (dy.abs() + dx.abs()) as f64; // small MV-rate bias
-                if cost < best_cost {
-                    best_cost = cost;
-                    best = (dy * 2, dx * 2);
+                let pen = 0.01 * (dy.abs() + dx.abs()) as f64; // small MV-rate bias
+                let mv = (dy as isize * 2, dx as isize * 2);
+                if let Some(cost) = candidate_cost(cur, reference, at, mv, pen, best_cost) {
+                    if cost < best_cost {
+                        best_cost = cost;
+                        best = (dy * 2, dx * 2);
+                    }
                 }
             }
         }
@@ -425,17 +453,12 @@ impl HybridCodec {
             for dy in -1..=1_i32 {
                 for dx in -1..=1_i32 {
                     let cand = (cy + dy, cx + dx);
-                    let cost = cur.sad(
-                        by,
-                        bx,
-                        bs,
-                        reference,
-                        by as isize * 2 + cand.0 as isize,
-                        bx as isize * 2 + cand.1 as isize,
-                    );
-                    if cost < best_cost {
-                        best_cost = cost;
-                        best = cand;
+                    let mv = (cand.0 as isize, cand.1 as isize);
+                    if let Some(cost) = candidate_cost(cur, reference, at, mv, 0.0, best_cost) {
+                        if cost < best_cost {
+                            best_cost = cost;
+                            best = cand;
+                        }
                     }
                 }
             }
@@ -444,6 +467,62 @@ impl HybridCodec {
         let off = 2 * r;
         (best.0.clamp(-off, off), best.1.clamp(-off, off))
     }
+}
+
+/// A motion block `(by, bx, bs)`: its top-left sample and its effective
+/// (edge-clipped) size; always inside the plane.
+type Block = (usize, usize, usize);
+
+/// The top-left samples of the `mb × mb` motion blocks of a `w × h`
+/// plane, in raster order.
+fn block_coords(w: usize, h: usize, mb: usize) -> Vec<(usize, usize)> {
+    (0..h)
+        .step_by(mb)
+        .flat_map(|by| (0..w).step_by(mb).map(move |bx| (by, bx)))
+        .collect()
+}
+
+/// The SAD of block `at` of `cur` against `reference` displaced by the
+/// half-pel vector `mv`, summed in full in raster order: bit-identical
+/// to [`Plane::sad`] at the same position.
+fn block_sad(cur: &Plane, reference: &PaddedPlane, (by, bx, bs): Block, mv: (isize, isize)) -> f64 {
+    let w = cur.width();
+    (by..by + bs).fold(0.0, |acc, y| {
+        let row = &cur.as_slice()[y * w + bx..][..bs];
+        reference.add_row_sad(acc, row, 2 * y as isize + mv.0, 2 * bx as isize + mv.1)
+    })
+}
+
+/// [`block_sad`] plus `pen`, or `None` after the first row at which the
+/// running `acc + pen >= bound`.
+///
+/// The early exit is exact: a candidate it drops could never have won
+/// the caller's `cost < bound`. Each remaining term is `≥ 0` (or NaN),
+/// and under round-to-nearest `fl(acc + t) >= acc` for `t >= 0`, so the
+/// running sum never decreases; `fl(a + pen)` is monotone in `a`, so the
+/// finished cost is `>= bound` too. A NaN anywhere makes the comparison
+/// false on this path and on the caller's alike, so NaN costs are never
+/// dropped early and never win. Kept candidates return the same bits the
+/// full raster-order sum plus `pen` produces (`acc` is never `-0.0`, so
+/// a `pen` of `0.0` adds nothing).
+fn candidate_cost(
+    cur: &Plane,
+    reference: &PaddedPlane,
+    (by, bx, bs): Block,
+    mv: (isize, isize),
+    pen: f64,
+    bound: f64,
+) -> Option<f64> {
+    let w = cur.width();
+    let mut acc = 0.0_f64;
+    for y in by..by + bs {
+        let row = &cur.as_slice()[y * w + bx..][..bs];
+        acc = reference.add_row_sad(acc, row, 2 * y as isize + mv.0, 2 * bx as isize + mv.1);
+        if acc + pen >= bound {
+            return None;
+        }
+    }
+    Some(acc + pen)
 }
 
 /// Streaming encoder session for [`HybridCodec`]: the shared
@@ -665,7 +744,7 @@ fn decode_sym(rc: &mut RangeDecoder, model: &mut Histogram) -> u32 {
 
 /// Codes one quantized block: DC symbol, last-significant index, then the
 /// AC values up to `last` in zig-zag order.
-fn code_block(rc: &mut RangeEncoder, models: &mut Models, q: [i32; BS * BS], _intra: bool) {
+fn code_block(rc: &mut RangeEncoder, models: &mut Models, q: [i32; BS * BS]) {
     let order = dct::zigzag_order();
     let dc = q[0].clamp(-DC_CLAMP, DC_CLAMP);
     encode_sym(rc, &mut models.dc, (dc + DC_CLAMP) as u32);
@@ -683,7 +762,7 @@ fn code_block(rc: &mut RangeEncoder, models: &mut Models, q: [i32; BS * BS], _in
     }
 }
 
-fn decode_block(rc: &mut RangeDecoder, models: &mut Models, _intra: bool) -> [i32; BS * BS] {
+fn decode_block(rc: &mut RangeDecoder, models: &mut Models) -> [i32; BS * BS] {
     let order = dct::zigzag_order();
     let mut q = [0_i32; BS * BS];
     q[0] = decode_sym(rc, &mut models.dc) as i32 - DC_CLAMP;
@@ -734,6 +813,222 @@ mod tests {
 
     fn test_seq(frames: usize) -> Sequence {
         Synthesizer::new(SceneConfig::uvg_like(64, 48, frames)).generate()
+    }
+
+    /// The search the fast one answers to: every sample of every
+    /// candidate through [`Plane::sad`], no early exit.
+    fn reference_search(
+        profile: &Profile,
+        cur: &Plane,
+        reference: &Plane,
+        (by, bx, bs): Block,
+    ) -> (i32, i32) {
+        let r = profile.search_range;
+        let mut best = (0_i32, 0_i32);
+        let mut best_cost = f64::INFINITY;
+        for dy in -r..=r {
+            for dx in -r..=r {
+                let cost = cur.sad(
+                    by,
+                    bx,
+                    bs,
+                    reference,
+                    (by as i32 + dy) as isize * 2,
+                    (bx as i32 + dx) as isize * 2,
+                ) + 0.01 * (dy.abs() + dx.abs()) as f64;
+                if cost < best_cost {
+                    best_cost = cost;
+                    best = (dy * 2, dx * 2);
+                }
+            }
+        }
+        if profile.half_pel {
+            let (cy, cx) = best;
+            for dy in -1..=1_i32 {
+                for dx in -1..=1_i32 {
+                    let cand = (cy + dy, cx + dx);
+                    let cost = cur.sad(
+                        by,
+                        bx,
+                        bs,
+                        reference,
+                        by as isize * 2 + cand.0 as isize,
+                        bx as isize * 2 + cand.1 as isize,
+                    );
+                    if cost < best_cost {
+                        best_cost = cost;
+                        best = cand;
+                    }
+                }
+            }
+        }
+        let off = 2 * r;
+        (best.0.clamp(-off, off), best.1.clamp(-off, off))
+    }
+
+    /// Phase 1 through [`reference_search`] and a scalar skip SAD, at
+    /// each of `steps`.
+    fn reference_decisions(
+        profile: &Profile,
+        cur: &Plane,
+        reference: &Plane,
+        steps: &[f32],
+    ) -> Vec<Vec<(i32, i32, bool)>> {
+        let (w, h) = (cur.width(), cur.height());
+        let mb = profile.mc_block;
+        let searched: Vec<(i32, i32, f64)> = block_coords(w, h, mb)
+            .into_iter()
+            .map(|(by, bx)| {
+                let bs = mb.min(h - by).min(w - bx);
+                let (mv_y, mv_x) = reference_search(profile, cur, reference, (by, bx, bs));
+                let sad0 = cur.sad(by, bx, bs, reference, by as isize * 2, bx as isize * 2);
+                (mv_y, mv_x, sad0 / (bs * bs) as f64)
+            })
+            .collect();
+        steps
+            .iter()
+            .map(|&step| {
+                searched
+                    .iter()
+                    .map(|&(mv_y, mv_x, mean0)| {
+                        (
+                            mv_y,
+                            mv_x,
+                            mv_y == 0 && mv_x == 0 && mean0 <= 0.6 * step as f64,
+                        )
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// xorshift64*: a seeded plane generator without a dependency.
+    fn noise(seed: u64) -> impl FnMut() -> f32 {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            let bits = state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 40;
+            bits as f32 / (1u64 << 24) as f32
+        }
+    }
+
+    /// `(name, cur, reference)` planes the sweep searches: textured (the
+    /// reference shifted by (2, −1) plus noise, so there is a true
+    /// optimum); flat and unequal (the edge-replicated border costs what
+    /// the plane does, so every candidate's SAD ties and the bias and
+    /// raster order decide); flat and equal (every block skips); signed
+    /// zeros mixed into a sparse texture; and a texture with NaN and ±∞
+    /// samples.
+    fn sweep_planes(w: usize, h: usize, seed: u64) -> Vec<(&'static str, Plane, Plane)> {
+        let mut next = noise(seed);
+        let base: Vec<f32> = (0..w * h).map(|_| next()).collect();
+        let shifted = (0..w * h)
+            .map(|i| {
+                let (y, x) = (i / w + 2, (i % w) as isize - 1);
+                let r = if y < h && x >= 0 {
+                    base[y * w + x as usize]
+                } else {
+                    0.3
+                };
+                r + 0.05 * next()
+            })
+            .collect();
+        let flat = |v| Plane::from_vec(w, h, vec![v; w * h]);
+        let picked = |salt: u64, special: [f32; 2]| {
+            let mut pick = noise(seed ^ salt);
+            let data = (0..w * h)
+                .map(|_| match pick() {
+                    v if v < 0.4 => special[0],
+                    v if v < 0.8 => special[1],
+                    v => v - 0.8,
+                })
+                .collect();
+            Plane::from_vec(w, h, data)
+        };
+        let mut wild = base.clone();
+        for (i, v) in wild.iter_mut().enumerate() {
+            match i % 37 {
+                5 => *v = f32::NAN,
+                11 => *v = f32::INFINITY,
+                23 => *v = f32::NEG_INFINITY,
+                _ => {}
+            }
+        }
+        vec![
+            (
+                "textured",
+                Plane::from_vec(w, h, shifted),
+                Plane::from_vec(w, h, base.clone()),
+            ),
+            ("flat", flat(0.25), flat(1.0)),
+            ("flat equal", flat(0.5), flat(0.5)),
+            (
+                "signed zeros",
+                picked(1, [0.0, -0.0]),
+                picked(2, [-0.0, 0.0]),
+            ),
+            (
+                "non-finite",
+                Plane::from_vec(w, h, base),
+                Plane::from_vec(w, h, wild),
+            ),
+        ]
+    }
+
+    #[test]
+    fn fast_search_matches_the_scalar_reference_bit_for_bit() {
+        // (w, h, mc_block, search_range): block multiples and not, ranges
+        // at and beyond the plane size, and planes large enough to fan
+        // out.
+        let geometries = [
+            (64, 48, 8, 12),
+            (52, 38, 16, 8),
+            (19, 13, 8, 3),
+            (7, 10, 4, 12),
+            (6, 5, 8, 6),
+            (32, 24, 16, 8),
+            (9, 9, 8, 0),
+        ];
+        let steps = [dct::qp_to_step(20), dct::qp_to_step(44)];
+        // The sweep must reach every kind of decision: skips, full-pel
+        // and half-pel vectors.
+        let (mut skips, mut moved, mut half) = (0, 0, 0);
+        for (seed, &(w, h, mc_block, search_range)) in geometries.iter().enumerate() {
+            for (name, cur, reference) in sweep_planes(w, h, seed as u64 + 1) {
+                for half_pel in [false, true] {
+                    let profile = Profile {
+                        name: "sweep",
+                        mc_block,
+                        search_range,
+                        half_pel,
+                        deblock: false,
+                    };
+                    let expected = reference_decisions(&profile, &cur, &reference, &steps);
+                    for (step, expected) in steps.into_iter().zip(expected) {
+                        for &(mv_y, mv_x, skip) in &expected {
+                            skips += usize::from(skip);
+                            moved += usize::from((mv_y, mv_x) != (0, 0));
+                            half += usize::from(mv_y % 2 != 0 || mv_x % 2 != 0);
+                        }
+                        for workers in [1, 2, 7] {
+                            let codec = HybridCodec::with_threads(profile.clone(), workers);
+                            assert_eq!(
+                                codec.motion_decisions(&cur, &reference, step),
+                                expected,
+                                "{name} {w}x{h}, block {mc_block}, range {search_range}, \
+                                 half-pel {half_pel}, step {step}, {workers} workers"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            skips > 0 && moved > half && half > 0,
+            "sweep decisions: {skips} skips, {moved} non-zero vectors, {half} half-pel"
+        );
     }
 
     #[test]

@@ -1,5 +1,11 @@
 //! 8×8 DCT-II / DCT-III transform pair, dead-zone quantization and zig-zag
 //! scanning — the transform toolbox of the classical hybrid codec.
+//!
+//! The basis and the scan order are tables built once per process, on
+//! first use, by `dct_basis` and `scan_order`; the tests hold every
+//! entry, and every transform, to those expressions bit for bit.
+
+use std::sync::OnceLock;
 
 /// Transform block size.
 pub const BS: usize = 8;
@@ -14,15 +20,24 @@ fn dct_basis(u: usize, x: usize) -> f32 {
     scale * ((std::f32::consts::PI * (x as f32 + 0.5) * u as f32) / n).cos()
 }
 
+/// `dct_basis(u, x)` at `[u * BS + x]`. The `f32::cos` of `dct_basis`
+/// comes from the host's libm, so the table (and every coded stream) is
+/// libm-dependent.
+fn basis() -> &'static [f32; BS * BS] {
+    static BASIS: OnceLock<[f32; BS * BS]> = OnceLock::new();
+    BASIS.get_or_init(|| std::array::from_fn(|i| dct_basis(i / BS, i % BS)))
+}
+
 /// Forward 8×8 DCT-II (orthonormal) of a row-major block.
 pub fn forward(block: &[f32; BS * BS]) -> [f32; BS * BS] {
+    let b = basis();
     let mut tmp = [0.0_f32; BS * BS];
     // Rows.
     for y in 0..BS {
         for u in 0..BS {
             let mut acc = 0.0;
             for x in 0..BS {
-                acc += block[y * BS + x] * dct_basis(u, x);
+                acc += block[y * BS + x] * b[u * BS + x];
             }
             tmp[y * BS + u] = acc;
         }
@@ -33,7 +48,7 @@ pub fn forward(block: &[f32; BS * BS]) -> [f32; BS * BS] {
         for u in 0..BS {
             let mut acc = 0.0;
             for y in 0..BS {
-                acc += tmp[y * BS + u] * dct_basis(v, y);
+                acc += tmp[y * BS + u] * b[v * BS + y];
             }
             out[v * BS + u] = acc;
         }
@@ -43,13 +58,14 @@ pub fn forward(block: &[f32; BS * BS]) -> [f32; BS * BS] {
 
 /// Inverse 8×8 DCT (DCT-III, orthonormal).
 pub fn inverse(coef: &[f32; BS * BS]) -> [f32; BS * BS] {
+    let b = basis();
     let mut tmp = [0.0_f32; BS * BS];
     // Columns.
     for u in 0..BS {
         for y in 0..BS {
             let mut acc = 0.0;
             for v in 0..BS {
-                acc += coef[v * BS + u] * dct_basis(v, y);
+                acc += coef[v * BS + u] * b[v * BS + y];
             }
             tmp[y * BS + u] = acc;
         }
@@ -60,7 +76,7 @@ pub fn inverse(coef: &[f32; BS * BS]) -> [f32; BS * BS] {
         for x in 0..BS {
             let mut acc = 0.0;
             for u in 0..BS {
-                acc += tmp[y * BS + u] * dct_basis(u, x);
+                acc += tmp[y * BS + u] * b[u * BS + x];
             }
             out[y * BS + x] = acc;
         }
@@ -95,7 +111,12 @@ pub fn dequantize(q: &[i32; BS * BS], step: f32) -> [f32; BS * BS] {
 }
 
 /// The standard 8×8 zig-zag scan order (JPEG/H.26x).
-pub fn zigzag_order() -> [usize; BS * BS] {
+pub fn zigzag_order() -> &'static [usize; BS * BS] {
+    static ORDER: OnceLock<[usize; BS * BS]> = OnceLock::new();
+    ORDER.get_or_init(scan_order)
+}
+
+fn scan_order() -> [usize; BS * BS] {
     let mut order = [0usize; BS * BS];
     let mut idx = 0;
     for s in 0..(2 * BS - 1) {
@@ -121,6 +142,84 @@ pub fn zigzag_order() -> [usize; BS * BS] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The transform pair with `dct_basis` evaluated on the spot at every
+    /// multiply-add: the reference the basis table answers to.
+    fn forward_on_the_spot(block: &[f32; BS * BS]) -> [f32; BS * BS] {
+        let mut tmp = [0.0_f32; BS * BS];
+        for y in 0..BS {
+            for u in 0..BS {
+                let mut acc = 0.0;
+                for x in 0..BS {
+                    acc += block[y * BS + x] * dct_basis(u, x);
+                }
+                tmp[y * BS + u] = acc;
+            }
+        }
+        let mut out = [0.0_f32; BS * BS];
+        for v in 0..BS {
+            for u in 0..BS {
+                let mut acc = 0.0;
+                for y in 0..BS {
+                    acc += tmp[y * BS + u] * dct_basis(v, y);
+                }
+                out[v * BS + u] = acc;
+            }
+        }
+        out
+    }
+
+    fn inverse_on_the_spot(coef: &[f32; BS * BS]) -> [f32; BS * BS] {
+        let mut tmp = [0.0_f32; BS * BS];
+        for u in 0..BS {
+            for y in 0..BS {
+                let mut acc = 0.0;
+                for v in 0..BS {
+                    acc += coef[v * BS + u] * dct_basis(v, y);
+                }
+                tmp[y * BS + u] = acc;
+            }
+        }
+        let mut out = [0.0_f32; BS * BS];
+        for y in 0..BS {
+            for x in 0..BS {
+                let mut acc = 0.0;
+                for u in 0..BS {
+                    acc += tmp[y * BS + u] * dct_basis(u, x);
+                }
+                out[y * BS + x] = acc;
+            }
+        }
+        out
+    }
+
+    fn bits(block: &[f32; BS * BS]) -> Vec<u32> {
+        block.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn cached_tables_match_the_on_the_spot_expressions() {
+        for (i, &v) in basis().iter().enumerate() {
+            assert_eq!(
+                v.to_bits(),
+                dct_basis(i / BS, i % BS).to_bits(),
+                "basis[{i}]"
+            );
+        }
+        // Smooth and rough blocks, signed zeros and quantized levels.
+        let mut blocks: Vec<[f32; BS * BS]> = (0..16).map(|s| sample_block(s as f32)).collect();
+        blocks.push(std::array::from_fn(|i| if i % 3 == 0 { -0.0 } else { 0.0 }));
+        blocks.push(std::array::from_fn(|i| (i as f32 * 1.37).sin() * 300.0));
+        blocks.push(dequantize(
+            &quantize(&forward(&sample_block(9.0)), 0.03),
+            0.03,
+        ));
+        for block in &blocks {
+            assert_eq!(bits(&forward(block)), bits(&forward_on_the_spot(block)));
+            assert_eq!(bits(&inverse(block)), bits(&inverse_on_the_spot(block)));
+        }
+        assert_eq!(zigzag_order(), &scan_order());
+    }
 
     fn sample_block(seed: f32) -> [f32; 64] {
         let mut b = [0.0_f32; 64];
@@ -193,7 +292,7 @@ mod tests {
     fn zigzag_is_a_permutation() {
         let order = zigzag_order();
         let mut seen = [false; 64];
-        for &i in &order {
+        for &i in order {
             assert!(!seen[i], "duplicate index {i}");
             seen[i] = true;
         }

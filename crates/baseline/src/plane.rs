@@ -1,5 +1,6 @@
 //! Single-channel image plane with the sampling helpers a block codec
-//! needs (clamped access, SAD, half-pel interpolation).
+//! needs (clamped access, half-pel interpolation), and the edge-padded
+//! copy the motion search reads.
 
 /// A `w × h` plane of `f32` samples in display order.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,8 +102,12 @@ impl Plane {
     }
 
     /// Sum of absolute differences between a `bs × bs` block at `(y, x)`
-    /// in `self` and the block at half-pel position `(ry2, rx2)` in `reference`.
-    pub fn sad(
+    /// in `self` and the block at half-pel position `(ry2, rx2)` in
+    /// `reference`, sample by sample through [`Plane::at_half_pel`]: the
+    /// scalar reference the motion search's tests hold
+    /// [`PaddedPlane::add_row_sad`] to.
+    #[cfg(test)]
+    pub(crate) fn sad(
         &self,
         y: usize,
         x: usize,
@@ -117,6 +122,75 @@ impl Plane {
                 let cur = self.at_clamped((y + by) as isize, (x + bx) as isize);
                 let r = reference.at_half_pel(ry2 + 2 * by as isize, rx2 + 2 * bx as isize);
                 acc += (cur - r).abs() as f64;
+            }
+        }
+        acc
+    }
+}
+
+/// A [`Plane`] edge-replicated by `pad` samples on every side, so that a
+/// block search reads whole, contiguous row slices. Every sample within
+/// the margin equals [`Plane::at_clamped`] at the same coordinates.
+#[derive(Debug)]
+pub(crate) struct PaddedPlane {
+    data: Vec<f32>,
+    stride: usize,
+    pad: usize,
+}
+
+impl PaddedPlane {
+    pub(crate) fn new(plane: &Plane, pad: usize) -> Self {
+        let (w, h) = (plane.w, plane.h);
+        let stride = w + 2 * pad;
+        let mut data = Vec::with_capacity(stride * (h + 2 * pad));
+        for y in 0..h + 2 * pad {
+            let row = &plane.data[y.saturating_sub(pad).min(h - 1) * w..][..w];
+            data.extend(std::iter::repeat_n(row[0], pad));
+            data.extend_from_slice(row);
+            data.extend(std::iter::repeat_n(row[w - 1], pad));
+        }
+        PaddedPlane { data, stride, pad }
+    }
+
+    /// The `len` samples of row `y` from column `x`, in plane
+    /// coordinates that may lie up to `pad` outside the plane.
+    fn row(&self, y: isize, x: isize, len: usize) -> &[f32] {
+        let at = (y + self.pad as isize) as usize * self.stride + (x + self.pad as isize) as usize;
+        &self.data[at..at + len]
+    }
+
+    /// `acc` plus `|c − r| as f64` for each sample `c` of `cur`, in order,
+    /// where `r` is this plane at half-pel position `(y2, x2 + 2i)` for
+    /// `cur[i]`. `r` is [`Plane::at_half_pel`]'s expression for the
+    /// position's parity, term for term, so the sum is bit-identical to
+    /// [`Plane::sad`]'s over the same samples.
+    pub(crate) fn add_row_sad(&self, mut acc: f64, cur: &[f32], y2: isize, x2: isize) -> f64 {
+        let (iy, fy) = (y2.div_euclid(2), y2.rem_euclid(2));
+        let (ix, fx) = (x2.div_euclid(2), x2.rem_euclid(2));
+        let n = cur.len();
+        match (fy, fx) {
+            (0, 0) => {
+                for (&c, &r) in cur.iter().zip(self.row(iy, ix, n)) {
+                    acc += (c - r).abs() as f64;
+                }
+            }
+            (0, _) => {
+                let r0 = self.row(iy, ix, n + 1);
+                for (&c, r) in cur.iter().zip(r0.windows(2)) {
+                    acc += (c - 0.5 * (r[0] + r[1])).abs() as f64;
+                }
+            }
+            (_, 0) => {
+                let (r0, r1) = (self.row(iy, ix, n), self.row(iy + 1, ix, n));
+                for ((&c, &a), &b) in cur.iter().zip(r0).zip(r1) {
+                    acc += (c - 0.5 * (a + b)).abs() as f64;
+                }
+            }
+            _ => {
+                let (r0, r1) = (self.row(iy, ix, n + 1), self.row(iy + 1, ix, n + 1));
+                for ((&c, a), b) in cur.iter().zip(r0.windows(2)).zip(r1.windows(2)) {
+                    acc += (c - 0.25 * (a[0] + a[1] + b[0] + b[1])).abs() as f64;
+                }
             }
         }
         acc
@@ -160,6 +234,39 @@ mod tests {
         // Shift by one column: |Δ| = 1 per sample.
         let sad = p.sad(0, 0, 4, &p, 0, 2);
         assert_eq!(sad, 16.0);
+    }
+
+    #[test]
+    fn padding_replicates_the_edges() {
+        let p = ramp(5, 3);
+        let padded = PaddedPlane::new(&p, 4);
+        for y in -4..7_isize {
+            let row = padded.row(y, -4, 13);
+            for (x, &v) in (-4..9_isize).zip(row) {
+                assert_eq!(v, p.at_clamped(y, x), "({y}, {x})");
+            }
+        }
+    }
+
+    #[test]
+    fn padded_row_sad_matches_the_scalar_sad_at_every_parity() {
+        let p = Plane::from_vec(6, 5, (0..30).map(|i| ((i * 7) % 11) as f32 * 0.3).collect());
+        let cur = ramp(6, 5);
+        let padded = PaddedPlane::new(&p, 3);
+        for ry2 in -7..6_isize {
+            for rx2 in -7..6_isize {
+                let want = cur.sad(1, 2, 3, &p, ry2 + 2, rx2 + 4);
+                let got = (1..4).fold(0.0, |acc, y| {
+                    padded.add_row_sad(
+                        acc,
+                        &cur.as_slice()[y * 6 + 2..][..3],
+                        2 * y as isize + ry2,
+                        4 + rx2,
+                    )
+                });
+                assert_eq!(got.to_bits(), want.to_bits(), "({ry2}, {rx2})");
+            }
+        }
     }
 
     #[test]

@@ -55,10 +55,11 @@ fn main() {
             ssim_cols[2]
         );
     }
-    println!("\nShape check (see EXPERIMENTS.md E1): the classical generation gap and");
-    println!("the learned-ladder ordering (DVC > FVC > CTVC in BDBR) reproduce; the");
-    println!("absolute learned-vs-anchor sign does not — analytic (untrained) weights");
-    println!("cap the learned codecs' quality ceiling, so their BDBR vs the anchor is");
-    println!("positive even though their P-frames cost a fraction of the anchor's.");
+    println!("\nShape check (see README \"Reproducing the paper\"): the classical");
+    println!("generation gap and the learned-ladder ordering (DVC > FVC > CTVC in BDBR)");
+    println!("reproduce; the absolute learned-vs-anchor sign does not — analytic");
+    println!("(untrained) weights cap the learned codecs' quality ceiling, so their BDBR");
+    println!("vs the anchor is positive even though their P-frames cost a fraction of");
+    println!("the anchor's.");
     println!("'n/a' marks curve pairs whose distortion ranges do not overlap.");
 }

@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\nThe learned variants spend far fewer bits per P frame; their quality");
-    println!("ceiling reflects the analytic (untrained) weights — see EXPERIMENTS.md");
-    println!("E1 and `cargo run -p nvc-bench --bin fig8_rd_curves` for full curves.");
+    println!("ceiling reflects the analytic (untrained) weights — see README \"Reproducing");
+    println!("the paper\" and `cargo run -p nvc-bench --bin fig8_rd_curves` for full curves.");
     Ok(())
 }

@@ -166,10 +166,11 @@ fn bitstreams_are_portable_across_instances() {
 }
 
 /// Table I ordering, restricted to what the reproduction can promise
-/// without trained weights (see EXPERIMENTS.md §E1): the classical
-/// generation gap (AVC-like loses to the anchor), the learned-ladder
-/// ordering (CTVC beats its DVC-like ablation), and the paper's central
-/// rate mechanism — CTVC P-frames cost a fraction of classical P-frames.
+/// without trained weights (see README "Reproducing the paper"): the
+/// classical generation gap (AVC-like loses to the anchor), the
+/// learned-ladder ordering (CTVC beats its DVC-like ablation), and the
+/// paper's central rate mechanism — CTVC P-frames cost a fraction of
+/// classical P-frames.
 #[test]
 fn table1_ordering_holds() {
     let seq = Synthesizer::new(SceneConfig::uvg_like(96, 64, 8)).generate();
