@@ -2,10 +2,11 @@
 //! self-contained timing harness (`harness = false`; no external
 //! benchmarking crates are available in the build environment).
 //!
-//! These complement the `src/bin/*` harnesses (which print the full
-//! tables): they track the hot kernels behind each experiment so
-//! regressions in the fast operators, the codec loop or the simulator are
-//! visible as timing changes. Run with `cargo bench -p nvc-bench`.
+//! These complement the `paper` report (`src/bin/paper.rs`, which prints
+//! every published number): they track the hot kernels behind each
+//! experiment so regressions in the fast operators, the codec loop or the
+//! simulator are visible as timing changes. Run with `cargo bench -p
+//! nvc-bench`.
 
 use nvc_baseline::{HybridCodec, Profile};
 use nvc_fastalg::{FastConv2d, FastDeConv2d, Sparsity};

@@ -57,7 +57,7 @@
 
 #![forbid(unsafe_code)]
 
-use nvc_bench::BENCH_N;
+use nvc_bench::paper::BENCH_N;
 use nvc_core::ExecCtx;
 use nvc_model::CtvcConfig;
 use nvc_serve::{

@@ -21,7 +21,7 @@
 
 #![forbid(unsafe_code)]
 
-use nvc_bench::{percentile, BENCH_N};
+use nvc_bench::{paper::BENCH_N, percentile};
 use nvc_core::ExecCtx;
 use nvc_model::{CtvcCodec, CtvcConfig, RatePoint};
 use nvc_serve::{Hello, ServeConfig, Server, ServerHandle, StreamClient};

@@ -17,7 +17,9 @@
 //! ```
 //!
 //! Either way the exit status is non-zero if any serial-vs-parallel
-//! output diverges or enabling telemetry spans costs more than 2 %.
+//! output diverges, if the ρ = 50 % pruned fast conv or deconv is not
+//! faster than its dense twin (sparsity must cut wall time, not just
+//! stored weights), or if enabling telemetry spans costs more than 2 %.
 //!
 //! All kernel timings run with telemetry spans disabled
 //! (`nvc_telemetry::Mode::Off`); the dedicated overhead gate is what
@@ -26,7 +28,7 @@
 #![forbid(unsafe_code)]
 
 use nvc_baseline::{HybridCodec, Profile};
-use nvc_bench::BENCH_N;
+use nvc_bench::paper::BENCH_N;
 use nvc_core::ExecCtx;
 use nvc_fastalg::{FastConv2d, FastDeConv2d, Sparsity};
 use nvc_model::{CtvcCodec, CtvcConfig, RatePoint, SwinAttention};
@@ -98,6 +100,40 @@ fn telemetry_overhead_ok(ctx: &ExecCtx) -> bool {
          (span-instrumented fast conv, median of {ROUNDS} interleaved rounds of {BATCH})"
     );
     ratio <= 1.02
+}
+
+/// Sparsity guard: at 24 channels, 48×48, the ρ = 50 % pruned fast conv
+/// and deconv must each beat their dense twins (best of 3). This keeps
+/// the dense-padded-buffer detour, where pruning bought storage but no
+/// compute, from coming back.
+fn sparse_execution_pays() -> bool {
+    let (x, rho) = (smooth_tensor(24, 48, 48), Sparsity::new(0.5).unwrap());
+    let conv = Conv2d::randn(24, 24, 3, 1, 1, 7).unwrap();
+    let deconv = DeConv2d::randn(24, 24, 4, 2, 1, 9).unwrap();
+    let conv = [
+        FastConv2d::from_conv(&conv),
+        FastConv2d::from_conv_pruned(&conv, rho),
+    ];
+    let deconv = [
+        FastDeConv2d::from_deconv(&deconv),
+        FastDeConv2d::from_deconv_pruned(&deconv, rho),
+    ];
+    let speedups = [("fastconv", conv), ("fastdeconv", deconv)].map(|(name, layers)| {
+        let [dense, sparse] = layers.map(|l| {
+            let l = l.unwrap();
+            bench(3, || {
+                l.forward(&x).unwrap();
+            })
+        });
+        println!(
+            "sparsity guard: {name} rho=0.5 speedup {:.2}x ({:.2} -> {:.2} ms)",
+            dense / sparse,
+            dense * 1e3,
+            sparse * 1e3
+        );
+        dense / sparse
+    });
+    speedups.iter().all(|&s| s > 1.0)
 }
 
 #[allow(clippy::too_many_lines)]
@@ -473,6 +509,11 @@ fn main() {
         std::process::exit(1);
     }
     println!("bit-exactness: serial and parallel outputs identical for both codec families");
+
+    if !sparse_execution_pays() {
+        eprintln!("perf_hotpath: pruned execution is not faster than dense");
+        std::process::exit(1);
+    }
 
     if !telemetry_overhead_ok(&ctx1) {
         eprintln!("perf_hotpath: telemetry span overhead exceeds 2%");

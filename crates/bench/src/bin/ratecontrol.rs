@@ -23,7 +23,7 @@
 #![forbid(unsafe_code)]
 
 use nvc_baseline::{HybridCodec, Profile};
-use nvc_bench::BENCH_N;
+use nvc_bench::paper::BENCH_N;
 use nvc_model::{CtvcCodec, CtvcConfig, RatePoint};
 use nvc_video::codec::DecoderSession as _;
 use nvc_video::rate::RateMode;

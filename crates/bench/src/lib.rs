@@ -1,181 +1,12 @@
-//! Shared harness utilities for regenerating every table and figure of
-//! the paper. Each `src/bin/*.rs` binary prints one table/figure; the
-//! README's "Reproducing the paper" section lists them.
+//! Benchmark harnesses. [`paper`] holds every published number of the
+//! paper beside this repository's; the `paper` binary prints it and
+//! checks it against README's "Reproducing the paper". The other
+//! binaries are the hot-path and serving benchmarks.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use nvc_baseline::{HybridCodec, Profile};
-use nvc_model::{CtvcCodec, CtvcConfig, RatePoint};
-use nvc_video::bdrate::{ms_ssim_db, RdPoint};
-use nvc_video::metrics::{ms_ssim_sequence, psnr_sequence};
-use nvc_video::synthetic::SceneConfig;
-use nvc_video::Sequence;
-
-/// Channel width used for *functional* RD experiments. The paper trains
-/// with `N = 36`; the analytic weight construction is scale-free, so the
-/// RD harness uses a narrower network to keep the sweep fast. Hardware
-/// simulations always use the paper's `N = 36`.
-pub const BENCH_N: usize = 12;
-
-/// Resolution and length of the functional RD sweeps (multiple of 16).
-pub const BENCH_W: usize = 96;
-/// See [`BENCH_W`].
-pub const BENCH_H: usize = 64;
-/// Frames per synthetic sequence in RD sweeps.
-pub const BENCH_FRAMES: usize = 16;
-
-/// Every codec appearing in the Table I / Fig. 8 ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LadderCodec {
-    /// AVC-like classical profile.
-    AvcLike,
-    /// HEVC-like classical profile — the BD-rate anchor.
-    HevcLike,
-    /// DVC-like learned baseline.
-    DvcLike,
-    /// FVC-like learned baseline (feature space, no attention).
-    FvcLike,
-    /// CTVC-Net, full precision.
-    CtvcFp,
-    /// CTVC-Net, fixed point.
-    CtvcFxp,
-    /// CTVC-Net, fixed point + 50 % transform-domain sparsity.
-    CtvcSparse,
-}
-
-impl LadderCodec {
-    /// Report label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            LadderCodec::AvcLike => "H.264-like",
-            LadderCodec::HevcLike => "H.265-like (anchor)",
-            LadderCodec::DvcLike => "DVC-like",
-            LadderCodec::FvcLike => "FVC-like",
-            LadderCodec::CtvcFp => "CTVC-Net(FP)",
-            LadderCodec::CtvcFxp => "CTVC-Net(FXP)",
-            LadderCodec::CtvcSparse => "CTVC-Net(Sparse)",
-        }
-    }
-
-    /// All ladder codecs in Table I row order.
-    pub fn all() -> [LadderCodec; 7] {
-        [
-            LadderCodec::AvcLike,
-            LadderCodec::DvcLike,
-            LadderCodec::HevcLike,
-            LadderCodec::FvcLike,
-            LadderCodec::CtvcFp,
-            LadderCodec::CtvcFxp,
-            LadderCodec::CtvcSparse,
-        ]
-    }
-}
-
-/// One measured rate–distortion sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RdSample {
-    /// Bits per pixel.
-    pub bpp: f64,
-    /// PSNR in dB.
-    pub psnr: f64,
-    /// MS-SSIM in `[0, 1]`.
-    pub ms_ssim: f64,
-}
-
-/// The three dataset presets of the paper's evaluation.
-pub fn dataset_presets() -> Vec<(&'static str, SceneConfig)> {
-    vec![
-        (
-            "UVG-like",
-            SceneConfig::uvg_like(BENCH_W, BENCH_H, BENCH_FRAMES),
-        ),
-        (
-            "HEVC-B-like",
-            SceneConfig::hevc_b_like(BENCH_W, BENCH_H, BENCH_FRAMES),
-        ),
-        (
-            "MCL-JCV-like",
-            SceneConfig::mcl_jcv_like(BENCH_W, BENCH_H, BENCH_FRAMES),
-        ),
-    ]
-}
-
-fn measure(seq: &Sequence, rec: &Sequence, bpp: f64) -> RdSample {
-    let pairs: Vec<_> = seq.frames().iter().zip(rec.frames()).collect();
-    let pairs: Vec<_> = pairs.iter().map(|(a, b)| (*a, *b)).collect();
-    RdSample {
-        bpp,
-        psnr: psnr_sequence(&pairs).expect("matched sequences"),
-        ms_ssim: ms_ssim_sequence(&pairs).expect("matched sequences"),
-    }
-}
-
-/// Runs a full RD sweep (4 rate points) for one codec on one sequence.
-///
-/// # Panics
-///
-/// Panics if encoding fails (the harness treats that as a bug).
-pub fn rd_sweep(codec: LadderCodec, seq: &Sequence) -> Vec<RdSample> {
-    match codec {
-        LadderCodec::AvcLike | LadderCodec::HevcLike => {
-            let profile = if codec == LadderCodec::AvcLike {
-                Profile::avc_like()
-            } else {
-                Profile::hevc_like()
-            };
-            let hc = HybridCodec::new(profile);
-            // Six points spanning ultra-coarse to moderate quality so the
-            // anchor curve overlaps the learned codecs' distortion range.
-            [58u8, 52, 46, 40, 34, 28]
-                .iter()
-                .map(|&qp| {
-                    let coded = hc.encode(seq, qp).expect("hybrid encode");
-                    measure(seq, &coded.decoded, coded.bpp)
-                })
-                .collect()
-        }
-        learned => {
-            let cfg = match learned {
-                LadderCodec::DvcLike => CtvcConfig::dvc_like(BENCH_N),
-                LadderCodec::FvcLike => CtvcConfig::fvc_like(BENCH_N),
-                LadderCodec::CtvcFp => CtvcConfig::ctvc_fp(BENCH_N),
-                LadderCodec::CtvcFxp => CtvcConfig::ctvc_fxp(BENCH_N),
-                LadderCodec::CtvcSparse => CtvcConfig::ctvc_sparse(BENCH_N),
-                _ => unreachable!(),
-            };
-            let cc = CtvcCodec::new(cfg).expect("valid config");
-            RatePoint::sweep()
-                .iter()
-                .map(|&r| {
-                    let coded = cc.encode(seq, r).expect("ctvc encode");
-                    measure(seq, &coded.decoded, coded.bpp)
-                })
-                .collect()
-        }
-    }
-}
-
-/// Converts samples to `(rate, PSNR-dB)` points for BD-rate.
-pub fn psnr_curve(samples: &[RdSample]) -> Vec<RdPoint> {
-    samples.iter().map(|s| (s.bpp, s.psnr)).collect()
-}
-
-/// Converts samples to `(rate, MS-SSIM-dB)` points for BD-rate.
-pub fn msssim_curve(samples: &[RdSample]) -> Vec<RdPoint> {
-    samples
-        .iter()
-        .map(|s| (s.bpp, ms_ssim_db(s.ms_ssim)))
-        .collect()
-}
-
-/// Formats a BD-rate value (or n/a when curves do not overlap).
-pub fn fmt_bd(bd: Result<f64, nvc_video::VideoError>) -> String {
-    match bd {
-        Ok(v) => format!("{v:+8.2}"),
-        Err(_) => "     n/a".to_string(),
-    }
-}
+pub mod paper;
 
 /// Nearest-rank percentile of an ascending-sorted slice (`p` in
 /// `[0, 1]`); `0.0` for an empty slice. Shared by the latency-reporting
@@ -190,8 +21,9 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use super::paper::*;
     use super::*;
-    use nvc_video::synthetic::Synthesizer;
+    use nvc_video::synthetic::{SceneConfig, Synthesizer};
 
     #[test]
     fn rd_sweep_produces_monotone_rates_for_anchor() {
@@ -227,6 +59,9 @@ mod tests {
             ms_ssim: 0.95,
         }];
         assert_eq!(psnr_curve(&s)[0], (0.1, 30.0));
-        assert!(msssim_curve(&s)[0].1 > 12.0);
+        // The anchor's QP 58 point costs more than QP 52 for less PSNR,
+        // and the last point falls back: both are dominated.
+        let curve = [(0.21, 23.9), (0.20, 28.8), (0.22, 32.1), (0.7, 32.0)];
+        assert_eq!(frontier(&curve), (vec![(0.20, 28.8), (0.22, 32.1)], 2));
     }
 }

@@ -237,46 +237,6 @@ mod tests {
     use nvc_video::synthetic::{SceneConfig, Synthesizer};
 
     #[test]
-    fn paper_operating_point_is_in_class() {
-        // The paper reports 25 fps at 1080p, 3525 GOPS, 0.76 W,
-        // 4638 GOPS/W. The simulator must land in the same class (same
-        // order of magnitude, correct side of real-time).
-        let nvca = Nvca::paper_design(CtvcConfig::ctvc_sparse(36)).unwrap();
-        let rep = nvca.simulate_decode(1088, 1920, Dataflow::Chained);
-        assert!(
-            rep.fps >= 20.0,
-            "must sustain ≈ real time, got {:.1} fps",
-            rep.fps
-        );
-        assert!(rep.fps < 500.0, "implausibly fast: {:.1} fps", rep.fps);
-        assert!(
-            (0.2..3.0).contains(&rep.power_w),
-            "power {:.2} W outside the sub-watt accelerator class",
-            rep.power_w
-        );
-        assert!(
-            rep.gops_per_watt > 1000.0,
-            "efficiency {:.0} GOPS/W below the ASIC class",
-            rep.gops_per_watt
-        );
-    }
-
-    #[test]
-    fn chaining_beats_layer_by_layer_at_1080p() {
-        let nvca = Nvca::paper_design(CtvcConfig::ctvc_sparse(36)).unwrap();
-        let lbl = nvca.simulate_decode(1088, 1920, Dataflow::LayerByLayer);
-        let ch = nvca.simulate_decode(1088, 1920, Dataflow::Chained);
-        let reduction = 1.0 - ch.dram_bytes as f64 / lbl.dram_bytes as f64;
-        // Paper: 40.7% overall reduction.
-        assert!(
-            (0.15..0.75).contains(&reduction),
-            "off-chip reduction {:.1}% out of plausible range",
-            reduction * 100.0
-        );
-        assert!(ch.fps >= lbl.fps);
-    }
-
-    #[test]
     fn stream_simulation_tracks_frame_types() {
         let nvca = Nvca::paper_design(CtvcConfig::ctvc_sparse(8)).unwrap();
         let seq = Synthesizer::new(SceneConfig::uvg_like(48, 32, 3)).generate();

@@ -96,6 +96,19 @@ fn validate(curve: &[RdPoint]) -> Result<(), VideoError> {
             });
         }
     }
+    // A cubic through a curve that folds back (more rate for less
+    // quality) is not a rate–distortion curve: its integral is
+    // meaningless, and it is where fits blow up to 1e25 %.
+    let mut by_rate = curve.to_vec();
+    by_rate.sort_by(|a, b| a.0.total_cmp(&b.0));
+    if let Some(w) = by_rate.windows(2).find(|w| w[1].1 <= w[0].1) {
+        return Err(VideoError::BadDimensions {
+            reason: format!(
+                "distortion does not increase with rate: ({}, {}) then ({}, {})",
+                w[0].0, w[0].1, w[1].0, w[1].1
+            ),
+        });
+    }
     Ok(())
 }
 
@@ -104,68 +117,19 @@ fn validate(curve: &[RdPoint]) -> Result<(), VideoError> {
 /// Negative values mean `test` needs less rate than `anchor` at the same
 /// distortion (i.e. `test` is better).
 ///
+/// Precondition: each curve, sorted by rate, is strictly increasing in
+/// distortion. Drop dominated points (ones another point beats on both
+/// rate and distortion) before calling.
+///
 /// # Errors
 ///
 /// Returns [`VideoError::BadDimensions`] if either curve has fewer than 3
-/// points, non-positive rates, or the distortion ranges do not overlap.
+/// points, non-positive rates, breaks the precondition above, or the
+/// distortion ranges do not overlap.
 pub fn bd_rate(anchor: &[RdPoint], test: &[RdPoint]) -> Result<f64, VideoError> {
-    validate(anchor)?;
-    validate(test)?;
-    let log_anchor: Vec<(f64, f64)> = anchor.iter().map(|&(r, d)| (d, r.ln())).collect();
-    let log_test: Vec<(f64, f64)> = test.iter().map(|&(r, d)| (d, r.ln())).collect();
-
-    let lo = log_anchor
-        .iter()
-        .chain(&log_test)
-        .map(|&(d, _)| d)
-        .fold(f64::NEG_INFINITY, f64::max)
-        .min(
-            log_anchor
-                .iter()
-                .map(|&(d, _)| d)
-                .fold(f64::INFINITY, f64::min)
-                .max(
-                    log_test
-                        .iter()
-                        .map(|&(d, _)| d)
-                        .fold(f64::INFINITY, f64::min),
-                ),
-        );
-    let d_min = log_anchor
-        .iter()
-        .map(|&(d, _)| d)
-        .fold(f64::INFINITY, f64::min)
-        .max(
-            log_test
-                .iter()
-                .map(|&(d, _)| d)
-                .fold(f64::INFINITY, f64::min),
-        );
-    let d_max = log_anchor
-        .iter()
-        .map(|&(d, _)| d)
-        .fold(f64::NEG_INFINITY, f64::max)
-        .min(
-            log_test
-                .iter()
-                .map(|&(d, _)| d)
-                .fold(f64::NEG_INFINITY, f64::max),
-        );
-    let _ = lo;
-    if d_max - d_min < 1e-9 {
-        return Err(VideoError::BadDimensions {
-            reason: format!("distortion ranges do not overlap: [{d_min}, {d_max}]"),
-        });
-    }
-
-    let deg = 3.min(anchor.len() - 1).min(test.len() - 1);
-    let (dx_a, ry_a): (Vec<f64>, Vec<f64>) = log_anchor.iter().copied().unzip();
-    let (dx_t, ry_t): (Vec<f64>, Vec<f64>) = log_test.iter().copied().unzip();
-    let ca = polyfit(&dx_a, &ry_a, deg);
-    let ct = polyfit(&dx_t, &ry_t, deg);
-    let int_a = polyint(&ca, d_min, d_max);
-    let int_t = polyint(&ct, d_min, d_max);
-    let avg_diff = (int_t - int_a) / (d_max - d_min);
+    // Fit log rate as a function of distortion.
+    let flip = |c: &[RdPoint]| c.iter().map(|&(r, d)| (d, r.ln())).collect::<Vec<_>>();
+    let avg_diff = mean_gap(anchor, test, flip, "distortion")?;
     Ok((avg_diff.exp() - 1.0) * 100.0)
 }
 
@@ -177,32 +141,36 @@ pub fn bd_rate(anchor: &[RdPoint], test: &[RdPoint]) -> Result<f64, VideoError> 
 /// Same conditions as [`bd_rate`], with rate ranges instead of distortion
 /// ranges overlapping.
 pub fn bd_psnr(anchor: &[RdPoint], test: &[RdPoint]) -> Result<f64, VideoError> {
+    // Fit distortion as a function of log rate.
+    let log_rate = |c: &[RdPoint]| c.iter().map(|&(r, d)| (r.ln(), d)).collect::<Vec<_>>();
+    mean_gap(anchor, test, log_rate, "rate")
+}
+
+/// Validates both curves, maps them to `(x, y)` with `to_xy`, fits a
+/// polynomial `y(x)` to each and returns the mean of `test − anchor` over
+/// the overlap of their `x` ranges (named `axis` in the error).
+fn mean_gap(
+    anchor: &[RdPoint],
+    test: &[RdPoint],
+    to_xy: impl Fn(&[RdPoint]) -> Vec<(f64, f64)>,
+    axis: &str,
+) -> Result<f64, VideoError> {
     validate(anchor)?;
     validate(test)?;
-    // Fit distortion as a function of log rate.
-    let xa: Vec<f64> = anchor.iter().map(|&(r, _)| r.ln()).collect();
-    let ya: Vec<f64> = anchor.iter().map(|&(_, d)| d).collect();
-    let xt: Vec<f64> = test.iter().map(|&(r, _)| r.ln()).collect();
-    let yt: Vec<f64> = test.iter().map(|&(_, d)| d).collect();
-    let r_min = xa
-        .iter()
-        .copied()
-        .fold(f64::INFINITY, f64::min)
-        .max(xt.iter().copied().fold(f64::INFINITY, f64::min));
-    let r_max = xa
-        .iter()
-        .copied()
-        .fold(f64::NEG_INFINITY, f64::max)
-        .min(xt.iter().copied().fold(f64::NEG_INFINITY, f64::max));
-    if r_max - r_min < 1e-9 {
+    let (xa, ya): (Vec<f64>, Vec<f64>) = to_xy(anchor).into_iter().unzip();
+    let (xt, yt): (Vec<f64>, Vec<f64>) = to_xy(test).into_iter().unzip();
+    let lo = |xs: &[f64]| xs.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = |xs: &[f64]| xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let (x_min, x_max) = (lo(&xa).max(lo(&xt)), hi(&xa).min(hi(&xt)));
+    if x_max - x_min < 1e-9 {
         return Err(VideoError::BadDimensions {
-            reason: "rate ranges do not overlap".into(),
+            reason: format!("{axis} ranges do not overlap: [{x_min}, {x_max}]"),
         });
     }
     let deg = 3.min(anchor.len() - 1).min(test.len() - 1);
     let ca = polyfit(&xa, &ya, deg);
     let ct = polyfit(&xt, &yt, deg);
-    Ok((polyint(&ct, r_min, r_max) - polyint(&ca, r_min, r_max)) / (r_max - r_min))
+    Ok((polyint(&ct, x_min, x_max) - polyint(&ca, x_min, x_max)) / (x_max - x_min))
 }
 
 /// Converts an MS-SSIM value to the dB-like scale customarily used for
@@ -257,6 +225,39 @@ mod tests {
         assert!(bd_rate(&bad_rate, &ok).is_err());
         let disjoint = curve(&[(0.05, 10.0), (0.1, 12.0), (0.2, 14.0)]);
         assert!(bd_rate(&disjoint, &ok).is_err());
+    }
+
+    #[test]
+    fn curves_that_fold_back_are_rejected() {
+        // Fig. 8's UVG-like points (96×64×16): the anchor's QP 58 point
+        // costs more than QP 52 for 4.9 dB less, and both learned curves
+        // lose 0.02–0.03 dB at their last point. Fitted anyway, these
+        // gave +5.23e25 % and +253.9 %.
+        let anchor = curve(&[
+            (0.2087, 23.92),
+            (0.2000, 28.79),
+            (0.2227, 32.11),
+            (0.2765, 35.51),
+            (0.3928, 39.10),
+            (0.6283, 42.67),
+        ]);
+        let ctvc_fp = curve(&[
+            (0.4201, 26.19),
+            (0.4878, 27.10),
+            (0.5864, 28.04),
+            (0.7367, 28.01),
+        ]);
+        let fvc = curve(&[
+            (0.4265, 26.32),
+            (0.4921, 27.25),
+            (0.5905, 28.37),
+            (0.7400, 28.35),
+        ]);
+        assert!(bd_rate(&anchor, &ctvc_fp).is_err());
+        assert!(bd_rate(&anchor, &fvc).is_err());
+        // The test curve alone breaks the precondition, too.
+        assert!(bd_rate(&ctvc_fp[..3], &fvc).is_err());
+        assert!(bd_rate(&anchor[1..], &anchor[1..]).is_ok());
     }
 
     #[test]
