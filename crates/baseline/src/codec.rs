@@ -7,7 +7,7 @@
 //! are wrappers over the sessions.
 
 use crate::dct::{self, BS};
-use crate::plane::{PaddedPlane, Plane};
+use crate::plane::{PaddedPlane, Plane, LANES};
 use crate::Profile;
 use nvc_core::ExecCtx;
 use nvc_entropy::container::{FrameKind, Section};
@@ -396,16 +396,23 @@ impl HybridCodec {
         let padded = PaddedPlane::new(reference, r as usize + 2);
         let coords = block_coords(w, h, mb);
         let mut decisions = vec![(0_i32, 0_i32, false); coords.len()];
-        // Work is samples read. Summed in full, the (2r + 1)² full-pel
-        // candidates would read every sample of the plane that many
-        // times, but the early exit reads only about half of the
-        // candidate rows (0.49–0.51 for the HEVC-like profile, 0.62–0.65
-        // for the AVC-like one, on `hevc_b_like` clips at 64×48 and
-        // 128×96). The half-pel refinement's nine candidates read 25
-        // samples per pixel, the skip test one.
+        // Work is samples read, one per candidate lane. Summed in full,
+        // the (2r + 1)² full-pel candidates would read every sample of
+        // the plane that many times; the lockstep groups stop only once
+        // all their lanes are dead, so they read 0.59–0.62 of those
+        // candidate rows for the HEVC-like profile and 0.73–0.77 for the
+        // AVC-like one (`hevc_b_like` clips, 32×24 to 128×96, QP 34); ¾
+        // is taken for both. The half-pel refinement's nine candidates
+        // read 25 samples per pixel, the skip test one. Threads 2 against
+        // 1 on the 2-core reference host (alternating encodes, median
+        // ratio of 15) is faster from 3.8 · 10⁵ samples up (HEVC-like
+        // 32×24 0.89, 52×38 0.76–0.83, 64×48 0.72–0.84; AVC-like 52×38
+        // 0.94–0.98, 64×48 0.87–0.91, 128×96 0.80) and no faster from
+        // 2.6 · 10⁵ down (AVC-like 40×30 1.00, 32×24 1.09; HEVC-like
+        // 24×16 1.09), so the estimate crosses `PAR_MIN_WORK` between.
         let candidates = (2 * r as u64 + 1).pow(2);
         let refinement = if self.profile.half_pel { 25 } else { 0 };
-        let work = (h * w) as u64 * (candidates / 2 + refinement + 1);
+        let work = (h * w) as u64 * (candidates * 3 / 4 + refinement + 1);
         self.exec
             .par_chunks_mut_gated(&mut decisions, 1, work, |bi, d| {
                 let (by, bx) = coords[bi];
@@ -427,45 +434,75 @@ impl HybridCodec {
     /// padded by at least `search_range + 2`. Returns the MV in half-pel
     /// units.
     ///
-    /// Candidates are visited in raster order and a candidate replaces
-    /// the best only at a strictly lower cost, so ties go to the first.
-    /// [`candidate_cost`] drops a candidate once it cannot win, which
-    /// leaves the result bit-identical to summing every candidate in
-    /// full.
+    /// The result is bit-identical to a scalar reference that sums every
+    /// candidate in full, in raster order, and keeps a candidate only at a
+    /// strictly lower cost (ties go to the first). The full-pel scan sums
+    /// each `dy` row's candidates in lockstep groups of [`LANES`] adjacent
+    /// `dx` ([`group_costs`]), the `(2r + 1) mod LANES` left over at the
+    /// row's end one at a time ([`candidate_cost`]), and offers the
+    /// finished costs to the running best in ascending `dx`.
+    ///
+    /// A group prunes against `best_cost` as it stood when the group
+    /// began, not against the running best the reference compares each
+    /// candidate with. That is still exact: `best_cost` only falls along
+    /// raster order, so a lane whose cost reached the snapshot would also
+    /// have lost to the later, lower best. The lanes that survive carry
+    /// the reference's bits and are compared in the reference's order, so
+    /// they win exactly where it would. NaN lanes never die early and
+    /// never win, as in the reference.
     fn search_motion(&self, cur: &Plane, reference: &PaddedPlane, at: Block) -> (i32, i32) {
         let r = self.profile.search_range;
-        let mut best = (0_i32, 0_i32);
-        let mut best_cost = f64::INFINITY;
+        let groups = (2 * r + 1).max(0) as usize / LANES;
+        let mut best = Best {
+            cost: f64::INFINITY,
+            mv: (0, 0),
+        };
         for dy in -r..=r {
-            for dx in -r..=r {
-                let pen = 0.01 * (dy.abs() + dx.abs()) as f64; // small MV-rate bias
-                let mv = (dy as isize * 2, dx as isize * 2);
-                if let Some(cost) = candidate_cost(cur, reference, at, mv, pen, best_cost) {
-                    if cost < best_cost {
-                        best_cost = cost;
-                        best = (dy * 2, dx * 2);
-                    }
+            let pen = |dx: i32| 0.01 * (dy.abs() + dx.abs()) as f64; // small MV-rate bias
+            for dx0 in (-r..).step_by(LANES).take(groups) {
+                let pens = std::array::from_fn(|l| pen(dx0 + l as i32));
+                let costs = group_costs(cur, reference, at, (dy, dx0), pens, best.cost);
+                for (dx, cost) in (dx0..).zip(costs) {
+                    best.offer(cost, (dy * 2, dx * 2));
                 }
+            }
+            for dx in -r + (groups * LANES) as i32..=r {
+                let mv = (dy as isize * 2, dx as isize * 2);
+                let cost = candidate_cost(cur, reference, at, mv, pen(dx), best.cost);
+                best.offer(cost, (dy * 2, dx * 2));
             }
         }
         if self.profile.half_pel {
-            let (cy, cx) = best;
+            let (cy, cx) = best.mv;
             for dy in -1..=1_i32 {
                 for dx in -1..=1_i32 {
                     let cand = (cy + dy, cx + dx);
                     let mv = (cand.0 as isize, cand.1 as isize);
-                    if let Some(cost) = candidate_cost(cur, reference, at, mv, 0.0, best_cost) {
-                        if cost < best_cost {
-                            best_cost = cost;
-                            best = cand;
-                        }
-                    }
+                    best.offer(candidate_cost(cur, reference, at, mv, 0.0, best.cost), cand);
                 }
             }
         }
         // Clamp into the coded alphabet.
         let off = 2 * r;
-        (best.0.clamp(-off, off), best.1.clamp(-off, off))
+        (best.mv.0.clamp(-off, off), best.mv.1.clamp(-off, off))
+    }
+}
+
+/// The running best of a motion search: its cost and half-pel vector.
+struct Best {
+    cost: f64,
+    mv: (i32, i32),
+}
+
+impl Best {
+    /// Takes `mv` if `cost` is strictly lower than the best so far, so of
+    /// equal costs the first offered wins, and a NaN or dropped (`None`)
+    /// cost never does.
+    fn offer(&mut self, cost: Option<f64>, mv: (i32, i32)) {
+        if let Some(cost) = cost.filter(|&c| c < self.cost) {
+            self.cost = cost;
+            self.mv = mv;
+        }
     }
 }
 
@@ -494,7 +531,10 @@ fn block_sad(cur: &Plane, reference: &PaddedPlane, (by, bx, bs): Block, mv: (isi
 }
 
 /// [`block_sad`] plus `pen`, or `None` after the first row at which the
-/// running `acc + pen >= bound`.
+/// running `acc + pen >= bound`. The motion search sums one candidate at
+/// a time through it only where no lockstep group ([`group_costs`])
+/// covers the candidate: the `(2r + 1) mod LANES` at the end of each
+/// full-pel row, and the nine of the half-pel refinement.
 ///
 /// The early exit is exact: a candidate it drops could never have won
 /// the caller's `cost < bound`. Each remaining term is `≥ 0` (or NaN),
@@ -523,6 +563,39 @@ fn candidate_cost(
         }
     }
     Some(acc + pen)
+}
+
+/// [`candidate_cost`] for the [`LANES`] full-pel candidates `(dy, dx0 + l)`
+/// at once, lane `l` with penalty `pen[l]`: the lanes add each row of the
+/// block in lockstep ([`PaddedPlane::add_row_sad_lanes`]), lane `l` dies
+/// after the first row at which its `acc + pen[l] >= bound`, and the rows
+/// stop once every lane is dead. Dead lanes are `None`; a live lane's
+/// cost has the bits `candidate_cost` gives the same candidate, and by
+/// `candidate_cost`'s argument a dead lane could not have won a
+/// `cost < bound` comparison.
+fn group_costs(
+    cur: &Plane,
+    reference: &PaddedPlane,
+    (by, bx, bs): Block,
+    (dy, dx0): (i32, i32),
+    pen: [f64; LANES],
+    bound: f64,
+) -> [Option<f64>; LANES] {
+    let w = cur.width();
+    let mut acc = [0.0_f64; LANES];
+    let mut dead = [false; LANES];
+    for y in by..by + bs {
+        let row = &cur.as_slice()[y * w + bx..][..bs];
+        let (ry, rx) = (y as isize + dy as isize, bx as isize + dx0 as isize);
+        reference.add_row_sad_lanes(&mut acc, row, ry, rx);
+        for l in 0..LANES {
+            dead[l] |= acc[l] + pen[l] >= bound;
+        }
+        if dead.iter().all(|&d| d) {
+            break;
+        }
+    }
+    std::array::from_fn(|l| (!dead[l]).then(|| acc[l] + pen[l]))
 }
 
 /// Streaming encoder session for [`HybridCodec`]: the shared
@@ -998,13 +1071,7 @@ mod tests {
         for (seed, &(w, h, mc_block, search_range)) in geometries.iter().enumerate() {
             for (name, cur, reference) in sweep_planes(w, h, seed as u64 + 1) {
                 for half_pel in [false, true] {
-                    let profile = Profile {
-                        name: "sweep",
-                        mc_block,
-                        search_range,
-                        half_pel,
-                        deblock: false,
-                    };
+                    let profile = sweep_profile(mc_block, search_range, half_pel);
                     let expected = reference_decisions(&profile, &cur, &reference, &steps);
                     for (step, expected) in steps.into_iter().zip(expected) {
                         for &(mv_y, mv_x, skip) in &expected {
@@ -1029,6 +1096,137 @@ mod tests {
             skips > 0 && moved > half && half > 0,
             "sweep decisions: {skips} skips, {moved} non-zero vectors, {half} half-pel"
         );
+    }
+
+    /// A profile for the search sweeps: no deblocking, which phase 1 never
+    /// reads anyway.
+    fn sweep_profile(mc_block: usize, search_range: i32, half_pel: bool) -> Profile {
+        Profile {
+            name: "sweep",
+            mc_block,
+            search_range,
+            half_pel,
+            deblock: false,
+        }
+    }
+
+    #[test]
+    fn lockstep_search_matches_the_scalar_reference_at_every_group_edge() {
+        // Ranges 0–12 give rows of 0 to 3 whole groups and every tail
+        // width (2r + 1) mod LANES an odd row length can leave. At 21×13
+        // with 8-sample blocks the right column and bottom row of blocks
+        // are clipped, and their lanes read deepest into the padding.
+        let step = dct::qp_to_step(34);
+        let mut tails = [false; LANES];
+        for r in 0..=12 {
+            tails[(2 * r + 1) as usize % LANES] = true;
+            for (name, cur, reference) in sweep_planes(21, 13, r as u64 + 11) {
+                for half_pel in [false, true] {
+                    let profile = sweep_profile(8, r, half_pel);
+                    let expected = reference_decisions(&profile, &cur, &reference, &[step]);
+                    let codec = HybridCodec::with_threads(profile, 1);
+                    assert_eq!(
+                        codec.motion_decisions(&cur, &reference, step),
+                        expected[0],
+                        "{name}, range {r}, half-pel {half_pel}"
+                    );
+                }
+            }
+        }
+        let odd: [bool; LANES] = std::array::from_fn(|t| t % 2 == 1);
+        assert_eq!(tails, odd, "tail widths reached");
+    }
+
+    #[test]
+    fn a_lone_non_finite_lane_neither_dies_early_nor_wins() {
+        // One NaN or ±∞ reference sample, moved over every position of
+        // the plane: wherever it lands, the search keeps the reference's
+        // answer. At the first column a group reads, exactly one lane of
+        // that group sees it.
+        let (w, h, r) = (16, 12, 4);
+        let step = dct::qp_to_step(34);
+        let mut next = noise(7);
+        let cur = Plane::from_vec(w, h, (0..w * h).map(|_| next()).collect());
+        let base: Vec<f32> = (0..w * h).map(|_| next()).collect();
+        let profile = sweep_profile(8, r, true);
+        let codec = HybridCodec::with_threads(profile.clone(), 1);
+        let mut lone = 0;
+        for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for at in 0..w * h {
+                let mut data = base.clone();
+                data[at] = special;
+                let reference = Plane::from_vec(w, h, data);
+                let expected = reference_decisions(&profile, &cur, &reference, &[step]);
+                assert_eq!(
+                    codec.motion_decisions(&cur, &reference, step),
+                    expected[0],
+                    "{special} at ({}, {})",
+                    at / w,
+                    at % w
+                );
+                // Block (0, 8), row dy = 0, lanes dx = −4..=3, no bound: a
+                // lane is non-finite if it is NaN or has reached ∞.
+                let padded = PaddedPlane::new(&reference, r as usize + 2);
+                let pens = [0.0; LANES];
+                let costs = group_costs(&cur, &padded, (0, 8, 8), (0, -r), pens, f64::INFINITY);
+                let non_finite = costs.iter().filter(|c| c.is_none_or(f64::is_nan)).count();
+                lone += usize::from(non_finite == 1);
+            }
+        }
+        assert!(lone >= 3, "{lone} groups with exactly one non-finite lane");
+    }
+
+    #[test]
+    fn the_best_candidate_can_sit_in_any_lane() {
+        // The current plane is the reference moved by one row and `s`
+        // columns, so the interior block (8, 8) finds (2, 2s): with r = 4
+        // that is lane s + 4 of the row's one group, or its tail for s = 4.
+        let (w, h, r) = (32, 24, 4);
+        let step = dct::qp_to_step(34);
+        let mut next = noise(3);
+        let base: Vec<f32> = (0..w * h).map(|_| next()).collect();
+        let reference = Plane::from_vec(w, h, base);
+        let profile = sweep_profile(8, r, false);
+        let codec = HybridCodec::with_threads(profile.clone(), 1);
+        for s in -r..=r {
+            let cur = Plane::from_vec(
+                w,
+                h,
+                (0..w * h)
+                    .map(|i| {
+                        reference.at_clamped((i / w + 1) as isize, (i % w) as isize + s as isize)
+                    })
+                    .collect(),
+            );
+            let expected = reference_decisions(&profile, &cur, &reference, &[step]);
+            let got = codec.motion_decisions(&cur, &reference, step);
+            assert_eq!(got, expected[0], "shift {s}");
+            assert_eq!(got[w / 8 + 1], (2, 2 * s, false), "shift {s}");
+        }
+    }
+
+    #[test]
+    fn equal_costs_go_to_the_first_candidate_in_raster_order() {
+        // A flat plane against its copy with columns 7–10 raised: the
+        // 2-sample block at column 8 matches exactly only at dx ≤ −3 or
+        // dx ≥ 3, so (0, −3) and (0, 3), lanes 1 and 7 of one group, tie
+        // at the lowest cost, and the earlier one must win.
+        let (w, h, r) = (16, 8, 4);
+        let step = dct::qp_to_step(34);
+        let cur = Plane::from_vec(w, h, vec![0.5; w * h]);
+        let raised = (0..w * h).map(|i| {
+            if (7..=10).contains(&(i % w)) {
+                0.9
+            } else {
+                0.5
+            }
+        });
+        let reference = Plane::from_vec(w, h, raised.collect());
+        let profile = sweep_profile(2, r, false);
+        let expected = reference_decisions(&profile, &cur, &reference, &[step]);
+        let got = HybridCodec::with_threads(profile, 1).motion_decisions(&cur, &reference, step);
+        assert_eq!(got, expected[0]);
+        assert_eq!(got[4], (0, -6, false));
     }
 
     #[test]

@@ -128,6 +128,10 @@ impl Plane {
     }
 }
 
+/// How many horizontally adjacent full-pel candidates
+/// [`PaddedPlane::add_row_sad_lanes`] sums at once.
+pub(crate) const LANES: usize = 8;
+
 /// A [`Plane`] edge-replicated by `pad` samples on every side, so that a
 /// block search reads whole, contiguous row slices. Every sample within
 /// the margin equals [`Plane::at_clamped`] at the same coordinates.
@@ -194,6 +198,28 @@ impl PaddedPlane {
             }
         }
         acc
+    }
+
+    /// [`PaddedPlane::add_row_sad`] at the `LANES` horizontally adjacent
+    /// full-pel positions `(y, x + l)`, lane `l` into `acc[l]`: one row of
+    /// `cur` against one slice of `cur.len() + LANES − 1` samples. Each
+    /// lane adds the same `|c − r| as f64` terms in the same order as
+    /// `add_row_sad(acc[l], cur, 2y, 2(x + l))`, so its bits are the same;
+    /// the lanes are independent chains, free to run side by side.
+    pub(crate) fn add_row_sad_lanes(
+        &self,
+        acc: &mut [f64; LANES],
+        cur: &[f32],
+        y: isize,
+        x: isize,
+    ) {
+        let r = self.row(y, x, cur.len() + LANES - 1);
+        for (i, &c) in cur.iter().enumerate() {
+            let window: &[f32; LANES] = r[i..i + LANES].try_into().expect("LANES samples");
+            for (a, &r) in acc.iter_mut().zip(window) {
+                *a += (c - r).abs() as f64;
+            }
+        }
     }
 }
 
@@ -267,6 +293,34 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "({ry2}, {rx2})");
             }
         }
+    }
+
+    #[test]
+    fn lockstep_row_sad_matches_one_row_sad_per_lane_at_the_margin() {
+        let (w, h, pad, n) = (9, 5, 4, 3);
+        let mut data: Vec<f32> = (0..w * h).map(|i| ((i * 5) % 13) as f32 * 0.21).collect();
+        data[3] = f32::NAN;
+        data[w + 8] = f32::INFINITY;
+        data[4 * w] = f32::NEG_INFINITY;
+        let padded = PaddedPlane::new(&Plane::from_vec(w, h, data), pad);
+        let cur = [0.4, -0.0, 1.7];
+        // Every row of the padded plane, and every start from the first
+        // padded column to the one whose last lane ends on the last.
+        let last = (w + pad - (n + LANES - 1)) as isize;
+        let mut starts = 0;
+        for y in -(pad as isize)..(h + pad) as isize {
+            for x in -(pad as isize)..=last {
+                let init: [f64; LANES] = std::array::from_fn(|l| l as f64 * 0.37);
+                let mut got = init;
+                padded.add_row_sad_lanes(&mut got, &cur, y, x);
+                for l in 0..LANES {
+                    let want = padded.add_row_sad(init[l], &cur, 2 * y, 2 * (x + l as isize));
+                    assert_eq!(got[l].to_bits(), want.to_bits(), "({y}, {x}) lane {l}");
+                }
+                starts += 1;
+            }
+        }
+        assert_eq!(starts, (h + 2 * pad) * (w + 2 * pad - (n + LANES - 1) + 1));
     }
 
     #[test]
