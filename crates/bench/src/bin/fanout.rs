@@ -39,15 +39,14 @@
 //! point. A readiness storm — e.g. re-probing every blocked socket on
 //! every poll pass — blows that ratio up by an order of magnitude, so
 //! the gate still catches the regressions the rewrite exists to
-//! prevent. The JSON records which gate applied.
+//! prevent. The printout names which gate applied.
 //!
 //! Usage:
 //!
 //! ```text
 //! fanout                   # full run: K in {64, 1000, 10000}, eviction
-//!                          # phase, writes BENCH_PR8.json; asserts the
-//!                          # core-aware gates above and a flat thread
-//!                          # count
+//!                          # phase; asserts the core-aware gates above
+//!                          # and a flat thread count
 //! fanout --quick           # CI smoke: K in {64, 1000}, byte-identical,
 //!                          # fps within 15% of K=64, threads flat
 //!                          # (exit != 0 on failure)
@@ -531,7 +530,7 @@ fn main() {
     /// of `/proc/self/stat` CPU ticks at the small K=1000 delta.
     const REF_COST_FLOOR: f64 = 6e-6;
     let &(_, top_k, top_fps, _, top_cpu) = results.last().expect("sweep ran");
-    let gate = if host_cores > 1 {
+    if host_cores > 1 {
         let floor = (1.0 - margin) * baseline_fps;
         assert!(
             top_fps >= floor,
@@ -545,7 +544,6 @@ fn main() {
             100.0 * top_fps / baseline_fps,
             100.0 * (1.0 - margin)
         );
-        "publisher_fps_vs_k64"
     } else {
         let cost = |point: &(usize, usize, f64, usize, f64)| {
             let (_, eff, _, _, cpu) = *point;
@@ -577,17 +575,15 @@ fn main() {
                     1e6 * cost(mid),
                     mid.1
                 );
-                "single_core_marginal_cpu_linearity"
             }
             _ => {
                 println!(
                     "  gate:      single core, no distinct K=1000 reference point — \
                      fps gate covered K={top_k} above, {baseline_threads} OS threads flat — OK"
                 );
-                "publisher_fps_vs_k64"
             }
         }
-    };
+    }
 
     if quick {
         println!(
@@ -611,34 +607,4 @@ fn main() {
         "  eviction:  {evict_frames} frames / {evict_bytes} bytes published; healthy \
          subscriber got {healthy_n}, stalled got {slow_n} then: {message:?}"
     );
-
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let sweep_json: Vec<String> = results
-        .iter()
-        .map(|(req, eff, fps, threads, cpu)| {
-            format!(
-                "{{ \"subscribers_requested\": {req}, \"subscribers\": {eff}, \
-                 \"publisher_fps\": {fps:.2}, \"vs_k64\": {:.3}, \"os_threads\": {threads}, \
-                 \"window_cpu_s\": {cpu:.2} }}",
-                fps / baseline_fps
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"fanout\",\n  \"host_cores\": {host_cores},\n  \
-         \"fd_limit\": {},\n  \
-         \"width\": {w},\n  \"height\": {h},\n  \"n\": {n_ch},\n  \"rate\": {rate},\n  \
-         \"frames\": {frames},\n  \"byte_identical\": true,\n  \
-         \"threads_flat\": true,\n  \"gate\": \"{gate}\",\n  \
-         \"single_subscriber_fps\": {single_fps:.2},\n  \
-         \"baseline_k64_fps\": {baseline_fps:.2},\n  \"sweep\": [\n    {}\n  ],\n  \
-         \"eviction\": {{ \"frames\": {evict_frames}, \"bytes\": {evict_bytes}, \
-         \"healthy_packets\": {healthy_n}, \"stalled_packets\": {slow_n}, \
-         \"evicted\": true }}\n}}\n",
-        fd_limit(),
-        sweep_json.join(",\n    ")
-    );
-    let path = format!("{root}/BENCH_PR8.json");
-    std::fs::write(&path, json).expect("write BENCH_PR8.json");
-    println!("wrote {path}");
 }

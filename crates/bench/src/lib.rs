@@ -9,8 +9,8 @@
 pub mod paper;
 
 /// Nearest-rank percentile of an ascending-sorted slice (`p` in
-/// `[0, 1]`); `0.0` for an empty slice. Shared by the latency-reporting
-/// load harnesses.
+/// `[0, 1]`); `0.0` for an empty slice. `flashcrowd` reports its
+/// latencies with it.
 pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;

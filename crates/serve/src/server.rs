@@ -21,7 +21,7 @@
 //!   coarse [`TimerWheel`]. The thread count is fixed: one poller plus
 //!   the worker pool, independent of the connection count.
 //! * Each **worker** pops a ready session and runs one *GOP-grain batch*
-//!   of its queued jobs: up to [`ServeConfig::gop_batch`] frames,
+//!   of its queued jobs: up to [`GOP_BATCH`] frames,
 //!   cutting before the next intra packet so a scheduling quantum never
 //!   straddles a GOP boundary. One session is never on two workers at
 //!   once (frames of a stream are strictly ordered); different sessions
@@ -29,7 +29,7 @@
 //!   and the poller is woken to write them.
 //! * Every batch holds an [`ExecPool`] lease for the session's context
 //!   width while it computes, so total fan-out across all sessions stays
-//!   under [`ServeConfig::exec_cap`] regardless of the connection count.
+//!   under [`EXEC_CAP`] regardless of the connection count.
 //!
 //! A full slot queue *parks* the decoded job instead of blocking: the
 //! connection drops out of the read set, TCP backpressures the client,
@@ -91,6 +91,14 @@ const RETRY_MAX: Duration = Duration::from_millis(320);
 /// before hard-closing (see [`CloseKind::Drain`]).
 const DRAIN_TIMEOUT: Duration = Duration::from_millis(250);
 
+/// Total compute-thread permits shared by all sessions (`0` = all
+/// available hardware parallelism). See [`ExecPool`].
+const EXEC_CAP: usize = 0;
+
+/// Maximum jobs one scheduling quantum may run before the session goes
+/// back to the ready queue (quanta also cut at GOP boundaries).
+const GOP_BATCH: usize = 8;
+
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -107,16 +115,10 @@ pub struct ServeConfig {
     /// frame). Serving throughput favors many narrow sessions over few
     /// wide ones, so the default is 1.
     pub threads_per_session: usize,
-    /// Total compute-thread permits shared by all sessions (`0` = all
-    /// available hardware parallelism). See [`ExecPool`].
-    pub exec_cap: usize,
     /// Per-session pending-job bound; a full queue parks the
     /// connection's decoder, which stops reading the socket
     /// (backpressure).
     pub queue_depth: usize,
-    /// Maximum jobs one scheduling quantum may run before the session
-    /// goes back to the ready queue (quanta also cut at GOP boundaries).
-    pub gop_batch: usize,
     /// Maximum concurrent sessions; further connections are rejected
     /// with an error message.
     pub max_sessions: usize,
@@ -167,9 +169,7 @@ impl Default for ServeConfig {
             hybrid: Profile::hevc_like(),
             workers: 0,
             threads_per_session: 1,
-            exec_cap: 0,
             queue_depth: 4,
-            gop_batch: 8,
             max_sessions: 64,
             broadcast_gop: 8,
             subscriber_ring: 64,
@@ -503,19 +503,17 @@ struct Scheduler<'env> {
     ready: Mutex<VecDeque<Arc<Slot<'env>>>>,
     work: Condvar,
     queue_depth: usize,
-    gop_batch: usize,
     /// Jobs sitting in slot queues, not yet taken by a worker — the
     /// governor's queue-length signal for compute-aware admission.
     backlog: AtomicUsize,
 }
 
 impl<'env> Scheduler<'env> {
-    fn new(queue_depth: usize, gop_batch: usize) -> Self {
+    fn new(queue_depth: usize) -> Self {
         Scheduler {
             ready: Mutex::new(VecDeque::new()),
             work: Condvar::new(),
             queue_depth: queue_depth.max(1),
-            gop_batch: gop_batch.max(1),
             backlog: AtomicUsize::new(0),
         }
     }
@@ -576,11 +574,11 @@ impl<'env> Scheduler<'env> {
     }
 
     /// Takes one scheduling quantum off a slot's queue: at most
-    /// `gop_batch` jobs, cutting *before* an intra packet so a quantum
+    /// [`GOP_BATCH`] jobs, cutting *before* an intra packet so a quantum
     /// never straddles a GOP boundary.
     fn take_batch(&self, state: &mut SlotState) -> Vec<Job> {
         let mut batch = Vec::new();
-        while batch.len() < self.gop_batch {
+        while batch.len() < GOP_BATCH {
             match state.pending.pop_front() {
                 Some(Job::Packet(p)) if !batch.is_empty() && p.kind == FrameKind::Intra => {
                     // The next GOP starts here; leave its intra queued.
@@ -2151,7 +2149,7 @@ fn run(
         cfg.workers
     };
     let threads_per_session = cfg.threads_per_session.max(1);
-    let exec = ExecPool::new(cfg.exec_cap);
+    let exec = ExecPool::new(EXEC_CAP);
     let registry = BroadcastRegistry::new();
     // Default compute-admission ceiling: the deepest backlog the slot
     // queues can legitimately hold at once.
@@ -2159,7 +2157,7 @@ fn run(
         .governor
         .clone()
         .map(|gov_cfg| Governor::new(gov_cfg, cfg.queue_depth.max(1) * cfg.max_sessions.max(1)));
-    let sched = Scheduler::new(cfg.queue_depth, cfg.gop_batch);
+    let sched = Scheduler::new(cfg.queue_depth);
     std::thread::scope(|scope| {
         for _ in 0..workers.max(1) {
             scope.spawn(|| worker_loop(&sched, &exec, threads_per_session, stop, counters));

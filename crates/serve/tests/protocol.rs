@@ -14,7 +14,7 @@ use nvc_serve::{
 use nvc_video::codec::{encode_sequence, encode_sequence_with};
 use nvc_video::rate::RateMode;
 use nvc_video::synthetic::{SceneConfig, Synthesizer};
-use nvc_video::{FrameType, Sequence};
+use nvc_video::{FrameType, Sequence, StreamStats};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -721,6 +721,22 @@ fn governed_streams_degrade_restore_and_replay_byte_identically() {
     assert_eq!(report.throttle_steps, 16);
 }
 
+/// Trailer invariants every served stream keeps: one entry per frame in
+/// each per-frame column, and bit counts that sum to the bytes sent.
+fn assert_trailer_columns(stats: &StreamStats, frames: usize) {
+    assert_eq!(stats.frames, frames);
+    assert_eq!(stats.frame_types.len(), frames);
+    assert_eq!(stats.rate_per_frame.len(), frames);
+    assert_eq!(
+        stats.bits_per_frame.iter().sum::<u64>(),
+        8 * stats.total_bytes as u64,
+        "trailer bit counts must sum to the bytes sent"
+    );
+}
+
+/// Three decode streams, a fixed-rate encode and a target-bpp encode on
+/// one server at once: every stream matches the in-process session, and
+/// every trailer is consistent with what crossed the wire.
 #[test]
 fn concurrent_sessions_are_all_bit_exact() {
     let server = spawn_server();
@@ -730,13 +746,14 @@ fn concurrent_sessions_are_all_bit_exact() {
     let coded: Vec<_> = (0..3)
         .map(|r| encode_sequence(&codec, &source, RatePoint::new(r)).unwrap())
         .collect();
+    let target_bpp = coded[1].stats.bpp(W * H);
 
     std::thread::scope(|scope| {
-        let handles: Vec<_> = coded
+        let server = &server;
+        let mut handles: Vec<_> = coded
             .iter()
             .enumerate()
             .map(|(r, coded)| {
-                let server = &server;
                 scope.spawn(move || {
                     let mut client = connect(server, Hello::ctvc_decode(r as u8, W, H)).unwrap();
                     // Window 1 vs 2 exercises different pipelining depths.
@@ -752,21 +769,67 @@ fn concurrent_sessions_are_all_bit_exact() {
                             "stream at rate {r} diverged"
                         );
                     }
+                    // One GOP at one rate: the columns say exactly that.
+                    let stats = &summary.stats;
+                    assert_trailer_columns(stats, 3);
+                    assert_eq!(
+                        stats.frame_types,
+                        [FrameType::Intra, FrameType::Predicted, FrameType::Predicted]
+                    );
+                    assert!(stats.rate_per_frame.iter().all(|&q| usize::from(q) == r));
                 })
             })
             .collect();
+        // A fixed-rate encode: byte-identical to the in-process packets.
+        handles.push(scope.spawn(|| {
+            let mut client = connect(server, Hello::ctvc_encode(1, W, H)).unwrap();
+            for frame in source.frames() {
+                client.send_frame(frame).unwrap();
+            }
+            let summary = client.finish().unwrap();
+            assert_trailer_columns(&summary.stats, 3);
+            assert!(summary.stats.rate_per_frame.iter().all(|&q| q == 1));
+            assert_eq!(summary.packets.len(), 3);
+            for (remote, local) in summary.packets.iter().zip(&coded[1].packets) {
+                assert_eq!(
+                    remote.to_bytes(),
+                    local.to_bytes(),
+                    "concurrent fixed encode diverged from the in-process session"
+                );
+            }
+        }));
+        // A closed-loop encode: every chosen rate is a valid rate point,
+        // and the bits the controller saw are the serialized sizes.
+        handles.push(scope.spawn(|| {
+            let hello = Hello::ctvc_encode(1, W, H).with_target_bpp(target_bpp, 4);
+            let mut client = connect(server, hello).unwrap();
+            for frame in source.frames() {
+                client.send_frame(frame).unwrap();
+            }
+            let summary = client.finish().unwrap();
+            let stats = &summary.stats;
+            assert_trailer_columns(stats, 3);
+            assert!(stats
+                .rate_per_frame
+                .iter()
+                .all(|&r| RatePoint::try_new(r).is_ok()));
+            assert_eq!(summary.packets.len(), 3);
+            for (bits, packet) in stats.bits_per_frame.iter().zip(&summary.packets) {
+                assert_eq!(*bits, packet.encoded_len() as u64 * 8);
+            }
+        }));
         for handle in handles {
             handle.join().unwrap();
         }
     });
 
     let report = server.shutdown();
-    assert_eq!(report.sessions, 3);
-    assert_eq!(report.frames, 9);
+    assert_eq!(report.sessions, 5);
+    assert_eq!(report.frames, 15);
     assert_eq!(report.errors, 0);
-    // All three sessions multiplexed on the one poller.
+    // All five sessions multiplexed on the one poller.
     assert!(
-        (1..=3).contains(&report.max_registered),
+        (1..=5).contains(&report.max_registered),
         "max_registered = {}",
         report.max_registered
     );

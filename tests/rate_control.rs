@@ -1,9 +1,9 @@
 //! Closed-loop and per-frame rate control, end to end: mid-GOP rate
 //! switches must decode bit-exactly, controllers must be deterministic
 //! (replayable), the feedback plumbing must carry real bit counts, and
-//! the target-bpp loop must steer (the ±10 % convergence *gate* runs in
-//! release mode as `ratecontrol --quick`; here the cheap hybrid codec
-//! proves convergence in-tree).
+//! the target-bpp loop must converge within ±10 % for both codec
+//! families (the CTVC case is ignored in debug builds, where it takes
+//! about 25 s; CI runs this file again under `--release`).
 
 use nvc_baseline::{HybridCodec, Profile};
 use nvc_entropy::container::FrameKind;
@@ -212,29 +212,30 @@ fn stream_stats_columns_align_with_bits() {
     assert!(stats.rate_per_frame.iter().all(|&r| r == 24));
 }
 
-/// Target-bpp mode on the (cheap) hybrid codec: the trailing 2-GOP
-/// window converges to within ±10 % of the requested target, and the
-/// controller is deterministic — a replay produces byte-identical
-/// packets.
-#[test]
-fn hybrid_target_bpp_converges_and_replays_bit_exact() {
+/// Target-bpp mode converges and replays: encode 3 GOPs of 8 at two
+/// bracketing fixed rates, aim the closed loop at the midpoint of their
+/// trailing-2-GOP bpp (the first GOP is calibration — the controller
+/// starts with no complexity estimates), and require the loop's own
+/// trailing-2-GOP mean within ±10 % of that target, at least one rate
+/// change, a byte-identical replay, and a decoder that tracks every
+/// in-band rate.
+fn assert_target_bpp_converges<C: VideoCodec>(codec: &C, seq: &Sequence, lo: C::Rate, hi: C::Rate) {
     let gop = 8;
-    let frames = 3 * gop;
-    let codec = HybridCodec::new(Profile::hevc_like());
-    let seq = hybrid_seq(frames);
-    let px = 64 * 48;
+    let frames = seq.frames().len();
+    assert_eq!(frames, 3 * gop);
+    let px = seq.width() * seq.height();
     let tail = |stats: &StreamStats| -> f64 {
         let bits: u64 = stats.bits_per_frame[gop..].iter().sum();
         bits as f64 / ((frames - gop) * px) as f64
     };
-    let (_, lo) = encode_with_gops(&codec, &seq, RateMode::Fixed(28u8), gop);
-    let (_, hi) = encode_with_gops(&codec, &seq, RateMode::Fixed(22u8), gop);
-    let target = 0.5 * (tail(&lo) + tail(&hi));
+    let (_, at_lo) = encode_with_gops(codec, seq, RateMode::Fixed(lo), gop);
+    let (_, at_hi) = encode_with_gops(codec, seq, RateMode::Fixed(hi), gop);
+    let target = 0.5 * (tail(&at_lo) + tail(&at_hi));
     let mode = || RateMode::TargetBpp {
         bpp: target,
         window: gop,
     };
-    let (packets, stats) = encode_with_gops(&codec, &seq, mode(), gop);
+    let (packets, stats) = encode_with_gops(codec, seq, mode(), gop);
     let achieved = tail(&stats);
     let err = (achieved - target).abs() / target;
     assert!(
@@ -243,24 +244,45 @@ fn hybrid_target_bpp_converges_and_replays_bit_exact() {
         err * 100.0
     );
     assert!(
-        stats
-            .rate_per_frame
-            .iter()
-            .any(|&q| q != stats.rate_per_frame[0]),
-        "a closed-loop stream between two fixed rates must actually dither"
+        stats.rate_per_frame.windows(2).any(|w| w[0] != w[1]),
+        "a closed-loop stream between two fixed rates must move the rate"
     );
     // Deterministic: a second run is byte-identical.
-    let (replay, _) = encode_with_gops(&codec, &seq, mode(), gop);
+    let (replay, _) = encode_with_gops(codec, seq, mode(), gop);
     assert_eq!(packets, replay, "controller replay must be bit-exact");
-    // And the adaptive stream decodes cleanly.
-    let decoded = decode_all(&codec, &packets);
-    assert_eq!(decoded.len(), frames);
+    // And the adaptive stream decodes, the decoder following every
+    // in-band rate switch.
+    let mut dec = codec.start_decode();
+    for (i, p) in packets.iter().enumerate() {
+        dec.push_packet(p).unwrap();
+        assert_eq!(
+            dec.last_rate(),
+            Some(stats.rate_per_frame[i]),
+            "frame {i}: decoder lost track of the stream rate"
+        );
+    }
 }
 
-/// Target-bpp mode on the learned codec: the stream stays decodable,
-/// the rate trace responds, and the decoder follows every in-band
-/// switch (the full convergence gate runs in release as
-/// `ratecontrol --quick`).
+#[test]
+fn hybrid_target_bpp_converges_and_replays_bit_exact() {
+    let codec = HybridCodec::new(Profile::hevc_like());
+    assert_target_bpp_converges(&codec, &hybrid_seq(24), 28, 22);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "about 25 s unoptimised; run with `cargo test --release --test rate_control`"
+)]
+fn ctvc_target_bpp_converges_and_replays_bit_exact() {
+    let codec = CtvcCodec::new(CtvcConfig::ctvc_fp(8)).unwrap();
+    assert_target_bpp_converges(&codec, &ctvc_seq(24), RatePoint::new(1), RatePoint::new(2));
+}
+
+/// Target-bpp mode on the learned codec, cheap enough for a debug
+/// build: the stream stays decodable, the rate trace responds, and the
+/// decoder follows every in-band switch (the convergence case,
+/// `ctvc_target_bpp_converges_and_replays_bit_exact`, runs in release).
 #[test]
 fn ctvc_target_bpp_stream_decodes_with_rate_trace() {
     let codec = CtvcCodec::new(CtvcConfig::ctvc_fp(8)).unwrap();
