@@ -4,7 +4,7 @@
 //! decoder session returns, for both profiles at 64×48 and at 52×38
 //! (partial edge blocks for both motion-block sizes), QP 24 and 34, on a
 //! 12-frame stream with join headers and a GOP restart every 8 frames,
-//! at one and two worker threads.
+//! at one, two and four worker threads.
 //!
 //! A failure here means the bitstream or the decoded pixels changed: it
 //! is a format change, not a test to update. The constants were recorded
@@ -150,7 +150,7 @@ fn hybrid_streams_match_their_golden_digests() {
     ];
     for (profile, dims, qp, expected) in golden {
         let name = profile.name;
-        for threads in [1, 2] {
+        for threads in [1, 2, 4] {
             let got = stream_digests(profile.clone(), dims, qp, threads);
             assert_eq!(
                 got, expected,

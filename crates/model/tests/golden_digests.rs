@@ -1,8 +1,8 @@
 //! Golden digests of what the CTVC encoder and decoder produce: every
 //! packet's bytes, every closed-loop reconstruction the encoder hands
-//! out and every frame a decoder session returns, for `ctvc_fp(8)` and
-//! `ctvc_sparse(8)` on one intra and three P frames at 64×48, at one and
-//! two worker threads.
+//! out and every frame a decoder session returns, for `ctvc_fp(8)`,
+//! `ctvc_sparse(8)`, `ctvc_fxp(8)` and `dvc_like(8)` on one intra and
+//! three P frames at 64×48, at one, two and four worker threads.
 //!
 //! A failure here means the bitstream or the decoded pixels changed: it
 //! is a format change, not a test to update. The constants were recorded
@@ -75,10 +75,27 @@ fn ctvc_streams_match_their_golden_digests() {
                 0x4cda_66f4_69a8_7f5c,
             ),
         ),
+        (
+            CtvcConfig::ctvc_fxp(8),
+            (
+                0x1775_6e45_51cc_0381,
+                0xa228_4139_cf66_3093,
+                0xa228_4139_cf66_3093,
+            ),
+        ),
+        // The one config whose motion search is full-pel only.
+        (
+            CtvcConfig::dvc_like(8),
+            (
+                0x5632_54be_a0c1_65b0,
+                0x4988_5af2_2379_a343,
+                0x4988_5af2_2379_a343,
+            ),
+        ),
     ];
     for (cfg, expected) in golden {
         let name = cfg.name;
-        for threads in [1, 2] {
+        for threads in [1, 2, 4] {
             let got = stream_digests(cfg.clone(), threads);
             assert_eq!(
                 got, expected,
