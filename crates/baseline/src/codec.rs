@@ -7,12 +7,13 @@
 //! are wrappers over the sessions.
 
 use crate::dct::{self, BS};
-use crate::plane::{PaddedPlane, Plane, LANES};
+use crate::plane::Plane;
 use crate::Profile;
 use nvc_core::ExecCtx;
 use nvc_entropy::container::{FrameKind, Section};
 use nvc_entropy::{BitReader, BitWriter, CodingError, Histogram, RangeDecoder, RangeEncoder};
 use nvc_tensor::{Shape, Tensor};
+use nvc_video::block_match::{self, BlockMatcher, Fill, Rules};
 use nvc_video::codec::{CodedFrame, SectionList, VideoCodec};
 use nvc_video::rate::RateMode;
 use nvc_video::session::{SessionMetrics, StreamDecoder, StreamEncoder};
@@ -296,8 +297,9 @@ impl HybridCodec {
         drop(search);
 
         // Phase 2 — sequential transform coding and reconstruction.
-        for (&(by, bx), &(mv_y, mv_x, skip)) in block_coords(w, h, mb).iter().zip(&decisions) {
-            let bs = mb.min(h - by).min(w - bx);
+        for (&(by, bx, bs), &(mv_y, mv_x, skip)) in
+            block_match::blocks(w, h, mb).iter().zip(&decisions)
+        {
             encode_sym(rc, &mut models.skip, u32::from(skip));
             if skip {
                 for c in 0..3 {
@@ -346,35 +348,31 @@ impl HybridCodec {
         recon: &mut [Plane; 3],
     ) {
         let (w, h) = (recon[0].width(), recon[0].height());
-        let mb = self.profile.mc_block;
-        for by in (0..h).step_by(mb) {
-            for bx in (0..w).step_by(mb) {
-                let bs = mb.min(h - by).min(w - bx);
-                let skip = decode_sym(rc, &mut models.skip) == 1;
-                if skip {
-                    for c in 0..3 {
-                        copy_mc_block(&reference[c], &mut recon[c], by, bx, bs, 0, 0);
-                    }
-                    continue;
-                }
-                let off = models.mv_offset;
-                let mv_y = decode_sym(rc, &mut models.mv) as i32 - off;
-                let mv_x = decode_sym(rc, &mut models.mv) as i32 - off;
+        for (by, bx, bs) in block_match::blocks(w, h, self.profile.mc_block) {
+            let skip = decode_sym(rc, &mut models.skip) == 1;
+            if skip {
                 for c in 0..3 {
-                    copy_mc_block(&reference[c], &mut recon[c], by, bx, bs, mv_y, mv_x);
-                    for sy in (0..bs).step_by(BS) {
-                        for sx in (0..bs).step_by(BS) {
-                            let (oy, ox) = (by + sy, bx + sx);
-                            let pred = read_block(&recon[c], oy, ox);
-                            let q = decode_block(rc, models);
-                            let dq = dct::dequantize(&q, step);
-                            let rec = dct::inverse(&dq);
-                            let mut out = [0.0_f32; BS * BS];
-                            for i in 0..BS * BS {
-                                out[i] = pred[i] + rec[i];
-                            }
-                            write_block(&mut recon[c], oy, ox, &out);
+                    copy_mc_block(&reference[c], &mut recon[c], by, bx, bs, 0, 0);
+                }
+                continue;
+            }
+            let off = models.mv_offset;
+            let mv_y = decode_sym(rc, &mut models.mv) as i32 - off;
+            let mv_x = decode_sym(rc, &mut models.mv) as i32 - off;
+            for c in 0..3 {
+                copy_mc_block(&reference[c], &mut recon[c], by, bx, bs, mv_y, mv_x);
+                for sy in (0..bs).step_by(BS) {
+                    for sx in (0..bs).step_by(BS) {
+                        let (oy, ox) = (by + sy, bx + sx);
+                        let pred = read_block(&recon[c], oy, ox);
+                        let q = decode_block(rc, models);
+                        let dq = dct::dequantize(&q, step);
+                        let rec = dct::inverse(&dq);
+                        let mut out = [0.0_f32; BS * BS];
+                        for i in 0..BS * BS {
+                            out[i] = pred[i] + rec[i];
                         }
+                        write_block(&mut recon[c], oy, ox, &out);
                     }
                 }
             }
@@ -387,215 +385,49 @@ impl HybridCodec {
     /// worker pool; entropy coding stays strictly sequential in phase 2
     /// and consumes the decisions in raster order, producing the same
     /// bitstream for every thread count.
+    ///
+    /// The search is [`nvc_video::block_match`] under [`Rules::HYBRID`]
+    /// over an edge-replicated margin ([`Plane::at_clamped`]), its vector
+    /// clamped into the coded alphabet.
     fn motion_decisions(&self, cur: &Plane, reference: &Plane, step: f32) -> Vec<(i32, i32, bool)> {
         let (w, h) = (cur.width(), cur.height());
-        let mb = self.profile.mc_block;
         let r = self.profile.search_range.max(0);
-        // A ±r full-pel candidate reads rows and columns up to r outside
-        // the plane, and its half-pel neighbours one further.
-        let padded = PaddedPlane::new(reference, r as usize + 2);
-        let coords = block_coords(w, h, mb);
-        let mut decisions = vec![(0_i32, 0_i32, false); coords.len()];
-        // Work is samples read, one per candidate lane. Summed in full,
-        // the (2r + 1)² full-pel candidates would read every sample of
-        // the plane that many times; the lockstep groups stop only once
-        // all their lanes are dead, so they read 0.59–0.62 of those
-        // candidate rows for the HEVC-like profile and 0.73–0.77 for the
-        // AVC-like one (`hevc_b_like` clips, 32×24 to 128×96, QP 34); ¾
-        // is taken for both. The half-pel refinement's nine candidates
-        // read 25 samples per pixel, the skip test one. Threads 2 against
-        // 1 on the 2-core reference host (alternating encodes, median
-        // ratio of 15) is faster from 3.8 · 10⁵ samples up (HEVC-like
-        // 32×24 0.89, 52×38 0.76–0.83, 64×48 0.72–0.84; AVC-like 52×38
-        // 0.94–0.98, 64×48 0.87–0.91, 128×96 0.80) and no faster from
-        // 2.6 · 10⁵ down (AVC-like 40×30 1.00, 32×24 1.09; HEVC-like
-        // 24×16 1.09), so the estimate crosses `PAR_MIN_WORK` between.
+        let matcher = BlockMatcher::new(
+            cur.as_slice(),
+            reference.as_slice(),
+            (w, h),
+            (r, self.profile.half_pel),
+            Fill::Edge,
+            Rules::HYBRID,
+        );
+        let blocks = block_match::blocks(w, h, self.profile.mc_block);
+        let mut decisions = vec![(0_i32, 0_i32, false); blocks.len()];
+        // Work is samples read: ¾ of the (2r + 1)² full-pel candidate
+        // rows (what the unseeded lockstep scan read), 25 per pixel for
+        // the nine half-pel candidates, one for the skip test. Threads 2
+        // against 1 on the 2-core reference host was faster from
+        // 3.8 · 10⁵ samples up and no faster from 2.6 · 10⁵ down, so the
+        // estimate crosses `PAR_MIN_WORK` between; the seeded scan reads
+        // less, but the estimate and its fan-out decisions are kept.
         let candidates = (2 * r as u64 + 1).pow(2);
         let refinement = if self.profile.half_pel { 25 } else { 0 };
         let work = (h * w) as u64 * (candidates * 3 / 4 + refinement + 1);
         self.exec
             .par_chunks_mut_gated(&mut decisions, 1, work, |bi, d| {
-                let (by, bx) = coords[bi];
-                let at = (by, bx, mb.min(h - by).min(w - bx)); // effective block (edges)
-                let (mv_y, mv_x) = self.search_motion(cur, &padded, at);
-                // Skip decision: zero MV and small prediction error. The
-                // search may have dropped the zero candidate early, so its
-                // SAD is summed here in full.
-                let bs = at.2;
-                let sad0 = block_sad(cur, &padded, at, (0, 0));
-                let skip = mv_y == 0 && mv_x == 0 && sad0 / (bs * bs) as f64 <= 0.6 * step as f64;
-                d[0] = (mv_y, mv_x, skip);
+                let at = blocks[bi];
+                let ((mv_y, mv_x), zero_cost) = matcher.search(at);
+                let off = 2 * r;
+                let (mv_y, mv_x) = (mv_y.clamp(-off, off), mv_x.clamp(-off, off));
+                // Skip decision: zero MV and small prediction error.
+                let mean0 = zero_cost / (at.2 * at.2) as f64;
+                d[0] = (
+                    mv_y,
+                    mv_x,
+                    (mv_y, mv_x) == (0, 0) && mean0 <= 0.6 * step as f64,
+                );
             });
         decisions
     }
-
-    /// Full-search (optionally half-pel-refined) motion estimation on the
-    /// luma plane for the block `at = (by, bx, bs)`, over `reference`
-    /// padded by at least `search_range + 2`. Returns the MV in half-pel
-    /// units.
-    ///
-    /// The result is bit-identical to a scalar reference that sums every
-    /// candidate in full, in raster order, and keeps a candidate only at a
-    /// strictly lower cost (ties go to the first). The full-pel scan sums
-    /// each `dy` row's candidates in lockstep groups of [`LANES`] adjacent
-    /// `dx` ([`group_costs`]), the `(2r + 1) mod LANES` left over at the
-    /// row's end one at a time ([`candidate_cost`]), and offers the
-    /// finished costs to the running best in ascending `dx`.
-    ///
-    /// A group prunes against `best_cost` as it stood when the group
-    /// began, not against the running best the reference compares each
-    /// candidate with. That is still exact: `best_cost` only falls along
-    /// raster order, so a lane whose cost reached the snapshot would also
-    /// have lost to the later, lower best. The lanes that survive carry
-    /// the reference's bits and are compared in the reference's order, so
-    /// they win exactly where it would. NaN lanes never die early and
-    /// never win, as in the reference.
-    fn search_motion(&self, cur: &Plane, reference: &PaddedPlane, at: Block) -> (i32, i32) {
-        let r = self.profile.search_range;
-        let groups = (2 * r + 1).max(0) as usize / LANES;
-        let mut best = Best {
-            cost: f64::INFINITY,
-            mv: (0, 0),
-        };
-        for dy in -r..=r {
-            let pen = |dx: i32| 0.01 * (dy.abs() + dx.abs()) as f64; // small MV-rate bias
-            for dx0 in (-r..).step_by(LANES).take(groups) {
-                let pens = std::array::from_fn(|l| pen(dx0 + l as i32));
-                let costs = group_costs(cur, reference, at, (dy, dx0), pens, best.cost);
-                for (dx, cost) in (dx0..).zip(costs) {
-                    best.offer(cost, (dy * 2, dx * 2));
-                }
-            }
-            for dx in -r + (groups * LANES) as i32..=r {
-                let mv = (dy as isize * 2, dx as isize * 2);
-                let cost = candidate_cost(cur, reference, at, mv, pen(dx), best.cost);
-                best.offer(cost, (dy * 2, dx * 2));
-            }
-        }
-        if self.profile.half_pel {
-            let (cy, cx) = best.mv;
-            for dy in -1..=1_i32 {
-                for dx in -1..=1_i32 {
-                    let cand = (cy + dy, cx + dx);
-                    let mv = (cand.0 as isize, cand.1 as isize);
-                    best.offer(candidate_cost(cur, reference, at, mv, 0.0, best.cost), cand);
-                }
-            }
-        }
-        // Clamp into the coded alphabet.
-        let off = 2 * r;
-        (best.mv.0.clamp(-off, off), best.mv.1.clamp(-off, off))
-    }
-}
-
-/// The running best of a motion search: its cost and half-pel vector.
-struct Best {
-    cost: f64,
-    mv: (i32, i32),
-}
-
-impl Best {
-    /// Takes `mv` if `cost` is strictly lower than the best so far, so of
-    /// equal costs the first offered wins, and a NaN or dropped (`None`)
-    /// cost never does.
-    fn offer(&mut self, cost: Option<f64>, mv: (i32, i32)) {
-        if let Some(cost) = cost.filter(|&c| c < self.cost) {
-            self.cost = cost;
-            self.mv = mv;
-        }
-    }
-}
-
-/// A motion block `(by, bx, bs)`: its top-left sample and its effective
-/// (edge-clipped) size; always inside the plane.
-type Block = (usize, usize, usize);
-
-/// The top-left samples of the `mb × mb` motion blocks of a `w × h`
-/// plane, in raster order.
-fn block_coords(w: usize, h: usize, mb: usize) -> Vec<(usize, usize)> {
-    (0..h)
-        .step_by(mb)
-        .flat_map(|by| (0..w).step_by(mb).map(move |bx| (by, bx)))
-        .collect()
-}
-
-/// The SAD of block `at` of `cur` against `reference` displaced by the
-/// half-pel vector `mv`, summed in full in raster order: bit-identical
-/// to [`Plane::sad`] at the same position.
-fn block_sad(cur: &Plane, reference: &PaddedPlane, (by, bx, bs): Block, mv: (isize, isize)) -> f64 {
-    let w = cur.width();
-    (by..by + bs).fold(0.0, |acc, y| {
-        let row = &cur.as_slice()[y * w + bx..][..bs];
-        reference.add_row_sad(acc, row, 2 * y as isize + mv.0, 2 * bx as isize + mv.1)
-    })
-}
-
-/// [`block_sad`] plus `pen`, or `None` after the first row at which the
-/// running `acc + pen >= bound`. The motion search sums one candidate at
-/// a time through it only where no lockstep group ([`group_costs`])
-/// covers the candidate: the `(2r + 1) mod LANES` at the end of each
-/// full-pel row, and the nine of the half-pel refinement.
-///
-/// The early exit is exact: a candidate it drops could never have won
-/// the caller's `cost < bound`. Each remaining term is `≥ 0` (or NaN),
-/// and under round-to-nearest `fl(acc + t) >= acc` for `t >= 0`, so the
-/// running sum never decreases; `fl(a + pen)` is monotone in `a`, so the
-/// finished cost is `>= bound` too. A NaN anywhere makes the comparison
-/// false on this path and on the caller's alike, so NaN costs are never
-/// dropped early and never win. Kept candidates return the same bits the
-/// full raster-order sum plus `pen` produces (`acc` is never `-0.0`, so
-/// a `pen` of `0.0` adds nothing).
-fn candidate_cost(
-    cur: &Plane,
-    reference: &PaddedPlane,
-    (by, bx, bs): Block,
-    mv: (isize, isize),
-    pen: f64,
-    bound: f64,
-) -> Option<f64> {
-    let w = cur.width();
-    let mut acc = 0.0_f64;
-    for y in by..by + bs {
-        let row = &cur.as_slice()[y * w + bx..][..bs];
-        acc = reference.add_row_sad(acc, row, 2 * y as isize + mv.0, 2 * bx as isize + mv.1);
-        if acc + pen >= bound {
-            return None;
-        }
-    }
-    Some(acc + pen)
-}
-
-/// [`candidate_cost`] for the [`LANES`] full-pel candidates `(dy, dx0 + l)`
-/// at once, lane `l` with penalty `pen[l]`: the lanes add each row of the
-/// block in lockstep ([`PaddedPlane::add_row_sad_lanes`]), lane `l` dies
-/// after the first row at which its `acc + pen[l] >= bound`, and the rows
-/// stop once every lane is dead. Dead lanes are `None`; a live lane's
-/// cost has the bits `candidate_cost` gives the same candidate, and by
-/// `candidate_cost`'s argument a dead lane could not have won a
-/// `cost < bound` comparison.
-fn group_costs(
-    cur: &Plane,
-    reference: &PaddedPlane,
-    (by, bx, bs): Block,
-    (dy, dx0): (i32, i32),
-    pen: [f64; LANES],
-    bound: f64,
-) -> [Option<f64>; LANES] {
-    let w = cur.width();
-    let mut acc = [0.0_f64; LANES];
-    let mut dead = [false; LANES];
-    for y in by..by + bs {
-        let row = &cur.as_slice()[y * w + bx..][..bs];
-        let (ry, rx) = (y as isize + dy as isize, bx as isize + dx0 as isize);
-        reference.add_row_sad_lanes(&mut acc, row, ry, rx);
-        for l in 0..LANES {
-            dead[l] |= acc[l] + pen[l] >= bound;
-        }
-        if dead.iter().all(|&d| d) {
-            break;
-        }
-    }
-    std::array::from_fn(|l| (!dead[l]).then(|| acc[l] + pen[l]))
 }
 
 /// Streaming encoder session for [`HybridCodec`]: the shared
@@ -890,343 +722,68 @@ mod tests {
 
     /// The search the fast one answers to: every sample of every
     /// candidate through [`Plane::sad`], no early exit.
-    fn reference_search(
-        profile: &Profile,
-        cur: &Plane,
-        reference: &Plane,
-        (by, bx, bs): Block,
-    ) -> (i32, i32) {
-        let r = profile.search_range;
-        let mut best = (0_i32, 0_i32);
-        let mut best_cost = f64::INFINITY;
-        for dy in -r..=r {
-            for dx in -r..=r {
-                let cost = cur.sad(
-                    by,
-                    bx,
-                    bs,
-                    reference,
-                    (by as i32 + dy) as isize * 2,
-                    (bx as i32 + dx) as isize * 2,
-                ) + 0.01 * (dy.abs() + dx.abs()) as f64;
-                if cost < best_cost {
-                    best_cost = cost;
-                    best = (dy * 2, dx * 2);
-                }
-            }
-        }
-        if profile.half_pel {
-            let (cy, cx) = best;
-            for dy in -1..=1_i32 {
-                for dx in -1..=1_i32 {
-                    let cand = (cy + dy, cx + dx);
-                    let cost = cur.sad(
-                        by,
-                        bx,
-                        bs,
-                        reference,
-                        by as isize * 2 + cand.0 as isize,
-                        bx as isize * 2 + cand.1 as isize,
-                    );
-                    if cost < best_cost {
-                        best_cost = cost;
-                        best = cand;
-                    }
-                }
-            }
-        }
-        let off = 2 * r;
-        (best.0.clamp(-off, off), best.1.clamp(-off, off))
-    }
-
-    /// Phase 1 through [`reference_search`] and a scalar skip SAD, at
-    /// each of `steps`.
-    fn reference_decisions(
-        profile: &Profile,
-        cur: &Plane,
-        reference: &Plane,
-        steps: &[f32],
-    ) -> Vec<Vec<(i32, i32, bool)>> {
-        let (w, h) = (cur.width(), cur.height());
-        let mb = profile.mc_block;
-        let searched: Vec<(i32, i32, f64)> = block_coords(w, h, mb)
-            .into_iter()
-            .map(|(by, bx)| {
-                let bs = mb.min(h - by).min(w - bx);
-                let (mv_y, mv_x) = reference_search(profile, cur, reference, (by, bx, bs));
-                let sad0 = cur.sad(by, bx, bs, reference, by as isize * 2, bx as isize * 2);
-                (mv_y, mv_x, sad0 / (bs * bs) as f64)
-            })
-            .collect();
-        steps
-            .iter()
-            .map(|&step| {
-                searched
-                    .iter()
-                    .map(|&(mv_y, mv_x, mean0)| {
-                        (
-                            mv_y,
-                            mv_x,
-                            mv_y == 0 && mv_x == 0 && mean0 <= 0.6 * step as f64,
-                        )
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// xorshift64*: a seeded plane generator without a dependency.
-    fn noise(seed: u64) -> impl FnMut() -> f32 {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            let bits = state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 40;
-            bits as f32 / (1u64 << 24) as f32
-        }
-    }
-
-    /// `(name, cur, reference)` planes the sweep searches: textured (the
-    /// reference shifted by (2, −1) plus noise, so there is a true
-    /// optimum); flat and unequal (the edge-replicated border costs what
-    /// the plane does, so every candidate's SAD ties and the bias and
-    /// raster order decide); flat and equal (every block skips); signed
-    /// zeros mixed into a sparse texture; and a texture with NaN and ±∞
-    /// samples.
-    fn sweep_planes(w: usize, h: usize, seed: u64) -> Vec<(&'static str, Plane, Plane)> {
-        let mut next = noise(seed);
-        let base: Vec<f32> = (0..w * h).map(|_| next()).collect();
-        let shifted = (0..w * h)
-            .map(|i| {
-                let (y, x) = (i / w + 2, (i % w) as isize - 1);
-                let r = if y < h && x >= 0 {
-                    base[y * w + x as usize]
-                } else {
-                    0.3
-                };
-                r + 0.05 * next()
-            })
-            .collect();
-        let flat = |v| Plane::from_vec(w, h, vec![v; w * h]);
-        let picked = |salt: u64, special: [f32; 2]| {
-            let mut pick = noise(seed ^ salt);
-            let data = (0..w * h)
-                .map(|_| match pick() {
-                    v if v < 0.4 => special[0],
-                    v if v < 0.8 => special[1],
-                    v => v - 0.8,
-                })
-                .collect();
-            Plane::from_vec(w, h, data)
-        };
-        let mut wild = base.clone();
-        for (i, v) in wild.iter_mut().enumerate() {
-            match i % 37 {
-                5 => *v = f32::NAN,
-                11 => *v = f32::INFINITY,
-                23 => *v = f32::NEG_INFINITY,
-                _ => {}
-            }
-        }
-        vec![
-            (
-                "textured",
-                Plane::from_vec(w, h, shifted),
-                Plane::from_vec(w, h, base.clone()),
-            ),
-            ("flat", flat(0.25), flat(1.0)),
-            ("flat equal", flat(0.5), flat(0.5)),
-            (
-                "signed zeros",
-                picked(1, [0.0, -0.0]),
-                picked(2, [-0.0, 0.0]),
-            ),
-            (
-                "non-finite",
-                Plane::from_vec(w, h, base),
-                Plane::from_vec(w, h, wild),
-            ),
-        ]
-    }
-
     #[test]
-    fn fast_search_matches_the_scalar_reference_bit_for_bit() {
-        // (w, h, mc_block, search_range): block multiples and not, ranges
-        // at and beyond the plane size, and planes large enough to fan
-        // out.
-        let geometries = [
-            (64, 48, 8, 12),
-            (52, 38, 16, 8),
-            (19, 13, 8, 3),
-            (7, 10, 4, 12),
-            (6, 5, 8, 6),
-            (32, 24, 16, 8),
-            (9, 9, 8, 0),
-        ];
-        let steps = [dct::qp_to_step(20), dct::qp_to_step(44)];
-        // The sweep must reach every kind of decision: skips, full-pel
-        // and half-pel vectors.
+    fn decisions_are_the_matchers_at_every_worker_count() {
+        // Both profiles at a block-multiple and a clipped size, each
+        // large enough to fan out, at a step that skips and one that
+        // does not. The vectors are the shared matcher's, clamped into
+        // the coded alphabet; the skip test reads the zero vector's SAD,
+        // summed here from the planes.
         let (mut skips, mut moved, mut half) = (0, 0, 0);
-        for (seed, &(w, h, mc_block, search_range)) in geometries.iter().enumerate() {
-            for (name, cur, reference) in sweep_planes(w, h, seed as u64 + 1) {
-                for half_pel in [false, true] {
-                    let profile = sweep_profile(mc_block, search_range, half_pel);
-                    let expected = reference_decisions(&profile, &cur, &reference, &steps);
-                    for (step, expected) in steps.into_iter().zip(expected) {
-                        for &(mv_y, mv_x, skip) in &expected {
-                            skips += usize::from(skip);
-                            moved += usize::from((mv_y, mv_x) != (0, 0));
-                            half += usize::from(mv_y % 2 != 0 || mv_x % 2 != 0);
-                        }
-                        for workers in [1, 2, 7] {
-                            let codec = HybridCodec::with_threads(profile.clone(), workers);
-                            assert_eq!(
-                                codec.motion_decisions(&cur, &reference, step),
-                                expected,
-                                "{name} {w}x{h}, block {mc_block}, range {search_range}, \
-                                 half-pel {half_pel}, step {step}, {workers} workers"
-                            );
-                        }
+        for (w, h) in [(64, 48), (52, 38)] {
+            let clip = Synthesizer::new(SceneConfig::mcl_jcv_like(w, h, 2)).generate();
+            let [cur, reference] =
+                [1, 0].map(|i| HybridCodec::luma(&HybridCodec::frame_to_planes(&clip.frames()[i])));
+            for profile in [Profile::hevc_like(), Profile::avc_like()] {
+                let r = profile.search_range;
+                let (samples, dims) = ((cur.as_slice(), reference.as_slice()), (w, h));
+                let search = (r, profile.half_pel);
+                let matcher = BlockMatcher::new(
+                    samples.0,
+                    samples.1,
+                    dims,
+                    search,
+                    Fill::Edge,
+                    Rules::HYBRID,
+                );
+                for step in [dct::qp_to_step(20), dct::qp_to_step(44)] {
+                    let expected: Vec<(i32, i32, bool)> =
+                        block_match::blocks(w, h, profile.mc_block)
+                            .into_iter()
+                            .map(|(by, bx, bs)| {
+                                let mv = matcher.search((by, bx, bs)).0;
+                                let mv = (mv.0.clamp(-2 * r, 2 * r), mv.1.clamp(-2 * r, 2 * r));
+                                let sad0 = (by..by + bs)
+                                    .flat_map(|y| (bx..bx + bs).map(move |x| (y, x)))
+                                    .fold(0.0, |acc, (y, x)| {
+                                        acc + (cur.at(y, x) - reference.at(y, x)).abs() as f64
+                                    });
+                                let skip =
+                                    mv == (0, 0) && sad0 / (bs * bs) as f64 <= 0.6 * step as f64;
+                                (mv.0, mv.1, skip)
+                            })
+                            .collect();
+                    for &(mv_y, mv_x, skip) in &expected {
+                        skips += usize::from(skip);
+                        moved += usize::from((mv_y, mv_x) != (0, 0));
+                        half += usize::from(mv_y % 2 != 0 || mv_x % 2 != 0);
+                    }
+                    for workers in [1, 2, 7] {
+                        let codec = HybridCodec::with_threads(profile.clone(), workers);
+                        assert_eq!(
+                            codec.motion_decisions(&cur, &reference, step),
+                            expected,
+                            "{} {w}x{h}, step {step}, {workers} workers",
+                            profile.name
+                        );
                     }
                 }
             }
         }
         assert!(
             skips > 0 && moved > half && half > 0,
-            "sweep decisions: {skips} skips, {moved} non-zero vectors, {half} half-pel"
+            "decisions: {skips} skips, {moved} non-zero vectors, {half} half-pel"
         );
-    }
-
-    /// A profile for the search sweeps: no deblocking, which phase 1 never
-    /// reads anyway.
-    fn sweep_profile(mc_block: usize, search_range: i32, half_pel: bool) -> Profile {
-        Profile {
-            name: "sweep",
-            mc_block,
-            search_range,
-            half_pel,
-            deblock: false,
-        }
-    }
-
-    #[test]
-    fn lockstep_search_matches_the_scalar_reference_at_every_group_edge() {
-        // Ranges 0–12 give rows of 0 to 3 whole groups and every tail
-        // width (2r + 1) mod LANES an odd row length can leave. At 21×13
-        // with 8-sample blocks the right column and bottom row of blocks
-        // are clipped, and their lanes read deepest into the padding.
-        let step = dct::qp_to_step(34);
-        let mut tails = [false; LANES];
-        for r in 0..=12 {
-            tails[(2 * r + 1) as usize % LANES] = true;
-            for (name, cur, reference) in sweep_planes(21, 13, r as u64 + 11) {
-                for half_pel in [false, true] {
-                    let profile = sweep_profile(8, r, half_pel);
-                    let expected = reference_decisions(&profile, &cur, &reference, &[step]);
-                    let codec = HybridCodec::with_threads(profile, 1);
-                    assert_eq!(
-                        codec.motion_decisions(&cur, &reference, step),
-                        expected[0],
-                        "{name}, range {r}, half-pel {half_pel}"
-                    );
-                }
-            }
-        }
-        let odd: [bool; LANES] = std::array::from_fn(|t| t % 2 == 1);
-        assert_eq!(tails, odd, "tail widths reached");
-    }
-
-    #[test]
-    fn a_lone_non_finite_lane_neither_dies_early_nor_wins() {
-        // One NaN or ±∞ reference sample, moved over every position of
-        // the plane: wherever it lands, the search keeps the reference's
-        // answer. At the first column a group reads, exactly one lane of
-        // that group sees it.
-        let (w, h, r) = (16, 12, 4);
-        let step = dct::qp_to_step(34);
-        let mut next = noise(7);
-        let cur = Plane::from_vec(w, h, (0..w * h).map(|_| next()).collect());
-        let base: Vec<f32> = (0..w * h).map(|_| next()).collect();
-        let profile = sweep_profile(8, r, true);
-        let codec = HybridCodec::with_threads(profile.clone(), 1);
-        let mut lone = 0;
-        for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            for at in 0..w * h {
-                let mut data = base.clone();
-                data[at] = special;
-                let reference = Plane::from_vec(w, h, data);
-                let expected = reference_decisions(&profile, &cur, &reference, &[step]);
-                assert_eq!(
-                    codec.motion_decisions(&cur, &reference, step),
-                    expected[0],
-                    "{special} at ({}, {})",
-                    at / w,
-                    at % w
-                );
-                // Block (0, 8), row dy = 0, lanes dx = −4..=3, no bound: a
-                // lane is non-finite if it is NaN or has reached ∞.
-                let padded = PaddedPlane::new(&reference, r as usize + 2);
-                let pens = [0.0; LANES];
-                let costs = group_costs(&cur, &padded, (0, 8, 8), (0, -r), pens, f64::INFINITY);
-                let non_finite = costs.iter().filter(|c| c.is_none_or(f64::is_nan)).count();
-                lone += usize::from(non_finite == 1);
-            }
-        }
-        assert!(lone >= 3, "{lone} groups with exactly one non-finite lane");
-    }
-
-    #[test]
-    fn the_best_candidate_can_sit_in_any_lane() {
-        // The current plane is the reference moved by one row and `s`
-        // columns, so the interior block (8, 8) finds (2, 2s): with r = 4
-        // that is lane s + 4 of the row's one group, or its tail for s = 4.
-        let (w, h, r) = (32, 24, 4);
-        let step = dct::qp_to_step(34);
-        let mut next = noise(3);
-        let base: Vec<f32> = (0..w * h).map(|_| next()).collect();
-        let reference = Plane::from_vec(w, h, base);
-        let profile = sweep_profile(8, r, false);
-        let codec = HybridCodec::with_threads(profile.clone(), 1);
-        for s in -r..=r {
-            let cur = Plane::from_vec(
-                w,
-                h,
-                (0..w * h)
-                    .map(|i| {
-                        reference.at_clamped((i / w + 1) as isize, (i % w) as isize + s as isize)
-                    })
-                    .collect(),
-            );
-            let expected = reference_decisions(&profile, &cur, &reference, &[step]);
-            let got = codec.motion_decisions(&cur, &reference, step);
-            assert_eq!(got, expected[0], "shift {s}");
-            assert_eq!(got[w / 8 + 1], (2, 2 * s, false), "shift {s}");
-        }
-    }
-
-    #[test]
-    fn equal_costs_go_to_the_first_candidate_in_raster_order() {
-        // A flat plane against its copy with columns 7–10 raised: the
-        // 2-sample block at column 8 matches exactly only at dx ≤ −3 or
-        // dx ≥ 3, so (0, −3) and (0, 3), lanes 1 and 7 of one group, tie
-        // at the lowest cost, and the earlier one must win.
-        let (w, h, r) = (16, 8, 4);
-        let step = dct::qp_to_step(34);
-        let cur = Plane::from_vec(w, h, vec![0.5; w * h]);
-        let raised = (0..w * h).map(|i| {
-            if (7..=10).contains(&(i % w)) {
-                0.9
-            } else {
-                0.5
-            }
-        });
-        let reference = Plane::from_vec(w, h, raised.collect());
-        let profile = sweep_profile(2, r, false);
-        let expected = reference_decisions(&profile, &cur, &reference, &[step]);
-        let got = HybridCodec::with_threads(profile, 1).motion_decisions(&cur, &reference, step);
-        assert_eq!(got, expected[0]);
-        assert_eq!(got[4], (0, -6, false));
     }
 
     #[test]

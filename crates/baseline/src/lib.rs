@@ -8,9 +8,10 @@
 //! * 8×8 block DCT with dead-zone quantization and zig-zag scanning,
 //! * DC-predictive intra coding,
 //! * full-search (optionally half-pel) motion-compensated inter coding
-//!   with skip mode; the search drops a candidate as soon as its partial
-//!   cost can no longer win, which leaves every decision bit-identical
-//!   to summing every candidate in full,
+//!   with skip mode; the search is the workspace's one block matcher,
+//!   `nvc_video::block_match`, which drops a candidate as soon as its
+//!   partial cost can no longer win and leaves every decision
+//!   bit-identical to summing every candidate in full,
 //! * an adaptive range coder for all symbols (real bits, no estimates),
 //! * an optional deblocking filter.
 //!

@@ -23,7 +23,8 @@
 //! stored weights), if a served stream differs from the in-process
 //! decode or (on a multi-core host) 4 concurrent served streams do not
 //! beat 1 serial stream, or if enabling telemetry spans costs more than
-//! 2 %.
+//! 2 %. Each timing gate reads the median per-round ratio of
+//! `nvc_bench::interleaved_rounds`.
 //!
 //! All kernel timings run with telemetry spans disabled
 //! (`nvc_telemetry::Mode::Off`); the dedicated overhead gate is what
@@ -33,6 +34,7 @@
 
 use nvc_baseline::{HybridCodec, Profile};
 use nvc_bench::paper::BENCH_N;
+use nvc_bench::{interleaved_rounds, median};
 use nvc_core::ExecCtx;
 use nvc_fastalg::{FastConv2d, FastDeConv2d, Sparsity};
 use nvc_model::{CtvcCodec, CtvcConfig, RatePoint, SwinAttention};
@@ -71,43 +73,34 @@ struct KernelRow {
 /// Telemetry-overhead gate: times the span-instrumented pruned Winograd
 /// kernel (always at N = 36, 64×64, whatever `--quick` says: shorter
 /// calls would gate on timer noise) with telemetry enabled and disabled,
-/// interleaved per round so clock or cache drift cannot bias one mode,
-/// and fails if the enabled path costs more than 2 %. Leaves telemetry
-/// off, matching the rest of the benchmark.
+/// in [`interleaved_rounds`] so clock or cache drift cannot bias one
+/// mode, and fails if the median enabled/disabled ratio exceeds 1.02.
+/// Leaves telemetry off, matching the rest of the benchmark.
 fn telemetry_overhead_ok(ctx: &ExecCtx) -> bool {
     // 601 rounds of one call (about 4 s): on a shared 2-core host one
     // round's ratio swings by ±10 %, and only many rounds keep the
     // median within 1 % of the true overhead. Longer batches do not
     // help: the noise lasts longer than a batch.
     const ROUNDS: usize = 601;
-    const BATCH: usize = 1;
     let conv = Conv2d::randn(36, 36, 3, 1, 1, 7).unwrap();
     let fast = FastConv2d::from_conv_pruned(&conv, Sparsity::new(0.5).unwrap()).unwrap();
     let x = smooth_tensor(36, 64, 64);
-    let time_batch = |mode: nvc_telemetry::Mode| {
+    let time = |mode: nvc_telemetry::Mode| {
         nvc_telemetry::set_mode(mode);
         let t0 = Instant::now();
-        for _ in 0..BATCH {
-            fast.forward_ctx(&x, ctx).unwrap();
-        }
+        fast.forward_ctx(&x, ctx).unwrap();
         t0.elapsed().as_secs_f64()
     };
-    // Median of per-round enabled/disabled ratios: each round holds its
-    // own off-vs-on pair, so a noise spike perturbs one ratio instead
-    // of skewing a global best-of, and the median discards it.
-    let mut ratios: Vec<f64> = (0..ROUNDS)
-        .map(|_| {
-            let t_off = time_batch(nvc_telemetry::Mode::Off);
-            let t_on = time_batch(nvc_telemetry::Mode::Full);
-            t_on / t_off
-        })
-        .collect();
+    let rounds = interleaved_rounds(
+        ROUNDS,
+        |_| time(nvc_telemetry::Mode::Off),
+        |_| time(nvc_telemetry::Mode::Full),
+    );
     nvc_telemetry::set_mode(nvc_telemetry::Mode::Off);
-    ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let ratio = ratios[ROUNDS / 2];
+    let ratio = median(rounds.iter().map(|(off, on)| on / off));
     println!(
         "telemetry overhead: enabled/disabled = {ratio:.4} \
-         (span-instrumented fast conv, median of {ROUNDS} interleaved rounds of {BATCH})"
+         (span-instrumented fast conv, median of {ROUNDS} interleaved rounds of 1)"
     );
     ratio <= 1.02
 }
@@ -115,11 +108,10 @@ fn telemetry_overhead_ok(ctx: &ExecCtx) -> bool {
 /// Sparsity guard: at 24 channels, 48×48, the ρ = 50 % pruned fast conv
 /// and deconv must each beat their dense twins. This keeps the
 /// dense-padded-buffer detour, where pruning bought storage but no
-/// compute, from coming back. Like [`telemetry_overhead_ok`], each round
-/// times one dense and one sparse call back to back (alternating which
-/// goes first) and the gate reads the median of the per-round
-/// dense/sparse ratios, so a noise spike on a 1–2 ms call perturbs one
-/// ratio instead of deciding a best-of.
+/// compute, from coming back. Each of the [`interleaved_rounds`] times
+/// one dense and one sparse call, and the gate reads the median of the
+/// per-round dense/sparse ratios, so a noise spike on a 1–2 ms call
+/// perturbs one ratio instead of deciding a best-of.
 fn sparse_execution_pays() -> bool {
     const ROUNDS: usize = 15;
     let (x, rho) = (smooth_tensor(24, 48, 48), Sparsity::new(0.5).unwrap());
@@ -133,10 +125,6 @@ fn sparse_execution_pays() -> bool {
         FastDeConv2d::from_deconv(&deconv),
         FastDeConv2d::from_deconv_pruned(&deconv, rho),
     ];
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
     let speedups = [("fastconv", conv), ("fastdeconv", deconv)].map(|(name, layers)| {
         let [dense, sparse] = layers.map(Result::unwrap);
         let time = |layer: &FastConv2d| {
@@ -146,23 +134,13 @@ fn sparse_execution_pays() -> bool {
         };
         time(&dense);
         time(&sparse);
-        let rounds: Vec<(f64, f64)> = (0..ROUNDS)
-            .map(|i| {
-                if i % 2 == 0 {
-                    let d = time(&dense);
-                    (d, time(&sparse))
-                } else {
-                    let s = time(&sparse);
-                    (time(&dense), s)
-                }
-            })
-            .collect();
-        let speedup = median(rounds.iter().map(|(d, s)| d / s).collect());
+        let rounds = interleaved_rounds(ROUNDS, |_| time(&dense), |_| time(&sparse));
+        let speedup = median(rounds.iter().map(|(d, s)| d / s));
         println!(
             "sparsity guard: {name} rho=0.5 speedup {speedup:.2}x (median of {ROUNDS} \
              interleaved rounds; median {:.2} -> {:.2} ms)",
-            median(rounds.iter().map(|r| r.0 * 1e3).collect()),
-            median(rounds.iter().map(|r| r.1 * 1e3).collect()),
+            median(rounds.iter().map(|r| r.0 * 1e3)),
+            median(rounds.iter().map(|r| r.1 * 1e3)),
         );
         speedup
     });
@@ -172,10 +150,14 @@ fn sparse_execution_pays() -> bool {
 /// Session-level serving parallelism: 4 concurrent CTVC decode streams
 /// over loopback against 1 stream alone on the same server
 /// (`ctvc_fp(8)`, 64×48, 6 frames, one thread and one pool worker per
-/// stream). Every served frame must equal the in-process decode, and on
-/// a multi-core host the aggregate fps must beat the serial stream's; a
-/// 1-core host cannot, so there that gate is skipped and says so.
+/// stream), in [`interleaved_rounds`]. Every served frame must equal the
+/// in-process decode, and on a multi-core host the median per-round
+/// ratio of aggregate to serial fps must exceed 1; a 1-core host cannot
+/// beat serial, so there that gate is skipped and says so.
 fn served_sessions_scale(host_cores: usize) -> bool {
+    // A stream lasts 6–12 ms: one pair of them swings with the host,
+    // the median of 21 pairs does not.
+    const ROUNDS: usize = 21;
     const STREAMS: usize = 4;
     const FRAMES: usize = 6;
     let (w, h) = (64, 48);
@@ -214,24 +196,39 @@ fn served_sessions_scale(host_cores: usize) -> bool {
                 .all(|(a, b)| a.tensor().as_slice() == b.tensor().as_slice());
         exact.then_some(wall)
     };
-    let serial = stream();
-    let t0 = Instant::now();
-    let concurrent: Vec<Option<f64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..STREAMS).map(|_| scope.spawn(stream)).collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let aggregate_wall = t0.elapsed().as_secs_f64();
+    // Rounds of one serial stream and STREAMS concurrent ones; a round
+    // whose frames all match the decode yields (serial wall, aggregate
+    // wall).
+    let concurrent = |_| {
+        let t0 = Instant::now();
+        let exact = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..STREAMS).map(|_| scope.spawn(stream)).collect();
+            handles.into_iter().all(|h| h.join().unwrap().is_some())
+        });
+        exact.then(|| t0.elapsed().as_secs_f64())
+    };
+    let rounds = interleaved_rounds(ROUNDS, |_| stream(), concurrent);
     server.shutdown();
-    let Some(serial_wall) = serial.filter(|_| concurrent.iter().all(Option::is_some)) else {
+    let Some(rounds) = rounds
+        .into_iter()
+        .map(|(serial, aggregate)| serial.zip(aggregate))
+        .collect::<Option<Vec<(f64, f64)>>>()
+    else {
         eprintln!("FAIL: a served stream diverged from the in-process decode");
         return false;
     };
-    let serial_fps = FRAMES as f64 / serial_wall;
-    let aggregate_fps = (STREAMS * FRAMES) as f64 / aggregate_wall;
-    let speedup = aggregate_fps / serial_fps;
+    // Aggregate fps over serial fps, per round.
+    let speedup = median(
+        rounds
+            .iter()
+            .map(|(serial, aggregate)| STREAMS as f64 * serial / aggregate),
+    );
+    let serial_fps = FRAMES as f64 / median(rounds.iter().map(|r| r.0));
+    let aggregate_fps = (STREAMS * FRAMES) as f64 / median(rounds.iter().map(|r| r.1));
     println!(
         "served sessions: {STREAMS} concurrent streams {aggregate_fps:.2} fps vs 1 serial \
-         {serial_fps:.2} fps ({speedup:.2}x, ctvc_fp(8) {w}x{h}x{FRAMES}, bit-exact)"
+         {serial_fps:.2} fps (median {speedup:.2}x of {ROUNDS} interleaved rounds, \
+         ctvc_fp(8) {w}x{h}x{FRAMES}, bit-exact)"
     );
     if host_cores < 2 {
         println!("served sessions: throughput gate skipped, 1 core cannot beat serial");
@@ -529,26 +526,28 @@ fn main() {
     // host's max parallelism resolves to 1 or 2 workers, "max" IS the
     // 1- or 2-thread configuration — reuse that measurement instead of
     // timing the identical setup twice and reporting noise as scaling.
-    let measure_max = max_threads > 2;
-    let mut enc_t1 = f64::INFINITY;
-    let mut enc_t2 = f64::INFINITY;
-    let mut enc_tmax = f64::INFINITY;
-    for _ in 0..e2e_reps {
-        let t0 = Instant::now();
-        serial.encode(&seq, RatePoint::new(1)).unwrap();
-        enc_t1 = enc_t1.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        two.encode(&seq, RatePoint::new(1)).unwrap();
-        enc_t2 = enc_t2.min(t0.elapsed().as_secs_f64());
-        if measure_max {
-            let t0 = Instant::now();
-            parallel.encode(&seq, RatePoint::new(1)).unwrap();
-            enc_tmax = enc_tmax.min(t0.elapsed().as_secs_f64());
+    let variants = if max_threads > 2 { 3 } else { 2 };
+    let best_of = |run: &dyn Fn(&CtvcCodec)| {
+        let mut best = [f64::INFINITY; 3];
+        for _ in 0..e2e_reps {
+            for (best, codec) in best
+                .iter_mut()
+                .zip([&serial, &two, &parallel])
+                .take(variants)
+            {
+                let t0 = Instant::now();
+                run(codec);
+                *best = best.min(t0.elapsed().as_secs_f64());
+            }
         }
-    }
-    if !measure_max {
-        enc_tmax = if max_threads == 1 { enc_t1 } else { enc_t2 };
-    }
+        if variants == 2 {
+            best[2] = best[max_threads.min(2) - 1];
+        }
+        best
+    };
+    let [enc_t1, enc_t2, enc_tmax] = best_of(&|codec| {
+        codec.encode(&seq, RatePoint::new(1)).unwrap();
+    });
 
     let dec_serial = serial.decode(&coded_serial.bitstream).unwrap();
     let dec_parallel = parallel.decode(&coded_serial.bitstream).unwrap();
@@ -559,25 +558,9 @@ fn main() {
             break;
         }
     }
-    let mut dec_t1 = f64::INFINITY;
-    let mut dec_t2 = f64::INFINITY;
-    let mut dec_tmax = f64::INFINITY;
-    for _ in 0..e2e_reps {
-        let t0 = Instant::now();
-        serial.decode(&coded_serial.bitstream).unwrap();
-        dec_t1 = dec_t1.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        two.decode(&coded_serial.bitstream).unwrap();
-        dec_t2 = dec_t2.min(t0.elapsed().as_secs_f64());
-        if measure_max {
-            let t0 = Instant::now();
-            parallel.decode(&coded_serial.bitstream).unwrap();
-            dec_tmax = dec_tmax.min(t0.elapsed().as_secs_f64());
-        }
-    }
-    if !measure_max {
-        dec_tmax = if max_threads == 1 { dec_t1 } else { dec_t2 };
-    }
+    let [dec_t1, dec_t2, dec_tmax] = best_of(&|codec| {
+        codec.decode(&coded_serial.bitstream).unwrap();
+    });
 
     let fpf = frames as f64;
     println!(

@@ -32,8 +32,8 @@
 //! synthesis kernels, anti-aliased pyramid kernels in the analysis
 //! transforms, Dirac warping kernels in the deformable compensation, and
 //! near-identity residual blocks. Motion is estimated functionally by
-//! hierarchical block matching (the paper's ME CNN runs as a compute
-//! shell). The Swin-AM attention modules drive a **backward-adaptive
+//! block matching through `nvc_video::block_match`, the matcher the
+//! hybrid anchor shares (the paper's ME CNN runs as a compute shell). The Swin-AM attention modules drive a **backward-adaptive
 //! quantization gain**: the mask computed from the latent modulates the
 //! quantizer step, and the decoder reconstructs the same mask from the
 //! dequantized latent — the only functionally meaningful reading of an

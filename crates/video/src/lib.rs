@@ -15,6 +15,10 @@
 //! * [`bdrate::bd_rate`] — Bjøntegaard delta rate (the BDBR(%) of the
 //!   paper's Table I) via cubic log-rate interpolation.
 //!
+//! [`block_match`] is the one exact full-search block matcher both codec
+//! families' motion searches call; its scalar reference and exactness
+//! argument live there too.
+//!
 //! # Example
 //!
 //! ```
@@ -33,6 +37,7 @@
 #![forbid(unsafe_code)]
 
 pub mod bdrate;
+pub mod block_match;
 pub mod codec;
 mod frame;
 pub mod metrics;
