@@ -84,7 +84,8 @@ impl Plane {
 
     /// Sample at half-pel precision: coordinates are in half-pel units
     /// (`2·y` = integer row `y`); odd coordinates bilinearly interpolate,
-    /// term for term as the motion search's [`HalfPel::Average`].
+    /// term for term as the motion search's
+    /// [`HalfPel::Average`](nvc_video::block_match::HalfPel::Average).
     pub fn at_half_pel(&self, y2: isize, x2: isize) -> f32 {
         let (iy, fy) = (y2.div_euclid(2), y2.rem_euclid(2));
         let (ix, fx) = (x2.div_euclid(2), x2.rem_euclid(2));
