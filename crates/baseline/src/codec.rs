@@ -720,15 +720,14 @@ mod tests {
         Synthesizer::new(SceneConfig::uvg_like(64, 48, frames)).generate()
     }
 
-    /// The search the fast one answers to: every sample of every
-    /// candidate through [`Plane::sad`], no early exit.
     #[test]
-    fn decisions_are_the_matchers_at_every_worker_count() {
+    fn fast_search_matches_the_scalar_reference_bit_for_bit() {
         // Both profiles at a block-multiple and a clipped size, each
         // large enough to fan out, at a step that skips and one that
-        // does not. The vectors are the shared matcher's, clamped into
-        // the coded alphabet; the skip test reads the zero vector's SAD,
-        // summed here from the planes.
+        // does not. The vectors are the scalar reference's under the
+        // hybrid rules over an edge-replicated margin, clamped into the
+        // coded alphabet; the skip test reads its zero-vector SAD. The
+        // odd planes and geometries are swept in `block_match`.
         let (mut skips, mut moved, mut half) = (0, 0, 0);
         for (w, h) in [(64, 48), (52, 38)] {
             let clip = Synthesizer::new(SceneConfig::mcl_jcv_like(w, h, 2)).generate();
@@ -738,31 +737,28 @@ mod tests {
                 let r = profile.search_range;
                 let (samples, dims) = ((cur.as_slice(), reference.as_slice()), (w, h));
                 let search = (r, profile.half_pel);
-                let matcher = BlockMatcher::new(
-                    samples.0,
-                    samples.1,
-                    dims,
-                    search,
-                    Fill::Edge,
-                    Rules::HYBRID,
-                );
+                let searched: Vec<_> = block_match::blocks(w, h, profile.mc_block)
+                    .into_iter()
+                    .map(|at| {
+                        let (mv, sad0) = block_match::reference_search(
+                            samples,
+                            dims,
+                            search,
+                            Fill::Edge,
+                            Rules::HYBRID,
+                            at,
+                        );
+                        let mv = (mv.0.clamp(-2 * r, 2 * r), mv.1.clamp(-2 * r, 2 * r));
+                        (mv, sad0 / (at.2 * at.2) as f64)
+                    })
+                    .collect();
                 for step in [dct::qp_to_step(20), dct::qp_to_step(44)] {
-                    let expected: Vec<(i32, i32, bool)> =
-                        block_match::blocks(w, h, profile.mc_block)
-                            .into_iter()
-                            .map(|(by, bx, bs)| {
-                                let mv = matcher.search((by, bx, bs)).0;
-                                let mv = (mv.0.clamp(-2 * r, 2 * r), mv.1.clamp(-2 * r, 2 * r));
-                                let sad0 = (by..by + bs)
-                                    .flat_map(|y| (bx..bx + bs).map(move |x| (y, x)))
-                                    .fold(0.0, |acc, (y, x)| {
-                                        acc + (cur.at(y, x) - reference.at(y, x)).abs() as f64
-                                    });
-                                let skip =
-                                    mv == (0, 0) && sad0 / (bs * bs) as f64 <= 0.6 * step as f64;
-                                (mv.0, mv.1, skip)
-                            })
-                            .collect();
+                    let expected: Vec<(i32, i32, bool)> = searched
+                        .iter()
+                        .map(|&(mv, mean0)| {
+                            (mv.0, mv.1, mv == (0, 0) && mean0 <= 0.6 * step as f64)
+                        })
+                        .collect();
                     for &(mv_y, mv_x, skip) in &expected {
                         skips += usize::from(skip);
                         moved += usize::from((mv_y, mv_x) != (0, 0));

@@ -14,9 +14,9 @@
 //!
 //! # Exactness
 //!
-//! The result is bit-identical to the scalar search in this module's
-//! tests, which sums every sample of every candidate through the fill
-//! rule and the sample expression, in raster order, without an exit:
+//! The result is bit-identical to [`reference_search`], which sums every
+//! sample of every candidate through the fill rule and the sample
+//! expression, in raster order, without an exit:
 //!
 //! - A candidate wins only below its bound: the best cost so far, or the
 //!   next float above it where an equal cost wins. A cost is an f64 sum,
@@ -372,6 +372,86 @@ impl<'a> BlockMatcher<'a> {
     }
 }
 
+/// The scalar search a [`BlockMatcher`] answers to, bit for bit: every
+/// sample of every candidate read through the fill rule and the sample
+/// expression, summed in raster order without an exit, the candidates
+/// offered in raster order with a strict `<`. Returns what
+/// [`BlockMatcher::search`] returns for the same arguments. It reads
+/// `(2r + 1)²` full candidates per block and is meant for tests.
+pub fn reference_search(
+    (cur, reference): (&[f32], &[f32]),
+    (w, h): (usize, usize),
+    (range, refine): (i32, bool),
+    fill: Fill,
+    rules: Rules,
+    (by, bx, bs): Block,
+) -> ((i32, i32), f64) {
+    let at = |y: isize, x: isize| {
+        let inside = (0..h as isize).contains(&y) && (0..w as isize).contains(&x);
+        let (y, x) = (y.clamp(0, h as isize - 1), x.clamp(0, w as isize - 1));
+        match fill {
+            Fill::Zero if !inside => 0.0,
+            _ => reference[y as usize * w + x as usize],
+        }
+    };
+    let sample = |y2: isize, x2: isize| {
+        let (iy, fy) = (y2.div_euclid(2), y2.rem_euclid(2) == 1);
+        let (ix, fx) = (x2.div_euclid(2), x2.rem_euclid(2) == 1);
+        if !fy && !fx {
+            return at(iy, ix);
+        }
+        let taps = [
+            at(iy, ix),
+            at(iy, ix + 1),
+            at(iy + 1, ix),
+            at(iy + 1, ix + 1),
+        ];
+        rules.half_pel.sample(taps, fy, fx)
+    };
+    let sad = |(my, mx): (i32, i32)| {
+        let mut acc = 0.0_f64;
+        for y in by..by + bs {
+            for x in bx..bx + bs {
+                let r = sample(2 * y as isize + my as isize, 2 * x as isize + mx as isize);
+                acc += (cur[y * w + x] - r).abs() as f64;
+            }
+        }
+        acc
+    };
+    let r = range.max(0);
+    let zero_cost = sad((0, 0));
+    let (mut best, mut best_cost) = match rules.ties {
+        Ties::Zero => ((0, 0), zero_cost),
+        Ties::Raster => ((0, 0), f64::INFINITY),
+    };
+    for dy in -r..=r {
+        for dx in -r..=r {
+            if rules.ties == Ties::Zero && (dy, dx) == (0, 0) {
+                continue;
+            }
+            let cost = sad((2 * dy, 2 * dx)) + rules.penalty * (dy.abs() + dx.abs()) as f64;
+            if cost < best_cost {
+                (best, best_cost) = ((2 * dy, 2 * dx), cost);
+            }
+        }
+    }
+    if refine {
+        let (cy, cx) = best;
+        for sy in -1..=1 {
+            for sx in -1..=1 {
+                if (sy, sx) == (0, 0) && !rules.recheck_centre {
+                    continue;
+                }
+                let cost = sad((cy + sy, cx + sx));
+                if cost < best_cost {
+                    (best, best_cost) = ((cy + sy, cx + sx), cost);
+                }
+            }
+        }
+    }
+    (best, zero_cost)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,84 +468,6 @@ mod tests {
         FAMILIES
             .into_iter()
             .flat_map(|(name, rules, _)| [Fill::Zero, Fill::Edge].map(|fill| (name, rules, fill)))
-    }
-
-    /// The search the matcher answers to: every sample of every
-    /// candidate read through the fill rule and the sample expression,
-    /// summed in raster order without an exit, the candidates offered in
-    /// raster order with a strict `<`.
-    fn reference_search(
-        (cur, reference): (&[f32], &[f32]),
-        (w, h): (usize, usize),
-        (range, refine): (i32, bool),
-        fill: Fill,
-        rules: Rules,
-        (by, bx, bs): Block,
-    ) -> ((i32, i32), f64) {
-        let at = |y: isize, x: isize| {
-            let inside = (0..h as isize).contains(&y) && (0..w as isize).contains(&x);
-            let (y, x) = (y.clamp(0, h as isize - 1), x.clamp(0, w as isize - 1));
-            match fill {
-                Fill::Zero if !inside => 0.0,
-                _ => reference[y as usize * w + x as usize],
-            }
-        };
-        let sample = |y2: isize, x2: isize| {
-            let (iy, fy) = (y2.div_euclid(2), y2.rem_euclid(2) == 1);
-            let (ix, fx) = (x2.div_euclid(2), x2.rem_euclid(2) == 1);
-            if !fy && !fx {
-                return at(iy, ix);
-            }
-            let taps = [
-                at(iy, ix),
-                at(iy, ix + 1),
-                at(iy + 1, ix),
-                at(iy + 1, ix + 1),
-            ];
-            rules.half_pel.sample(taps, fy, fx)
-        };
-        let sad = |(my, mx): (i32, i32)| {
-            let mut acc = 0.0_f64;
-            for y in by..by + bs {
-                for x in bx..bx + bs {
-                    let r = sample(2 * y as isize + my as isize, 2 * x as isize + mx as isize);
-                    acc += (cur[y * w + x] - r).abs() as f64;
-                }
-            }
-            acc
-        };
-        let r = range.max(0);
-        let zero_cost = sad((0, 0));
-        let (mut best, mut best_cost) = match rules.ties {
-            Ties::Zero => ((0, 0), zero_cost),
-            Ties::Raster => ((0, 0), f64::INFINITY),
-        };
-        for dy in -r..=r {
-            for dx in -r..=r {
-                if rules.ties == Ties::Zero && (dy, dx) == (0, 0) {
-                    continue;
-                }
-                let cost = sad((2 * dy, 2 * dx)) + rules.penalty * (dy.abs() + dx.abs()) as f64;
-                if cost < best_cost {
-                    (best, best_cost) = ((2 * dy, 2 * dx), cost);
-                }
-            }
-        }
-        if refine {
-            let (cy, cx) = best;
-            for sy in -1..=1 {
-                for sx in -1..=1 {
-                    if (sy, sx) == (0, 0) && !rules.recheck_centre {
-                        continue;
-                    }
-                    let cost = sad((cy + sy, cx + sx));
-                    if cost < best_cost {
-                        (best, best_cost) = ((cy + sy, cx + sx), cost);
-                    }
-                }
-            }
-        }
-        (best, zero_cost)
     }
 
     /// Searches every block of the planes both ways and asserts the same
