@@ -129,7 +129,7 @@ fn sparse_execution_pays() -> bool {
         let [dense, sparse] = layers.map(Result::unwrap);
         let time = |layer: &FastConv2d| {
             let t0 = Instant::now();
-            layer.forward(&x).unwrap();
+            layer.forward_ctx(&x, &ExecCtx::serial()).unwrap();
             t0.elapsed().as_secs_f64()
         };
         time(&dense);

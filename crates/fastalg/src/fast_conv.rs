@@ -11,7 +11,7 @@ use nvc_tensor::{Tensor, TensorError};
 /// computes, for convolutions and deconvolutions alike (Eq. (1)).
 ///
 /// Construction transforms every `(c_out, c_in)` kernel once
-/// (`E = G W Gᵀ`); `forward` then per input tile computes `Y = Bᵀ X B`,
+/// (`E = G W Gᵀ`); `forward_ctx` then per input tile computes `Y = Bᵀ X B`,
 /// accumulates `Σ_ci E ⊙ Y` over input channels *in the transform domain*
 /// (exactly like the SCU array, which reduces channels before the single
 /// inverse transform), and applies `V = Aᵀ U A`. The [`TransformPair`] is
@@ -35,12 +35,14 @@ pub struct FastLayer {
 /// # Example
 ///
 /// ```
+/// use nvc_core::ExecCtx;
 /// use nvc_fastalg::{FastConv2d, Sparsity};
 /// use nvc_tensor::{ops::Conv2d, Shape, Tensor};
 /// # fn main() -> Result<(), nvc_tensor::TensorError> {
 /// let conv = Conv2d::randn(8, 4, 3, 1, 1, 42)?;
 /// let sparse = FastConv2d::from_conv_pruned(&conv, Sparsity::new(0.5)?)?;
-/// let y = sparse.forward(&Tensor::zeros(Shape::new(1, 4, 16, 16)))?;
+/// let x = Tensor::zeros(Shape::new(1, 4, 16, 16));
+/// let y = sparse.forward_ctx(&x, &ExecCtx::serial())?;
 /// assert_eq!(y.shape().dims(), (1, 8, 16, 16));
 /// # Ok(())
 /// # }
@@ -55,12 +57,14 @@ pub type FastConv2d = FastLayer;
 /// # Example
 ///
 /// ```
+/// use nvc_core::ExecCtx;
 /// use nvc_fastalg::FastDeConv2d;
 /// use nvc_tensor::{ops::DeConv2d, Shape, Tensor};
 /// # fn main() -> Result<(), nvc_tensor::TensorError> {
 /// let deconv = DeConv2d::randn(4, 8, 4, 2, 1, 21)?;
 /// let fast = FastDeConv2d::from_deconv(&deconv)?;
-/// let y = fast.forward(&Tensor::zeros(Shape::new(1, 8, 6, 9)))?;
+/// let x = Tensor::zeros(Shape::new(1, 8, 6, 9));
+/// let y = fast.forward_ctx(&x, &ExecCtx::serial())?;
 /// assert_eq!(y.shape().dims(), (1, 4, 12, 18));
 /// # Ok(())
 /// # }
@@ -209,27 +213,18 @@ impl FastLayer {
         (ty * tx) as u64 * self.nnz_total() as u64
     }
 
-    /// Runs the layer single-threaded.
+    /// Runs the layer through the tiled executor — a stripe of tile rows
+    /// per worker, cache-sized staging bands, allocation-free hot loops,
+    /// kernels consumed in compressed `(value, index)` form so sparsity ρ
+    /// cuts the reduction work by ρ (see [`crate::tile_exec`]'s module
+    /// docs in the source). Results are bit-identical for every worker
+    /// count; `ExecCtx::serial()` runs on the caller's thread.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::Incompatible`] if the input channel count
     /// differs from `c_in` or the input is empty, as the direct operators
     /// do.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor, TensorError> {
-        self.forward_ctx(input, &ExecCtx::serial())
-    }
-
-    /// Runs the layer through the tiled executor — a stripe of tile rows
-    /// per worker, cache-sized staging bands, allocation-free hot loops,
-    /// kernels consumed in compressed `(value, index)` form so sparsity ρ
-    /// cuts the reduction work by ρ (see [`crate::tile_exec`]'s module
-    /// docs in the source). Results are bit-identical for every worker
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FastLayer::forward`].
     pub fn forward_ctx(&self, input: &Tensor, ctx: &ExecCtx) -> Result<Tensor, TensorError> {
         let (_, c, h, w) = input.shape().dims();
         if c != self.c_in {
@@ -271,8 +266,8 @@ mod tests {
         let conv = Conv2d::randn(5, 3, 3, 1, 1, 11).unwrap();
         let fast = FastConv2d::from_conv(&conv).unwrap();
         let x = ramp(3, 10, 12);
-        let direct = conv.forward(&x).unwrap();
-        let fastv = fast.forward(&x).unwrap();
+        let direct = conv.forward_ctx(&x, &ExecCtx::serial()).unwrap();
+        let fastv = fast.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         let diff = direct.sub(&fastv).unwrap().max_abs();
         assert!(diff < 1e-4, "max diff {diff}");
     }
@@ -282,8 +277,8 @@ mod tests {
         let conv = Conv2d::randn(2, 2, 3, 1, 1, 12).unwrap();
         let fast = FastConv2d::from_conv(&conv).unwrap();
         let x = ramp(2, 7, 9); // odd dimensions force partial tiles
-        let direct = conv.forward(&x).unwrap();
-        let fastv = fast.forward(&x).unwrap();
+        let direct = conv.forward_ctx(&x, &ExecCtx::serial()).unwrap();
+        let fastv = fast.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert_eq!(fastv.shape().dims(), (1, 2, 7, 9));
         assert!(direct.sub(&fastv).unwrap().max_abs() < 1e-4);
     }
@@ -295,7 +290,7 @@ mod tests {
         conv.bias_mut()[1] = -0.5;
         let fast = FastConv2d::from_conv(&conv).unwrap();
         let x = Tensor::zeros(Shape::new(1, 2, 4, 4));
-        let y = fast.forward(&x).unwrap();
+        let y = fast.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert!((y.at(0, 0, 2, 2) - 1.25).abs() < 1e-6);
         assert!((y.at(0, 1, 1, 3) + 0.5).abs() < 1e-6);
     }
@@ -324,8 +319,8 @@ mod tests {
         let x = Tensor::from_fn(Shape::new(1, 4, 8, 8), |_, c, y, xx| {
             1.0 + 0.5 * ((y as f32 * 0.4 + xx as f32 * 0.3 + c as f32).sin())
         });
-        let yd = dense.forward(&x).unwrap();
-        let ys = sparse.forward(&x).unwrap();
+        let yd = dense.forward_ctx(&x, &ExecCtx::serial()).unwrap();
+        let ys = sparse.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         let rel = ys.sub(&yd).unwrap().max_abs() / yd.max_abs().max(1e-6);
         assert!(rel > 0.0, "pruning at 50% must change something");
         assert!(
@@ -343,7 +338,7 @@ mod tests {
         let conv = Conv2d::randn(2, 3, 3, 1, 1, 0).unwrap();
         let fast = FastConv2d::from_conv(&conv).unwrap();
         assert!(fast
-            .forward(&Tensor::zeros(Shape::new(1, 2, 4, 4)))
+            .forward_ctx(&Tensor::zeros(Shape::new(1, 2, 4, 4)), &ExecCtx::serial())
             .is_err());
     }
 

@@ -2,6 +2,7 @@
 //! the module path they have had since the family had a file of its own.
 
 use crate::{FastDeConv2d, Sparsity};
+use nvc_core::ExecCtx;
 use nvc_tensor::ops::DeConv2d;
 use nvc_tensor::{Shape, Tensor};
 
@@ -16,8 +17,8 @@ fn dense_fast_deconv_matches_direct() {
     let deconv = DeConv2d::randn(3, 2, 4, 2, 1, 31).unwrap();
     let fast = FastDeConv2d::from_deconv(&deconv).unwrap();
     let x = ramp(2, 9, 6);
-    let direct = deconv.forward(&x).unwrap();
-    let fastv = fast.forward(&x).unwrap();
+    let direct = deconv.forward_ctx(&x, &ExecCtx::serial()).unwrap();
+    let fastv = fast.forward_ctx(&x, &ExecCtx::serial()).unwrap();
     assert_eq!(direct.shape(), fastv.shape());
     let diff = direct.sub(&fastv).unwrap().max_abs();
     assert!(diff < 1e-4, "max diff {diff}");
@@ -29,8 +30,8 @@ fn sizes_not_multiple_of_three_are_cropped() {
     let fast = FastDeConv2d::from_deconv(&deconv).unwrap();
     for (h, w) in [(4, 5), (7, 8), (3, 10)] {
         let x = ramp(2, h, w);
-        let direct = deconv.forward(&x).unwrap();
-        let fastv = fast.forward(&x).unwrap();
+        let direct = deconv.forward_ctx(&x, &ExecCtx::serial()).unwrap();
+        let fastv = fast.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert_eq!(fastv.shape().dims(), (1, 2, 2 * h, 2 * w));
         let diff = direct.sub(&fastv).unwrap().max_abs();
         assert!(diff < 1e-4, "{h}x{w}: max diff {diff}");
@@ -44,7 +45,7 @@ fn bias_is_preserved() {
     let deconv = DeConv2d::new(weight, vec![0.75, -2.0], 2, 1, 4, 2, 1).unwrap();
     let fast = FastDeConv2d::from_deconv(&deconv).unwrap();
     let y = fast
-        .forward(&Tensor::zeros(Shape::new(1, 1, 3, 3)))
+        .forward_ctx(&Tensor::zeros(Shape::new(1, 1, 3, 3)), &ExecCtx::serial())
         .unwrap();
     assert!((y.at(0, 0, 3, 3) - 0.75).abs() < 1e-6);
     assert!((y.at(0, 1, 0, 0) + 2.0).abs() < 1e-6);
@@ -69,8 +70,8 @@ fn pruned_deconv_keeps_half_the_weights() {
     let x = Tensor::from_fn(Shape::new(1, 4, 6, 6), |_, c, y, xx| {
         1.0 + 0.5 * ((y as f32 * 0.5 + xx as f32 * 0.35 + c as f32).sin())
     });
-    let yd = dense.forward(&x).unwrap();
-    let ys = sparse.forward(&x).unwrap();
+    let yd = dense.forward_ctx(&x, &ExecCtx::serial()).unwrap();
+    let ys = sparse.forward_ctx(&x, &ExecCtx::serial()).unwrap();
     let rel = ys.sub(&yd).unwrap().max_abs() / yd.max_abs().max(1e-6);
     assert!(
         rel < 0.6,
@@ -87,7 +88,7 @@ fn rejects_unsupported_configurations() {
     let deconv = DeConv2d::randn(2, 3, 4, 2, 1, 0).unwrap();
     let fast = FastDeConv2d::from_deconv(&deconv).unwrap();
     assert!(fast
-        .forward(&Tensor::zeros(Shape::new(1, 2, 4, 4)))
+        .forward_ctx(&Tensor::zeros(Shape::new(1, 2, 4, 4)), &ExecCtx::serial())
         .is_err());
 }
 

@@ -35,6 +35,7 @@
 //! # Example
 //!
 //! ```
+//! use nvc_core::ExecCtx;
 //! use nvc_fastalg::FastConv2d;
 //! use nvc_tensor::{ops::Conv2d, Shape, Tensor};
 //!
@@ -42,7 +43,8 @@
 //! let conv = Conv2d::randn(4, 4, 3, 1, 1, 1)?;
 //! let fast = FastConv2d::from_conv(&conv)?;
 //! let x = Tensor::zeros(Shape::new(1, 4, 8, 8));
-//! let (direct, fast_out) = (conv.forward(&x)?, fast.forward(&x)?);
+//! let serial = ExecCtx::serial();
+//! let (direct, fast_out) = (conv.forward_ctx(&x, &serial)?, fast.forward_ctx(&x, &serial)?);
 //! assert_eq!(direct.shape(), fast_out.shape());
 //! # Ok(())
 //! # }

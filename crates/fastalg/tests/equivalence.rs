@@ -61,7 +61,7 @@ fn fast_equals_direct(
         let x = rand_tensor(&mut rng, c_in, h, w);
         let pair = family(c_out, c_in, rng.next_u64() % 500, 0.0);
         let direct = (pair.direct)(&x, &ExecCtx::serial());
-        let fastv = pair.fast.forward(&x).unwrap();
+        let fastv = pair.fast.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert_eq!(direct.shape(), fastv.shape());
         let scale = direct.max_abs().max(1.0);
         assert!(direct.sub(&fastv).unwrap().max_abs() < 1e-3 * scale);
@@ -136,7 +136,7 @@ fn parallel_operators_are_bit_exact() {
         for (name, family) in FAMILIES {
             let pair = family(5, 3, seed, 0.25 * (case % 3) as f64);
             let direct_ref = (pair.direct)(&x, &ExecCtx::serial());
-            let fast_ref = pair.fast.forward(&x).unwrap();
+            let fast_ref = pair.fast.forward_ctx(&x, &ExecCtx::serial()).unwrap();
             for threads in THREAD_SWEEP {
                 let ctx = ExecCtx::with_threads(threads);
                 assert_eq!(
@@ -165,7 +165,7 @@ fn multi_band_execution_matches_direct() {
     let x = rand_tensor(&mut rng, 64, 96, 96);
     let Pair { direct, fast } = deconv_pair(3, 64, 901, 0.0);
     let direct = direct(&x, &ExecCtx::serial());
-    let fastv = fast.forward(&x).unwrap();
+    let fastv = fast.forward_ctx(&x, &ExecCtx::serial()).unwrap();
     assert_eq!(direct.shape(), fastv.shape());
     let scale = direct.max_abs().max(1.0);
     assert!(direct.sub(&fastv).unwrap().max_abs() < 1e-2 * scale);
@@ -308,7 +308,7 @@ fn sparse_apply_matches_dense_apply_bit_for_bit() {
             let conv = Conv2d::randn(4, 3, 3, 1, 1, seed).unwrap();
             let fast = FastLayer::from_conv_pruned(&conv, Sparsity::new(rho).unwrap()).unwrap();
             let reference = dense_apply(&fast, &x);
-            let got = fast.forward(&x).unwrap();
+            let got = fast.forward_ctx(&x, &ExecCtx::serial()).unwrap();
             assert_eq!(
                 got.as_slice(),
                 reference.as_slice(),
@@ -318,8 +318,8 @@ fn sparse_apply_matches_dense_apply_bit_for_bit() {
             let mut biased = conv.clone();
             biased.bias_mut()[1] = 0.375;
             let fast_b = FastLayer::from_conv_pruned(&biased, Sparsity::new(rho).unwrap()).unwrap();
-            let with_bias = fast_b.forward(&x).unwrap();
-            let base = fast.forward(&x).unwrap();
+            let with_bias = fast_b.forward_ctx(&x, &ExecCtx::serial()).unwrap();
+            let base = fast.forward_ctx(&x, &ExecCtx::serial()).unwrap();
             for c in 0..4 {
                 let expect = if c == 1 { 0.375 } else { 0.0 };
                 let d = with_bias
@@ -347,7 +347,7 @@ fn sparse_deconv_matches_sparsely_reconstructed_dense_kernels() {
         let x = rand_tensor(&mut rng, 2, 7, 5);
         let fast = deconv_pair(3, 2, rng.next_u64() % 500, rho).fast;
         assert_eq!(
-            fast.forward(&x).unwrap().as_slice(),
+            fast.forward_ctx(&x, &ExecCtx::serial()).unwrap().as_slice(),
             dense_apply(&fast, &x).as_slice(),
             "rho={rho}: deconv compressed execution diverged from dense application"
         );
@@ -364,8 +364,8 @@ fn zero_sparsity_equals_dense() {
         let conv = Conv2d::randn(2, 2, 3, 1, 1, seed).unwrap();
         let dense = FastLayer::from_conv(&conv).unwrap();
         let rho0 = FastLayer::from_conv_pruned(&conv, Sparsity::dense()).unwrap();
-        let a = dense.forward(&x).unwrap();
-        let b = rho0.forward(&x).unwrap();
+        let a = dense.forward_ctx(&x, &ExecCtx::serial()).unwrap();
+        let b = rho0.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert!(a.sub(&b).unwrap().max_abs() == 0.0);
     }
 }

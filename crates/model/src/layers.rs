@@ -91,15 +91,6 @@ impl LayerOp {
         Ok(fast.map_or(direct, |f| LayerOp::Fast(Box::new(f))))
     }
 
-    /// Runs the operator single-threaded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        self.forward_ctx(x, &ExecCtx::serial())
-    }
-
     /// Runs the operator on `exec`'s worker pool (bit-identical for
     /// every worker count).
     ///
@@ -223,15 +214,6 @@ impl ResBlock {
         ResBlock::new(conv1, conv2, precision, sparsity)
     }
 
-    /// Runs the block single-threaded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        self.forward_ctx(x, &ExecCtx::serial())
-    }
-
     /// Runs the block on `exec`'s worker pool.
     ///
     /// # Errors
@@ -338,18 +320,9 @@ impl SwinAttention {
         self.heads
     }
 
-    /// Runs windowed attention single-threaded; output shape equals input
-    /// shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the channel count differs from construction.
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        self.forward_ctx(x, &ExecCtx::serial())
-    }
-
     /// Runs windowed attention, fanning windows across `exec`'s worker
-    /// pool (VCT-style block parallelism: every window is independent).
+    /// pool (VCT-style block parallelism: every window is independent);
+    /// output shape equals input shape.
     /// Per-window results land in disjoint chunks of a staging buffer,
     /// so the output is bit-identical for every worker count.
     ///
@@ -489,9 +462,9 @@ fn roll(t: &Tensor, dy: isize, dx: isize) -> Tensor {
 ///
 /// Branch 1: SwinAtten → ResBlock → Conv(2N,1,1) → Sigmoid produces the
 /// spatial-channel mask. Branch 2: stacked ResBlocks. Branch 3: identity.
-/// `forward` composes them (`x + mask ⊙ branch2(x)`); `mask` exposes the
-/// attention mask alone, which the codec uses as its backward-adaptive
-/// quantization gain (see crate docs).
+/// `forward_ctx` composes them (`x + mask ⊙ branch2(x)`); `mask_ctx`
+/// exposes the attention mask alone, which the codec uses as its
+/// backward-adaptive quantization gain (see crate docs).
 #[derive(Debug, Clone)]
 pub struct SwinAm {
     attn: SwinAttention,
@@ -572,16 +545,7 @@ impl SwinAm {
     }
 
     /// Computes the branch-1 attention mask in `(0, 1)`, same shape as the
-    /// input, single-threaded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    pub fn mask(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        self.mask_ctx(x, &ExecCtx::serial())
-    }
-
-    /// Computes the branch-1 attention mask on `exec`'s worker pool.
+    /// input, on `exec`'s worker pool.
     ///
     /// # Errors
     ///
@@ -625,17 +589,8 @@ impl SwinAm {
         push_sim(out, module, "swin_am.mask", mask);
     }
 
-    /// Full Swin-AM composition: `x + mask(x) ⊙ branch2(x)`,
-    /// single-threaded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        self.forward_ctx(x, &ExecCtx::serial())
-    }
-
-    /// Full Swin-AM composition on `exec`'s worker pool.
+    /// Full Swin-AM composition, `x + mask(x) ⊙ branch2(x)`, on `exec`'s
+    /// worker pool.
     ///
     /// # Errors
     ///
@@ -688,7 +643,11 @@ mod tests {
             ] {
                 let op = LayerOp::build(op, Precision::Fp32, sparsity).unwrap();
                 let layer = SimLayer::new("op", "m", op.sim_op(6, 10));
-                assert_describes(&[layer], &op.forward(&smooth(2, 6, 10)).unwrap());
+                assert_describes(
+                    &[layer],
+                    &op.forward_ctx(&smooth(2, 6, 10), &ExecCtx::serial())
+                        .unwrap(),
+                );
             }
         }
     }
@@ -698,7 +657,11 @@ mod tests {
         let rb = ResBlock::near_identity(4, Precision::Fp32, Some(0.5), 7).unwrap();
         let mut layers = Vec::new();
         rb.describe(&mut layers, "m", "res", (6, 10));
-        assert_describes(&layers, &rb.forward(&smooth(4, 6, 10)).unwrap());
+        assert_describes(
+            &layers,
+            &rb.forward_ctx(&smooth(4, 6, 10), &ExecCtx::serial())
+                .unwrap(),
+        );
     }
 
     #[test]
@@ -706,7 +669,10 @@ mod tests {
         let am = SwinAm::new(8, 3, 2, 2, Precision::Fp32, Some(0.5), 9).unwrap();
         let mut layers = Vec::new();
         am.describe_mask(&mut layers, "m", (5, 7));
-        assert_describes(&layers, &am.mask(&smooth(8, 5, 7)).unwrap());
+        assert_describes(
+            &layers,
+            &am.mask_ctx(&smooth(8, 5, 7), &ExecCtx::serial()).unwrap(),
+        );
     }
 
     #[test]
@@ -723,11 +689,20 @@ mod tests {
             assert!(!matches!(direct, LayerOp::Fast(_)) && matches!(fast, LayerOp::Fast(_)));
             for (h, w) in [(0, 0), (0, 3), (3, 0)] {
                 let empty = Tensor::zeros(Shape::new(1, 2, h, w));
-                assert!(direct.forward(&empty).is_err(), "direct {h}x{w}");
-                assert!(fast.forward(&empty).is_err(), "fast {h}x{w}");
+                assert!(
+                    direct.forward_ctx(&empty, &ExecCtx::serial()).is_err(),
+                    "direct {h}x{w}"
+                );
+                assert!(
+                    fast.forward_ctx(&empty, &ExecCtx::serial()).is_err(),
+                    "fast {h}x{w}"
+                );
             }
             let x = smooth(2, 1, 1);
-            let (d, f) = (direct.forward(&x).unwrap(), fast.forward(&x).unwrap());
+            let (d, f) = (
+                direct.forward_ctx(&x, &ExecCtx::serial()).unwrap(),
+                fast.forward_ctx(&x, &ExecCtx::serial()).unwrap(),
+            );
             assert_eq!(d.shape(), f.shape());
             assert!(d.sub(&f).unwrap().max_abs() < 1e-5);
         }
@@ -743,7 +718,7 @@ mod tests {
     fn resblock_is_near_identity() {
         let rb = ResBlock::near_identity(4, Precision::Fp32, None, 7).unwrap();
         let x = smooth(4, 8, 8);
-        let y = rb.forward(&x).unwrap();
+        let y = rb.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert_eq!(y.shape(), x.shape());
         let rel = y.sub(&x).unwrap().max_abs() / x.max_abs();
         assert!(rel < 0.3, "{rel}");
@@ -764,7 +739,7 @@ mod tests {
                 -v
             }
         });
-        let y = attn.forward(&x).unwrap();
+        let y = attn.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert_eq!(y.shape(), x.shape());
         // Identity V preserves the ± pairing exactly.
         for ch in 0..4 {
@@ -784,7 +759,7 @@ mod tests {
         // exact multiple of the window so windows are clean.
         let attn = SwinAttention::new(4, 3, 0, 2, 3).unwrap();
         let x = smooth(4, 6, 6);
-        let y = attn.forward(&x).unwrap();
+        let y = attn.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         for ch in 0..4 {
             for wy in (0..6).step_by(3) {
                 for wx in (0..6).step_by(3) {
@@ -818,8 +793,8 @@ mod tests {
         let a0 = SwinAttention::new(4, 3, 0, 2, 5).unwrap();
         let a2 = SwinAttention::new(4, 3, 2, 2, 5).unwrap();
         let x = smooth(4, 9, 9);
-        let y0 = a0.forward(&x).unwrap();
-        let y2 = a2.forward(&x).unwrap();
+        let y0 = a0.forward_ctx(&x, &ExecCtx::serial()).unwrap();
+        let y2 = a2.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert!(
             y0.sub(&y2).unwrap().max_abs() > 1e-4,
             "shift must change windows"
@@ -837,7 +812,7 @@ mod tests {
                 _ => -v,
             }
         });
-        let mask = am.mask(&x).unwrap();
+        let mask = am.mask_ctx(&x, &ExecCtx::serial()).unwrap();
         let mut active = 0.0;
         let mut flat = 0.0;
         for y in 0..6 {
@@ -860,7 +835,7 @@ mod tests {
     fn swin_am_forward_is_gentle() {
         let am = SwinAm::new(8, 3, 2, 2, Precision::Fp32, None, 13).unwrap();
         let x = smooth(8, 9, 9);
-        let y = am.forward(&x).unwrap();
+        let y = am.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert_eq!(y.shape(), x.shape());
         let rel = y.sub(&x).unwrap().max_abs() / x.max_abs();
         assert!(rel < 0.5, "Swin-AM must perturb, not destroy: {rel}");

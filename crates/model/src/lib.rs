@@ -31,9 +31,10 @@
 //! polyphase ±identity + blur kernels in feature extraction, bilinear
 //! synthesis kernels, anti-aliased pyramid kernels in the analysis
 //! transforms, Dirac warping kernels in the deformable compensation, and
-//! near-identity residual blocks. Motion is estimated functionally by
-//! block matching through `nvc_video::block_match`, the matcher the
-//! hybrid anchor shares (the paper's ME CNN runs as a compute shell). The Swin-AM attention modules drive a **backward-adaptive
+//! near-identity residual blocks. Motion comes from block matching
+//! through `nvc_video::block_match`, the matcher the hybrid anchor
+//! shares; the paper's motion-estimation CNN (Fig. 2c) is not modelled
+//! in software. The Swin-AM attention modules drive a **backward-adaptive
 //! quantization gain**: the mask computed from the latent modulates the
 //! quantizer step, and the decoder reconstructs the same mask from the
 //! dequantized latent — the only functionally meaningful reading of an
@@ -85,5 +86,5 @@ pub use config::{CtvcConfig, Precision, RatePoint};
 pub use layers::{LayerOp, ResBlock, SwinAm, SwinAttention};
 pub use modules::{
     Analysis, CompressionAutoencoder, DeformableCompensation, FeatureExtractor, FrameReconstructor,
-    MotionCnn, Synthesis,
+    Synthesis,
 };

@@ -76,17 +76,8 @@ impl FeatureExtractor {
         })
     }
 
-    /// Maps a `3 × H × W` frame tensor to `N × H/2 × W/2` features,
-    /// single-threaded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors (H, W must be even).
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        self.forward_ctx(x, &ExecCtx::serial())
-    }
-
-    /// Same as [`FeatureExtractor::forward`], on `exec`'s worker pool.
+    /// Maps a `3 × H × W` frame tensor to `N × H/2 × W/2` features on
+    /// `exec`'s worker pool.
     ///
     /// # Errors
     ///
@@ -138,17 +129,8 @@ impl FrameReconstructor {
         })
     }
 
-    /// Maps `N × H/2 × W/2` features back to a `3 × H × W` frame tensor,
-    /// single-threaded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    pub fn forward(&self, f: &Tensor) -> Result<Tensor, TensorError> {
-        self.forward_ctx(f, &ExecCtx::serial())
-    }
-
-    /// Same as [`FrameReconstructor::forward`], on `exec`'s worker pool.
+    /// Maps `N × H/2 × W/2` features back to a `3 × H × W` frame tensor
+    /// on `exec`'s worker pool.
     ///
     /// # Errors
     ///
@@ -164,73 +146,6 @@ impl FrameReconstructor {
         const MODULE: &str = "frame_reconstruction";
         self.res.describe(out, MODULE, "res", (h, w));
         push_sim(out, MODULE, "up", self.deconv.sim_op(h, w));
-    }
-}
-
-/// Motion-estimation CNN shell (Fig. 2c): `Conv(2N,3,1) → Conv(N,3,1)`.
-///
-/// Functionally the codec estimates motion by block matching (see the
-/// crate docs, "Substitutions"); this module exists so the
-/// *encoder-side* compute graph carries the paper's layers, and its
-/// output refines nothing.
-#[derive(Debug, Clone)]
-pub struct MotionCnn {
-    conv1: LayerOp,
-    conv2: LayerOp,
-    ctx: NumericCtx,
-}
-
-impl MotionCnn {
-    /// Builds the module.
-    ///
-    /// # Errors
-    ///
-    /// Propagates operator construction errors.
-    pub fn new(cfg: &CtvcConfig) -> Result<Self, TensorError> {
-        let n = cfg.n;
-        Ok(MotionCnn {
-            conv1: LayerOp::build(
-                LayerOp::Conv(weights::small_random_conv(
-                    2 * n,
-                    2 * n,
-                    0.02,
-                    cfg.seed ^ 0x3E,
-                )?),
-                cfg.precision,
-                cfg.sparsity,
-            )?,
-            conv2: LayerOp::build(
-                LayerOp::Conv(weights::small_random_conv(
-                    n,
-                    2 * n,
-                    0.02,
-                    cfg.seed ^ 0x3E02,
-                )?),
-                cfg.precision,
-                cfg.sparsity,
-            )?,
-            ctx: NumericCtx::new(cfg.precision),
-        })
-    }
-
-    /// Runs the shell over concatenated features (`2N` channels in, `N`
-    /// out), single-threaded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        self.forward_ctx(x, &ExecCtx::serial())
-    }
-
-    /// Same as [`MotionCnn::forward`], on `exec`'s worker pool.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    pub fn forward_ctx(&self, x: &Tensor, exec: &ExecCtx) -> Result<Tensor, TensorError> {
-        let a = self.ctx.actq(self.conv1.forward_ctx(&relu(x), exec)?);
-        self.conv2.forward_ctx(&relu(&a), exec)
     }
 }
 
@@ -294,17 +209,8 @@ impl DeformableCompensation {
     }
 
     /// Warps the reference features by the reconstructed motion `ô_t` and
-    /// refines: returns the predicted features `F̄_t`. Single-threaded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    pub fn forward(&self, reference: &Tensor, o_hat: &Tensor) -> Result<Tensor, TensorError> {
-        self.forward_ctx(reference, o_hat, &ExecCtx::serial())
-    }
-
-    /// Same as [`DeformableCompensation::forward`], on `exec`'s worker
-    /// pool.
+    /// refines, on `exec`'s worker pool: returns the predicted features
+    /// `F̄_t`.
     ///
     /// # Errors
     ///
@@ -387,17 +293,8 @@ impl Analysis {
         })
     }
 
-    /// Maps `N × h × w` input to the `N × h/8 × w/8` latent,
-    /// single-threaded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors (h, w must be divisible by 8).
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        self.forward_ctx(x, &ExecCtx::serial())
-    }
-
-    /// Same as [`Analysis::forward`], on `exec`'s worker pool.
+    /// Maps `N × h × w` input to the `N × h/8 × w/8` latent on `exec`'s
+    /// worker pool.
     ///
     /// # Errors
     ///
@@ -452,17 +349,8 @@ impl Synthesis {
         })
     }
 
-    /// Maps the `N × h/8 × w/8` latent back to `N × h × w`,
-    /// single-threaded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    pub fn forward(&self, z: &Tensor) -> Result<Tensor, TensorError> {
-        self.forward_ctx(z, &ExecCtx::serial())
-    }
-
-    /// Same as [`Synthesis::forward`], on `exec`'s worker pool.
+    /// Maps the `N × h/8 × w/8` latent back to `N × h × w` on `exec`'s
+    /// worker pool.
     ///
     /// # Errors
     ///
@@ -523,19 +411,10 @@ impl CompressionAutoencoder {
         })
     }
 
-    /// The quantization gain mask in `(0, 1)` for a latent: the Swin-AM
-    /// mask evaluated on the ±latent pair (channels `j` and `j + N` carry
-    /// `z` and `−z`), truncated to the first `N` channels.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    pub fn latent_mask(&self, z: &Tensor) -> Result<Tensor, TensorError> {
-        self.latent_mask_ctx(z, &ExecCtx::serial())
-    }
-
-    /// Same as [`CompressionAutoencoder::latent_mask`], on `exec`'s
-    /// worker pool.
+    /// The quantization gain mask in `(0, 1)` for a latent, on `exec`'s
+    /// worker pool: the Swin-AM mask evaluated on the ±latent pair
+    /// (channels `j` and `j + N` carry `z` and `−z`), truncated to the
+    /// first `N` channels.
     ///
     /// # Errors
     ///
@@ -596,7 +475,11 @@ mod tests {
         let fe = FeatureExtractor::new(&CtvcConfig::ctvc_sparse(8)).unwrap();
         let mut layers = Vec::new();
         fe.describe(&mut layers, (32, 48));
-        assert_describes(&layers, &fe.forward(&frame_tensor(32, 48)).unwrap());
+        assert_describes(
+            &layers,
+            &fe.forward_ctx(&frame_tensor(32, 48), &ExecCtx::serial())
+                .unwrap(),
+        );
     }
 
     #[test]
@@ -604,7 +487,11 @@ mod tests {
         let fr = FrameReconstructor::new(&CtvcConfig::ctvc_sparse(8)).unwrap();
         let mut layers = Vec::new();
         fr.describe(&mut layers, (16, 24));
-        assert_describes(&layers, &fr.forward(&features(16, 24)).unwrap());
+        assert_describes(
+            &layers,
+            &fr.forward_ctx(&features(16, 24), &ExecCtx::serial())
+                .unwrap(),
+        );
     }
 
     #[test]
@@ -612,7 +499,9 @@ mod tests {
         let dc = DeformableCompensation::new(&CtvcConfig::ctvc_sparse(8)).unwrap();
         let mut layers = Vec::new();
         dc.describe(&mut layers, (16, 24));
-        let out = dc.forward(&features(16, 24), &features(16, 24)).unwrap();
+        let out = dc
+            .forward_ctx(&features(16, 24), &features(16, 24), &ExecCtx::serial())
+            .unwrap();
         assert_describes(&layers, &out);
     }
 
@@ -621,7 +510,12 @@ mod tests {
         let ae = CompressionAutoencoder::new(&CtvcConfig::ctvc_sparse(8), 79).unwrap();
         let mut layers = Vec::new();
         ae.synthesis.describe(&mut layers, "m", (2, 3));
-        assert_describes(&layers, &ae.synthesis.forward(&features(2, 3)).unwrap());
+        assert_describes(
+            &layers,
+            &ae.synthesis
+                .forward_ctx(&features(2, 3), &ExecCtx::serial())
+                .unwrap(),
+        );
     }
 
     #[test]
@@ -630,9 +524,9 @@ mod tests {
         let fe = FeatureExtractor::new(&cfg).unwrap();
         let fr = FrameReconstructor::new(&cfg).unwrap();
         let x = frame_tensor(32, 48);
-        let f = fe.forward(&x).unwrap();
+        let f = fe.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert_eq!(f.shape().dims(), (1, 8, 16, 24));
-        let rec = fr.forward(&f).unwrap();
+        let rec = fr.forward_ctx(&f, &ExecCtx::serial()).unwrap();
         assert_eq!(rec.shape().dims(), (1, 3, 32, 48));
         // Down-up roundtrip of smooth content stays close (this bounds
         // the codec's quality ceiling).
@@ -656,7 +550,9 @@ mod tests {
                 *o_hat.at_mut(0, 1, y, x) = 2.0 / MOTION_SCALE;
             }
         }
-        let out = dc.forward(&reference, &o_hat).unwrap();
+        let out = dc
+            .forward_ctx(&reference, &o_hat, &ExecCtx::serial())
+            .unwrap();
         // Interior samples: out(y,x) ≈ ref(y+1, x+2) up to the small
         // refinement perturbation.
         for c in 0..8 {
@@ -682,9 +578,9 @@ mod tests {
         let x = Tensor::from_fn(Shape::new(1, 8, 16, 24), |_, c, y, xx| {
             0.4 * ((y as f32 * 0.08 + xx as f32 * 0.06 + c as f32 * 0.5).sin())
         });
-        let z = ae.analysis.forward(&x).unwrap();
+        let z = ae.analysis.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert_eq!(z.shape().dims(), (1, 8, 2, 3));
-        let rec = ae.synthesis.forward(&z).unwrap();
+        let rec = ae.synthesis.forward_ctx(&z, &ExecCtx::serial()).unwrap();
         assert_eq!(rec.shape().dims(), (1, 8, 16, 24));
         // The 8× pyramid keeps the low-frequency trend: correlation with
         // the input should be strongly positive even if detail is lost.
@@ -707,19 +603,10 @@ mod tests {
         let z = Tensor::from_fn(Shape::new(1, 8, 3, 6), |_, c, y, x| {
             0.5 * ((c + y + x) as f32 * 0.3).sin()
         });
-        let mask = ae.latent_mask(&z).unwrap();
+        let mask = ae.latent_mask_ctx(&z, &ExecCtx::serial()).unwrap();
         assert_eq!(mask.shape(), z.shape());
         for v in mask.as_slice() {
             assert!((0.0..=1.0).contains(v));
         }
-    }
-
-    #[test]
-    fn motion_cnn_shapes() {
-        let cfg = cfg();
-        let me = MotionCnn::new(&cfg).unwrap();
-        let x = Tensor::zeros(Shape::new(1, 16, 8, 8));
-        let y = me.forward(&x).unwrap();
-        assert_eq!(y.shape().dims(), (1, 8, 8, 8));
     }
 }

@@ -116,6 +116,7 @@ pub fn small_random_conv(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvc_core::ExecCtx;
     use nvc_tensor::{Shape, Tensor};
 
     #[test]
@@ -129,7 +130,7 @@ mod tests {
     fn bilinear_up_deconv_preserves_constants() {
         let up = bilinear_up_deconv(2, 2, 2, 1.0).unwrap();
         let x = Tensor::filled(Shape::new(1, 2, 4, 4), 0.7);
-        let y = up.forward(&x).unwrap();
+        let y = up.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert_eq!(y.shape().dims(), (1, 2, 8, 8));
         // Interior samples equal the constant (borders lose mass to the
         // zero padding).
@@ -141,7 +142,7 @@ mod tests {
     fn pyramid_down_preserves_constants() {
         let down = pyramid_down_conv(4, 2, 2, 1).unwrap();
         let x = Tensor::filled(Shape::new(1, 2, 8, 8), 0.3);
-        let y = down.forward(&x).unwrap();
+        let y = down.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert_eq!(y.shape().dims(), (1, 4, 4, 4));
         assert!((y.at(0, 0, 2, 2) - 0.3).abs() < 1e-5);
         assert!((y.at(0, 1, 1, 2) - 0.3).abs() < 1e-5);
@@ -153,7 +154,7 @@ mod tests {
     fn dirac_conv_routes_channels() {
         let conv = dirac_conv(2, 3, |co| vec![(co + 1, 2.0)]).unwrap();
         let x = Tensor::from_fn(Shape::new(1, 3, 2, 2), |_, c, _, _| c as f32);
-        let y = conv.forward(&x).unwrap();
+        let y = conv.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert_eq!(y.at(0, 0, 0, 0), 2.0); // 2 * ch1
         assert_eq!(y.at(0, 1, 1, 1), 4.0); // 2 * ch2
     }
@@ -164,7 +165,7 @@ mod tests {
         let x = Tensor::from_fn(Shape::new(1, 3, 6, 6), |_, c, h, w| {
             (c as f32 + 1.0) * 0.1 + (h + w) as f32 * 0.01
         });
-        let y = conv.forward(&x).unwrap();
+        let y = conv.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         let rel = y.sub(&x).unwrap().max_abs() / x.max_abs();
         assert!(rel < 0.2, "perturbation too large: {rel}");
     }
@@ -178,7 +179,7 @@ mod tests {
             3..=5 => -0.6,
             _ => 9.9, // unused channels must not leak
         });
-        let y = up.forward(&x).unwrap();
+        let y = up.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert_eq!(y.shape().dims(), (1, 3, 8, 8));
         assert!((y.at(0, 0, 4, 4) - 0.6).abs() < 1e-5);
         assert!((y.at(0, 2, 3, 3) - 0.6).abs() < 1e-5);

@@ -84,8 +84,8 @@ fn sparse_operators_are_thread_count_invariant() {
         let deconv = DeConv2d::randn(4, 3, 4, 2, 1, 777).unwrap();
         let fast_de =
             FastDeConv2d::from_deconv_pruned(&deconv, Sparsity::new(rho).unwrap()).unwrap();
-        let conv_ref = fast.forward(&x).unwrap();
-        let deconv_ref = fast_de.forward(&x).unwrap();
+        let conv_ref = fast.forward_ctx(&x, &ExecCtx::serial()).unwrap();
+        let deconv_ref = fast_de.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         for threads in [2, 5, 16] {
             let ctx = ExecCtx::with_threads(threads);
             assert_eq!(
@@ -127,7 +127,7 @@ fn swin_attention_is_thread_count_invariant() {
     });
     for shift in [0, 2] {
         let attn = SwinAttention::new(8, 3, shift, 2, 77).unwrap();
-        let reference = attn.forward(&x).unwrap();
+        let reference = attn.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         for threads in [2, 3, 8] {
             let got = attn
                 .forward_ctx(&x, &ExecCtx::with_threads(threads))

@@ -7,9 +7,10 @@
 //!
 //! * [`QFormat`] — a signed two's-complement `Qm.n` fixed-point format
 //!   (total bits, fractional bits) with saturating round-to-nearest
-//!   quantization, and
-//! * [`fake_quantize`] / [`QuantTensor`] — tensor-level quantize /
-//!   dequantize, including automatic per-tensor format selection
+//!   quantization ([`QFormat::weights16`] is the paper's weight format),
+//!   and
+//! * [`fake_quantize_dynamic_inplace`] — tensor-level quantize-then-
+//!   dequantize with automatic per-tensor format selection
 //!   ([`QFormat::for_range`]), which is how the accelerator's per-layer
 //!   scaling registers are modelled.
 //!
@@ -37,7 +38,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use nvc_tensor::{Shape, Tensor};
+use nvc_tensor::Tensor;
 use std::error::Error;
 use std::fmt;
 
@@ -110,15 +111,6 @@ impl QFormat {
         }
     }
 
-    /// The paper's activation format: 12-bit fixed point with a ±8 range
-    /// (Q3.8).
-    pub fn activations12() -> Self {
-        QFormat {
-            total_bits: 12,
-            frac_bits: 8,
-        }
-    }
-
     /// Picks the format with `total_bits` width whose range just covers
     /// `max_abs` — the per-layer dynamic scaling the accelerator applies.
     ///
@@ -138,29 +130,9 @@ impl QFormat {
         QFormat::new(total_bits, total_bits - 1 - int_bits)
     }
 
-    /// Total bit width including sign.
-    pub fn total_bits(&self) -> u32 {
-        self.total_bits
-    }
-
-    /// Fractional bit count.
-    pub fn frac_bits(&self) -> u32 {
-        self.frac_bits
-    }
-
     /// Quantization step (one least-significant bit), `2^(−frac)`.
     pub fn step(&self) -> f32 {
         (2.0_f32).powi(-(self.frac_bits as i32))
-    }
-
-    /// Smallest representable real value.
-    pub fn min_value(&self) -> f32 {
-        -((1_i64 << (self.total_bits - 1)) as f32) * self.step()
-    }
-
-    /// Largest representable real value.
-    pub fn max_value(&self) -> f32 {
-        ((1_i64 << (self.total_bits - 1)) - 1) as f32 * self.step()
     }
 
     /// Quantizes a real value to the nearest representable code,
@@ -233,61 +205,6 @@ impl fmt::Display for QFormat {
     }
 }
 
-/// A tensor stored in quantized integer codes together with its format.
-///
-/// Used where true integer data is needed (entropy coding of latents);
-/// for in-network numerics use [`fake_quantize`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantTensor {
-    shape: Shape,
-    codes: Vec<i32>,
-    format: QFormat,
-}
-
-impl QuantTensor {
-    /// Quantizes a tensor into integer codes.
-    pub fn quantize(t: &Tensor, format: QFormat) -> Self {
-        QuantTensor {
-            shape: t.shape(),
-            codes: t.as_slice().iter().map(|&v| format.quantize(v)).collect(),
-            format,
-        }
-    }
-
-    /// The stored format.
-    pub fn format(&self) -> QFormat {
-        self.format
-    }
-
-    /// The tensor shape.
-    pub fn shape(&self) -> Shape {
-        self.shape
-    }
-
-    /// The raw integer codes.
-    pub fn codes(&self) -> &[i32] {
-        &self.codes
-    }
-
-    /// Reconstructs the real-valued tensor.
-    pub fn dequantize(&self) -> Tensor {
-        let data = self
-            .codes
-            .iter()
-            .map(|&c| self.format.dequantize(c))
-            .collect();
-        Tensor::from_vec(self.shape, data).expect("codes length matches shape by construction")
-    }
-}
-
-/// Projects every element of `t` onto the grid of `format`
-/// (quantize-then-dequantize), returning a new `f32` tensor.
-pub fn fake_quantize(t: &Tensor, format: QFormat) -> Tensor {
-    let mut q = t.clone();
-    format.roundtrip_slice(q.as_mut_slice());
-    q
-}
-
 /// Projects a tensor onto the best `total_bits`-wide format for its own
 /// dynamic range, returning the tensor and the chosen format.
 ///
@@ -320,6 +237,13 @@ pub fn fake_quantize_dynamic_inplace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvc_tensor::Shape;
+
+    /// The smallest and largest representable real values.
+    fn range(fmt: QFormat) -> (f32, f32) {
+        let half = 1_i32 << (fmt.total_bits - 1);
+        (fmt.dequantize(-half), fmt.dequantize(half - 1))
+    }
 
     #[test]
     fn format_validation() {
@@ -343,7 +267,8 @@ mod tests {
         let fmt = QFormat::new(12, 8).unwrap();
         for i in 0..1000 {
             let v = (i as f32 - 500.0) * 0.0137;
-            if v > fmt.max_value() || v < fmt.min_value() {
+            let (min, max) = range(fmt);
+            if v > max || v < min {
                 continue;
             }
             let err = (fmt.roundtrip(v) - v).abs();
@@ -357,7 +282,7 @@ mod tests {
         assert_eq!(fmt.quantize(100.0), 127);
         assert_eq!(fmt.quantize(-100.0), -128);
         assert!((fmt.dequantize(127) - 7.9375).abs() < 1e-6);
-        assert!((fmt.min_value() + 8.0).abs() < 1e-6);
+        assert!((range(fmt).0 + 8.0).abs() < 1e-6);
     }
 
     #[test]
@@ -374,43 +299,28 @@ mod tests {
         for max_abs in [0.3_f32, 1.0, 1.7, 5.0, 100.0] {
             let fmt = QFormat::for_range(12, max_abs).unwrap();
             assert!(
-                fmt.max_value() >= max_abs * 0.999 || fmt.frac_bits() == 0,
+                range(fmt).1 >= max_abs * 0.999 || fmt.frac_bits == 0,
                 "{fmt} does not cover {max_abs}"
             );
         }
         // Tiny ranges use maximum fractional precision.
         let fmt = QFormat::for_range(12, 1e-9).unwrap();
-        assert_eq!(fmt.frac_bits(), 11);
+        assert_eq!(fmt.frac_bits, 11);
     }
 
     #[test]
     fn paper_formats() {
-        assert_eq!(QFormat::weights16().total_bits(), 16);
-        assert_eq!(QFormat::activations12().total_bits(), 12);
+        assert_eq!(QFormat::weights16().total_bits, 16);
         assert_eq!(QFormat::weights16().to_string(), "Q1.14 (16b)");
     }
 
     #[test]
-    fn quant_tensor_roundtrip() {
-        let t = Tensor::from_fn(Shape::new(1, 2, 3, 3), |_, c, h, w| {
-            (c as f32 - 0.5) * 0.3 + (h as f32) * 0.01 - (w as f32) * 0.07
-        });
-        let q = QuantTensor::quantize(&t, QFormat::activations12());
-        let back = q.dequantize();
-        assert_eq!(back.shape(), t.shape());
-        let err = back.sub(&t).unwrap().max_abs();
-        assert!(err <= QFormat::activations12().step() / 2.0 + 1e-7);
-        assert_eq!(q.codes().len(), 18);
-    }
-
-    #[test]
-    fn fake_quantize_is_idempotent() {
-        let t = Tensor::from_fn(Shape::new(1, 1, 4, 4), |_, _, h, w| {
-            ((h * 4 + w) as f32).sin()
-        });
-        let fmt = QFormat::activations12();
-        let once = fake_quantize(&t, fmt);
-        let twice = fake_quantize(&once, fmt);
+    fn roundtrip_slice_is_idempotent() {
+        let fmt = QFormat::new(12, 8).unwrap();
+        let mut once: Vec<f32> = (0..16).map(|i| (i as f32).sin()).collect();
+        fmt.roundtrip_slice(&mut once);
+        let mut twice = once.clone();
+        fmt.roundtrip_slice(&mut twice);
         assert_eq!(once, twice);
     }
 
@@ -418,16 +328,16 @@ mod tests {
     fn dynamic_quantization_picks_format() {
         let t = Tensor::filled(Shape::new(1, 1, 2, 2), 3.7);
         let (q, fmt) = fake_quantize_dynamic(&t, 12).unwrap();
-        assert!(fmt.max_value() >= 3.7);
+        assert!(range(fmt).1 >= 3.7);
         assert!((q.at(0, 0, 0, 0) - 3.7).abs() <= fmt.step());
     }
 
     /// Asserts the buffer path projects every value in `values` onto
     /// exactly the bit pattern the scalar [`QFormat::roundtrip`] does.
     fn assert_slice_matches_scalar(fmt: QFormat, values: Vec<f32>) {
-        let t = Tensor::from_vec(Shape::new(1, 1, 1, values.len()), values).unwrap();
-        let q = fake_quantize(&t, fmt);
-        for (&v, &got) in t.as_slice().iter().zip(q.as_slice()) {
+        let mut q = values.clone();
+        fmt.roundtrip_slice(&mut q);
+        for (&v, &got) in values.iter().zip(&q) {
             let want = fmt.roundtrip(v);
             assert_eq!(
                 got.to_bits(),
@@ -469,7 +379,7 @@ mod tests {
     #[test]
     fn buffer_rounding_matches_scalar_on_every_tie() {
         for fmt in formats_under_test() {
-            let half_range = 1_i64 << (fmt.total_bits() - 1);
+            let half_range = 1_i64 << (fmt.total_bits - 1);
             // Every half-way point between adjacent codes (strided for
             // the wide formats), one ulp to either side, both signs, and
             // one code beyond each saturation edge.
@@ -501,7 +411,8 @@ mod tests {
                 f32::from_bits(1),
                 -f32::from_bits(1),
             ];
-            for edge in [fmt.min_value(), fmt.max_value()] {
+            let (min, max) = range(fmt);
+            for edge in [min, max] {
                 for scale in [1.0, 1.0 + f32::EPSILON, 2.0, 1e9] {
                     values.extend(with_neighbours(edge * scale));
                     values.extend(with_neighbours(edge * scale + fmt.step() / 2.0));

@@ -14,8 +14,10 @@
 //!   (batch, channels, height, width). Batch is carried for generality but
 //!   the codec always runs with `n == 1`.
 //! * Operators live in [`ops`] and are plain structs holding their weights
-//!   ([`ops::Conv2d`], [`ops::DeConv2d`], [`ops::DeformConv2d`], …) with a
-//!   `forward` method. Shape errors are reported through [`TensorError`].
+//!   ([`ops::Conv2d`], [`ops::DeConv2d`], [`ops::DeformConv2d`], …). The
+//!   three convolutions run through one `forward_ctx(x, &ExecCtx)` each,
+//!   serially under `ExecCtx::serial()`; the pool and the dense layer have
+//!   a plain `forward`. Shape errors are reported through [`TensorError`].
 //! * Weight initialisation helpers (seeded Gaussian, Dirac/identity, DCT
 //!   bases) live in [`init`]; they are deterministic given a seed so every
 //!   experiment in the repository is reproducible.
@@ -23,12 +25,13 @@
 //! # Example
 //!
 //! ```
+//! use nvc_core::ExecCtx;
 //! use nvc_tensor::{Shape, Tensor, ops::Conv2d};
 //!
 //! # fn main() -> Result<(), nvc_tensor::TensorError> {
 //! let input = Tensor::zeros(Shape::new(1, 3, 8, 8));
 //! let conv = Conv2d::randn(16, 3, 3, 1, 1, 0x5eed)?; // 16 out, 3 in, k=3
-//! let out = conv.forward(&input)?;
+//! let out = conv.forward_ctx(&input, &ExecCtx::serial())?;
 //! assert_eq!(out.shape().dims(), (1, 16, 8, 8));
 //! # Ok(())
 //! # }

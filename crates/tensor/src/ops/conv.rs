@@ -1,5 +1,5 @@
+use super::direct::DirectLayer;
 use super::staged::{accumulate, stage};
-use crate::init::{he_std, Gaussian};
 use crate::{Shape, Tensor, TensorError};
 use nvc_core::ExecCtx;
 
@@ -7,7 +7,8 @@ use nvc_core::ExecCtx;
 /// stride — the workhorse of CTVC-Net (`Conv(N, k, s)` in paper Fig. 2).
 ///
 /// Weight layout is `[c_out][c_in][k][k]` row-major; one bias per output
-/// channel.
+/// channel. Construction, validation and accessors are
+/// [`DirectLayer`]'s, shared with [`DeConv2d`](super::DeConv2d).
 ///
 /// Every stride runs one kernel over one staged layout (zero-padded
 /// polyphase planes, outputs accumulated in registers); see
@@ -17,193 +18,25 @@ use nvc_core::ExecCtx;
 /// # Example
 ///
 /// ```
+/// use nvc_core::ExecCtx;
 /// use nvc_tensor::{Shape, Tensor, ops::Conv2d};
 /// # fn main() -> Result<(), nvc_tensor::TensorError> {
 /// // 3x3 box filter that preserves resolution.
 /// let conv = Conv2d::from_fn(1, 1, 3, 1, 1, |_, _, _, _| 1.0 / 9.0)?;
 /// let x = Tensor::filled(Shape::new(1, 1, 5, 5), 9.0);
-/// let y = conv.forward(&x)?;
+/// let y = conv.forward_ctx(&x, &ExecCtx::serial())?;
 /// assert_eq!(y.at(0, 0, 2, 2), 9.0); // interior average of a constant
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Conv2d {
-    weight: Vec<f32>,
-    bias: Vec<f32>,
-    c_out: usize,
-    c_in: usize,
-    k: usize,
-    stride: usize,
-    padding: usize,
-}
+pub type Conv2d = DirectLayer<false>;
 
 impl Conv2d {
-    /// Creates a convolution from explicit weights and biases.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the buffer lengths do not match
-    /// `c_out * c_in * k * k` / `c_out`, or if `stride == 0` or `k == 0`.
-    pub fn new(
-        weight: Vec<f32>,
-        bias: Vec<f32>,
-        c_out: usize,
-        c_in: usize,
-        k: usize,
-        stride: usize,
-        padding: usize,
-    ) -> Result<Self, TensorError> {
-        if k == 0 || stride == 0 {
-            return Err(TensorError::invalid(
-                "kernel size and stride must be non-zero",
-            ));
-        }
-        if weight.len() != c_out * c_in * k * k {
-            return Err(TensorError::LengthMismatch {
-                expected: c_out * c_in * k * k,
-                actual: weight.len(),
-            });
-        }
-        if bias.len() != c_out {
-            return Err(TensorError::LengthMismatch {
-                expected: c_out,
-                actual: bias.len(),
-            });
-        }
-        Ok(Conv2d {
-            weight,
-            bias,
-            c_out,
-            c_in,
-            k,
-            stride,
-            padding,
-        })
-    }
-
-    /// Creates a convolution with He-initialised Gaussian weights and zero
-    /// biases, deterministically from `seed`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `stride == 0` or `k == 0`.
-    pub fn randn(
-        c_out: usize,
-        c_in: usize,
-        k: usize,
-        stride: usize,
-        padding: usize,
-        seed: u64,
-    ) -> Result<Self, TensorError> {
-        let mut g = Gaussian::new(seed);
-        let mut weight = vec![0.0; c_out * c_in * k * k];
-        g.fill(&mut weight, he_std(c_in * k * k));
-        Conv2d::new(weight, vec![0.0; c_out], c_out, c_in, k, stride, padding)
-    }
-
-    /// Creates a convolution whose weight at `(c_out, c_in, kh, kw)` is
-    /// produced by `f`, with zero biases.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `stride == 0` or `k == 0`.
-    pub fn from_fn(
-        c_out: usize,
-        c_in: usize,
-        k: usize,
-        stride: usize,
-        padding: usize,
-        mut f: impl FnMut(usize, usize, usize, usize) -> f32,
-    ) -> Result<Self, TensorError> {
-        let mut weight = Vec::with_capacity(c_out * c_in * k * k);
-        for co in 0..c_out {
-            for ci in 0..c_in {
-                for kh in 0..k {
-                    for kw in 0..k {
-                        weight.push(f(co, ci, kh, kw));
-                    }
-                }
-            }
-        }
-        Conv2d::new(weight, vec![0.0; c_out], c_out, c_in, k, stride, padding)
-    }
-
-    /// Output channel count.
-    pub fn c_out(&self) -> usize {
-        self.c_out
-    }
-
-    /// Input channel count.
-    pub fn c_in(&self) -> usize {
-        self.c_in
-    }
-
-    /// Kernel size.
-    pub fn kernel(&self) -> usize {
-        self.k
-    }
-
-    /// Stride.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Zero padding applied on each spatial border.
-    pub fn padding(&self) -> usize {
-        self.padding
-    }
-
-    /// Read-only weight buffer, `[c_out][c_in][k][k]` row-major.
-    pub fn weight(&self) -> &[f32] {
-        &self.weight
-    }
-
-    /// Mutable weight buffer (used by the pruning pass).
-    pub fn weight_mut(&mut self) -> &mut [f32] {
-        &mut self.weight
-    }
-
-    /// Read-only bias buffer.
-    pub fn bias(&self) -> &[f32] {
-        &self.bias
-    }
-
-    /// Mutable bias buffer.
-    pub fn bias_mut(&mut self) -> &mut [f32] {
-        &mut self.bias
-    }
-
-    /// The `k × k` kernel for output channel `co`, input channel `ci`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `co` or `ci` is out of range.
-    pub fn kernel_slice(&self, co: usize, ci: usize) -> &[f32] {
-        assert!(
-            co < self.c_out && ci < self.c_in,
-            "kernel ({co},{ci}) out of range"
-        );
-        let kk = self.k * self.k;
-        let base = (co * self.c_in + ci) * kk;
-        &self.weight[base..base + kk]
-    }
-
     /// Spatial output size for an `h × w` input; `(0, 0)` when the padded
     /// input is smaller than the kernel along either axis.
     pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
         let dim = |d: usize| Some((d + 2 * self.padding).checked_sub(self.k)? / self.stride + 1);
         dim(h).zip(dim(w)).unwrap_or((0, 0))
-    }
-
-    /// Runs the convolution single-threaded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::Incompatible`] if the input channel count is
-    /// not `c_in` or the padded input is smaller than the kernel.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor, TensorError> {
-        self.forward_ctx(input, &ExecCtx::serial())
     }
 
     /// Runs the convolution, fanning output channels across `ctx`'s worker
@@ -240,7 +73,8 @@ impl Conv2d {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Conv2d::forward`].
+    /// Returns [`TensorError::Incompatible`] if the input channel count is
+    /// not `c_in` or the padded input is smaller than the kernel.
     pub fn forward_ctx(&self, input: &Tensor, ctx: &ExecCtx) -> Result<Tensor, TensorError> {
         let (n, c, h, w) = input.shape().dims();
         if c != self.c_in {
@@ -420,7 +254,7 @@ mod tests {
                         let c = random_conv(&mut rng, 3, 2, (k, s, p));
                         let x = random_input(&mut rng, (2, 2, h, w));
                         let want = strided_reference(&c, &x);
-                        let got = c.forward(&x).unwrap();
+                        let got = c.forward_ctx(&x, &ExecCtx::serial()).unwrap();
                         assert_eq!(got.shape(), want.shape());
                         assert_eq!(bits(&got), bits(&want), "k={k} s={s} p={p} {h}x{w}");
                         cases += 1;
@@ -444,7 +278,7 @@ mod tests {
             for ksp in [(3, 1, 1), (3, 2, 1), (1, 1, 0), (4, 3, 2)] {
                 let c = random_conv(&mut rng, 2, 2, ksp);
                 let x = random_input(&mut rng, (1, 2, h, w));
-                let got = c.forward(&x).unwrap();
+                let got = c.forward_ctx(&x, &ExecCtx::serial()).unwrap();
                 assert_eq!(
                     bits(&got),
                     bits(&strided_reference(&c, &x)),
@@ -468,7 +302,7 @@ mod tests {
             for zero_share in [0.3, 1.0] {
                 let values = sparse_values(&mut rng, 2 * 3 * 9 * 11, zero_share);
                 let x = Tensor::from_vec(Shape::new(2, 3, 9, 11), values).unwrap();
-                let got = c.forward(&x).unwrap();
+                let got = c.forward_ctx(&x, &ExecCtx::serial()).unwrap();
                 assert_eq!(bits(&got), bits(&strided_reference(&c, &x)), "{ksp:?}");
             }
         }
@@ -485,7 +319,9 @@ mod tests {
         assert_eq!(c.macs(2, 9), 0);
         assert_eq!(c.macs(0, 0), 0);
         assert_eq!(c.macs(3, 3), 2 * 3 * 25);
-        assert!(c.forward(&Tensor::zeros(Shape::new(1, 3, 2, 9))).is_err());
+        assert!(c
+            .forward_ctx(&Tensor::zeros(Shape::new(1, 3, 2, 9)), &ExecCtx::serial())
+            .is_err());
     }
 
     #[test]
@@ -495,17 +331,17 @@ mod tests {
         let zeros = Tensor::zeros(Shape::new(1, 2, 6, 7));
         for bias in [0.0, -0.0, 1.5] {
             let all_zero = Conv2d::new(vec![0.0; 3 * 2 * 9], vec![bias; 3], 3, 2, 3, 2, 1).unwrap();
-            let y = all_zero.forward(&x).unwrap();
+            let y = all_zero.forward_ctx(&x, &ExecCtx::serial()).unwrap();
             assert_eq!(bits(&y), bits(&strided_reference(&all_zero, &x)));
             assert!(bits(&y).iter().all(|&b| b == bias.to_bits()));
             let mut c = random_conv(&mut rng, 3, 2, (3, 2, 1));
             c.bias.fill(bias);
             assert_eq!(
-                bits(&c.forward(&zeros).unwrap()),
+                bits(&c.forward_ctx(&zeros, &ExecCtx::serial()).unwrap()),
                 bits(&strided_reference(&c, &zeros))
             );
             assert_eq!(
-                bits(&c.forward(&x).unwrap()),
+                bits(&c.forward_ctx(&x, &ExecCtx::serial()).unwrap()),
                 bits(&strided_reference(&c, &x))
             );
         }
@@ -546,7 +382,7 @@ mod tests {
         // A padded empty input has nothing to stage.
         let wide = Conv2d::randn(1, 1, 2, 2, 1, 0).unwrap();
         let y = wide
-            .forward(&Tensor::zeros(Shape::new(1, 1, 0, 0)))
+            .forward_ctx(&Tensor::zeros(Shape::new(1, 1, 0, 0)), &ExecCtx::serial())
             .unwrap();
         assert_eq!(y.shape().dims(), (1, 1, 1, 1));
     }
@@ -570,7 +406,7 @@ mod tests {
         )
         .unwrap();
         let x = Tensor::from_fn(Shape::new(1, 1, 4, 5), |_, _, h, w| (h * 5 + w) as f32);
-        let y = conv.forward(&x).unwrap();
+        let y = conv.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert_eq!(y, x);
     }
 
@@ -579,7 +415,7 @@ mod tests {
         // All-ones kernel on a ramp; interior output = sum of 3x3 patch.
         let conv = Conv2d::from_fn(1, 1, 3, 1, 1, |_, _, _, _| 1.0).unwrap();
         let x = Tensor::from_fn(Shape::new(1, 1, 3, 3), |_, _, h, w| (h * 3 + w) as f32);
-        let y = conv.forward(&x).unwrap();
+        let y = conv.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         // Centre: sum 0..=8 = 36.
         assert_eq!(y.at(0, 0, 1, 1), 36.0);
         // Corner (0,0): only pixels (0,0),(0,1),(1,0),(1,1) = 0+1+3+4 = 8.
@@ -590,7 +426,7 @@ mod tests {
     fn stride_two_downsamples() {
         let conv = Conv2d::from_fn(2, 3, 3, 2, 1, |_, _, _, _| 0.1).unwrap();
         let x = Tensor::zeros(Shape::new(1, 3, 8, 10));
-        let y = conv.forward(&x).unwrap();
+        let y = conv.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert_eq!(y.shape().dims(), (1, 2, 4, 5));
     }
 
@@ -608,7 +444,7 @@ mod tests {
         .unwrap();
         let x =
             Tensor::from_vec(Shape::new(1, 2, 1, 2), vec![1.0, 2.0, /* ch1 */ 10.0, 20.0]).unwrap();
-        let y = conv.forward(&x).unwrap();
+        let y = conv.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert_eq!(y.as_slice(), &[21.5, 42.5]);
     }
 
@@ -616,23 +452,21 @@ mod tests {
     fn bias_is_applied_per_channel() {
         let conv = Conv2d::new(vec![0.0; 2 * 9], vec![3.0, -1.0], 2, 1, 3, 1, 1).unwrap();
         let x = Tensor::zeros(Shape::new(1, 1, 2, 2));
-        let y = conv.forward(&x).unwrap();
+        let y = conv.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert_eq!(y.at(0, 0, 0, 0), 3.0);
         assert_eq!(y.at(0, 1, 1, 1), -1.0);
     }
 
     #[test]
     fn validation_rejects_bad_config() {
-        assert!(Conv2d::new(vec![0.0; 8], vec![0.0], 1, 1, 3, 1, 1).is_err());
-        assert!(Conv2d::new(vec![0.0; 9], vec![0.0; 2], 1, 1, 3, 1, 1).is_err());
-        assert!(Conv2d::randn(1, 1, 0, 1, 0, 0).is_err());
-        assert!(Conv2d::randn(1, 1, 3, 0, 1, 0).is_err());
+        // Construction is validated once for both kinds, in
+        // `tests/direct_constructors.rs`; these are the input checks.
         let conv = Conv2d::randn(4, 3, 3, 1, 1, 0).unwrap();
         let bad = Tensor::zeros(Shape::new(1, 2, 8, 8));
-        assert!(conv.forward(&bad).is_err());
+        assert!(conv.forward_ctx(&bad, &ExecCtx::serial()).is_err());
         let tiny = Tensor::zeros(Shape::new(1, 3, 1, 1));
         let nopad = Conv2d::randn(4, 3, 3, 1, 0, 0).unwrap();
-        assert!(nopad.forward(&tiny).is_err());
+        assert!(nopad.forward_ctx(&tiny, &ExecCtx::serial()).is_err());
     }
 
     #[test]

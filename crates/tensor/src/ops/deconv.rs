@@ -1,5 +1,5 @@
+use super::direct::DirectLayer;
 use super::staged::{accumulate, stage};
-use crate::init::{he_std, Gaussian};
 use crate::{Shape, Tensor, TensorError};
 use nvc_core::ExecCtx;
 
@@ -16,181 +16,26 @@ use nvc_core::ExecCtx;
 /// targets.
 ///
 /// Weight layout is `[c_in][c_out][k][k]` row-major (PyTorch convention for
-/// `ConvTranspose2d`), one bias per output channel.
+/// `ConvTranspose2d`), one bias per output channel. Construction,
+/// validation and accessors are [`DirectLayer`]'s, shared with
+/// [`Conv2d`](super::Conv2d); only this kind requires `k ≥ 2·padding + 1`.
 ///
 /// # Example
 ///
 /// ```
+/// use nvc_core::ExecCtx;
 /// use nvc_tensor::{Shape, Tensor, ops::DeConv2d};
 /// # fn main() -> Result<(), nvc_tensor::TensorError> {
 /// let up = DeConv2d::randn(8, 16, 4, 2, 1, 7)?;
 /// let x = Tensor::zeros(Shape::new(1, 16, 6, 5));
-/// assert_eq!(up.forward(&x)?.shape().dims(), (1, 8, 12, 10));
+/// let y = up.forward_ctx(&x, &ExecCtx::serial())?;
+/// assert_eq!(y.shape().dims(), (1, 8, 12, 10));
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeConv2d {
-    weight: Vec<f32>,
-    bias: Vec<f32>,
-    c_out: usize,
-    c_in: usize,
-    k: usize,
-    stride: usize,
-    padding: usize,
-}
+pub type DeConv2d = DirectLayer<true>;
 
 impl DeConv2d {
-    /// Creates a transposed convolution from explicit weights and biases.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on zero kernel/stride or mismatched buffer lengths.
-    pub fn new(
-        weight: Vec<f32>,
-        bias: Vec<f32>,
-        c_out: usize,
-        c_in: usize,
-        k: usize,
-        stride: usize,
-        padding: usize,
-    ) -> Result<Self, TensorError> {
-        if k == 0 || stride == 0 {
-            return Err(TensorError::invalid(
-                "kernel size and stride must be non-zero",
-            ));
-        }
-        if k < 2 * padding + 1 {
-            return Err(TensorError::invalid(format!(
-                "padding {padding} too large for kernel {k}"
-            )));
-        }
-        if weight.len() != c_out * c_in * k * k {
-            return Err(TensorError::LengthMismatch {
-                expected: c_out * c_in * k * k,
-                actual: weight.len(),
-            });
-        }
-        if bias.len() != c_out {
-            return Err(TensorError::LengthMismatch {
-                expected: c_out,
-                actual: bias.len(),
-            });
-        }
-        Ok(DeConv2d {
-            weight,
-            bias,
-            c_out,
-            c_in,
-            k,
-            stride,
-            padding,
-        })
-    }
-
-    /// Creates a transposed convolution with He-initialised Gaussian
-    /// weights and zero biases, deterministically from `seed`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on zero kernel/stride.
-    pub fn randn(
-        c_out: usize,
-        c_in: usize,
-        k: usize,
-        stride: usize,
-        padding: usize,
-        seed: u64,
-    ) -> Result<Self, TensorError> {
-        let mut g = Gaussian::new(seed);
-        let mut weight = vec![0.0; c_out * c_in * k * k];
-        g.fill(&mut weight, he_std(c_in * k * k));
-        DeConv2d::new(weight, vec![0.0; c_out], c_out, c_in, k, stride, padding)
-    }
-
-    /// Creates a transposed convolution whose weight at
-    /// `(c_in, c_out, kh, kw)` is produced by `f`, with zero biases.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on zero kernel/stride.
-    pub fn from_fn(
-        c_out: usize,
-        c_in: usize,
-        k: usize,
-        stride: usize,
-        padding: usize,
-        mut f: impl FnMut(usize, usize, usize, usize) -> f32,
-    ) -> Result<Self, TensorError> {
-        let mut weight = Vec::with_capacity(c_out * c_in * k * k);
-        for ci in 0..c_in {
-            for co in 0..c_out {
-                for kh in 0..k {
-                    for kw in 0..k {
-                        weight.push(f(ci, co, kh, kw));
-                    }
-                }
-            }
-        }
-        DeConv2d::new(weight, vec![0.0; c_out], c_out, c_in, k, stride, padding)
-    }
-
-    /// Output channel count.
-    pub fn c_out(&self) -> usize {
-        self.c_out
-    }
-
-    /// Input channel count.
-    pub fn c_in(&self) -> usize {
-        self.c_in
-    }
-
-    /// Kernel size.
-    pub fn kernel(&self) -> usize {
-        self.k
-    }
-
-    /// Stride (upsampling factor).
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Padding (in transposed-convolution convention).
-    pub fn padding(&self) -> usize {
-        self.padding
-    }
-
-    /// Read-only weight buffer, `[c_in][c_out][k][k]` row-major.
-    pub fn weight(&self) -> &[f32] {
-        &self.weight
-    }
-
-    /// Mutable weight buffer (used by the pruning pass).
-    pub fn weight_mut(&mut self) -> &mut [f32] {
-        &mut self.weight
-    }
-
-    /// Read-only bias buffer.
-    pub fn bias(&self) -> &[f32] {
-        &self.bias
-    }
-
-    /// The `k × k` kernel connecting input channel `ci` to output channel
-    /// `co`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ci` or `co` is out of range.
-    pub fn kernel_slice(&self, ci: usize, co: usize) -> &[f32] {
-        assert!(
-            ci < self.c_in && co < self.c_out,
-            "kernel ({ci},{co}) out of range"
-        );
-        let kk = self.k * self.k;
-        let base = (ci * self.c_out + co) * kk;
-        &self.weight[base..base + kk]
-    }
-
     /// Spatial output size for an `h × w` input; an empty dimension stays
     /// empty.
     pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
@@ -200,16 +45,6 @@ impl DeConv2d {
             d => (d - 1) * self.stride + self.k - 2 * self.padding,
         };
         (dim(h), dim(w))
-    }
-
-    /// Runs the transposed convolution single-threaded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::Incompatible`] if the input channel count
-    /// differs from `c_in` or the input is empty.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor, TensorError> {
-        self.forward_ctx(input, &ExecCtx::serial())
     }
 
     /// Runs the transposed convolution, fanning output channels across
@@ -246,7 +81,8 @@ impl DeConv2d {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`DeConv2d::forward`].
+    /// Returns [`TensorError::Incompatible`] if the input channel count
+    /// differs from `c_in` or the input is empty.
     pub fn forward_ctx(&self, input: &Tensor, ctx: &ExecCtx) -> Result<Tensor, TensorError> {
         let (n, c, h, w) = input.shape().dims();
         if c != self.c_in {
@@ -440,7 +276,7 @@ mod tests {
                         )
                         .unwrap();
                         let want = scatter_reference(&d, &x);
-                        let got = d.forward(&x).unwrap();
+                        let got = d.forward_ctx(&x, &ExecCtx::serial()).unwrap();
                         assert_eq!(got.shape(), want.shape());
                         assert_eq!(bits(&got), bits(&want), "k={k} s={s} p={p} {h}x{w}");
                         cases += 1;
@@ -468,7 +304,7 @@ mod tests {
                     sparse_values(&mut rng, 2 * h * w, 0.25),
                 )
                 .unwrap();
-                let got = d.forward(&x).unwrap();
+                let got = d.forward_ctx(&x, &ExecCtx::serial()).unwrap();
                 assert_eq!(
                     bits(&got),
                     bits(&scatter_reference(&d, &x)),
@@ -493,13 +329,13 @@ mod tests {
             let all_zero =
                 DeConv2d::new(vec![0.0; 2 * 3 * 16], vec![bias; 3], 3, 2, 4, 2, 1).unwrap();
             assert_eq!(
-                bits(&all_zero.forward(&x).unwrap()),
+                bits(&all_zero.forward_ctx(&x, &ExecCtx::serial()).unwrap()),
                 bits(&scatter_reference(&all_zero, &x))
             );
             let mut d = random_deconv(&mut rng, 3, 2, (4, 2, 1));
             d.bias.fill(bias);
             assert_eq!(
-                bits(&d.forward(&zeros).unwrap()),
+                bits(&d.forward_ctx(&zeros, &ExecCtx::serial()).unwrap()),
                 bits(&scatter_reference(&d, &zeros))
             );
         }
@@ -515,13 +351,13 @@ mod tests {
         // Zero inputs under non-zero taps: nothing is added, -0.0 stays.
         let ones = DeConv2d::new(vec![1.0; 16], vec![-0.0], 1, 1, 4, 2, 1).unwrap();
         let zeros = Tensor::zeros(Shape::new(1, 1, 2, 3));
-        let y = ones.forward(&zeros).unwrap();
+        let y = ones.forward_ctx(&zeros, &ExecCtx::serial()).unwrap();
         assert!(bits(&y).iter().all(|&b| b == neg_zero));
         assert_eq!(bits(&y), bits(&scatter_reference(&ones, &zeros)));
         // Positive inputs under +0.0 taps: +0.0 products flip -0.0 to +0.0.
         let zero_taps = DeConv2d::new(vec![0.0; 16], vec![-0.0], 1, 1, 4, 2, 1).unwrap();
         let pos = Tensor::filled(Shape::new(1, 1, 2, 3), 2.0);
-        let y = zero_taps.forward(&pos).unwrap();
+        let y = zero_taps.forward_ctx(&pos, &ExecCtx::serial()).unwrap();
         assert!(bits(&y).iter().all(|&b| b == 0));
         assert_eq!(bits(&y), bits(&scatter_reference(&zero_taps, &pos)));
         // Mixed signs, zeros of both signs in inputs and weights.
@@ -532,7 +368,7 @@ mod tests {
             let x =
                 Tensor::from_vec(Shape::new(1, 2, 4, 7), sparse_values(&mut rng, 56, 0.5)).unwrap();
             assert_eq!(
-                bits(&d.forward(&x).unwrap()),
+                bits(&d.forward_ctx(&x, &ExecCtx::serial()).unwrap()),
                 bits(&scatter_reference(&d, &x)),
                 "k={k} s={s} p={p}"
             );
@@ -582,7 +418,9 @@ mod tests {
         assert_eq!(d.output_hw(0, 0), (0, 0));
         assert_eq!(d.output_hw(0, 3), (0, 6));
         assert_eq!(d.output_hw(1, 1), (2, 2));
-        assert!(d.forward(&Tensor::zeros(Shape::new(1, 1, 0, 3))).is_err());
+        assert!(d
+            .forward_ctx(&Tensor::zeros(Shape::new(1, 1, 0, 3)), &ExecCtx::serial())
+            .is_err());
     }
 
     #[test]
@@ -590,7 +428,13 @@ mod tests {
         let d = DeConv2d::randn(3, 5, 4, 2, 1, 0).unwrap();
         assert_eq!(d.output_hw(6, 7), (12, 14));
         let x = Tensor::zeros(Shape::new(1, 5, 6, 7));
-        assert_eq!(d.forward(&x).unwrap().shape().dims(), (1, 3, 12, 14));
+        assert_eq!(
+            d.forward_ctx(&x, &ExecCtx::serial())
+                .unwrap()
+                .shape()
+                .dims(),
+            (1, 3, 12, 14)
+        );
     }
 
     #[test]
@@ -600,7 +444,7 @@ mod tests {
         let d = DeConv2d::from_fn(1, 1, 4, 2, 1, |_, _, kh, kw| (kh * 4 + kw) as f32).unwrap();
         let mut x = Tensor::zeros(Shape::new(1, 1, 3, 3));
         *x.at_mut(0, 0, 1, 1) = 1.0;
-        let y = d.forward(&x).unwrap();
+        let y = d.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert_eq!(y.shape().dims(), (1, 1, 6, 6));
         // Output pixel (oy, ox) = (iy*2 - 1 + kh, ix*2 - 1 + kw) = (1 + kh, 1 + kw).
         for kh in 0..4 {
@@ -618,7 +462,7 @@ mod tests {
         let mut x = Tensor::zeros(Shape::new(1, 1, 1, 2));
         *x.at_mut(0, 0, 0, 0) = 1.0;
         *x.at_mut(0, 0, 0, 1) = 1.0;
-        let y = d.forward(&x).unwrap();
+        let y = d.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert_eq!(y.shape().dims(), (1, 1, 2, 4));
         // Columns where both kernels overlap get 2.0.
         // impulse0 covers ox in [-1..2] clipped, impulse1 covers ox in [1..4] clipped.
@@ -632,17 +476,18 @@ mod tests {
     fn bias_fills_output() {
         let d = DeConv2d::new(vec![0.0; 16], vec![2.5], 1, 1, 4, 2, 1).unwrap();
         let x = Tensor::zeros(Shape::new(1, 1, 2, 2));
-        let y = d.forward(&x).unwrap();
+        let y = d.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         assert!(y.as_slice().iter().all(|&v| v == 2.5));
     }
 
     #[test]
     fn validation_rejects_bad_config() {
-        assert!(DeConv2d::new(vec![0.0; 15], vec![0.0], 1, 1, 4, 2, 1).is_err());
-        assert!(DeConv2d::randn(1, 1, 4, 0, 1, 0).is_err());
-        assert!(DeConv2d::randn(1, 1, 3, 2, 2, 0).is_err()); // pad too big
+        // Construction is validated once for both kinds, in
+        // `tests/direct_constructors.rs`; this is the input check.
         let d = DeConv2d::randn(2, 3, 4, 2, 1, 0).unwrap();
-        assert!(d.forward(&Tensor::zeros(Shape::new(1, 4, 4, 4))).is_err());
+        assert!(d
+            .forward_ctx(&Tensor::zeros(Shape::new(1, 4, 4, 4)), &ExecCtx::serial())
+            .is_err());
     }
 
     #[test]

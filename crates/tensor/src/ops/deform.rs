@@ -183,20 +183,6 @@ impl DeformConv2d {
         2 * self.groups * self.k * self.k
     }
 
-    /// Runs the deformable convolution single-threaded.
-    ///
-    /// `offsets` must have [`offset_channels`](Self::offset_channels)
-    /// channels and the same spatial size as `input` (stride is 1, padding
-    /// preserves resolution when `padding == k / 2`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::Incompatible`] on channel or spatial-size
-    /// mismatch.
-    pub fn forward(&self, input: &Tensor, offsets: &Tensor) -> Result<Tensor, TensorError> {
-        self.forward_ctx(input, offsets, &ExecCtx::serial())
-    }
-
     /// Runs the deformable convolution, fanning stripes of output rows
     /// across `exec`'s worker pool. Per pixel, each live `(group, tap)`
     /// position is resolved once (floor, fractions, clipped neighbours)
@@ -207,9 +193,14 @@ impl DeformConv2d {
     /// are bit-identical for every worker count, and to sampling every
     /// tap with [`Tensor::sample_bilinear`].
     ///
+    /// `offsets` must have [`offset_channels`](Self::offset_channels)
+    /// channels and the same spatial size as `input` (stride is 1, padding
+    /// preserves resolution when `padding == k / 2`).
+    ///
     /// # Errors
     ///
-    /// Same conditions as [`DeformConv2d::forward`].
+    /// Returns [`TensorError::Incompatible`] on channel or spatial-size
+    /// mismatch.
     pub fn forward_ctx(
         &self,
         input: &Tensor,
@@ -325,8 +316,8 @@ mod tests {
             ((c + 1) * (h + 2) + w) as f32 * 0.1
         });
         let offsets = Tensor::zeros(Shape::new(1, dconv.offset_channels(), 6, 7));
-        let yd = dconv.forward(&x, &offsets).unwrap();
-        let yc = conv.forward(&x).unwrap();
+        let yd = dconv.forward_ctx(&x, &offsets, &ExecCtx::serial()).unwrap();
+        let yc = conv.forward_ctx(&x, &ExecCtx::serial()).unwrap();
         let diff = yd.sub(&yc).unwrap().max_abs();
         assert!(diff < 1e-4, "max diff {diff}");
     }
@@ -344,7 +335,7 @@ mod tests {
                 *off.at_mut(0, 0, h, w) = 1.0;
             }
         }
-        let y = dconv.forward(&x, &off).unwrap();
+        let y = dconv.forward_ctx(&x, &off, &ExecCtx::serial()).unwrap();
         assert_eq!(y.at(0, 0, 0, 0), x.at(0, 0, 1, 0));
         assert_eq!(y.at(0, 0, 2, 3), x.at(0, 0, 3, 3));
         // Row beyond the frame samples zero padding.
@@ -358,7 +349,7 @@ mod tests {
         let x = Tensor::from_vec(Shape::new(1, 1, 1, 2), vec![0.0, 10.0]).unwrap();
         let mut off = Tensor::zeros(Shape::new(1, 2, 1, 2));
         *off.at_mut(0, 1, 0, 0) = 0.5; // dx = 0.5 at the first pixel
-        let y = dconv.forward(&x, &off).unwrap();
+        let y = dconv.forward_ctx(&x, &off, &ExecCtx::serial()).unwrap();
         assert!((y.at(0, 0, 0, 0) - 5.0).abs() < 1e-6);
     }
 
@@ -379,7 +370,7 @@ mod tests {
         for w in 0..3 {
             *off.at_mut(0, 1, 0, w) = 1.0;
         }
-        let y = dconv.forward(&x, &off).unwrap();
+        let y = dconv.forward_ctx(&x, &off, &ExecCtx::serial()).unwrap();
         // Pixel 0: group0 samples x0[1] = 1, group1 samples x1[0] = 0.
         assert!((y.at(0, 0, 0, 0) - 1.0).abs() < 1e-6);
         // Pixel 1: group0 samples x0[2] = 2, group1 samples x1[1] = 100.
@@ -484,8 +475,8 @@ mod tests {
         let d = DeformConv2d::randn(4, 4, 3, 1, 2, 0).unwrap();
         let x = Tensor::zeros(Shape::new(1, 4, 5, 5));
         let bad_off = Tensor::zeros(Shape::new(1, 7, 5, 5));
-        assert!(d.forward(&x, &bad_off).is_err());
+        assert!(d.forward_ctx(&x, &bad_off, &ExecCtx::serial()).is_err());
         let bad_spatial = Tensor::zeros(Shape::new(1, d.offset_channels(), 4, 5));
-        assert!(d.forward(&x, &bad_spatial).is_err());
+        assert!(d.forward_ctx(&x, &bad_spatial, &ExecCtx::serial()).is_err());
     }
 }

@@ -1,22 +1,25 @@
 //! Neural-network operators used by CTVC-Net.
 //!
 //! Every operator validates its configuration at construction time and its
-//! input shape at `forward` time, returning [`TensorError`](crate::TensorError)
-//! on mismatch. All operators are deterministic: `forward` runs serially,
+//! input shape when it runs, returning [`TensorError`](crate::TensorError)
+//! on mismatch. All operators are deterministic: the convolutions'
 //! `forward_ctx` fans disjoint output regions (channel planes, rows)
-//! across an [`nvc_core::ExecCtx`] worker pool while keeping every
-//! accumulation's summation order fixed, so both paths are bit-identical
-//! for every worker count. The hardware simulator reasons about operator
-//! cost analytically and is unaffected by the software execution strategy.
+//! across an [`nvc_core::ExecCtx`] worker pool (`ExecCtx::serial()` runs
+//! on the caller's thread) while keeping every accumulation's summation
+//! order fixed, so the result is bit-identical for every worker count.
+//! The hardware simulator reasons about operator cost analytically and is
+//! unaffected by the software execution strategy.
 //!
-//! [`Conv2d`] and [`DeConv2d`] are one direct kernel: both stage their
-//! input with the one routine and reduce it with the one register-resident
-//! loop of the private `staged` module, a convolution once per output
-//! plane, a transposed convolution once per output phase.
+//! [`Conv2d`] and [`DeConv2d`] are one type with two names,
+//! [`DirectLayer`], and one direct kernel: both stage their input with
+//! the one routine and reduce it with the one register-resident loop of
+//! the private `staged` module, a convolution once per output plane, a
+//! transposed convolution once per output phase.
 
 mod conv;
 mod deconv;
 mod deform;
+mod direct;
 mod linear;
 mod pool;
 mod staged;
@@ -24,6 +27,7 @@ mod staged;
 pub use conv::Conv2d;
 pub use deconv::DeConv2d;
 pub use deform::DeformConv2d;
+pub use direct::DirectLayer;
 pub use linear::Linear;
 pub use pool::MaxPool2d;
 

@@ -6,6 +6,7 @@
 //! driven by the in-tree [`SplitMix64`] PRNG, so no external test
 //! dependencies are needed.
 
+use nvc_core::ExecCtx;
 use nvc_tensor::init::SplitMix64;
 use nvc_tensor::ops::{Conv2d, DeConv2d, MaxPool2d};
 use nvc_tensor::{Shape, Tensor};
@@ -39,8 +40,8 @@ fn conv_deconv_are_adjoint_stride1() {
             conv.kernel_slice(ci, co)[kh * 3 + kw]
         })
         .unwrap();
-        let cx = conv.forward(&x).unwrap();
-        let dy = deconv.forward(&y).unwrap();
+        let cx = conv.forward_ctx(&x, &ExecCtx::serial()).unwrap();
+        let dy = deconv.forward_ctx(&y, &ExecCtx::serial()).unwrap();
         let lhs = dot(&cx, &y);
         let rhs = dot(&x, &dy);
         assert!(
@@ -65,8 +66,8 @@ fn conv_deconv_are_adjoint_stride2() {
             conv.kernel_slice(ci, co)[kh * 4 + kw]
         })
         .unwrap();
-        let cx = conv.forward(&x).unwrap();
-        let dy = deconv.forward(&y).unwrap();
+        let cx = conv.forward_ctx(&x, &ExecCtx::serial()).unwrap();
+        let dy = deconv.forward_ctx(&y, &ExecCtx::serial()).unwrap();
         assert_eq!(cx.shape().dims(), (1, 2, 4, 4));
         assert_eq!(dy.shape().dims(), (1, 2, 8, 8));
         let lhs = dot(&cx, &y);
@@ -88,12 +89,14 @@ fn conv_is_linear() {
         let a = rng.next_f32() * 4.0 - 2.0;
         let seed = rng.next_u64() % 1000;
         let conv = Conv2d::randn(3, 2, 3, 1, 1, seed).unwrap();
-        let lhs = conv.forward(&x.scale(a).add(&y).unwrap()).unwrap();
+        let lhs = conv
+            .forward_ctx(&x.scale(a).add(&y).unwrap(), &ExecCtx::serial())
+            .unwrap();
         let rhs = conv
-            .forward(&x)
+            .forward_ctx(&x, &ExecCtx::serial())
             .unwrap()
             .scale(a)
-            .add(&conv.forward(&y).unwrap())
+            .add(&conv.forward_ctx(&y, &ExecCtx::serial()).unwrap())
             .unwrap();
         assert!(lhs.sub(&rhs).unwrap().max_abs() < 1e-3);
     }

@@ -270,19 +270,15 @@ fn hybrid_target_bpp_converges_and_replays_bit_exact() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "about 25 s unoptimised; run with `cargo test --release --test rate_control`"
-)]
 fn ctvc_target_bpp_converges_and_replays_bit_exact() {
     let codec = CtvcCodec::new(CtvcConfig::ctvc_fp(8)).unwrap();
     assert_target_bpp_converges(&codec, &ctvc_seq(24), RatePoint::new(1), RatePoint::new(2));
 }
 
-/// Target-bpp mode on the learned codec, cheap enough for a debug
-/// build: the stream stays decodable, the rate trace responds, and the
-/// decoder follows every in-band switch (the convergence case,
-/// `ctvc_target_bpp_converges_and_replays_bit_exact`, runs in release).
+/// Target-bpp mode on the learned codec over a short clip: the stream
+/// stays decodable, the rate trace responds, and the decoder follows
+/// every in-band switch (the convergence case is
+/// `ctvc_target_bpp_converges_and_replays_bit_exact`).
 #[test]
 fn ctvc_target_bpp_stream_decodes_with_rate_trace() {
     let codec = CtvcCodec::new(CtvcConfig::ctvc_fp(8)).unwrap();
