@@ -3,8 +3,10 @@
 //! workspace-wide [`nvc_video::session`] state machine). This file
 //! supplies what is the hybrid codec's own — the header layout and
 //! coding one frame against the previous reconstruction — through the
-//! [`VideoCodec`] hooks; the whole-sequence `encode`/`decode` methods
-//! are wrappers over the sessions.
+//! [`VideoCodec`] hooks. A whole sequence is coded by the workspace's
+//! generic helpers over the same sessions
+//! ([`nvc_video::codec::encode_sequence`] /
+//! [`nvc_video::codec::decode_bitstream`]).
 
 use crate::dct::{self, BS};
 use crate::plane::Plane;
@@ -17,7 +19,7 @@ use nvc_video::block_match::{self, BlockMatcher, Fill, Rules};
 use nvc_video::codec::{CodedFrame, SectionList, VideoCodec};
 use nvc_video::rate::RateMode;
 use nvc_video::session::{SessionMetrics, StreamDecoder, StreamEncoder};
-use nvc_video::{Frame, Sequence, VideoError};
+use nvc_video::{Frame, VideoError};
 use std::error::Error;
 use std::fmt;
 use std::sync::OnceLock;
@@ -56,22 +58,6 @@ impl From<CodingError> for CodecError {
     fn from(e: CodingError) -> Self {
         CodecError::Coding(e)
     }
-}
-
-/// Result of encoding a sequence: the bitstream, the decoder-side
-/// reconstruction and rate statistics.
-#[derive(Debug, Clone)]
-pub struct CodedSequence {
-    /// Complete bitstream (header + per-frame payloads).
-    pub bitstream: Vec<u8>,
-    /// Reconstruction as produced by the in-loop decoder.
-    pub decoded: Sequence,
-    /// Payload bytes per frame (excluding the sequence header).
-    pub bytes_per_frame: Vec<usize>,
-    /// Total bitstream size in bytes.
-    pub total_bytes: usize,
-    /// Bits per pixel over the whole sequence.
-    pub bpp: f64,
 }
 
 /// Per-frame symbol models, reset at every frame so encoder and decoder
@@ -192,37 +178,6 @@ impl HybridCodec {
     /// first packet's embedded header.
     pub fn start_decode(&self) -> HybridDecoderSession<'_> {
         StreamDecoder::new(self)
-    }
-
-    /// Encodes a sequence at quality `qp` — a thin wrapper pushing every
-    /// frame through a [`HybridEncoderSession`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Video`] if the sequence is malformed.
-    pub fn encode(&self, seq: &Sequence, qp: u8) -> Result<CodedSequence, CodecError> {
-        let coded = nvc_video::codec::encode_sequence(self, seq, qp)?;
-        let bitstream = coded.to_bytes();
-        Ok(CodedSequence {
-            bitstream,
-            decoded: coded
-                .decoded
-                .renamed(format!("{}-qp{qp}", self.profile.name)),
-            bpp: coded.stats.bpp(seq.pixels_per_frame()),
-            bytes_per_frame: coded.stats.bytes_per_frame,
-            total_bytes: coded.stats.total_bytes,
-        })
-    }
-
-    /// Decodes a packetized bitstream produced by
-    /// [`encode`](Self::encode) with the same profile — a thin wrapper
-    /// over [`HybridDecoderSession`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Coding`] on malformed input.
-    pub fn decode(&self, bitstream: &[u8]) -> Result<Sequence, CodecError> {
-        nvc_video::codec::decode_bitstream(self, bitstream)
     }
 
     // ---- intra ----
@@ -454,14 +409,6 @@ impl VideoCodec for HybridCodec {
 
     fn codec_name(&self) -> &str {
         self.profile.name
-    }
-
-    fn start_encode(&self, mode: RateMode<u8>) -> Result<HybridEncoderSession<'_>, CodecError> {
-        Ok(HybridCodec::start_encode(self, mode))
-    }
-
-    fn start_decode(&self) -> HybridDecoderSession<'_> {
-        HybridCodec::start_decode(self)
     }
 
     fn metrics(&self) -> &'static SessionMetrics {
@@ -721,8 +668,10 @@ fn deblock(p: &mut Plane, step: f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvc_video::codec::{decode_bitstream, encode_sequence, stream_roundtrip};
     use nvc_video::metrics::psnr_sequence;
     use nvc_video::synthetic::{SceneConfig, Synthesizer};
+    use nvc_video::Sequence;
 
     fn test_seq(frames: usize) -> Sequence {
         Synthesizer::new(SceneConfig::uvg_like(64, 48, frames)).generate()
@@ -795,8 +744,8 @@ mod tests {
         let seq = test_seq(3);
         for profile in [Profile::avc_like(), Profile::hevc_like()] {
             let codec = HybridCodec::new(profile.clone());
-            let coded = codec.encode(&seq, 24).unwrap();
-            let decoded = codec.decode(&coded.bitstream).unwrap();
+            let coded = encode_sequence(&codec, &seq, 24).unwrap();
+            let decoded = decode_bitstream(&codec, &coded.to_bytes()).unwrap();
             assert_eq!(decoded.frames().len(), 3, "{}", profile.name);
             for (a, b) in decoded.frames().iter().zip(coded.decoded.frames()) {
                 let diff = a.tensor().sub(b.tensor()).unwrap().max_abs();
@@ -809,8 +758,8 @@ mod tests {
     fn quality_improves_with_lower_qp() {
         let seq = test_seq(2);
         let codec = HybridCodec::new(Profile::hevc_like());
-        let hi = codec.encode(&seq, 12).unwrap();
-        let lo = codec.encode(&seq, 36).unwrap();
+        let hi = encode_sequence(&codec, &seq, 12).unwrap();
+        let lo = encode_sequence(&codec, &seq, 36).unwrap();
         let pairs_hi: Vec<_> = seq.frames().iter().zip(hi.decoded.frames()).collect();
         let pairs_lo: Vec<_> = seq.frames().iter().zip(lo.decoded.frames()).collect();
         let psnr_hi =
@@ -818,7 +767,7 @@ mod tests {
         let psnr_lo =
             psnr_sequence(&pairs_lo.iter().map(|(a, b)| (*a, *b)).collect::<Vec<_>>()).unwrap();
         assert!(psnr_hi > psnr_lo + 3.0, "qp12 {psnr_hi} vs qp36 {psnr_lo}");
-        assert!(hi.total_bytes > lo.total_bytes);
+        assert!(hi.stats.total_bytes > lo.stats.total_bytes);
     }
 
     #[test]
@@ -827,12 +776,8 @@ mod tests {
         // (better prediction) for at-least-comparable quality.
         let seq = Synthesizer::new(SceneConfig::hevc_b_like(64, 48, 4)).generate();
         let qp = 26;
-        let avc = HybridCodec::new(Profile::avc_like())
-            .encode(&seq, qp)
-            .unwrap();
-        let hevc = HybridCodec::new(Profile::hevc_like())
-            .encode(&seq, qp)
-            .unwrap();
+        let avc = encode_sequence(&HybridCodec::new(Profile::avc_like()), &seq, qp).unwrap();
+        let hevc = encode_sequence(&HybridCodec::new(Profile::hevc_like()), &seq, qp).unwrap();
         let p_avc = psnr_sequence(
             &seq.frames()
                 .iter()
@@ -848,7 +793,7 @@ mod tests {
         )
         .unwrap();
         // Accept either fewer bits at similar quality or better quality.
-        let rate_gain = avc.total_bytes as f64 / hevc.total_bytes as f64;
+        let rate_gain = avc.stats.total_bytes as f64 / hevc.stats.total_bytes as f64;
         assert!(
             rate_gain > 1.02 || p_hevc > p_avc + 0.2,
             "HEVC-like must beat AVC-like: rate x{rate_gain:.3}, psnr {p_hevc:.2} vs {p_avc:.2}"
@@ -861,11 +806,9 @@ mod tests {
         let f = test_seq(1).frames()[0].clone();
         let frames = vec![f.clone(), f.clone(), f.clone(), f];
         let seq = Sequence::new("static", frames, 30.0).unwrap();
-        let coded = HybridCodec::new(Profile::hevc_like())
-            .encode(&seq, 24)
-            .unwrap();
-        let intra = coded.bytes_per_frame[0];
-        for &p in &coded.bytes_per_frame[1..] {
+        let coded = encode_sequence(&HybridCodec::new(Profile::hevc_like()), &seq, 24).unwrap();
+        let intra = coded.stats.bytes_per_frame[0];
+        for &p in &coded.stats.bytes_per_frame[1..] {
             // P frames still pay per-block skip flags plus coder flush.
             assert!(p * 5 < intra, "P frame {p} bytes vs intra {intra}");
         }
@@ -874,13 +817,12 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         let codec = HybridCodec::new(Profile::hevc_like());
-        assert!(codec.decode(&[]).is_err());
-        assert!(codec.decode(&[1, 2, 3]).is_err());
+        assert!(decode_bitstream(&codec, &[]).is_err());
+        assert!(decode_bitstream(&codec, &[1, 2, 3]).is_err());
     }
 
     #[test]
     fn streaming_matches_one_shot() {
-        use nvc_video::codec::stream_roundtrip;
         let seq = test_seq(3);
         let codec = HybridCodec::new(Profile::hevc_like());
         let (coded, drift) = stream_roundtrip(&codec, &seq, 24).unwrap();
@@ -888,7 +830,7 @@ mod tests {
             drift, 0.0,
             "streaming decode must match the closed loop exactly"
         );
-        let one_shot = codec.decode(&coded.to_bytes()).unwrap();
+        let one_shot = decode_bitstream(&codec, &coded.to_bytes()).unwrap();
         for (a, b) in one_shot.frames().iter().zip(coded.decoded.frames()) {
             assert_eq!(a.tensor().as_slice(), b.tensor().as_slice());
         }
@@ -930,8 +872,8 @@ mod tests {
     fn non_multiple_of_block_sizes_roundtrip() {
         let seq = Synthesizer::new(SceneConfig::mcl_jcv_like(52, 38, 2)).generate();
         let codec = HybridCodec::new(Profile::hevc_like());
-        let coded = codec.encode(&seq, 20).unwrap();
-        let decoded = codec.decode(&coded.bitstream).unwrap();
+        let coded = encode_sequence(&codec, &seq, 20).unwrap();
+        let decoded = decode_bitstream(&codec, &coded.to_bytes()).unwrap();
         assert_eq!(decoded.width(), 52);
         assert_eq!(decoded.height(), 38);
         for (a, b) in decoded.frames().iter().zip(coded.decoded.frames()) {

@@ -25,14 +25,16 @@
 //!
 //! ```
 //! use nvc_baseline::{HybridCodec, Profile};
+//! use nvc_video::codec::{decode_bitstream, encode_sequence};
 //! use nvc_video::synthetic::{SceneConfig, Synthesizer};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let seq = Synthesizer::new(SceneConfig::uvg_like(48, 32, 3)).generate();
 //! let codec = HybridCodec::new(Profile::hevc_like());
-//! let coded = codec.encode(&seq, 24)?;
-//! assert_eq!(coded.decoded.frames().len(), 3);
-//! assert!(coded.total_bytes > 0);
+//! let coded = encode_sequence(&codec, &seq, 24)?;
+//! assert!(coded.stats.total_bytes > 0);
+//! let decoded = decode_bitstream(&codec, &coded.to_bytes())?;
+//! assert_eq!(decoded.frames(), coded.decoded.frames());
 //! # Ok(())
 //! # }
 //! ```
@@ -44,9 +46,7 @@ mod codec;
 mod dct;
 mod plane;
 
-pub use codec::{
-    CodecError, CodedSequence, HybridCodec, HybridDecoderSession, HybridEncoderSession,
-};
+pub use codec::{CodecError, HybridCodec, HybridDecoderSession, HybridEncoderSession};
 pub use plane::Plane;
 
 /// Configuration of the hybrid codec's toolset.

@@ -42,7 +42,7 @@ use nvc_serve::{Hello, ServeConfig, Server, StreamClient};
 use nvc_tensor::mat::Mat;
 use nvc_tensor::ops::{Conv2d, DeConv2d, DeformConv2d};
 use nvc_tensor::{Shape, Tensor};
-use nvc_video::codec::encode_sequence;
+use nvc_video::codec::{decode_bitstream, encode_sequence};
 use nvc_video::synthetic::{SceneConfig, Synthesizer};
 use std::time::{Duration, Instant};
 
@@ -512,12 +512,11 @@ fn main() {
     let two = CtvcCodec::new(CtvcConfig::ctvc_sparse(BENCH_N).with_threads(2)).unwrap();
     let parallel = CtvcCodec::new(CtvcConfig::ctvc_sparse(BENCH_N).with_threads(0)).unwrap();
 
-    let coded_serial = serial.encode(&seq, RatePoint::new(1)).unwrap();
-    let coded_two = two.encode(&seq, RatePoint::new(1)).unwrap();
-    let coded_parallel = parallel.encode(&seq, RatePoint::new(1)).unwrap();
-    if coded_serial.bitstream != coded_parallel.bitstream
-        || coded_serial.bitstream != coded_two.bitstream
-    {
+    let coded_serial = encode_sequence(&serial, &seq, RatePoint::new(1)).unwrap();
+    let coded_two = encode_sequence(&two, &seq, RatePoint::new(1)).unwrap();
+    let coded_parallel = encode_sequence(&parallel, &seq, RatePoint::new(1)).unwrap();
+    let bitstream = coded_serial.to_bytes();
+    if bitstream != coded_parallel.to_bytes() || bitstream != coded_two.to_bytes() {
         eprintln!("FAIL: CTVC bitstreams diverged across thread counts");
         divergence = true;
     }
@@ -546,11 +545,11 @@ fn main() {
         best
     };
     let [enc_t1, enc_t2, enc_tmax] = best_of(&|codec| {
-        codec.encode(&seq, RatePoint::new(1)).unwrap();
+        encode_sequence(codec, &seq, RatePoint::new(1)).unwrap();
     });
 
-    let dec_serial = serial.decode(&coded_serial.bitstream).unwrap();
-    let dec_parallel = parallel.decode(&coded_serial.bitstream).unwrap();
+    let dec_serial = decode_bitstream(&serial, &bitstream).unwrap();
+    let dec_parallel = decode_bitstream(&parallel, &bitstream).unwrap();
     for (a, b) in dec_serial.frames().iter().zip(dec_parallel.frames()) {
         if a.tensor().as_slice() != b.tensor().as_slice() {
             eprintln!("FAIL: CTVC serial vs parallel reconstructions diverged");
@@ -559,7 +558,7 @@ fn main() {
         }
     }
     let [dec_t1, dec_t2, dec_tmax] = best_of(&|codec| {
-        codec.decode(&coded_serial.bitstream).unwrap();
+        decode_bitstream(codec, &bitstream).unwrap();
     });
 
     let fpf = frames as f64;
@@ -584,9 +583,9 @@ fn main() {
     // Hybrid codec: parallel motion search bit-exactness.
     let hs = HybridCodec::with_threads(Profile::hevc_like(), 1);
     let hp = HybridCodec::with_threads(Profile::hevc_like(), max_threads);
-    let ch_s = hs.encode(&seq, 24).unwrap();
-    let ch_p = hp.encode(&seq, 24).unwrap();
-    if ch_s.bitstream != ch_p.bitstream {
+    let ch_s = encode_sequence(&hs, &seq, 24).unwrap();
+    let ch_p = encode_sequence(&hp, &seq, 24).unwrap();
+    if ch_s.to_bytes() != ch_p.to_bytes() {
         eprintln!("FAIL: hybrid serial vs parallel bitstreams diverged");
         divergence = true;
     }

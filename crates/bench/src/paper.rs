@@ -16,7 +16,7 @@ use nvc_sim::comparators::{cpu_i9_9900x, gpu_rtx3090, nvca_published};
 use nvc_sim::{Dataflow, NvcaConfig, SimLayer, SimOp, SimReport, Simulator, Workload};
 use nvc_tensor::ops::{Conv2d, DeConv2d};
 use nvc_video::bdrate::{bd_psnr, bd_rate, RdPoint};
-use nvc_video::codec::{encode_sequence, DecoderSession};
+use nvc_video::codec::{encode_sequence, DecoderSession, EncodedStream};
 use nvc_video::metrics::{ms_ssim_sequence, psnr_sequence};
 use nvc_video::synthetic::{SceneConfig, Synthesizer};
 use nvc_video::Sequence;
@@ -121,10 +121,11 @@ pub fn dataset_presets() -> Vec<(&'static str, SceneConfig)> {
     ]
 }
 
-fn measure(seq: &Sequence, rec: &Sequence, bpp: f64) -> RdSample {
-    let pairs: Vec<_> = seq.frames().iter().zip(rec.frames()).collect();
+fn measure(seq: &Sequence, coded: &EncodedStream) -> RdSample {
+    let pairs: Vec<_> = seq.frames().iter().zip(coded.decoded.frames()).collect();
     let psnr = psnr_sequence(&pairs).expect("matched sequences");
     let ms_ssim = ms_ssim_sequence(&pairs).expect("matched sequences");
+    let bpp = coded.stats.bpp(seq.pixels_per_frame());
     RdSample { bpp, psnr, ms_ssim }
 }
 
@@ -145,12 +146,9 @@ pub fn rd_sweep(codec: LadderCodec, seq: &Sequence) -> Vec<RdSample> {
             let hc = HybridCodec::new(profile);
             // Six points spanning ultra-coarse to moderate quality so the
             // anchor curve overlaps the learned codecs' distortion range.
-            let encode = |qp| hc.encode(seq, qp).expect("hybrid encode");
+            let encode = |qp| encode_sequence(&hc, seq, qp).expect("hybrid encode");
             let coded = [58u8, 52, 46, 40, 34, 28].map(encode);
-            return coded
-                .iter()
-                .map(|c| measure(seq, &c.decoded, c.bpp))
-                .collect();
+            return coded.iter().map(|c| measure(seq, c)).collect();
         }
         LadderCodec::DvcLike => CtvcConfig::dvc_like(BENCH_N),
         LadderCodec::FvcLike => CtvcConfig::fvc_like(BENCH_N),
@@ -159,12 +157,9 @@ pub fn rd_sweep(codec: LadderCodec, seq: &Sequence) -> Vec<RdSample> {
         LadderCodec::CtvcSparse => CtvcConfig::ctvc_sparse(BENCH_N),
     };
     let cc = CtvcCodec::new(cfg).expect("valid config");
-    let encode = |r| cc.encode(seq, r).expect("ctvc encode");
+    let encode = |r| encode_sequence(&cc, seq, r).expect("ctvc encode");
     let coded = RatePoint::sweep().map(encode);
-    coded
-        .iter()
-        .map(|c| measure(seq, &c.decoded, c.bpp))
-        .collect()
+    coded.iter().map(|c| measure(seq, c)).collect()
 }
 
 /// Converts samples to `(rate, PSNR-dB)` points for BD-rate.
@@ -227,8 +222,8 @@ impl RdSweeps {
                     let mut cfg = CtvcConfig::ctvc_fxp(BENCH_N);
                     cfg.sparsity = Some(rho);
                     let codec = CtvcCodec::new(cfg).expect("valid config");
-                    let coded = codec.encode(uvg, rate).expect("ctvc encode");
-                    measure(uvg, &coded.decoded, coded.bpp)
+                    let coded = encode_sequence(&codec, uvg, rate).expect("ctvc encode");
+                    measure(uvg, &coded)
                 }
             };
             sweeps.rho.push(sample);

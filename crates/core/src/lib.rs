@@ -23,6 +23,7 @@
 //! use nvca::Nvca;
 //! use nvc_model::{CtvcConfig, RatePoint};
 //! use nvc_sim::Dataflow;
+//! use nvc_video::codec::{decode_bitstream, encode_sequence};
 //! use nvc_video::synthetic::{SceneConfig, Synthesizer};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,8 +33,8 @@
 //! println!("{:.1} fps at {:.2} W", report.fps, report.power_w);
 //! // Functional encode/decode on a small sequence:
 //! let seq = Synthesizer::new(SceneConfig::uvg_like(64, 48, 3)).generate();
-//! let coded = nvca.codec().encode(&seq, RatePoint::new(1))?;
-//! let _decoded = nvca.codec().decode(&coded.bitstream)?;
+//! let coded = encode_sequence(nvca.codec(), &seq, RatePoint::new(1))?;
+//! let _decoded = decode_bitstream(nvca.codec(), &coded.to_bytes())?;
 //! # Ok(())
 //! # }
 //! ```
@@ -234,15 +235,16 @@ pub struct StreamSimReport {
 mod tests {
     use super::*;
     use nvc_model::RatePoint;
+    use nvc_video::codec::encode_sequence;
     use nvc_video::synthetic::{SceneConfig, Synthesizer};
 
     #[test]
     fn stream_simulation_tracks_frame_types() {
         let nvca = Nvca::paper_design(CtvcConfig::ctvc_sparse(8)).unwrap();
         let seq = Synthesizer::new(SceneConfig::uvg_like(48, 32, 3)).generate();
-        let coded = nvca.codec().encode(&seq, RatePoint::new(1)).unwrap();
+        let coded = encode_sequence(nvca.codec(), &seq, RatePoint::new(1)).unwrap();
         let rep = nvca
-            .simulate_decode_stream(&coded.bitstream, Dataflow::Chained)
+            .simulate_decode_stream(&coded.to_bytes(), Dataflow::Chained)
             .unwrap();
         assert_eq!((rep.width, rep.height), (48, 32));
         assert_eq!(rep.frames.len(), 3);
@@ -263,7 +265,7 @@ mod tests {
         assert!(rep.fps > 0.0);
         // Malformed streams are rejected, never panic.
         assert!(nvca.simulate_decode_stream(&[], Dataflow::Chained).is_err());
-        let mut bad = coded.bitstream.clone();
+        let mut bad = coded.to_bytes();
         bad.truncate(bad.len() - 3);
         assert!(nvca
             .simulate_decode_stream(&bad, Dataflow::Chained)

@@ -149,22 +149,6 @@ pub fn read_sections(bytes: &[u8]) -> Result<Vec<(Section, Vec<u8>)>, CodingErro
     Ok(out)
 }
 
-/// Finds the first section with the given tag.
-///
-/// # Errors
-///
-/// Returns [`CodingError::BadContainer`] if the section is absent (or the
-/// container is malformed).
-pub fn find_section(bytes: &[u8], section: Section) -> Result<Vec<u8>, CodingError> {
-    read_sections(bytes)?
-        .into_iter()
-        .find(|(s, _)| *s == section)
-        .map(|(_, payload)| payload)
-        .ok_or_else(|| CodingError::BadContainer {
-            reason: format!("missing section {section:?}"),
-        })
-}
-
 /// Frame type carried in a packet header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameKind {
@@ -482,16 +466,6 @@ mod tests {
         let sections = read_sections(&w.finish()).unwrap();
         assert_eq!(sections[0], (Section::Rate, vec![2]));
         assert_eq!(sections[1], (Section::Motion, vec![1]));
-    }
-
-    #[test]
-    fn find_section_locates_payload() {
-        let mut w = SectionWriter::new();
-        w.push(Section::Motion, vec![5]);
-        w.push(Section::Residual, vec![6, 7]);
-        let bytes = w.finish();
-        assert_eq!(find_section(&bytes, Section::Residual).unwrap(), vec![6, 7]);
-        assert!(find_section(&bytes, Section::Intra).is_err());
     }
 
     #[test]

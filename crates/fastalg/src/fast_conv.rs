@@ -216,7 +216,7 @@ impl FastLayer {
     /// Runs the layer through the tiled executor — a stripe of tile rows
     /// per worker, cache-sized staging bands, allocation-free hot loops,
     /// kernels consumed in compressed `(value, index)` form so sparsity ρ
-    /// cuts the reduction work by ρ (see [`crate::tile_exec`]'s module
+    /// cuts the reduction work by ρ (see `tile_exec`'s module
     /// docs in the source). Results are bit-identical for every worker
     /// count; `ExecCtx::serial()` runs on the caller's thread.
     ///

@@ -130,42 +130,6 @@ impl SparseKernel {
         }
         m
     }
-
-    /// Whether every transform-domain position is populated. Fully dense
-    /// kernels execute through a contiguous multiply–accumulate (their
-    /// indices are exactly `0..µ²`); pruned kernels go through the
-    /// compressed `(value, index)` iteration.
-    pub fn is_dense(&self) -> bool {
-        self.values.len() == self.mu * self.mu
-    }
-
-    /// Hadamard-accumulate: `acc[idx] += value · y[idx]` for every stored
-    /// non-zero, where `y` is the flattened transform-domain input tile —
-    /// the SCU inner loop ("non-zero element selector" feeding the
-    /// multipliers). Consumes the compressed `(value, index)` form
-    /// directly: pruned positions are skipped, not multiplied by zero, so
-    /// the work per tile is `nnz`, not `µ²`. Skipping cannot change the
-    /// sums: a zero contribution adds exactly `+0.0`, and an IEEE-754
-    /// accumulator seeded with `+0.0` is unaffected by adding `±0.0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` or `acc` is shorter than `µ²`.
-    #[inline]
-    pub fn hadamard_accumulate(&self, y: &[f32], acc: &mut [f32]) {
-        let mu2 = self.mu * self.mu;
-        assert!(y.len() >= mu2 && acc.len() >= mu2);
-        if self.is_dense() {
-            // Contiguous fast path for unpruned kernels.
-            for ((a, &v), &yv) in acc[..mu2].iter_mut().zip(&self.values).zip(&y[..mu2]) {
-                *a += v * yv;
-            }
-            return;
-        }
-        for (&v, &i) in self.values.iter().zip(&self.indices) {
-            acc[i as usize] += v * y[i as usize];
-        }
-    }
 }
 
 /// One output channel's packed compressed-reduction stream for the
@@ -383,22 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_accumulate_matches_dense() {
-        let t = fta_t3_6x6_4x4();
-        let w = randmat(4, 4, 4);
-        let e = t.transform_kernel(&w).unwrap();
-        let rep = prune(&t, &e, Sparsity::new(0.5).unwrap()).unwrap();
-        let sk = SparseKernel::from_dense(&rep.masked).unwrap();
-        let y = randmat(8, 8, 5);
-        let mut acc = vec![0.0_f32; 64];
-        sk.hadamard_accumulate(y.as_slice(), &mut acc);
-        let dense = rep.masked.hadamard(&y).unwrap();
-        for (a, b) in acc.iter().zip(dense.as_slice()) {
-            assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn packed_streams_cover_every_kernel_in_ci_order() {
         let t = fta_t3_6x6_4x4();
         let kernels: Vec<SparseKernel> = (0..6)
@@ -444,10 +392,10 @@ mod tests {
             *v = (i + 1) as f32;
         }
         let dense = SparseKernel::from_dense(&e).unwrap();
-        assert!(dense.is_dense());
+        assert_eq!(dense.nnz(), 16);
         let rep = prune(&t, &e, Sparsity::new(0.5).unwrap()).unwrap();
         let sparse = SparseKernel::from_dense(&rep.masked).unwrap();
-        assert!(!sparse.is_dense());
+        assert_eq!(sparse.nnz(), 8);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! state (the reference feature tensor, stream geometry, GOP position)
 //! lives in the session. This file supplies what is CTVC's own — the
 //! header layout and coding one frame against the reference features —
-//! through the [`VideoCodec`] hooks. The whole-sequence
-//! [`encode`](CtvcCodec::encode) / [`decode`](CtvcCodec::decode) methods
-//! are thin wrappers over the sessions.
+//! through the [`VideoCodec`] hooks. A whole sequence is coded by the
+//! workspace's generic helpers over the same sessions
+//! ([`nvc_video::codec::encode_sequence`] /
+//! [`nvc_video::codec::decode_bitstream`]).
 
 use crate::config::{CtvcConfig, RatePoint};
 use crate::latent;
@@ -26,7 +27,7 @@ use nvc_tensor::{Shape, Tensor, TensorError};
 use nvc_video::codec::{CodedFrame, SectionList, VideoCodec};
 use nvc_video::rate::RateMode;
 use nvc_video::session::{SessionMetrics, StreamDecoder, StreamEncoder};
-use nvc_video::{Frame, Sequence, VideoError};
+use nvc_video::{Frame, VideoError};
 use std::error::Error;
 use std::fmt;
 use std::sync::OnceLock;
@@ -77,21 +78,6 @@ impl From<VideoError> for CtvcError {
     fn from(e: VideoError) -> Self {
         CtvcError::Video(e)
     }
-}
-
-/// Result of encoding: bitstream, in-loop reconstruction and rate stats.
-#[derive(Debug, Clone)]
-pub struct CtvcCoded {
-    /// Complete bitstream.
-    pub bitstream: Vec<u8>,
-    /// Decoder-identical reconstruction.
-    pub decoded: Sequence,
-    /// Payload bytes per frame.
-    pub bytes_per_frame: Vec<usize>,
-    /// Total bitstream bytes.
-    pub total_bytes: usize,
-    /// Bits per pixel over the sequence.
-    pub bpp: f64,
 }
 
 /// Feature-plane size `(h/2, w/2)` of an `h × w` frame.
@@ -347,37 +333,6 @@ impl CtvcCodec {
         StreamDecoder::new(self)
     }
 
-    /// Encodes a sequence at the given rate point — a thin wrapper that
-    /// pushes every frame through a [`CtvcEncoderSession`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CtvcError::BadInput`] unless both dimensions are
-    /// multiples of 16.
-    pub fn encode(&self, seq: &Sequence, rate: RatePoint) -> Result<CtvcCoded, CtvcError> {
-        let coded = nvc_video::codec::encode_sequence(self, seq, rate)?;
-        let bitstream = coded.to_bytes();
-        Ok(CtvcCoded {
-            bitstream,
-            decoded: coded.decoded.renamed(format!("{}-{rate}", self.cfg.name)),
-            bpp: coded.stats.bpp(seq.pixels_per_frame()),
-            bytes_per_frame: coded.stats.bytes_per_frame,
-            total_bytes: coded.stats.total_bytes,
-        })
-    }
-
-    /// Decodes a packetized bitstream produced by [`encode`](Self::encode)
-    /// (or by serializing session packets) with a codec built from the
-    /// same configuration — a thin wrapper over [`CtvcDecoderSession`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CtvcError::BadInput`] on header/configuration mismatch
-    /// and [`CtvcError::Coding`] on malformed packets or payloads.
-    pub fn decode(&self, bitstream: &[u8]) -> Result<Sequence, CtvcError> {
-        nvc_video::codec::decode_bitstream(self, bitstream)
-    }
-
     fn encode_intra(&self, x: &Tensor, rate: RatePoint) -> Result<CodedFrame<Tensor>, CtvcError> {
         let f = self.fe.forward_ctx(x, &self.exec)?;
         let symbols = latent::quantize(&f, rate.intra_step(), None)?;
@@ -461,14 +416,6 @@ impl VideoCodec for CtvcCodec {
 
     fn codec_name(&self) -> &str {
         self.cfg.name
-    }
-
-    fn start_encode(&self, mode: RateMode<RatePoint>) -> Result<CtvcEncoderSession<'_>, CtvcError> {
-        Ok(CtvcCodec::start_encode(self, mode))
-    }
-
-    fn start_decode(&self) -> CtvcDecoderSession<'_> {
-        CtvcCodec::start_decode(self)
     }
 
     fn metrics(&self) -> &'static SessionMetrics {
@@ -579,8 +526,10 @@ impl VideoCodec for CtvcCodec {
 mod tests {
     use super::*;
     use nvc_sim::SimOp;
+    use nvc_video::codec::{decode_bitstream, encode_sequence, stream_roundtrip};
     use nvc_video::metrics::psnr_sequence;
     use nvc_video::synthetic::{SceneConfig, Synthesizer};
+    use nvc_video::Sequence;
 
     fn seq(frames: usize) -> Sequence {
         Synthesizer::new(SceneConfig::uvg_like(48, 32, frames)).generate()
@@ -595,8 +544,8 @@ mod tests {
     fn encode_decode_roundtrip_is_bit_exact() {
         let codec = CtvcCodec::new(CtvcConfig::ctvc_fp(8)).unwrap();
         let s = seq(3);
-        let coded = codec.encode(&s, RatePoint::new(1)).unwrap();
-        let decoded = codec.decode(&coded.bitstream).unwrap();
+        let coded = encode_sequence(&codec, &s, RatePoint::new(1)).unwrap();
+        let decoded = decode_bitstream(&codec, &coded.to_bytes()).unwrap();
         assert_eq!(decoded.frames().len(), 3);
         for (a, b) in decoded.frames().iter().zip(coded.decoded.frames()) {
             let d = a.tensor().sub(b.tensor()).unwrap().max_abs();
@@ -608,9 +557,9 @@ mod tests {
     fn rate_points_trade_rate_for_quality() {
         let codec = CtvcCodec::new(CtvcConfig::ctvc_fp(8)).unwrap();
         let s = seq(3);
-        let coarse = codec.encode(&s, RatePoint::new(0)).unwrap();
-        let fine = codec.encode(&s, RatePoint::new(2)).unwrap();
-        assert!(fine.total_bytes > coarse.total_bytes);
+        let coarse = encode_sequence(&codec, &s, RatePoint::new(0)).unwrap();
+        let fine = encode_sequence(&codec, &s, RatePoint::new(2)).unwrap();
+        assert!(fine.stats.total_bytes > coarse.stats.total_bytes);
         let p_coarse = mean_psnr(&s, &coarse.decoded);
         let p_fine = mean_psnr(&s, &fine.decoded);
         assert!(
@@ -623,17 +572,16 @@ mod tests {
     fn decoder_rejects_mismatched_config() {
         let enc = CtvcCodec::new(CtvcConfig::ctvc_fp(8)).unwrap();
         let s = seq(2);
-        let coded = enc.encode(&s, RatePoint::new(1)).unwrap();
+        let coded = encode_sequence(&enc, &s, RatePoint::new(1)).unwrap();
         let dec = CtvcCodec::new(CtvcConfig::fvc_like(8)).unwrap();
-        assert!(dec.decode(&coded.bitstream).is_err());
-        assert!(enc.decode(&[]).is_err());
+        assert!(decode_bitstream(&dec, &coded.to_bytes()).is_err());
     }
 
     #[test]
     fn rejects_bad_resolutions() {
         let codec = CtvcCodec::new(CtvcConfig::ctvc_fp(8)).unwrap();
         let bad = Synthesizer::new(SceneConfig::uvg_like(50, 34, 2)).generate();
-        assert!(codec.encode(&bad, RatePoint::new(1)).is_err());
+        assert!(encode_sequence(&codec, &bad, RatePoint::new(1)).is_err());
     }
 
     #[test]
@@ -646,8 +594,8 @@ mod tests {
         ] {
             let name = cfg.name;
             let codec = CtvcCodec::new(cfg).unwrap();
-            let coded = codec.encode(&s, RatePoint::new(1)).unwrap();
-            let decoded = codec.decode(&coded.bitstream).unwrap();
+            let coded = encode_sequence(&codec, &s, RatePoint::new(1)).unwrap();
+            let decoded = decode_bitstream(&codec, &coded.to_bytes()).unwrap();
             for (a, b) in decoded.frames().iter().zip(coded.decoded.frames()) {
                 let d = a.tensor().sub(b.tensor()).unwrap().max_abs();
                 assert!(d < 1e-6, "{name}: decoder drift {d}");
@@ -659,7 +607,6 @@ mod tests {
 
     #[test]
     fn streaming_decode_is_bit_exact_with_one_shot() {
-        use nvc_video::codec::stream_roundtrip;
         let codec = CtvcCodec::new(CtvcConfig::ctvc_fp(8)).unwrap();
         let s = seq(4);
         // Session path: encode to packets, decode packet-by-packet.
@@ -675,7 +622,7 @@ mod tests {
             "per-frame bit counts must add up to the serialized stream"
         );
         // One-shot path over the same packets.
-        let one_shot = codec.decode(&coded.to_bytes()).unwrap();
+        let one_shot = decode_bitstream(&codec, &coded.to_bytes()).unwrap();
         for (a, b) in one_shot.frames().iter().zip(coded.decoded.frames()) {
             assert_eq!(
                 a.tensor().as_slice(),
@@ -784,8 +731,8 @@ mod tests {
         let s = seq(2);
         let dense = CtvcCodec::new(CtvcConfig::ctvc_fxp(8)).unwrap();
         let sparse = CtvcCodec::new(CtvcConfig::ctvc_sparse(8)).unwrap();
-        let cd = dense.encode(&s, RatePoint::new(1)).unwrap();
-        let cs = sparse.encode(&s, RatePoint::new(1)).unwrap();
+        let cd = encode_sequence(&dense, &s, RatePoint::new(1)).unwrap();
+        let cs = encode_sequence(&sparse, &s, RatePoint::new(1)).unwrap();
         let pd = mean_psnr(&s, &cd.decoded);
         let ps = mean_psnr(&s, &cs.decoded);
         // Without the fine-tuning step the paper applies after pruning,

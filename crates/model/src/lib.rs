@@ -58,13 +58,14 @@
 //!
 //! ```no_run
 //! use nvc_model::{CtvcCodec, CtvcConfig, RatePoint};
+//! use nvc_video::codec::{decode_bitstream, encode_sequence};
 //! use nvc_video::synthetic::{SceneConfig, Synthesizer};
 //!
 //! # fn main() -> Result<(), nvc_model::CtvcError> {
 //! let seq = Synthesizer::new(SceneConfig::uvg_like(64, 48, 3)).generate();
 //! let codec = CtvcCodec::new(CtvcConfig::ctvc_fp(12))?;
-//! let coded = codec.encode(&seq, RatePoint::new(1))?;
-//! let decoded = codec.decode(&coded.bitstream)?;
+//! let coded = encode_sequence(&codec, &seq, RatePoint::new(1))?;
+//! let decoded = decode_bitstream(&codec, &coded.to_bytes())?;
 //! assert_eq!(decoded.frames().len(), 3);
 //! # Ok(())
 //! # }
@@ -81,7 +82,7 @@ mod modules;
 pub mod motion;
 mod weights;
 
-pub use codec::{CtvcCodec, CtvcCoded, CtvcDecoderSession, CtvcEncoderSession, CtvcError};
+pub use codec::{CtvcCodec, CtvcDecoderSession, CtvcEncoderSession, CtvcError};
 pub use config::{CtvcConfig, Precision, RatePoint};
 pub use layers::{LayerOp, ResBlock, SwinAm, SwinAttention};
 pub use modules::{

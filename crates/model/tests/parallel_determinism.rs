@@ -6,7 +6,7 @@
 use nvc_core::ExecCtx;
 use nvc_model::{CtvcCodec, CtvcConfig, RatePoint, SwinAttention};
 use nvc_tensor::{Shape, Tensor};
-use nvc_video::codec::encode_sequence;
+use nvc_video::codec::{decode_bitstream, encode_sequence};
 use nvc_video::synthetic::{SceneConfig, Synthesizer};
 use nvc_video::Sequence;
 
@@ -56,7 +56,7 @@ fn encode_decode_streams_are_thread_count_invariant() {
         // bit-exact.
         let parallel = CtvcCodec::new(cfg.clone().with_threads(4)).unwrap();
         let bitstream: Vec<u8> = ref_packets.concat();
-        let decoded = parallel.decode(&bitstream).unwrap();
+        let decoded = decode_bitstream(&parallel, &bitstream).unwrap();
         for (frame, reference) in decoded.frames().iter().zip(&ref_recon) {
             assert_eq!(
                 frame.tensor().as_slice(),

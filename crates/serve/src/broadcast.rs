@@ -29,8 +29,7 @@ use crate::sync::LockExt;
 use nvc_entropy::container::FrameKind;
 use nvc_video::StreamStats;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Ring fan-out metrics, on the process-global registry (rings are
 /// created deep inside the publisher path, far from the server's
@@ -100,7 +99,7 @@ pub(crate) enum RingPush {
 pub(crate) enum RingPop {
     /// One packet, in publish order.
     Packet(Arc<CachedPacket>),
-    /// Nothing arrived within the timeout; poll again.
+    /// Nothing is queued yet; poll again after the next wake.
     Empty,
     /// This subscriber was evicted for lagging (the reason is the error
     /// message to send). Terminal.
@@ -128,10 +127,8 @@ struct RingState {
 pub(crate) struct SubscriberRing {
     cap: usize,
     ring: Mutex<RingState>,
-    avail: Condvar,
     /// Wakes the poller thread that drains this ring, set when the
-    /// subscriber connection is registered. The condvar stays for
-    /// in-process consumers (tests) that block on `pop`.
+    /// subscriber connection is registered.
     ring_notify: Mutex<Option<PollWaker>>,
 }
 
@@ -140,7 +137,6 @@ impl SubscriberRing {
         SubscriberRing {
             cap: cap.max(1),
             ring: Mutex::new(RingState::default()),
-            avail: Condvar::new(),
             ring_notify: Mutex::new(None),
         }
     }
@@ -169,48 +165,35 @@ impl SubscriberRing {
             state.evicted = Some(lag_reason());
             drop(state);
             ring_metrics().overflows.inc();
-            self.avail.notify_all();
             self.wake_poller();
             return RingPush::Overflow;
         }
         state.queue.push_back(packet);
         ring_metrics().occupancy.record(state.queue.len() as u64);
         drop(state);
-        self.avail.notify_all();
         self.wake_poller();
         RingPush::Delivered
     }
 
-    /// Pops the next packet, waiting up to `timeout`. Queued packets
-    /// drain before any terminal state is reported (except eviction,
-    /// which already cleared the queue).
-    pub(crate) fn pop(&self, timeout: Duration) -> RingPop {
-        let deadline = Instant::now() + timeout;
+    /// Pops the next packet without waiting. Queued packets drain
+    /// before any terminal state is reported (except eviction, which
+    /// already cleared the queue).
+    pub(crate) fn pop(&self) -> RingPop {
         let mut state = self.ring.lock_clean();
-        loop {
-            if let Some(packet) = state.queue.pop_front() {
-                ring_metrics().drained.inc();
-                return RingPop::Packet(packet);
-            }
-            if let Some(reason) = &state.evicted {
-                return RingPop::Evicted(reason.clone());
-            }
-            if let Some(reason) = &state.failed {
-                return RingPop::Failed(reason.clone());
-            }
-            if state.closed {
-                return RingPop::Closed;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return RingPop::Empty;
-            }
-            let (guard, _) = self
-                .avail
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            state = guard;
+        if let Some(packet) = state.queue.pop_front() {
+            ring_metrics().drained.inc();
+            return RingPop::Packet(packet);
         }
+        if let Some(reason) = &state.evicted {
+            return RingPop::Evicted(reason.clone());
+        }
+        if let Some(reason) = &state.failed {
+            return RingPop::Failed(reason.clone());
+        }
+        if state.closed {
+            return RingPop::Closed;
+        }
+        RingPop::Empty
     }
 
     /// Marks the subscriber as gone (its socket died); the publisher
@@ -223,7 +206,6 @@ impl SubscriberRing {
 
     fn close(&self) {
         self.ring.lock_clean().closed = true;
-        self.avail.notify_all();
         self.wake_poller();
     }
 
@@ -233,7 +215,6 @@ impl SubscriberRing {
             state.failed = Some(reason.to_string());
         }
         drop(state);
-        self.avail.notify_all();
         self.wake_poller();
     }
 }
@@ -430,9 +411,9 @@ impl BroadcastRegistry {
         self.registry.lock_clean().get(name).cloned()
     }
 
-    /// Fails every live broadcast (server shutdown): wakes and ends all
-    /// subscriber rings so their writer threads exit promptly instead of
-    /// sleeping out a ring wait.
+    /// Fails every live broadcast (server shutdown): ends every
+    /// subscriber ring and wakes its poller, so each subscriber
+    /// connection drains what is queued and hangs up with the failure.
     pub(crate) fn fail_all(&self, reason: &str) {
         let broadcasts: Vec<Arc<Broadcast>> = {
             let mut map = self.registry.lock_clean();
@@ -535,12 +516,12 @@ mod tests {
         assert_eq!(indices, vec![2, 3]);
         // Live packets continue seamlessly after the backlog.
         b.publish(packet(4, FrameKind::Predicted));
-        match att.ring.pop(Duration::ZERO) {
+        match att.ring.pop() {
             RingPop::Packet(p) => assert_eq!(p.frame_index, 4),
             other => panic!("expected live packet, got {other:?}"),
         }
         guard.finish();
-        assert!(matches!(att.ring.pop(Duration::ZERO), RingPop::Closed));
+        assert!(matches!(att.ring.pop(), RingPop::Closed));
         assert!(registry.get("game").is_none(), "finish frees the name");
     }
 
@@ -560,13 +541,13 @@ mod tests {
         }
         assert_eq!(evicted, 1);
         assert_eq!(b.subscriber_count(), 1, "evicted ring left the fan-out");
-        match slow.ring.pop(Duration::ZERO) {
+        match slow.ring.pop() {
             RingPop::Evicted(reason) => assert!(reason.contains("lagging"), "{reason}"),
             other => panic!("expected eviction, got {other:?}"),
         }
         // The fast subscriber still sees every packet, in order.
         for want in 1..=3 {
-            match fast.ring.pop(Duration::ZERO) {
+            match fast.ring.pop() {
                 RingPop::Packet(p) => assert_eq!(p.frame_index, want),
                 other => panic!("expected packet {want}, got {other:?}"),
             }
@@ -580,13 +561,13 @@ mod tests {
         let att = guard.broadcast().attach(8).unwrap();
         guard.broadcast().publish(packet(0, FrameKind::Intra));
         guard.fail("publisher connection lost");
-        match att.ring.pop(Duration::ZERO) {
+        match att.ring.pop() {
             RingPop::Packet(p) => assert_eq!(p.frame_index, 0),
             other => panic!("queued packet must drain first, got {other:?}"),
         }
-        assert!(matches!(att.ring.pop(Duration::ZERO), RingPop::Failed(_)));
+        assert!(matches!(att.ring.pop(), RingPop::Failed(_)));
         // Terminal states are sticky.
-        assert!(matches!(att.ring.pop(Duration::ZERO), RingPop::Failed(_)));
+        assert!(matches!(att.ring.pop(), RingPop::Failed(_)));
     }
 
     #[test]

@@ -333,7 +333,7 @@ pub(crate) fn pump_subscriber(
                 return false;
             }
         }
-        match ring.pop(Duration::ZERO) {
+        match ring.pop() {
             RingPop::Packet(packet) => {
                 packet.record_into(stats);
                 push_shared(out, packet);

@@ -3,8 +3,9 @@
 //!
 //! The packet container ([`nvc_entropy::container::Packet`]: length
 //! prefix + CRC) and the session API
-//! ([`nvc_video::codec::EncoderSession`] / [`DecoderSession`]) were built
-//! transport-shaped; this crate is the transport. A connection speaks a
+//! ([`nvc_video::codec::EncoderSession`] /
+//! [`nvc_video::codec::DecoderSession`]) were built transport-shaped;
+//! this crate is the transport. A connection speaks a
 //! small tagged-message protocol with one version, [`proto::VERSION`]
 //! (see [`proto`]):
 //!
@@ -14,8 +15,9 @@
 //!    target-bpp ([`Hello::with_target_bpp`]) — and the *direction*:
 //!    whether the server runs the encoder (raw frames in, packets out)
 //!    or the decoder (packets in, reconstructed frames out);
-//! 2. length-delimited messages stream one coded [`Packet`] or one raw
-//!    frame at a time, each answered in order by the opposite kind; an
+//! 2. length-delimited messages stream one coded
+//!    [`Packet`](nvc_entropy::container::Packet) or one raw frame at a
+//!    time, each answered in order by the opposite kind; an
 //!    encode stream may interleave [`Retarget`] messages (`'R'`) to
 //!    switch its rate mode mid-stream, optionally forcing an intra
 //!    refresh at the switch;

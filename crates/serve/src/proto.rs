@@ -1127,7 +1127,7 @@ impl MsgDecoder {
     }
 
     /// Buffers a chunk of stream bytes. Drain with
-    /// [`next`](MsgDecoder::next) until it returns `Ok(None)`.
+    /// [`next_msg`](MsgDecoder::next_msg) until it returns `Ok(None)`.
     pub fn feed(&mut self, chunk: &[u8]) {
         self.buf.extend_from_slice(chunk);
     }

@@ -480,8 +480,6 @@ struct SlotState {
 /// Per-connection session state shared between the poller and the pool.
 pub(crate) struct Slot<'env> {
     state: Mutex<SlotState>,
-    /// Signalled when a worker drains jobs and when the slot dies.
-    space: Condvar,
     runner: Mutex<Box<dyn SessionRunner + Send + 'env>>,
     /// Wakes the owning connection's poller when queue space frees, so
     /// a parked job retries.
@@ -608,7 +606,6 @@ fn worker_loop<'env>(
             let mut state = slot.state.lock_clean();
             sched.take_batch(&mut state)
         };
-        slot.space.notify_all();
         // Freed queue space: the owning connection may have a parked
         // job waiting for it.
         slot.waker.wake();
@@ -652,7 +649,6 @@ fn worker_loop<'env>(
             state.pending.clear();
             state.scheduled = false;
             drop(state);
-            slot.space.notify_all();
             // `active` is NOT decremented here: the poller frees the
             // capacity slot in the pass that writes the connection's
             // last byte, ordering the free against the next accept
@@ -1046,11 +1042,11 @@ fn claim_governed<'env, R: RateParam>(
             window: *window,
         },
         RateMode::Fixed(rate) => GovWant::Fixed(*rate),
-        // Callback/controller modes are not constructible from the
-        // wire; dropping the admission (which releases its share)
-        // leaves such a session ungoverned rather than inventing a
-        // demand the governor cannot re-derive.
-        RateMode::PerFrame(_) | RateMode::Controller(_) => return None,
+        // A callback mode is not constructible from the wire; dropping
+        // the admission (which releases its share) leaves such a
+        // session ungoverned rather than inventing a demand the
+        // governor cannot re-derive.
+        RateMode::PerFrame(_) => return None,
     };
     let gov = admit.governor();
     Some(Governed::new(gov, counters, admit.claim(), want))
@@ -1987,7 +1983,6 @@ impl<'p, 'env> Poller<'p, 'env> {
         };
         let slot = Arc::new(Slot {
             state: Mutex::new(SlotState::default()),
-            space: Condvar::new(),
             runner: Mutex::new(runner),
             waker,
         });

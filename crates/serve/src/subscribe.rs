@@ -172,7 +172,7 @@ impl SubscribeClient {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError`] as [`SubscribeClient::next`] does.
+    /// Returns [`ServeError`] as [`SubscribeClient::next_event`] does.
     pub fn collect(mut self) -> Result<SubscribeSummary, ServeError> {
         let mut packets = Vec::new();
         loop {

@@ -11,7 +11,7 @@ use nvc_serve::proto::{self, Hello};
 use nvc_serve::{
     GovernorConfig, Retarget, ServeConfig, ServeError, Server, ServerHandle, StreamClient,
 };
-use nvc_video::codec::{encode_sequence, encode_sequence_with};
+use nvc_video::codec::{decode_bitstream, encode_sequence};
 use nvc_video::rate::RateMode;
 use nvc_video::synthetic::{SceneConfig, Synthesizer};
 use nvc_video::{FrameType, Sequence, StreamStats};
@@ -142,7 +142,7 @@ fn hybrid_family_roundtrips_both_directions() {
     for packet in &encoded.packets {
         bitstream.extend_from_slice(&packet.to_bytes());
     }
-    let reference = local.decode(&bitstream).unwrap();
+    let reference = decode_bitstream(&local, &bitstream).unwrap();
     for (remote, local_frame) in decoded.frames.iter().zip(reference.frames()) {
         assert_eq!(remote.tensor().as_slice(), local_frame.tensor().as_slice());
     }
@@ -332,7 +332,7 @@ fn midstream_retarget_forces_intra_and_replays_bit_exact() {
     for packet in &summary.packets {
         bitstream.extend_from_slice(&packet.to_bytes());
     }
-    let decoded = codec.decode(&bitstream).unwrap();
+    let decoded = decode_bitstream(&codec, &bitstream).unwrap();
     assert_eq!(decoded.frames().len(), 4);
 
     // Replaying the identical frames + retarget produces a byte-exact
@@ -371,7 +371,7 @@ fn target_bpp_session_over_the_wire_matches_in_process() {
     // The wire session runs the same deterministic controller as the
     // in-process API — packets must be byte-identical.
     let codec = CtvcCodec::new(CtvcConfig::ctvc_fp(8)).unwrap();
-    let local = encode_sequence_with(
+    let local = encode_sequence(
         &codec,
         &source,
         RateMode::TargetBpp {

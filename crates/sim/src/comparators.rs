@@ -79,7 +79,7 @@ pub fn gpu_rtx3090() -> PlatformRow {
     }
 }
 
-/// Shao et al. TCAS-I 2022 [25] (interlayer feature-map-compression CNN
+/// Shao et al. TCAS-I 2022 \[25\] (interlayer feature-map-compression CNN
 /// accelerator).
 pub fn shao_tcas2022() -> PlatformRow {
     PlatformRow {
@@ -96,7 +96,7 @@ pub fn shao_tcas2022() -> PlatformRow {
     }
 }
 
-/// Alchemist [26] (compressed-video-analysis accelerator, scaled from
+/// Alchemist \[26\] (compressed-video-analysis accelerator, scaled from
 /// 65 nm as in the paper).
 pub fn alchemist() -> PlatformRow {
     PlatformRow {

@@ -23,7 +23,7 @@
 //!   Synopsys DC flow (see `nvc_model`'s crate docs, "Substitutions").
 //!
 //! [`comparators`] carries the published reference rows of the paper's
-//! Table II (GPU, CPU, [25], [26]) as clearly-labelled cited constants.
+//! Table II (GPU, CPU, \[25\], \[26\]) as clearly-labelled cited constants.
 //!
 //! # Example
 //!

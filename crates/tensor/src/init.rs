@@ -103,19 +103,6 @@ pub fn randn_vec(len: usize, std: f32, seed: u64) -> Vec<f32> {
     v
 }
 
-/// Row `u` of the orthonormal `k`-point DCT-II basis, evaluated at column
-/// `x`. Used to build analytic (perfect-reconstruction) filter banks for
-/// the codec's analysis/synthesis transforms.
-pub fn dct2_basis(k: usize, u: usize, x: usize) -> f32 {
-    let kf = k as f32;
-    let scale = if u == 0 {
-        (1.0 / kf).sqrt()
-    } else {
-        (2.0 / kf).sqrt()
-    };
-    scale * ((std::f32::consts::PI * (x as f32 + 0.5) * u as f32) / kf).cos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,20 +128,6 @@ mod tests {
         let var: f64 = v.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / v.len() as f64;
         assert!(mean.abs() < 0.03, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn dct_basis_is_orthonormal() {
-        let k = 4;
-        for u in 0..k {
-            for v in 0..k {
-                let dot: f32 = (0..k)
-                    .map(|x| dct2_basis(k, u, x) * dct2_basis(k, v, x))
-                    .sum();
-                let expect = if u == v { 1.0 } else { 0.0 };
-                assert!((dot - expect).abs() < 1e-5, "u={u} v={v} dot={dot}");
-            }
-        }
     }
 
     #[test]

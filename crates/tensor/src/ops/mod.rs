@@ -64,11 +64,6 @@ pub fn relu(t: &Tensor) -> Tensor {
     t.map(|v| v.max(0.0))
 }
 
-/// Leaky ReLU with negative slope `alpha`.
-pub fn leaky_relu(t: &Tensor, alpha: f32) -> Tensor {
-    t.map(move |v| if v >= 0.0 { v } else { alpha * v })
-}
-
 /// Logistic sigmoid, `1 / (1 + e^(-x))`, applied elementwise.
 pub fn sigmoid(t: &Tensor) -> Tensor {
     t.map(|v| 1.0 / (1.0 + (-v).exp()))
@@ -83,7 +78,6 @@ mod tests {
     fn activations_behave() {
         let t = Tensor::from_vec(Shape::new(1, 1, 1, 4), vec![-2.0, -0.5, 0.0, 3.0]).unwrap();
         assert_eq!(relu(&t).as_slice(), &[0.0, 0.0, 0.0, 3.0]);
-        assert_eq!(leaky_relu(&t, 0.1).as_slice(), &[-0.2, -0.05, 0.0, 3.0]);
         let s = sigmoid(&t);
         assert!((s.at(0, 0, 0, 2) - 0.5).abs() < 1e-6);
         assert!(s.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));

@@ -71,16 +71,6 @@ impl Shape {
         );
         ((n * self.c + c) * self.h + h) * self.w + w
     }
-
-    /// Returns a copy of this shape with a different channel count.
-    pub fn with_c(&self, c: usize) -> Shape {
-        Shape { c, ..*self }
-    }
-
-    /// Returns a copy of this shape with different spatial dimensions.
-    pub fn with_hw(&self, h: usize, w: usize) -> Shape {
-        Shape { h, w, ..*self }
-    }
 }
 
 impl fmt::Display for Shape {
@@ -118,8 +108,6 @@ mod tests {
         assert_eq!(s.c(), 36);
         assert_eq!(s.h(), 8);
         assert_eq!(s.w(), 16);
-        assert_eq!(s.with_c(72).c(), 72);
-        assert_eq!(s.with_hw(4, 8).dims(), (1, 36, 4, 8));
     }
 
     #[test]

@@ -173,12 +173,6 @@ fn mean_gap(
     Ok((polyint(&ct, x_min, x_max) - polyint(&ca, x_min, x_max)) / (x_max - x_min))
 }
 
-/// Converts an MS-SSIM value to the dB-like scale customarily used for
-/// BD-rate computation on MS-SSIM curves: `−10·log10(1 − msssim)`.
-pub fn ms_ssim_db(msssim: f64) -> f64 {
-    -10.0 * (1.0 - msssim).max(1e-12).log10()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,14 +260,6 @@ mod tests {
         let test: Vec<RdPoint> = anchor.iter().map(|&(r, d)| (r * 0.9, d)).collect();
         let bd = bd_rate(&anchor, &test).unwrap();
         assert!((bd + 10.0).abs() < 0.5, "{bd}");
-    }
-
-    #[test]
-    fn ms_ssim_db_is_monotone() {
-        assert!(ms_ssim_db(0.99) > ms_ssim_db(0.95));
-        assert!(ms_ssim_db(0.999) > ms_ssim_db(0.99));
-        // 0.99 → 20 dB exactly.
-        assert!((ms_ssim_db(0.99) - 20.0).abs() < 1e-9);
     }
 
     #[test]

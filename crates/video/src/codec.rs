@@ -3,10 +3,10 @@
 //! Every codec in this repository — the learned CTVC-Net and the
 //! classical hybrid baseline — speaks the same session protocol:
 //!
-//! * [`VideoCodec::start_encode`] opens an [`EncoderSession`]; each
+//! * [`StreamEncoder::new`] opens an [`EncoderSession`]; each
 //!   [`EncoderSession::push_frame`] consumes one frame and returns one
 //!   length-delimited [`Packet`] (frame index, frame type, payload CRC).
-//! * [`VideoCodec::start_decode`] opens a [`DecoderSession`]; each
+//! * [`StreamDecoder::new`] opens a [`DecoderSession`]; each
 //!   [`DecoderSession::push_packet`] consumes one packet's bytes and
 //!   returns the reconstructed frame.
 //!
@@ -24,10 +24,14 @@
 //! against a reference). The carried state lives in the session structs,
 //! so decoding proceeds frame-at-a-time with constant memory — the shape
 //! the paper's NVCA hardware decodes in, and the shape a live-traffic
-//! serving stack needs. Whole-sequence `encode`/`decode` methods on the
-//! concrete codecs are thin wrappers over these sessions (see
-//! [`encode_sequence`] / [`decode_bitstream`]), so the two paths are
-//! bit-identical by construction.
+//! serving stack needs.
+//!
+//! A whole sequence is coded through the same sessions, by one helper
+//! per operation: [`encode_sequence`] returns an [`EncodedStream`]
+//! (packets, decoder-identical reconstruction, [`StreamStats`]),
+//! [`decode_bitstream`] decodes its [`EncodedStream::to_bytes`], and
+//! [`stream_roundtrip`] does both and measures the drift. So a one-shot
+//! and a streamed run of one clip are the same bytes by construction.
 
 use crate::rate::{RateMode, RateParam};
 use crate::session::{SessionMetrics, StreamDecoder, StreamEncoder};
@@ -45,8 +49,7 @@ pub use nvc_entropy::container::FrameKind as FrameType;
 pub struct StreamStats {
     /// Number of frames pushed.
     pub frames: usize,
-    /// Coded payload bytes per frame (excluding packet/section framing),
-    /// matching the accounting of the one-shot `encode` results.
+    /// Coded payload bytes per frame (excluding packet/section framing).
     pub bytes_per_frame: Vec<usize>,
     /// Serialized bits per frame *including* packet framing
     /// (`Packet::encoded_len() × 8`) — the per-frame rate a transport or
@@ -88,19 +91,6 @@ impl StreamStats {
             return 0.0;
         }
         self.total_bytes as f64 * 8.0 / (pixels_per_frame * self.frames) as f64
-    }
-
-    /// Per-frame bits per pixel from the recorded bit counts (empty when
-    /// `pixels_per_frame` is 0). Averaging this vector reproduces
-    /// [`StreamStats::bpp`] exactly.
-    pub fn frame_bpp(&self, pixels_per_frame: usize) -> Vec<f64> {
-        if pixels_per_frame == 0 {
-            return Vec::new();
-        }
-        self.bits_per_frame
-            .iter()
-            .map(|&bits| bits as f64 / pixels_per_frame as f64)
-            .collect()
     }
 }
 
@@ -249,22 +239,6 @@ pub trait VideoCodec: Sized {
     /// Human-readable codec name for reports.
     fn codec_name(&self) -> &str;
 
-    /// Opens an encoder session under the given rate-control mode —
-    /// [`RateMode::Fixed`] for the classic static rate (a plain rate
-    /// converts via `Into`), [`RateMode::TargetBpp`] for the built-in
-    /// closed loop, or an external controller.
-    ///
-    /// # Errors
-    ///
-    /// Returns the codec's error for invalid rate parameters.
-    fn start_encode(
-        &self,
-        mode: RateMode<Self::Rate>,
-    ) -> Result<StreamEncoder<'_, Self>, Self::Error>;
-
-    /// Opens a decoder session.
-    fn start_decode(&self) -> StreamDecoder<'_, Self>;
-
     /// The per-frame histograms this codec family's sessions record
     /// into.
     fn metrics(&self) -> &'static SessionMetrics;
@@ -356,9 +330,8 @@ impl EncodedStream {
     }
 }
 
-/// Encodes a whole sequence at one fixed rate — the shared body of
-/// every one-shot `encode` wrapper. Equivalent to
-/// [`encode_sequence_with`] under [`RateMode::Fixed`].
+/// Encodes a whole sequence through a fresh [`StreamEncoder`] under
+/// `mode` — a plain rate converts via `Into` to [`RateMode::Fixed`].
 ///
 /// # Errors
 ///
@@ -366,23 +339,9 @@ impl EncodedStream {
 pub fn encode_sequence<C: VideoCodec>(
     codec: &C,
     seq: &Sequence,
-    rate: C::Rate,
+    mode: impl Into<RateMode<C::Rate>>,
 ) -> Result<EncodedStream, C::Error> {
-    encode_sequence_with(codec, seq, RateMode::Fixed(rate))
-}
-
-/// Encodes a whole sequence through a fresh [`EncoderSession`] under an
-/// arbitrary rate-control mode.
-///
-/// # Errors
-///
-/// Propagates the codec's error from any frame.
-pub fn encode_sequence_with<C: VideoCodec>(
-    codec: &C,
-    seq: &Sequence,
-    mode: RateMode<C::Rate>,
-) -> Result<EncodedStream, C::Error> {
-    let mut enc = codec.start_encode(mode)?;
+    let mut enc = StreamEncoder::new(codec, mode.into());
     let mut packets = Vec::with_capacity(seq.frames().len());
     let mut decoded = Vec::with_capacity(seq.frames().len());
     for frame in seq.frames() {
@@ -404,8 +363,8 @@ pub fn encode_sequence_with<C: VideoCodec>(
     })
 }
 
-/// Decodes a packetized bitstream through a fresh [`DecoderSession`] —
-/// the shared body of every one-shot `decode` wrapper.
+/// Decodes a packetized bitstream (such as [`EncodedStream::to_bytes`])
+/// through a fresh [`StreamDecoder`].
 ///
 /// # Errors
 ///
@@ -415,7 +374,7 @@ pub fn decode_bitstream<C: VideoCodec>(codec: &C, bitstream: &[u8]) -> Result<Se
     if chunks.is_empty() {
         return Err(bad_stream::<C>("empty bitstream".into()));
     }
-    let mut dec = codec.start_decode();
+    let mut dec = StreamDecoder::new(codec);
     let mut frames = Vec::with_capacity(chunks.len());
     for chunk in chunks {
         frames.push(dec.push_packet(chunk)?);
@@ -428,10 +387,11 @@ fn bad_stream<C: VideoCodec>(reason: String) -> C::Error {
     C::Error::from(CodingError::BadContainer { reason })
 }
 
-/// Round-trips `seq` through streaming encode + streaming decode and
-/// checks the decode against the encoder's closed-loop reconstruction.
-/// Returns the maximum absolute reconstruction mismatch (0.0 for a
-/// bit-exact codec) together with the stream.
+/// Round-trips `seq` through [`encode_sequence`] under `mode` and a
+/// packet-by-packet streaming decode, checking the decode against the
+/// encoder's closed-loop reconstruction. Returns the maximum absolute
+/// reconstruction mismatch (0.0 for a bit-exact codec) together with
+/// the stream.
 ///
 /// # Errors
 ///
@@ -439,23 +399,10 @@ fn bad_stream<C: VideoCodec>(reason: String) -> C::Error {
 pub fn stream_roundtrip<C: VideoCodec>(
     codec: &C,
     seq: &Sequence,
-    rate: C::Rate,
+    mode: impl Into<RateMode<C::Rate>>,
 ) -> Result<(EncodedStream, f64), C::Error> {
-    stream_roundtrip_with(codec, seq, RateMode::Fixed(rate))
-}
-
-/// [`stream_roundtrip`] under an arbitrary rate-control mode.
-///
-/// # Errors
-///
-/// Propagates codec errors from either direction.
-pub fn stream_roundtrip_with<C: VideoCodec>(
-    codec: &C,
-    seq: &Sequence,
-    mode: RateMode<C::Rate>,
-) -> Result<(EncodedStream, f64), C::Error> {
-    let coded = encode_sequence_with(codec, seq, mode)?;
-    let mut dec = codec.start_decode();
+    let coded = encode_sequence(codec, seq, mode)?;
+    let mut dec = StreamDecoder::new(codec);
     let mut worst = 0.0f64;
     for (packet, reference) in coded.packets.iter().zip(coded.decoded.frames()) {
         let frame = dec.push_packet(&packet.to_bytes())?;
@@ -487,11 +434,13 @@ mod tests {
             stats.bits_per_frame.iter().sum::<u64>(),
             8 * stats.total_bytes as u64
         );
-        let per_frame = stats.frame_bpp(100);
-        assert_eq!(per_frame.len(), 2);
-        let mean = per_frame.iter().sum::<f64>() / stats.frames as f64;
+        let mean = stats
+            .bits_per_frame
+            .iter()
+            .map(|&b| b as f64 / 100.0)
+            .sum::<f64>()
+            / stats.frames as f64;
         assert!((mean - stats.bpp(100)).abs() < 1e-12);
-        assert!(stats.frame_bpp(0).is_empty());
         assert_eq!(stats.bpp(0), 0.0);
     }
 }

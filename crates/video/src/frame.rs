@@ -179,13 +179,6 @@ impl Sequence {
         &self.name
     }
 
-    /// Returns the sequence carrying a different name (frames are moved,
-    /// not cloned).
-    pub fn renamed(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
     /// The frames, in display order.
     pub fn frames(&self) -> &[Frame] {
         &self.frames

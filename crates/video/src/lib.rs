@@ -11,7 +11,7 @@
 //!
 //! * [`metrics::psnr`] — peak signal-to-noise ratio (peak = 1.0),
 //! * [`metrics::ms_ssim`] — multi-scale SSIM with the standard 5-scale
-//!   weights of Wang et al. (reference [23] of the paper),
+//!   weights of Wang et al. (reference \[23\] of the paper),
 //! * [`bdrate::bd_rate`] — Bjøntegaard delta rate (the BDBR(%) of the
 //!   paper's Table I) via cubic log-rate interpolation.
 //!
@@ -46,12 +46,11 @@ pub mod session;
 pub mod synthetic;
 
 pub use codec::{
-    decode_bitstream, encode_sequence, encode_sequence_with, CodedFrame, DecoderSession,
-    EncodedStream, EncoderSession, FrameType, StreamStats, VideoCodec,
+    decode_bitstream, encode_sequence, CodedFrame, DecoderSession, EncodedStream, EncoderSession,
+    FrameType, StreamStats, VideoCodec,
 };
 pub use frame::{Frame, Sequence, VideoError};
 pub use rate::{
-    RateController, RateMode, RateOutcome, RateParam, RateRequest, SessionRateControl,
-    TargetBppController,
+    RateMode, RateOutcome, RateParam, RateRequest, SessionRateControl, TargetBppController,
 };
 pub use session::{SessionMetrics, StreamDecoder, StreamEncoder};

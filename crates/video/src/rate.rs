@@ -1,10 +1,11 @@
 //! Pluggable rate control for encoder sessions.
 //!
-//! PR 4 put the per-frame rate signal on the wire
-//! ([`StreamStats::bits_per_frame`](crate::StreamStats)); this module
-//! closes the loop. Instead of a fixed `RatePoint`/QP for the whole
-//! stream, [`VideoCodec::start_encode`](crate::VideoCodec::start_encode)
-//! now takes a [`RateMode`]:
+//! Every packet's size is on the wire
+//! ([`StreamStats::bits_per_frame`](crate::StreamStats::bits_per_frame));
+//! this module closes the loop. Instead of a fixed `RatePoint`/QP for
+//! the whole stream, an encoder session
+//! ([`StreamEncoder::new`](crate::StreamEncoder::new)) takes a
+//! [`RateMode`]:
 //!
 //! * [`RateMode::Fixed`] — one rate for every frame; bitstreams are
 //!   byte-identical to the pre-redesign fixed-rate API.
@@ -13,8 +14,7 @@
 //!   the produced packet's bits into a [`TargetBppController`], which
 //!   picks the next frame's rate from a buffer-occupancy model plus
 //!   per-frame-type complexity estimates.
-//! * [`RateMode::PerFrame`] / [`RateMode::Controller`] — external
-//!   controllers: a closure or a full [`RateController`] implementation
+//! * [`RateMode::PerFrame`] — an external controller: a closure
 //!   decides each frame's rate from the feedback stream.
 //!
 //! The codec-specific rate parameter (`RatePoint` for the learned codec,
@@ -30,8 +30,8 @@ use std::fmt;
 ///
 /// * the **wire byte** ([`RateParam::to_wire`]) — the codec's native
 ///   representation (`RatePoint` index, QP value) as carried in packet
-///   headers, handshakes and [`StreamStats::rate_per_frame`]
-///   (crate::StreamStats::rate_per_frame);
+///   headers, handshakes and
+///   [`StreamStats::rate_per_frame`](crate::StreamStats::rate_per_frame);
 /// * the **ladder position** ([`RateParam::position`]) — a monotone
 ///   axis where position 0 is the *lowest* bitrate, which is what a
 ///   generic controller steps along (for QP the two run in opposite
@@ -151,21 +151,8 @@ pub struct RateOutcome {
     pub wire_rate: u8,
 }
 
-/// A closed-loop rate controller: picks the rate for every upcoming
-/// frame and observes what each coded frame actually cost.
-///
-/// Implementations must be deterministic in their observation history —
-/// encoder sessions replay bit-exactly only if the controller does.
-pub trait RateController<R: RateParam>: Send {
-    /// Rate for the frame described by `request`.
-    fn pick(&mut self, request: &RateRequest) -> R;
-
-    /// Feedback after the frame was coded and packetized.
-    fn observe(&mut self, outcome: &RateOutcome);
-}
-
 /// Rate-control mode of an encoder session — the argument of
-/// [`VideoCodec::start_encode`](crate::VideoCodec::start_encode).
+/// [`StreamEncoder::new`](crate::StreamEncoder::new).
 pub enum RateMode<R: RateParam> {
     /// Every frame coded at one fixed rate (the pre-redesign behavior;
     /// bitstreams are byte-identical to it).
@@ -182,8 +169,6 @@ pub enum RateMode<R: RateParam> {
     /// the upcoming frame's [`RateRequest`] (including the previous
     /// frame's [`RateOutcome`]).
     PerFrame(Box<dyn FnMut(&RateRequest) -> R + Send>),
-    /// A full external [`RateController`].
-    Controller(Box<dyn RateController<R>>),
 }
 
 impl<R: RateParam> RateMode<R> {
@@ -199,13 +184,12 @@ impl<R: RateParam> RateMode<R> {
             RateMode::Fixed(_) => "fixed",
             RateMode::TargetBpp { .. } => "target-bpp",
             RateMode::PerFrame(_) => "per-frame",
-            RateMode::Controller(_) => "controller",
         }
     }
 }
 
-/// A plain rate is the fixed mode — keeps `start_encode(rate)` call
-/// sites working unchanged.
+/// A plain rate is the fixed mode, so `start_encode(rate)` and
+/// `encode_sequence(&codec, &seq, rate)` take a bare rate.
 impl<R: RateParam> From<R> for RateMode<R> {
     fn from(rate: R) -> Self {
         RateMode::Fixed(rate)
@@ -381,10 +365,9 @@ impl<R: RateParam> TargetBppController<R> {
         let ratio = R::step_ratio().max(1.0 + f64::EPSILON);
         anchor_bits * ratio.powi(pos as i32 - self.position as i32)
     }
-}
 
-impl<R: RateParam> RateController<R> for TargetBppController<R> {
-    fn pick(&mut self, request: &RateRequest) -> R {
+    /// Rate for the frame described by `request`.
+    pub fn pick(&mut self, request: &RateRequest) -> R {
         let target_bits = self.target_bpp * request.pixels as f64;
         let alloc = self.allocation(request.intra, target_bits);
         // Pay the buffer deviation back over the smoothing window, not
@@ -407,7 +390,8 @@ impl<R: RateParam> RateController<R> for TargetBppController<R> {
         R::from_position(self.position)
     }
 
-    fn observe(&mut self, outcome: &RateOutcome) {
+    /// Feedback after the frame was coded and packetized.
+    pub fn observe(&mut self, outcome: &RateOutcome) {
         let target_bits = self.target_bpp * outcome.pixels as f64;
         let alloc = self.allocation(outcome.intra, target_bits);
         let bits = outcome.bits as f64;
@@ -479,7 +463,7 @@ pub struct SessionRateControl<R: RateParam> {
 enum Inner<R: RateParam> {
     Fixed(R),
     PerFrame(Box<dyn FnMut(&RateRequest) -> R + Send>),
-    Controller(Box<dyn RateController<R>>),
+    TargetBpp(TargetBppController<R>),
 }
 
 impl<R: RateParam> SessionRateControl<R> {
@@ -502,7 +486,7 @@ impl<R: RateParam> SessionRateControl<R> {
         match self.inner {
             Inner::Fixed(_) => "fixed",
             Inner::PerFrame(_) => "per-frame",
-            Inner::Controller(_) => "controller",
+            Inner::TargetBpp(_) => "target-bpp",
         }
     }
 
@@ -517,13 +501,13 @@ impl<R: RateParam> SessionRateControl<R> {
         match &mut self.inner {
             Inner::Fixed(rate) => *rate,
             Inner::PerFrame(f) => f(&request),
-            Inner::Controller(c) => c.pick(&request),
+            Inner::TargetBpp(c) => c.pick(&request),
         }
     }
 
     /// Feedback after the frame's packet was built.
     pub fn observe(&mut self, outcome: RateOutcome) {
-        if let Inner::Controller(c) = &mut self.inner {
+        if let Inner::TargetBpp(c) = &mut self.inner {
             c.observe(&outcome);
         }
         self.prev = Some(outcome);
@@ -542,10 +526,9 @@ impl<R: RateParam> Inner<R> {
         match mode {
             RateMode::Fixed(rate) => Inner::Fixed(rate),
             RateMode::TargetBpp { bpp, window } => {
-                Inner::Controller(Box::new(TargetBppController::<R>::new(bpp, window)))
+                Inner::TargetBpp(TargetBppController::new(bpp, window))
             }
             RateMode::PerFrame(f) => Inner::PerFrame(f),
-            RateMode::Controller(c) => Inner::Controller(c),
         }
     }
 }

@@ -9,6 +9,7 @@
 
 use nvc_model::{CtvcConfig, RatePoint};
 use nvc_sim::{Dataflow, NvcaConfig};
+use nvc_video::codec::encode_sequence;
 use nvc_video::synthetic::{SceneConfig, Synthesizer};
 use nvca::Nvca;
 
@@ -51,8 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nPer-packet decode cost on the paper design (64x48 stream):");
     let nvca = Nvca::paper_design(CtvcConfig::ctvc_sparse(12))?;
     let seq = Synthesizer::new(SceneConfig::uvg_like(64, 48, 4)).generate();
-    let coded = nvca.codec().encode(&seq, RatePoint::new(1))?;
-    let rep = nvca.simulate_decode_stream(&coded.bitstream, Dataflow::Chained)?;
+    let coded = encode_sequence(nvca.codec(), &seq, RatePoint::new(1))?;
+    let rep = nvca.simulate_decode_stream(&coded.to_bytes(), Dataflow::Chained)?;
     println!(
         "{:>6} {:>10} {:>12} {:>12} {:>12}",
         "frame", "type", "bytes", "cycles", "KB offchip"

@@ -1,4 +1,4 @@
-//! Quickstart: encode a synthetic clip with CTVC-Net (one-shot and
+//! Quickstart: encode a synthetic clip with CTVC-Net (whole sequence and
 //! streaming), decode it, measure quality, and ask the NVCA simulator
 //! what the hardware would do.
 //!
@@ -8,7 +8,7 @@
 
 use nvc_model::{CtvcConfig, RatePoint};
 use nvc_sim::Dataflow;
-use nvc_video::codec::{DecoderSession, EncoderSession};
+use nvc_video::codec::{decode_bitstream, encode_sequence, DecoderSession, EncoderSession};
 use nvc_video::metrics::{ms_ssim_sequence, psnr_sequence};
 use nvc_video::synthetic::{SceneConfig, Synthesizer};
 use nvca::Nvca;
@@ -27,14 +27,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let nvca = Nvca::paper_design(CtvcConfig::ctvc_sparse(12))?;
 
     // 3. Encode and decode through the real bitstream.
-    let coded = nvca.codec().encode(&seq, RatePoint::new(1))?;
-    let decoded = nvca.codec().decode(&coded.bitstream)?;
+    let coded = encode_sequence(nvca.codec(), &seq, RatePoint::new(1))?;
+    let bitstream = coded.to_bytes();
+    let decoded = decode_bitstream(nvca.codec(), &bitstream)?;
     let pairs: Vec<_> = seq.frames().iter().zip(decoded.frames()).collect();
     let pairs: Vec<_> = pairs.iter().map(|(a, b)| (*a, *b)).collect();
     println!(
         "coded {} bytes ({:.4} bpp): {:.2} dB PSNR, {:.4} MS-SSIM",
-        coded.total_bytes,
-        coded.bpp,
+        coded.stats.total_bytes,
+        coded.stats.bpp(seq.pixels_per_frame()),
         psnr_sequence(&pairs)?,
         ms_ssim_sequence(&pairs)?
     );
@@ -61,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 5. Hardware: what does decoding the packet stream cost on NVCA?
-    let stream_rep = nvca.simulate_decode_stream(&coded.bitstream, Dataflow::Chained)?;
+    let stream_rep = nvca.simulate_decode_stream(&bitstream, Dataflow::Chained)?;
     println!(
         "NVCA decode of this stream: {:.0} fps sustained, {:.2} KB off-chip",
         stream_rep.fps,

@@ -6,10 +6,12 @@ use nvc_baseline::{HybridCodec, Profile};
 use nvc_model::{CtvcCodec, CtvcConfig, RatePoint};
 use nvc_sim::Dataflow;
 use nvc_video::bdrate::bd_rate;
-use nvc_video::codec::{stream_roundtrip, DecoderSession, VideoCodec};
+use nvc_video::codec::{
+    decode_bitstream, encode_sequence, stream_roundtrip, DecoderSession, VideoCodec,
+};
 use nvc_video::metrics::psnr_sequence;
 use nvc_video::synthetic::{SceneConfig, Synthesizer};
-use nvc_video::Sequence;
+use nvc_video::{Sequence, StreamDecoder};
 use nvca::{FrameKind, Nvca};
 
 fn mean_psnr(a: &Sequence, b: &Sequence) -> f64 {
@@ -23,8 +25,8 @@ fn mean_psnr(a: &Sequence, b: &Sequence) -> f64 {
 fn codesign_pipeline_end_to_end() {
     let seq = Synthesizer::new(SceneConfig::uvg_like(64, 48, 3)).generate();
     let nvca = Nvca::paper_design(CtvcConfig::ctvc_sparse(8)).unwrap();
-    let coded = nvca.codec().encode(&seq, RatePoint::new(1)).unwrap();
-    let decoded = nvca.codec().decode(&coded.bitstream).unwrap();
+    let coded = encode_sequence(nvca.codec(), &seq, RatePoint::new(1)).unwrap();
+    let decoded = decode_bitstream(nvca.codec(), &coded.to_bytes()).unwrap();
     assert_eq!(decoded.frames().len(), 3);
     assert!(mean_psnr(&seq, &decoded) > 22.0);
     // The simulated accelerator runs the same network shape.
@@ -48,9 +50,8 @@ fn assert_streaming_contract<C: VideoCodec>(codec: &C, seq: &Sequence, rate: C::
         "{}: streaming decode drifted",
         codec.codec_name()
     );
-    // …and the one-shot wrapper decodes the very same packets identically.
-    let bitstream = coded.to_bytes();
-    let one_shot = nvc_video::codec::decode_bitstream(codec, &bitstream).expect("one-shot decode");
+    // …and the one-shot decode reads the very same packets identically.
+    let one_shot = decode_bitstream(codec, &coded.to_bytes()).expect("one-shot decode");
     assert_eq!(one_shot.frames().len(), coded.decoded.frames().len());
     for (a, b) in one_shot.frames().iter().zip(coded.decoded.frames()) {
         assert_eq!(
@@ -64,7 +65,7 @@ fn assert_streaming_contract<C: VideoCodec>(codec: &C, seq: &Sequence, rate: C::
     // (2) Malformed packets error instead of panicking.
     let first = coded.packets[0].to_bytes();
     for cut in [0, 5, first.len() / 2, first.len() - 1] {
-        let mut dec = codec.start_decode();
+        let mut dec = StreamDecoder::new(codec);
         assert!(
             dec.push_packet(&first[..cut]).is_err(),
             "{}: truncation to {cut} bytes must fail",
@@ -74,7 +75,7 @@ fn assert_streaming_contract<C: VideoCodec>(codec: &C, seq: &Sequence, rate: C::
     for victim in [13, first.len() - 1] {
         let mut corrupt = first.clone();
         corrupt[victim] ^= 0xA5;
-        let mut dec = codec.start_decode();
+        let mut dec = StreamDecoder::new(codec);
         assert!(
             dec.push_packet(&corrupt).is_err(),
             "{}: corrupted byte {victim} must fail",
@@ -107,9 +108,9 @@ fn streaming_contract_holds_for_both_codec_families() {
 fn streamed_packets_drive_the_simulator() {
     let seq = Synthesizer::new(SceneConfig::uvg_like(48, 32, 3)).generate();
     let nvca = Nvca::paper_design(CtvcConfig::ctvc_sparse(8)).unwrap();
-    let coded = nvca.codec().encode(&seq, RatePoint::new(1)).unwrap();
+    let coded = encode_sequence(nvca.codec(), &seq, RatePoint::new(1)).unwrap();
     let rep = nvca
-        .simulate_decode_stream(&coded.bitstream, Dataflow::Chained)
+        .simulate_decode_stream(&coded.to_bytes(), Dataflow::Chained)
         .unwrap();
     assert_eq!(rep.frames.len(), seq.frames().len());
     assert_eq!(rep.frames[0].kind, FrameKind::Intra);
@@ -127,14 +128,14 @@ fn parallel_execution_is_bit_exact_for_both_codec_families() {
     // Learned codec: serial vs 4-thread sessions.
     let serial = CtvcCodec::new(CtvcConfig::ctvc_sparse(8).with_threads(1)).unwrap();
     let parallel = CtvcCodec::new(CtvcConfig::ctvc_sparse(8).with_threads(4)).unwrap();
-    let cs = serial.encode(&seq, RatePoint::new(1)).unwrap();
-    let cp = parallel.encode(&seq, RatePoint::new(1)).unwrap();
-    assert_eq!(cs.bitstream, cp.bitstream, "CTVC packets diverged");
+    let cs = encode_sequence(&serial, &seq, RatePoint::new(1)).unwrap();
+    let cp = encode_sequence(&parallel, &seq, RatePoint::new(1)).unwrap();
+    assert_eq!(cs.to_bytes(), cp.to_bytes(), "CTVC packets diverged");
     for (a, b) in cs.decoded.frames().iter().zip(cp.decoded.frames()) {
         assert_eq!(a.tensor().as_slice(), b.tensor().as_slice());
     }
-    let ds = serial.decode(&cp.bitstream).unwrap();
-    let dp = parallel.decode(&cs.bitstream).unwrap();
+    let ds = decode_bitstream(&serial, &cp.to_bytes()).unwrap();
+    let dp = decode_bitstream(&parallel, &cs.to_bytes()).unwrap();
     for (a, b) in ds.frames().iter().zip(dp.frames()) {
         assert_eq!(a.tensor().as_slice(), b.tensor().as_slice());
     }
@@ -143,9 +144,9 @@ fn parallel_execution_is_bit_exact_for_both_codec_families() {
     // decisions, hence the same bitstream.
     let hs = HybridCodec::with_threads(Profile::hevc_like(), 1);
     let hp = HybridCodec::with_threads(Profile::hevc_like(), 4);
-    let cs = hs.encode(&seq, 24).unwrap();
-    let cp = hp.encode(&seq, 24).unwrap();
-    assert_eq!(cs.bitstream, cp.bitstream, "hybrid packets diverged");
+    let cs = encode_sequence(&hs, &seq, 24).unwrap();
+    let cp = encode_sequence(&hp, &seq, 24).unwrap();
+    assert_eq!(cs.to_bytes(), cp.to_bytes(), "hybrid packets diverged");
     for (a, b) in cs.decoded.frames().iter().zip(cp.decoded.frames()) {
         assert_eq!(a.tensor().as_slice(), b.tensor().as_slice());
     }
@@ -157,9 +158,9 @@ fn parallel_execution_is_bit_exact_for_both_codec_families() {
 fn bitstreams_are_portable_across_instances() {
     let seq = Synthesizer::new(SceneConfig::mcl_jcv_like(48, 32, 3)).generate();
     let enc = CtvcCodec::new(CtvcConfig::ctvc_fxp(8)).unwrap();
-    let coded = enc.encode(&seq, RatePoint::new(2)).unwrap();
+    let coded = encode_sequence(&enc, &seq, RatePoint::new(2)).unwrap();
     let dec = CtvcCodec::new(CtvcConfig::ctvc_fxp(8)).unwrap();
-    let decoded = dec.decode(&coded.bitstream).unwrap();
+    let decoded = decode_bitstream(&dec, &coded.to_bytes()).unwrap();
     for (a, b) in decoded.frames().iter().zip(coded.decoded.frames()) {
         assert!(a.tensor().sub(b.tensor()).unwrap().max_abs() < 1e-6);
     }
@@ -182,18 +183,22 @@ fn table1_ordering_holds() {
     let anchor: Vec<(f64, f64)> = [40u8, 34, 28, 22]
         .iter()
         .map(|&qp| {
-            let c = anchor_codec.encode(&seq, qp).unwrap();
-            (c.bpp, mean_psnr(&seq, &c.decoded))
+            let c = encode_sequence(&anchor_codec, &seq, qp).unwrap();
+            (
+                c.stats.bpp(seq.pixels_per_frame()),
+                mean_psnr(&seq, &c.decoded),
+            )
         })
         .collect();
 
     let avc: Vec<(f64, f64)> = [40u8, 34, 28, 22]
         .iter()
         .map(|&qp| {
-            let c = HybridCodec::new(Profile::avc_like())
-                .encode(&seq, qp)
-                .unwrap();
-            (c.bpp, mean_psnr(&seq, &c.decoded))
+            let c = encode_sequence(&HybridCodec::new(Profile::avc_like()), &seq, qp).unwrap();
+            (
+                c.stats.bpp(seq.pixels_per_frame()),
+                mean_psnr(&seq, &c.decoded),
+            )
         })
         .collect();
 
@@ -209,8 +214,8 @@ fn table1_ordering_holds() {
     // at comparable PSNR).
     let ctvc = CtvcCodec::new(CtvcConfig::ctvc_fp(12)).unwrap();
     let dvc = CtvcCodec::new(CtvcConfig::dvc_like(12)).unwrap();
-    let c_ctvc = ctvc.encode(&seq, RatePoint::new(1)).unwrap();
-    let c_dvc = dvc.encode(&seq, RatePoint::new(1)).unwrap();
+    let c_ctvc = encode_sequence(&ctvc, &seq, RatePoint::new(1)).unwrap();
+    let c_dvc = encode_sequence(&dvc, &seq, RatePoint::new(1)).unwrap();
     let p_ctvc = mean_psnr(&seq, &c_ctvc.decoded);
     let p_dvc = mean_psnr(&seq, &c_dvc.decoded);
     assert!(
@@ -220,17 +225,17 @@ fn table1_ordering_holds() {
 
     // The rate mechanism: CTVC P-frames are much cheaper than classical
     // P-frames at comparable quality.
-    let anchor_coded = anchor_codec.encode(&seq, 46).unwrap();
-    let anchor_p: f64 = anchor_coded.bytes_per_frame[1..]
+    let anchor_coded = encode_sequence(&anchor_codec, &seq, 46).unwrap();
+    let anchor_p: f64 = anchor_coded.stats.bytes_per_frame[1..]
         .iter()
         .map(|&b| b as f64)
         .sum::<f64>()
-        / (anchor_coded.bytes_per_frame.len() - 1) as f64;
-    let ctvc_p: f64 = c_ctvc.bytes_per_frame[1..]
+        / (anchor_coded.stats.bytes_per_frame.len() - 1) as f64;
+    let ctvc_p: f64 = c_ctvc.stats.bytes_per_frame[1..]
         .iter()
         .map(|&b| b as f64)
         .sum::<f64>()
-        / (c_ctvc.bytes_per_frame.len() - 1) as f64;
+        / (c_ctvc.stats.bytes_per_frame.len() - 1) as f64;
     assert!(
         ctvc_p < anchor_p,
         "CTVC P-frames ({ctvc_p:.0} B) must undercut classical P-frames ({anchor_p:.0} B)"
@@ -263,8 +268,8 @@ fn fxp_tracks_fp_quality() {
     let seq = Synthesizer::new(SceneConfig::hevc_b_like(64, 48, 3)).generate();
     let fp = CtvcCodec::new(CtvcConfig::ctvc_fp(8)).unwrap();
     let fxp = CtvcCodec::new(CtvcConfig::ctvc_fxp(8)).unwrap();
-    let cfp = fp.encode(&seq, RatePoint::new(1)).unwrap();
-    let cfxp = fxp.encode(&seq, RatePoint::new(1)).unwrap();
+    let cfp = encode_sequence(&fp, &seq, RatePoint::new(1)).unwrap();
+    let cfxp = encode_sequence(&fxp, &seq, RatePoint::new(1)).unwrap();
     let dp = mean_psnr(&seq, &cfp.decoded);
     let dq = mean_psnr(&seq, &cfxp.decoded);
     assert!(dp - dq < 2.0, "FXP must track FP: {dq:.2} vs {dp:.2} dB");

@@ -1,17 +1,18 @@
 //! Hostile packets through the one stream decoder
-//! (`nvc_video::session::StreamDecoder`), written once over
-//! [`VideoCodec`] and run for both codec families: truncated, flipped,
-//! dropped, duplicated, reordered and re-framed packets are an `Err` or
-//! a frame — never a panic — and an `Err` leaves the session exactly as
-//! it was.
+//! ([`StreamDecoder`]), written once over [`VideoCodec`] and run for
+//! both codec families: truncated, flipped, dropped, duplicated,
+//! reordered and re-framed packets are an `Err` or a frame — never a
+//! panic — and an `Err` leaves the session exactly as it was. Hostile
+//! whole bitstreams (empty, garbage, truncated) through
+//! [`decode_bitstream`] are an `Err`.
 
 use nvc_baseline::{HybridCodec, Profile};
 use nvc_entropy::container::{read_sections, FrameKind, Packet, Section, SectionWriter};
 use nvc_model::{CtvcCodec, CtvcConfig, RatePoint};
-use nvc_video::codec::{DecoderSession, EncoderSession, VideoCodec};
+use nvc_video::codec::{decode_bitstream, DecoderSession, EncoderSession, VideoCodec};
 use nvc_video::rate::{RateMode, RateRequest};
 use nvc_video::synthetic::{SceneConfig, Synthesizer};
-use nvc_video::RateParam;
+use nvc_video::{RateParam, StreamDecoder, StreamEncoder};
 
 const W: usize = 32;
 const H: usize = 32;
@@ -48,7 +49,7 @@ fn hostile_packets<C: VideoCodec>(codec: &C, rates: [C::Rate; 2]) {
     let mode = RateMode::per_frame(move |req: &RateRequest| {
         rates[usize::from(req.frame_index as usize >= SWITCH)]
     });
-    let mut enc = codec.start_encode(mode).unwrap();
+    let mut enc = StreamEncoder::new(codec, mode);
     enc.set_join_headers(true);
     let packets: Vec<Packet> = seq
         .frames()
@@ -68,8 +69,24 @@ fn hostile_packets<C: VideoCodec>(codec: &C, rates: [C::Rate; 2]) {
     assert_eq!(leads_with(JOIN), Section::SideInfo);
     assert_eq!(packets[JOIN].kind, FrameKind::Intra);
 
+    // Whole bitstreams: the stream decodes, and empty input, garbage and
+    // the stream short of its last byte are each an `Err`.
+    let stream = bytes.concat();
+    assert_eq!(
+        decode_bitstream(codec, &stream).unwrap().frames().len(),
+        6,
+        "{name}: whole stream"
+    );
+    for (what, hostile) in [
+        ("empty bitstream", &[][..]),
+        ("garbage bitstream", &[1, 2, 3][..]),
+        ("truncated bitstream", &stream[..stream.len() - 1]),
+    ] {
+        assert!(decode_bitstream(codec, hostile).is_err(), "{name}: {what}");
+    }
+
     // Every truncation of the first intra packet fails to open a stream…
-    let mut dec = codec.start_decode();
+    let mut dec = StreamDecoder::new(codec);
     for cut in 0..bytes[0].len() {
         assert!(
             dec.push_packet(&bytes[0][..cut]).is_err(),
@@ -147,7 +164,7 @@ fn hostile_packets<C: VideoCodec>(codec: &C, rates: [C::Rate; 2]) {
     // changes nothing, so the open session is replaced only after a
     // flipped P packet decoded.
     let open = || {
-        let mut dec = codec.start_decode();
+        let mut dec = StreamDecoder::new(codec);
         dec.push_packet(&bytes[0]).unwrap();
         dec
     };
@@ -156,7 +173,7 @@ fn hostile_packets<C: VideoCodec>(codec: &C, rates: [C::Rate; 2]) {
         for bit in 0..8 {
             let mut flipped = bytes[0].clone();
             flipped[byte] ^= 1 << bit;
-            let _ = codec.start_decode().push_packet(&flipped);
+            let _ = StreamDecoder::new(codec).push_packet(&flipped);
             let mut flipped = bytes[1].clone();
             flipped[byte] ^= 1 << bit;
             if dec.push_packet(&flipped).is_ok() {
@@ -167,7 +184,7 @@ fn hostile_packets<C: VideoCodec>(codec: &C, rates: [C::Rate; 2]) {
 
     // A stream cannot open on a predicted packet, nor on an intra that
     // carries no header…
-    let mut dec = codec.start_decode();
+    let mut dec = StreamDecoder::new(codec);
     assert!(
         dec.push_packet(&bytes[1]).is_err(),
         "{name}: P before any intra"
@@ -193,12 +210,12 @@ fn hostile_packets<C: VideoCodec>(codec: &C, rates: [C::Rate; 2]) {
     // Swapped sections inside a P packet (a no-op for single-section
     // codecs) and a stream opening at the last representable frame
     // index must not panic either.
-    let mut dec = codec.start_decode();
+    let mut dec = StreamDecoder::new(codec);
     dec.push_packet(&bytes[0]).unwrap();
     let _ = dec.push_packet(&reframe(&packets[1], 1, FrameKind::Predicted, |s| {
         s.reverse()
     }));
-    let mut dec = codec.start_decode();
+    let mut dec = StreamDecoder::new(codec);
     dec.push_packet(&reframe(&packets[0], u32::MAX, FrameKind::Intra, |_| {}))
         .unwrap();
     assert!(

@@ -9,7 +9,7 @@ use nvc_model::{CtvcCodec, CtvcConfig, RatePoint};
 use nvc_video::codec::{DecoderSession as _, EncoderSession as _};
 use nvc_video::rate::{RateMode, RateRequest};
 use nvc_video::synthetic::{SceneConfig, Synthesizer};
-use nvc_video::{Frame, VideoCodec};
+use nvc_video::{Frame, StreamDecoder, StreamEncoder, VideoCodec};
 
 fn bits(frame: &Frame) -> Vec<u32> {
     frame
@@ -29,8 +29,8 @@ where
 {
     let clip = Synthesizer::new(SceneConfig::uvg_like(64, 48, rates.len())).generate();
     let mode = RateMode::per_frame(move |req: &RateRequest| rates[req.frame_index as usize]);
-    let mut enc = codec.start_encode(mode).unwrap();
-    let mut dec = codec.start_decode();
+    let mut enc = StreamEncoder::new(codec, mode);
+    let mut dec = StreamDecoder::new(codec);
     assert!(
         enc.last_reconstruction().unwrap().is_none(),
         "no reconstruction before the first frame"

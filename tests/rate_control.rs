@@ -11,7 +11,7 @@ use nvc_model::{CtvcCodec, CtvcConfig, RatePoint};
 use nvc_video::codec::{DecoderSession as _, EncoderSession as _};
 use nvc_video::rate::{RateMode, RateRequest};
 use nvc_video::synthetic::{SceneConfig, Synthesizer};
-use nvc_video::{Sequence, StreamStats, VideoCodec};
+use nvc_video::{Sequence, StreamDecoder, StreamEncoder, StreamStats, VideoCodec};
 
 fn ctvc_seq(frames: usize) -> Sequence {
     Synthesizer::new(SceneConfig::uvg_like(48, 32, frames)).generate()
@@ -28,7 +28,7 @@ fn encode_with_gops<C: VideoCodec>(
     mode: RateMode<C::Rate>,
     gop: usize,
 ) -> (Vec<Vec<u8>>, StreamStats) {
-    let mut enc = codec.start_encode(mode).unwrap();
+    let mut enc = StreamEncoder::new(codec, mode);
     let mut packets = Vec::new();
     for (i, frame) in seq.frames().iter().enumerate() {
         let restart = i > 0 && i % gop == 0;
@@ -47,7 +47,7 @@ fn encode_with_gops<C: VideoCodec>(
 }
 
 fn decode_all<C: VideoCodec>(codec: &C, packets: &[Vec<u8>]) -> Vec<nvc_video::Frame> {
-    let mut dec = codec.start_decode();
+    let mut dec = StreamDecoder::new(codec);
     packets
         .iter()
         .map(|p| dec.push_packet(p).unwrap())
@@ -252,7 +252,7 @@ fn assert_target_bpp_converges<C: VideoCodec>(codec: &C, seq: &Sequence, lo: C::
     assert_eq!(packets, replay, "controller replay must be bit-exact");
     // And the adaptive stream decodes, the decoder following every
     // in-band rate switch.
-    let mut dec = codec.start_decode();
+    let mut dec = StreamDecoder::new(codec);
     for (i, p) in packets.iter().enumerate() {
         dec.push_packet(p).unwrap();
         assert_eq!(
